@@ -24,9 +24,9 @@ from . import protocol as proto
 from . import security, stats
 from .config import (
     CHAIN_PRESETS,
+    CONFIG_SCHEMA,
     DEFAULT_OCCUPANCY_GRID,
     ExperimentConfig,
-    config_from_dict,
     load_config,
 )
 from .devices import ChannelParams, response_and_noise
@@ -73,7 +73,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--announce-bases",
         action="store_true",
         default=None,
-        help="record both basis choices in the key file",
+        help="the receiver measures in the sender's basis, so no symbol is "
+        "lost to sifting",
     )
     p = sub.add_parser("linkbudget", parents=[common], help="loss and range limits")
     p.add_argument("--medium", choices=sorted(lb.MEDIA))
@@ -81,32 +82,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_OVERRIDE_FIELDS = (
-    "seed",
-    "e_ec",
-    "beta_ec",
-    "n_ec_fraction",
-    "channel_loss",
-    "noise_photons",
-    "n_symbols",
-    "include_delta",
-    "include_estimation_penalty",
-    "medium",
-)
-
-
 def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     if args.config is not None:
         cfg = load_config(args.config)
     else:
         cfg = ExperimentConfig()
-    if args.preset is not None:
-        cfg = replace(cfg, preset=args.preset, chain=CHAIN_PRESETS[args.preset])
+    # a flag overrides the config field its destination is named after
     overrides = {
         name: getattr(args, name)
-        for name in _OVERRIDE_FIELDS
+        for name in CONFIG_SCHEMA
         if getattr(args, name, None) is not None
     }
+    if args.preset is not None:
+        overrides["chain"] = CHAIN_PRESETS[args.preset]
     if overrides:
         cfg = replace(cfg, **overrides)
     return cfg
@@ -118,29 +106,29 @@ def _format_cell(value) -> str:
     return str(value)
 
 
+def _write_text(out, text: str) -> None:
+    if out is None:
+        sys.stdout.write(text)
+    else:
+        Path(out).write_text(text)
+
+
 def _write_csv(out, header, rows, config: ExperimentConfig) -> None:
     lines = ["# config: " + json.dumps(config.to_dict(), sort_keys=True)]
     lines.append(",".join(header))
     for row in rows:
         lines.append(",".join(_format_cell(v) for v in row))
-    text = "\n".join(lines) + "\n"
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text)
+    _write_text(out, "\n".join(lines) + "\n")
 
 
 def _write_json(out, payload: dict) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text)
+    _write_text(out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _report_kwargs(cfg: ExperimentConfig) -> dict:
     return {
         "n_raw": cfg.n_symbols,
+        "n_ec": max(1, round(cfg.n_ec_fraction * (cfg.n_symbols // 2))),
         "beta_ec": cfg.beta_ec,
         "p_ec": cfg.p_ec,
         "e_ec": cfg.e_ec,
@@ -161,10 +149,9 @@ def cmd_sweep(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     reports = []
     rows = []
     kwargs = _report_kwargs(cfg)
-    n_ec = max(1, round(cfg.n_ec_fraction * (cfg.n_symbols // 2)))
     for nbar in cfg.noise_grid:
         channel = ChannelParams(loss=cfg.channel_loss, noise_photons=nbar)
-        rep = security.build_report(cfg.chain, channel, n_ec=n_ec, **kwargs)
+        rep = security.build_report(cfg.chain, channel, **kwargs)
         reports.append(rep)
         rows.append(
             (
@@ -210,24 +197,26 @@ def cmd_protocol(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
         announce_bases=bool(args.announce_bases),
     )
     proto.write_key_records(record, outdir / "key.csv")
-    manifest = proto.key_manifest(codebook, record, cfg.chain, channel, cfg.seed + 1)
+    manifest = proto.key_manifest(
+        codebook, record, cfg.chain, channel, cfg.seed + 1, bool(args.announce_bases)
+    )
     manifest["config"] = cfg.to_dict()
     _write_json(outdir / "manifest.json", manifest)
 
     alpha, beta = proto.sift(record)
-    n_ec = max(1, round(cfg.n_ec_fraction * (cfg.n_symbols // 2)))
+    kwargs = _report_kwargs(cfg)
+    n_ec = kwargs["n_ec"]
     estimate = proto.estimate_channel(alpha[n_ec:], beta[n_ec:], cfg.chain)
     report = security.build_report(
         cfg.chain,
         estimate=estimate,
-        n_ec=n_ec,
         extra_inputs={
             "codebook_seed": cfg.seed,
             "transmission_seed": cfg.seed + 1,
             "n_matched": int(alpha.size),
             "config": cfg.to_dict(),
         },
-        **_report_kwargs(cfg),
+        **kwargs,
     )
 
     slope, variance = response_and_noise(cfg.chain, channel, matched=True)
@@ -302,11 +291,9 @@ def cmd_linkbudget(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
 
 def cmd_report(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     channel = ChannelParams(loss=cfg.channel_loss, noise_photons=cfg.noise_photons)
-    n_ec = max(1, round(cfg.n_ec_fraction * (cfg.n_symbols // 2)))
     report = security.build_report(
         cfg.chain,
         channel,
-        n_ec=n_ec,
         extra_inputs={"config": cfg.to_dict()},
         **_report_kwargs(cfg),
     )

@@ -2,12 +2,14 @@
 
 A configuration round-trips through JSON: parse -> serialize -> parse is
 the identity. Command-line flags override file values field by field.
+:data:`CONFIG_SCHEMA` is the one place that says where each field lives
+in the JSON document.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 from .devices import DeviceChainParams
 from .linkbudget import MEDIA
@@ -38,6 +40,29 @@ DEFAULT_SEED = 20230817
 DEFAULT_BANDWIDTH_HZ = 400e3
 DEFAULT_NOISE_GRID = tuple(0.0025 * i for i in range(41))  # 0 .. 0.1
 DEFAULT_OCCUPANCY_GRID = tuple(10.0**k for k in range(-8, 5))
+
+
+# ExperimentConfig field -> (JSON section, key); section None is the top
+# level. Serialization, parsing and the command-line overrides (a flag
+# whose destination is a field name) all derive from this table.
+CONFIG_SCHEMA = {
+    "preset": (None, "preset"),
+    "chain": (None, "chain"),
+    "channel_loss": ("channel", "loss"),
+    "noise_photons": ("channel", "noise_photons"),
+    "noise_grid": (None, "noise_grid"),
+    "n_symbols": (None, "n_symbols"),
+    "seed": (None, "seed"),
+    "e_ec": ("security", "e_ec"),
+    "beta_ec": ("security", "beta_ec"),
+    "p_ec": ("security", "p_ec"),
+    "n_ec_fraction": ("security", "n_ec_fraction"),
+    "include_delta": ("security", "include_delta"),
+    "include_estimation_penalty": ("security", "include_estimation_penalty"),
+    "bandwidth_hz": (None, "bandwidth_hz"),
+    "medium": ("linkbudget", "medium"),
+    "occupancies": ("linkbudget", "occupancies"),
+}
 
 
 @dataclass(frozen=True)
@@ -81,125 +106,78 @@ class ExperimentConfig:
             )
 
     def to_dict(self) -> dict:
-        return {
-            "preset": self.preset,
-            "chain": asdict(self.chain),
-            "channel": {"loss": self.channel_loss, "noise_photons": self.noise_photons},
-            "noise_grid": list(self.noise_grid),
-            "n_symbols": self.n_symbols,
-            "seed": self.seed,
-            "security": {
-                "e_ec": self.e_ec,
-                "beta_ec": self.beta_ec,
-                "p_ec": self.p_ec,
-                "n_ec_fraction": self.n_ec_fraction,
-                "include_delta": self.include_delta,
-                "include_estimation_penalty": self.include_estimation_penalty,
-            },
-            "bandwidth_hz": self.bandwidth_hz,
-            "linkbudget": {
-                "medium": self.medium,
-                "occupancies": None
-                if self.occupancies is None
-                else list(self.occupancies),
-            },
-        }
+        data: dict = {}
+        for name, (section, key) in CONFIG_SCHEMA.items():
+            value = getattr(self, name)
+            if name == "chain":
+                value = asdict(value)
+            elif isinstance(value, tuple):
+                value = list(value)
+            (data if section is None else data.setdefault(section, {}))[key] = value
+        return data
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
-def _chain_from_dict(preset: str | None, overrides: dict | None) -> DeviceChainParams:
-    if preset is not None:
-        base = CHAIN_PRESETS.get(preset)
-        if base is None:
-            raise ValueError(f"unknown preset {preset!r}")
-    elif overrides is None:
-        raise ValueError("config needs a preset or explicit chain parameters")
-    else:
-        base = None
-    if not overrides:
-        return base
-    known = {f.name for f in fields(DeviceChainParams)}
-    unknown = set(overrides) - known
+def _json_object(value, name: str, known) -> dict:
+    """`value` as a JSON object with keys from `known`; null is empty."""
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} must be a JSON object")
+    unknown = set(value) - set(known)
     if unknown:
-        raise ValueError(f"unknown chain parameters: {sorted(unknown)}")
-    clean = {
-        key: tuple(value) if isinstance(value, list) else value
-        for key, value in overrides.items()
-    }
-    if base is None:
-        return DeviceChainParams(**clean)
-    return replace(base, **clean)
+        raise ValueError(f"unknown {name} keys: {sorted(unknown)}")
+    return value
+
+
+def _chain_from_dict(preset, overrides) -> DeviceChainParams:
+    if preset is not None and not (isinstance(preset, str) and preset in CHAIN_PRESETS):
+        raise ValueError(f"unknown preset {preset!r}")
+    overrides = _json_object(overrides, "chain", {f.name for f in fields(DeviceChainParams)})
+    if preset is not None:
+        return replace(CHAIN_PRESETS[preset], **overrides)
+    if not overrides:
+        raise ValueError("config needs a preset or explicit chain parameters")
+    return DeviceChainParams(**overrides)
+
+
+def _grid_from_shorthand(grid: dict) -> tuple[float, ...]:
+    """Expand {"start", "stop", "num"} into an evenly spaced grid."""
+    if set(grid) != {"start", "stop", "num"}:
+        raise ValueError("noise_grid shorthand takes exactly start, stop and num")
+    start, stop, num = float(grid["start"]), float(grid["stop"]), int(grid["num"])
+    if num < 1:
+        raise ValueError("noise_grid num must be >= 1")
+    step = (stop - start) / (num - 1) if num > 1 else 0.0
+    return tuple(start + step * i for i in range(num))
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
-    """Build a configuration from parsed JSON, rejecting unknown keys."""
-    if not isinstance(data, dict):
-        raise ValueError("config root must be a JSON object")
-    known = {
-        "preset",
-        "chain",
-        "channel",
-        "noise_grid",
-        "n_symbols",
-        "seed",
-        "security",
-        "bandwidth_hz",
-        "linkbudget",
-    }
-    unknown = set(data) - known
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    """Build a configuration from parsed JSON, rejecting unknown keys.
+
+    A missing key or a JSON null keeps the field's default, except
+    `preset`, where a missing or null preset means an explicit chain.
+    """
+    sections: dict[str, set[str]] = {}
+    for section, key in CONFIG_SCHEMA.values():
+        if section is not None:
+            sections.setdefault(section, set()).add(key)
+    top_level = {section or key for section, key in CONFIG_SCHEMA.values()}
+    data = _json_object(data, "config", top_level)
+    objects = {None: data}
+    for section, known in sections.items():
+        objects[section] = _json_object(data.get(section), section, known)
 
     preset = data.get("preset")
-    chain = _chain_from_dict(preset, data.get("chain"))
-
-    kwargs: dict = {"chain": chain, "preset": preset}
-    channel = data.get("channel", {})
-    if channel:
-        kwargs["channel_loss"] = channel.get("loss", DEFAULT_CHANNEL_LOSS)
-        kwargs["noise_photons"] = channel.get("noise_photons", 0.0)
-
-    grid = data.get("noise_grid")
-    if isinstance(grid, dict):
-        start, stop = float(grid["start"]), float(grid["stop"])
-        num = int(grid["num"])
-        if num < 1:
-            raise ValueError("noise_grid num must be >= 1")
-        step = (stop - start) / (num - 1) if num > 1 else 0.0
-        kwargs["noise_grid"] = tuple(start + step * i for i in range(num))
-    elif grid is not None:
-        kwargs["noise_grid"] = tuple(float(x) for x in grid)
-
-    for key in ("n_symbols", "seed", "bandwidth_hz"):
-        if key in data:
-            kwargs[key] = data[key]
-
-    sec = data.get("security", {})
-    sec_known = {
-        "e_ec",
-        "beta_ec",
-        "p_ec",
-        "n_ec_fraction",
-        "include_delta",
-        "include_estimation_penalty",
-    }
-    unknown = set(sec) - sec_known
-    if unknown:
-        raise ValueError(f"unknown security keys: {sorted(unknown)}")
-    kwargs.update(sec)
-
-    lb = data.get("linkbudget", {})
-    lb_known = {"medium", "occupancies"}
-    unknown = set(lb) - lb_known
-    if unknown:
-        raise ValueError(f"unknown linkbudget keys: {sorted(unknown)}")
-    if "medium" in lb:
-        kwargs["medium"] = lb["medium"]
-    if lb.get("occupancies") is not None:
-        kwargs["occupancies"] = tuple(float(x) for x in lb["occupancies"])
-
+    kwargs: dict = {"preset": preset, "chain": _chain_from_dict(preset, data.get("chain"))}
+    for name, (section, key) in CONFIG_SCHEMA.items():
+        value = objects[section].get(key)
+        if name not in kwargs and value is not None:
+            kwargs[name] = value
+    if isinstance(kwargs.get("noise_grid"), dict):
+        kwargs["noise_grid"] = _grid_from_shorthand(kwargs["noise_grid"])
     return ExperimentConfig(**kwargs)
 
 

@@ -5,8 +5,10 @@ loss, the displacement encoding one symbol, the displacement coupler tap,
 a second path loss, the untrusted channel (loss against a thermal
 environment), a third path loss, phase-sensitive amplification with
 trusted amplifier noise, a fourth path loss, and a unit-gain back end
-adding lumped noise. Every step is a covariance operation from
-:mod:`mwqkd.gaussian`, so the output distribution is exact, not sampled.
+adding lumped noise. The runtime path reads the receiver's record from
+one closed-form model, :func:`trusted_readout_constants`;
+:func:`bob_output_distribution` builds the same chain from covariance
+operations in :mod:`mwqkd.gaussian` and is the oracle tests check it by.
 
 Preparation and detection noise are trusted: they shape the measured
 statistics but are not attributed to an eavesdropper. Only the channel
@@ -214,8 +216,9 @@ def prepared_state(chain: DeviceChainParams, basis: str = "q") -> GaussianState:
         raise ValueError("basis must be 'q' or 'p'")
     ss = chain.squeezed_variance
     aa = chain.antisqueezed_variance
-    # thermal occupation whose symmetric variance is the geometric mean
-    n0 = 0.5 * (4.0 * math.sqrt(ss * aa) - 1.0)
+    # thermal occupation whose symmetric variance is the geometric mean;
+    # a pure state (equal levels) can round a few ulp below zero
+    n0 = max(0.5 * (4.0 * math.sqrt(ss * aa) - 1.0), 0.0)
     r = 0.25 * math.log(aa / ss)
     angle = 0.0 if basis == "q" else 0.5 * math.pi
     return gaussian.apply_squeeze(gaussian.make_thermal(n0), r, angle)
@@ -260,6 +263,8 @@ def bob_output_distribution(
     they differ it is the deamplified axis, whose mean is suppressed by
     1/sqrt(G), which is what makes mismatched records carry almost no
     information at high gain. The variance is independent of `symbol`.
+    This step-by-step covariance pipeline is the test oracle of
+    :func:`response_and_noise`.
     """
     if bob_basis not in QUADRATURES:
         raise ValueError("bob_basis must be 'q' or 'p'")
@@ -299,40 +304,65 @@ def response_and_noise(
     variance; `matched` selects whether the receiver amplified the
     encoding quadrature.
     """
-    bob_basis = "q" if matched else "p"
-    mean1, var = bob_output_distribution(chain, channel, 1.0, "q", bob_basis)
-    return mean1, var
+    model = trusted_readout_constants(chain, matched)
+    eps = channel.loss
+    # a zero-loss channel couples nothing in, so its environment is moot
+    env = channel.environment_photons if eps > 0.0 else 0.0
+    v_out = (1.0 - eps) * model.channel_input_variance + eps * (1.0 + 2.0 * env) * VACUUM_VARIANCE
+    slope = math.sqrt(model.slope_gain) * math.sqrt(1.0 - eps)
+    return slope, model.variance_gain * v_out + model.variance_offset
 
 
 @dataclass(frozen=True)
 class ReadoutModel:
-    """Trusted-side constants of the matched readout.
+    """Trusted-side constants of one readout.
 
-    The matched record obeys beta = sqrt(slope_gain * (1 - eps)) * alpha
-    + noise with noise variance variance_gain * v_out + variance_offset,
-    where v_out = (1 - eps) * channel_input_variance + eps/4 + nbar is
-    the conditional variance at the channel output. Channel estimation
-    inverts these relations.
+    The record obeys beta = sqrt(slope_gain * (1 - eps)) * alpha + noise
+    with noise variance variance_gain * v_out + variance_offset, where
+    v_out = (1 - eps) * channel_input_variance + eps/4 + nbar is the
+    conditional variance of the encoding quadrature at the channel
+    output. orthogonal_input_variance is the channel-input variance of
+    the other (anti-squeezed) quadrature, which the eavesdropper's state
+    also depends on. Channel estimation inverts these relations.
     """
 
     slope_gain: float
     variance_gain: float
     variance_offset: float
     channel_input_variance: float
+    orthogonal_input_variance: float
+
+    def standard_errors(
+        self, slope: float, slope_sigma: float, s2: float, samples: int
+    ) -> tuple[float, float]:
+        """(loss_sigma, noise_sigma) of a channel estimate from `samples`
+        matched pairs: the slope error and the chi-square error of the
+        residual variance s2, referred through this model."""
+        loss_sigma = 2.0 * abs(slope) * slope_sigma / self.slope_gain
+        s2_sigma = s2 * math.sqrt(2.0 / (samples - 1))
+        return loss_sigma, math.hypot(
+            s2_sigma / self.variance_gain,
+            (self.channel_input_variance - VACUUM_VARIANCE) * loss_sigma,
+        )
 
 
-def trusted_readout_constants(chain: DeviceChainParams) -> ReadoutModel:
-    """Closed-form referral constants for the matched readout."""
+def trusted_readout_constants(
+    chain: DeviceChainParams, matched: bool = True
+) -> ReadoutModel:
+    """Closed-form referral constants of the receiver's readout.
+
+    A matched receiver amplifies the encoding quadrature by G; a
+    mismatched one deamplifies it, which is the same chain with G -> 1/G.
+    """
     e1, e2, e3, e4 = chain.path_losses
     w1, w2, w3, w4 = (
         (1.0 + 2.0 * n) * VACUUM_VARIANCE for n in chain.path_environment_photons
     )
     tau_a = chain.displacement_coupler_transmissivity
-    g = chain.measurement_gain
-    v_in = (1.0 - e2) * (
-        tau_a * ((1.0 - e1) * chain.squeezed_variance + e1 * w1)
-        + (1.0 - tau_a) * VACUUM_VARIANCE
-    ) + e2 * w2
+    g = chain.measurement_gain if matched else 1.0 / chain.measurement_gain
+    # prepared variance -> channel input: first path loss, coupler, second path loss
+    in_gain = (1.0 - e2) * tau_a * (1.0 - e1)
+    in_offset = (1.0 - e2) * (tau_a * e1 * w1 + (1.0 - tau_a) * VACUUM_VARIANCE) + e2 * w2
     slope_gain = g * tau_a * (1.0 - e2) * (1.0 - e3) * (1.0 - e4)
     variance_gain = (1.0 - e4) * g * (1.0 - e3)
     variance_offset = (
@@ -340,4 +370,6 @@ def trusted_readout_constants(chain: DeviceChainParams) -> ReadoutModel:
         + e4 * w4
         + 0.5 * chain.hemt_noise_photons
     )
-    return ReadoutModel(slope_gain, variance_gain, variance_offset, v_in)
+    v_q = in_gain * chain.squeezed_variance + in_offset
+    v_p = in_gain * chain.antisqueezed_variance + in_offset
+    return ReadoutModel(slope_gain, variance_gain, variance_offset, v_q, v_p)

@@ -342,7 +342,7 @@ def symplectic_eigenvalues(state: GaussianState) -> np.ndarray:
     return nu
 
 
-def _entropy_of_nu(nu: float) -> float:
+def entropy_of_nu(nu: float) -> float:
     """g(nu) in bits: ((nu+1)/2)log2((nu+1)/2) - ((nu-1)/2)log2((nu-1)/2)."""
     if nu <= 1.0 + 1e-12:
         return 0.0
@@ -355,7 +355,7 @@ def _entropy_of_nu(nu: float) -> float:
 
 def von_neumann_entropy(state: GaussianState) -> float:
     """Entropy in bits: the sum of g(nu_i) over the symplectic spectrum."""
-    return float(sum(_entropy_of_nu(float(nu)) for nu in symplectic_eigenvalues(state)))
+    return float(sum(entropy_of_nu(float(nu)) for nu in symplectic_eigenvalues(state)))
 
 
 def condition_on_classical_gaussian(

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from scipy.constants import Boltzmann, Planck
 
 from .devices import ChannelParams, DeviceChainParams
-from .security import asymptotic_key
+from .security import asymptotic_key, noise_crossing
 
 # Carrier used for the cryogenic medium's background occupation.
 CARRIER_FREQUENCY_HZ = 5.48e9
@@ -74,9 +74,10 @@ def max_tolerable_loss(
 ) -> float:
     """Largest channel loss with a positive asymptotic key.
 
-    Bisection to `tol` absolute on the loss, with the coupled noise tied
-    to the loss as nbar = background * eps / 2. Returns 0.0 when no loss
-    is tolerable at all.
+    Bisection (:func:`mwqkd.security.noise_crossing`) on [1e-12, 1 - 1e-9]
+    to `tol` absolute on the loss, with the coupled noise tied to the
+    loss as nbar = background * eps / 2. Returns 0.0 when no loss is
+    tolerable at all and 1 - 1e-9 when every loss is.
     """
     if background_photons < 0.0:
         raise ValueError("background_photons must be >= 0")
@@ -86,18 +87,8 @@ def max_tolerable_loss(
             chain, ChannelParams(eps, 0.5 * background_photons * eps)
         )
 
-    lo, hi = 1e-12, 1.0 - 1e-9
-    if key(lo) <= 0.0:
-        return 0.0
-    if key(hi) > 0.0:
-        return hi
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if key(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    upper = 1.0 - 1e-9
+    return min(noise_crossing(key, upper, tol, lower=1e-12), upper)
 
 
 def loss_to_distance(loss: float, attenuation_db_per_m: float) -> float:

@@ -186,20 +186,12 @@ def estimate_channel(
 
     transmissivity = slope * slope / model.slope_gain
     loss = 1.0 - transmissivity
-    slope_sigma = math.sqrt(s2 / sxx)
-    loss_sigma = 2.0 * abs(slope) * slope_sigma / model.slope_gain
-
+    loss_sigma, noise_sigma = model.standard_errors(slope, math.sqrt(s2 / sxx), s2, m)
     v_out = (s2 - model.variance_offset) / model.variance_gain
     noise_raw = (
         v_out
         - transmissivity * model.channel_input_variance
         - loss * VACUUM_VARIANCE
-    )
-    clamped = noise_raw < 0.0
-    s2_sigma = s2 * math.sqrt(2.0 / (m - 1))
-    noise_sigma = math.hypot(
-        s2_sigma / model.variance_gain,
-        (model.channel_input_variance - VACUUM_VARIANCE) * loss_sigma,
     )
     return ChannelEstimate(
         loss=loss,
@@ -207,7 +199,7 @@ def estimate_channel(
         noise_photons=max(noise_raw, 0.0),
         noise_sigma=noise_sigma,
         samples=m,
-        clamped=bool(clamped),
+        clamped=bool(noise_raw < 0.0),
     )
 
 
@@ -257,14 +249,20 @@ def key_manifest(
     chain: DeviceChainParams,
     channel: ChannelParams,
     transmission_seed: int,
+    announce_bases: bool = False,
 ) -> dict:
-    """JSON-ready manifest describing how a transcript was produced."""
+    """JSON-ready manifest describing how a transcript was produced.
+
+    It holds every input of :func:`generate_codebook` and
+    :func:`simulate_transmission`, so it alone regenerates the transcript.
+    """
     return {
         "n_symbols": int(record.n_symbols),
         "n_matched": int(record.matched.sum()),
         "codebook_seed": int(codebook.seed),
         "codebook_variance": float(codebook.variance),
         "transmission_seed": int(transmission_seed),
+        "announce_bases": bool(announce_bases),
         "chain": asdict(chain),
         "channel": asdict(channel),
         "csv_columns": list(KEY_CSV_COLUMNS),

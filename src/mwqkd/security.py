@@ -14,12 +14,12 @@ import json
 import math
 from dataclasses import asdict, dataclass
 
-import numpy as np
 from scipy.special import erfinv
 
-from . import devices, gaussian
+from . import devices
 from .devices import ChannelParams, DeviceChainParams
-from .gaussian import VACUUM_VARIANCE, GaussianState
+from .errors import PhysicalityError
+from .gaussian import PHYSICALITY_TOL, PHYSICALITY_TOL_REL, entropy_of_nu
 from .protocol import ChannelEstimate
 
 DEFAULT_CORRECTNESS_EPSILON = 1e-10  # e_ec, failure bound on estimation confidence
@@ -44,6 +44,33 @@ def mutual_information(snr_value: float) -> float:
     return 0.5 * math.log2(1.0 + snr_value)
 
 
+def _environment_entropy(eps: float, t: float, v: float, v_q: float, v_p: float) -> float:
+    """Entropy in bits of the eavesdropper's two environment modes.
+
+    A signal of variances v_q, v_p meets one arm of a two-mode squeezed
+    state (vacuum-unit marginal v, c^2 = v^2 - 1) on the tap eps = 1 - t.
+    With a = 4 v_q, b = 4 v_p the output is a q block [[eps a + t v,
+    sqrt(t) c], [sqrt(t) c, v]] and a p block (b, -sqrt(t) c), and
+    nu+^2 nu-^2 = det Q det P, nu+^2 + nu-^2 = tr(QP) (Weedbrook et al.,
+    RMP 84, 621 (2012)). c^2 and t cancel analytically: the invariants and
+    the gap (nu+^2 - nu-^2)^2 / eps^2 are sums of non-negative terms.
+    """
+    a, b = 4.0 * v_q, 4.0 * v_p
+    det = (eps * a * v + t) * (eps * b * v + t)
+    trace = eps * eps * (a * b + v * v) + eps * t * v * (a + b) + 2.0 * t
+    x, y = a - v, b - v
+    if x * y < 0.0:
+        gap = (eps * x * y + v * (x + y)) ** 2 - 4.0 * t * (v - 1.0) * (v + 1.0) * x * y
+    else:
+        gap = (v * (x - y)) ** 2 + x * y * (4.0 * t + eps * (eps * x * y + 2.0 * v * (a + b)))
+    nu_plus_sq = 0.5 * (trace + eps * math.sqrt(gap))
+    nu_minus_sq = det / nu_plus_sq
+    tol = max(PHYSICALITY_TOL, PHYSICALITY_TOL_REL * max(v, eps * max(a, b) + t * v))
+    if nu_minus_sq < (1.0 - tol) ** 2:
+        raise PhysicalityError(f"environment violates the uncertainty bound: {nu_minus_sq=}")
+    return entropy_of_nu(math.sqrt(nu_plus_sq)) + entropy_of_nu(math.sqrt(nu_minus_sq))
+
+
 def holevo_dr(chain: DeviceChainParams, channel: ChannelParams) -> float:
     """Eavesdropper's Holevo bound, direct reconciliation.
 
@@ -52,7 +79,9 @@ def holevo_dr(chain: DeviceChainParams, channel: ChannelParams) -> float:
     eavesdropper keeps both environment modes. For Gaussian modulation
     the conditional entropy does not depend on the symbol, so the bound
     is the entropy difference between the modulation-averaged and the
-    conditional environment states.
+    conditional environment states. The modulation only widens the
+    encoding quadrature at the channel input, by the codebook variance
+    times the squared pre-channel response.
 
     Trusted detection noise never enters the environment state. A
     lossless channel leaks nothing (0.0); a lossless channel with
@@ -69,25 +98,13 @@ def holevo_dr(chain: DeviceChainParams, channel: ChannelParams) -> float:
     if modulation == 0.0:
         return 0.0
 
-    signal = devices.channel_input_state(chain, "q")
-    environment = gaussian.two_mode_squeezed_thermal(channel.environment_photons)
-    joint = gaussian.tensor(signal, environment)
-    out = gaussian.apply_beamsplitter(joint, channel.transmissivity, modes=(0, 1))
-
-    # Unit symbol amplitude shifts the first environment mode's q by
-    # -sqrt(eps) times the trusted pre-channel response; the second
-    # environment mode is untouched by the tap.
-    response = np.zeros(6)
-    response[2] = -math.sqrt(eps) * devices.channel_input_response(chain)
-
-    conditional, unconditional = gaussian.condition_on_classical_gaussian(
-        out, response, modulation, keep=(1, 2)
-    )
-    zero = np.zeros(4)
-    s_cond = gaussian.von_neumann_entropy(GaussianState(zero, conditional))
-    s_uncond = gaussian.von_neumann_entropy(GaussianState(zero, unconditional))
+    model = devices.trusted_readout_constants(chain)
+    v_q, v_p = model.channel_input_variance, model.orthogonal_input_variance
+    v_avg = v_q + modulation * devices.channel_input_response(chain) ** 2
+    v, t = 1.0 + 2.0 * channel.environment_photons, channel.transmissivity
+    chi = _environment_entropy(eps, t, v, v_avg, v_p) - _environment_entropy(eps, t, v, v_q, v_p)
     # the averaged state majorizes the conditional one; guard float dust
-    return max(s_uncond - s_cond, 0.0)
+    return max(chi, 0.0)
 
 
 def asymptotic_key(chain: DeviceChainParams, channel: ChannelParams) -> float:
@@ -158,12 +175,7 @@ def predicted_estimate(
     slope, variance = devices.response_and_noise(chain, channel, matched=True)
     model = devices.trusted_readout_constants(chain)
     slope_sigma = math.sqrt(variance / (samples * chain.codebook_variance))
-    loss_sigma = 2.0 * abs(slope) * slope_sigma / model.slope_gain
-    s2_sigma = variance * math.sqrt(2.0 / (samples - 1))
-    noise_sigma = math.hypot(
-        s2_sigma / model.variance_gain,
-        (model.channel_input_variance - VACUUM_VARIANCE) * loss_sigma,
-    )
+    loss_sigma, noise_sigma = model.standard_errors(slope, slope_sigma, variance, samples)
     return ChannelEstimate(
         loss=channel.loss,
         loss_sigma=loss_sigma,
@@ -291,17 +303,18 @@ def composite_key(
     )
 
 
-def noise_crossing(key_fn, upper: float = 1.0, tol: float = 1e-7) -> float:
-    """Zero crossing of a key function decreasing in the noise photons.
+def noise_crossing(key_fn, upper: float = 1.0, tol: float = 1e-7, *, lower: float = 0.0) -> float:
+    """Zero crossing of a decreasing key function, by bisection.
 
-    Bisection on [0, upper]; returns 0.0 if the key is not positive at 0
-    and inf if it is still positive at `upper`.
+    Bisection on [lower, upper] to an absolute width `tol`; returns the
+    midpoint of the last bracket, 0.0 if the key is not positive at
+    `lower` and inf if it is still positive at `upper`.
     """
-    if key_fn(0.0) <= 0.0:
+    if key_fn(lower) <= 0.0:
         return 0.0
     if key_fn(upper) > 0.0:
         return math.inf
-    lo, hi = 0.0, upper
+    lo, hi = lower, upper
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if key_fn(mid) > 0.0:
@@ -335,8 +348,7 @@ class SecurityReport:
     inputs: dict
 
     def to_dict(self) -> dict:
-        data = asdict(self)
-        return data
+        return asdict(self)
 
     def to_json(self, indent: int | None = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)

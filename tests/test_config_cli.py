@@ -1,13 +1,16 @@
 """Configuration parsing and the command-line surface."""
 
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 import mwqkd
 from mwqkd import cli
+from mwqkd import protocol as proto
 from mwqkd.config import (
+    CONFIG_SCHEMA,
     DEFAULT_CHANNEL_LOSS,
     ExperimentConfig,
     config_from_dict,
@@ -34,6 +37,8 @@ def test_config_json_roundtrip_is_identity():
     )
     again = config_from_dict(json.loads(cfg.to_json()))
     assert again == cfg
+    # the schema table places every field
+    assert set(CONFIG_SCHEMA) == {f.name for f in fields(ExperimentConfig)}
 
 
 def test_config_rejects_unknown_keys():
@@ -41,10 +46,18 @@ def test_config_rejects_unknown_keys():
         config_from_dict({"preset": "run1", "bogus": 1})
     with pytest.raises(ValueError, match="unknown security keys"):
         config_from_dict({"preset": "run1", "security": {"foo": 1}})
-    with pytest.raises(ValueError, match="unknown chain parameters"):
+    with pytest.raises(ValueError, match="unknown chain keys"):
         config_from_dict({"preset": "run1", "chain": {"giggle_db": 3}})
     with pytest.raises(ValueError, match="unknown preset"):
         config_from_dict({"preset": "run9"})
+    with pytest.raises(ValueError, match="unknown channel keys"):
+        config_from_dict({"preset": "run1", "channel": {"los": 0.2}})
+    with pytest.raises(ValueError, match="channel must be a JSON object"):
+        config_from_dict({"preset": "run1", "channel": [1]})
+    for grid in ({"start": 0.0, "stop": 0.1, "num": 5, "step": 0.025},
+                 {"start": 0.0, "num": 5}):
+        with pytest.raises(ValueError, match="exactly start, stop and num"):
+            config_from_dict({"preset": "run1", "noise_grid": grid})
 
 
 def test_config_chain_overrides_preset():
@@ -165,6 +178,29 @@ def test_protocol_report_embeds_config_and_empirics(tmp_path):
     assert len(key_lines) == 4001
 
 
+def test_protocol_manifest_regenerates_announced_transcript(tmp_path):
+    out = tmp_path / "run"
+    assert run_cli("protocol", "--preset", "run2", "--n-symbols", "2000",
+                   "--announce-bases", "--out", str(out)) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["announce_bases"] is True
+    codebook = proto.generate_codebook(
+        manifest["n_symbols"], manifest["codebook_variance"],
+        seed=manifest["codebook_seed"],
+    )
+    regenerated = proto.simulate_transmission(
+        codebook,
+        mwqkd.DeviceChainParams(**manifest["chain"]),
+        mwqkd.ChannelParams(**manifest["channel"]),
+        seed=manifest["transmission_seed"],
+        announce_bases=manifest["announce_bases"],
+    )
+    written = proto.read_key_records(out / "key.csv")
+    for name in ("alice_symbols", "alice_bases", "bob_bases", "outcomes", "matched"):
+        assert np.array_equal(getattr(regenerated, name), getattr(written, name)), name
+    assert written.matched.all()
+
+
 def test_protocol_without_enough_data_exits_3(tmp_path, capsys):
     code = run_cli("protocol", "--preset", "run1", "--n-symbols", "100",
                    "--out", str(tmp_path / "x"))
@@ -182,6 +218,9 @@ def test_bad_config_exits_2(tmp_path, capsys):
     assert run_cli("sweep", "--config", str(cfg)) == 2
     cfg.write_text("not json at all")
     assert run_cli("sweep", "--config", str(cfg)) == 2
+    cfg.write_text(json.dumps({"channel": [1]}))
+    assert run_cli("sweep", "--config", str(cfg)) == 2
+    assert "channel must be a JSON object" in capsys.readouterr().err
 
 
 def test_unwritable_path_exits_4(tmp_path):

@@ -150,24 +150,31 @@ def test_response_and_noise_agrees_with_distribution():
 
 
 def test_trusted_readout_constants_match_op_chain():
-    # closed-form calibration constants must reproduce the simulated moments
+    # the closed-form readout model must reproduce the covariance oracle,
+    # for a matched (G) and a mismatched (G -> 1/G) receiver
     chain = replace(
         RUN2,
         displacement_coupler_transmissivity=0.97,
         path_losses=(0.01, 0.02, 0.015, 0.03),
         path_environment_photons=(0.1, 0.0, 0.4, 0.2),
     )
+    for matched, bob_basis in ((True, "q"), (False, "p")):
+        model = d.trusted_readout_constants(chain, matched)
+        for eps, nbar in ((0.0115, 0.002), (0.15, 0.03)):
+            ch = d.ChannelParams(eps, nbar)
+            mean, var = d.bob_output_distribution(chain, ch, 1.0, "q", bob_basis)
+            assert model.slope_gain * (1 - eps) == pytest.approx(mean * mean, rel=1e-10)
+            v_channel_out = (1 - eps) * model.channel_input_variance + eps * (
+                1 + 2 * ch.environment_photons
+            ) * 0.25
+            assert model.variance_gain * v_channel_out + model.variance_offset == (
+                pytest.approx(var, rel=1e-10)
+            )
+    # the orthogonal quadrature enters the channel anti-squeezed
     model = d.trusted_readout_constants(chain)
-    for eps, nbar in ((0.0115, 0.002), (0.15, 0.03)):
-        ch = d.ChannelParams(eps, nbar)
-        k, v = d.response_and_noise(chain, ch, matched=True)
-        assert model.slope_gain * (1 - eps) == pytest.approx(k * k, rel=1e-10)
-        v_channel_out = (1 - eps) * model.channel_input_variance + eps * (
-            1 + 2 * ch.environment_photons
-        ) * 0.25
-        assert model.variance_gain * v_channel_out + model.variance_offset == (
-            pytest.approx(v, rel=1e-10)
-        )
+    state = d.channel_input_state(chain, "q")
+    assert model.channel_input_variance == pytest.approx(state.cov[0, 0], rel=1e-12)
+    assert model.orthogonal_input_variance == pytest.approx(state.cov[1, 1], rel=1e-12)
 
 
 def test_noise_raises_output_variance_only():

@@ -6,10 +6,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mwqkd
+from mwqkd import devices
+from mwqkd import gaussian as g
 from mwqkd import security as sec
-from mwqkd.devices import ChannelParams
+from mwqkd.devices import ChannelParams, DeviceChainParams
 from mwqkd.protocol import ChannelEstimate
 
 RUN1 = mwqkd.RUN1_CHAIN
@@ -34,6 +38,64 @@ def test_holevo_pinned_values():
     assert sec.holevo_dr(RUN1, ChannelParams(0.0115, 0.03)) == pytest.approx(
         0.546737045389451, rel=1e-9
     )
+    # hot environment (v = 1 + 2 * 2e4): 50-digit mpmath eigenvalues of the
+    # 4x4 environment covariance; the covariance oracle is off by 3e-8 here
+    assert sec.holevo_dr(RUN1, ChannelParams(1e-5, 0.1)) == pytest.approx(
+        0.94065874859531632, abs=1e-12
+    )
+
+
+def _oracle_holevo(chain, channel):
+    """chi_E from the covariance pipeline, built as the acceptance suite does."""
+    signal = devices.channel_input_state(chain, basis="q")
+    env = g.two_mode_squeezed_thermal(channel.environment_photons)
+    joint = g.apply_beamsplitter(g.tensor(signal, env), channel.transmissivity,
+                                 modes=(0, 1))
+    response = np.zeros(6)
+    response[2] = -math.sqrt(channel.loss) * devices.channel_input_response(chain)
+    cond, uncond = g.condition_on_classical_gaussian(
+        joint, response, chain.codebook_variance, keep=(1, 2)
+    )
+    zero = np.zeros(4)
+    return g.von_neumann_entropy(g.GaussianState(zero, uncond)) - g.von_neumann_entropy(
+        g.GaussianState(zero, cond)
+    )
+
+
+@st.composite
+def _chains(draw):
+    squeezing = draw(st.floats(0.0, 10.0))
+    four = st.tuples(*[st.floats(0.0, 0.3)] * 4)
+    return DeviceChainParams(
+        squeezing_db=squeezing,
+        antisqueezing_db=squeezing + draw(st.floats(0.0, 10.0)),
+        quantum_efficiency=draw(st.floats(0.3, 1.0)),
+        measurement_gain_db=draw(st.floats(0.0, 30.0)),
+        hemt_noise_photons=draw(st.floats(0.0, 60.0)),
+        displacement_coupler_transmissivity=draw(st.floats(0.5, 1.0)),
+        path_losses=draw(four),
+        path_environment_photons=tuple(6.0 * x for x in draw(four)),
+    )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    chain=_chains(),
+    loss=st.floats(1e-3, 0.95),
+    nbar=st.floats(0.0, 0.5),
+)
+def test_runtime_chain_model_matches_covariance_oracle(chain, loss, nbar):
+    # environment occupations up to 1e3; the oracle's own eigensolver
+    # error there is a few 1e-10
+    channel = ChannelParams(loss, nbar)
+    assert sec.holevo_dr(chain, channel) == pytest.approx(
+        _oracle_holevo(chain, channel), abs=1e-8
+    )
+    for matched, bob_basis in ((True, "q"), (False, "p")):
+        slope, var = devices.response_and_noise(chain, channel, matched)
+        mean, want = devices.bob_output_distribution(chain, channel, 1.0, "q", bob_basis)
+        assert slope == pytest.approx(mean, rel=1e-12)
+        assert var == pytest.approx(want, rel=1e-12)
 
 
 def test_holevo_edge_cases():
