@@ -146,33 +146,27 @@ def cmd_sweep(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
         "asymptotic_key_bits",
         "composite_key_bits_per_raw_symbol",
     )
-    reports = []
-    rows = []
-    kwargs = _report_kwargs(cfg)
-    for nbar in cfg.noise_grid:
-        channel = ChannelParams(loss=cfg.channel_loss, noise_photons=nbar)
-        rep = security.build_report(cfg.chain, channel, **kwargs)
-        reports.append(rep)
-        rows.append(
-            (
-                float(nbar),
-                rep.snr,
-                rep.mi_bits,
-                rep.holevo_bits,
-                rep.asymptotic_key_bits,
-                rep.finite_size.bits_per_raw_symbol,
-            )
-        )
+    sweep = security.sweep_noise(
+        cfg.chain, cfg.channel_loss, cfg.noise_grid, **_report_kwargs(cfg)
+    )
     crossing = security.noise_tolerance(cfg.chain, cfg.channel_loss)
 
     if (args.out_format or "csv") == "json":
         payload = {
             "config": cfg.to_dict(),
             "asymptotic_noise_crossing": crossing,
-            "reports": [rep.to_dict() for rep in reports],
+            "reports": [rep.to_dict() for rep in sweep.points()],
         }
         _write_json(args.out, payload)
     else:
+        columns = (
+            sweep.snr,
+            sweep.mi_bits,
+            sweep.holevo_bits,
+            sweep.asymptotic_key_bits,
+            sweep.finite_size.bits_per_raw_symbol,
+        )
+        rows = zip(cfg.noise_grid, *(column.tolist() for column in columns))
         _write_csv(args.out, header, rows, cfg)
     if args.out is not None:
         print(f"asymptotic key rate crosses zero at nbar = {crossing:.6f}")
@@ -259,9 +253,7 @@ def cmd_linkbudget(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     grid = cfg.occupancies if cfg.occupancies is not None else DEFAULT_OCCUPANCY_GRID
     occupancies = sorted(set(grid) | {medium.background_photons})
     table = lb.sweep_occupancy(cfg.chain, occupancies, medium.attenuation_db_per_m)
-
-    eps_max = lb.max_tolerable_loss(cfg.chain, medium.background_photons)
-    distance = lb.distance_limit(cfg.chain, medium)
+    _, eps_max, distance = table[occupancies.index(medium.background_photons)]
     channel = ChannelParams(
         loss=cfg.channel_loss, noise_photons=cfg.channel_loss * medium.background_photons / 2.0
     )

@@ -9,6 +9,7 @@ in the JSON document.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, fields, replace
 
 from .devices import DeviceChainParams
@@ -42,27 +43,52 @@ DEFAULT_NOISE_GRID = tuple(0.0025 * i for i in range(41))  # 0 .. 0.1
 DEFAULT_OCCUPANCY_GRID = tuple(10.0**k for k in range(-8, 5))
 
 
-# ExperimentConfig field -> (JSON section, key); section None is the top
-# level. Serialization, parsing and the command-line overrides (a flag
-# whose destination is a field name) all derive from this table.
+# ExperimentConfig field -> (JSON section, key, JSON type); section None
+# is the top level. Serialization, parsing with its type checks, and the
+# command-line overrides (a flag whose destination is a field name) all
+# derive from this table.
 CONFIG_SCHEMA = {
-    "preset": (None, "preset"),
-    "chain": (None, "chain"),
-    "channel_loss": ("channel", "loss"),
-    "noise_photons": ("channel", "noise_photons"),
-    "noise_grid": (None, "noise_grid"),
-    "n_symbols": (None, "n_symbols"),
-    "seed": (None, "seed"),
-    "e_ec": ("security", "e_ec"),
-    "beta_ec": ("security", "beta_ec"),
-    "p_ec": ("security", "p_ec"),
-    "n_ec_fraction": ("security", "n_ec_fraction"),
-    "include_delta": ("security", "include_delta"),
-    "include_estimation_penalty": ("security", "include_estimation_penalty"),
-    "bandwidth_hz": (None, "bandwidth_hz"),
-    "medium": ("linkbudget", "medium"),
-    "occupancies": ("linkbudget", "occupancies"),
+    "preset": (None, "preset", "string"),
+    "chain": (None, "chain", "object"),
+    "channel_loss": ("channel", "loss", "number"),
+    "noise_photons": ("channel", "noise_photons", "number"),
+    "noise_grid": (None, "noise_grid", "number array"),
+    "n_symbols": (None, "n_symbols", "integer"),
+    "seed": (None, "seed", "integer"),
+    "e_ec": ("security", "e_ec", "number"),
+    "beta_ec": ("security", "beta_ec", "number"),
+    "p_ec": ("security", "p_ec", "number"),
+    "n_ec_fraction": ("security", "n_ec_fraction", "number"),
+    "include_delta": ("security", "include_delta", "boolean"),
+    "include_estimation_penalty": ("security", "include_estimation_penalty", "boolean"),
+    "bandwidth_hz": (None, "bandwidth_hz", "number"),
+    "medium": ("linkbudget", "medium", "string"),
+    "occupancies": ("linkbudget", "occupancies", "number array"),
 }
+
+
+def _is_number(value) -> bool:
+    # Python's json module also parses NaN and Infinity, which JSON lacks
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
+
+
+_JSON_TYPES = {
+    "number": _is_number,
+    "integer": lambda value: isinstance(value, int) and not isinstance(value, bool),
+    "boolean": lambda value: isinstance(value, bool),
+    "string": lambda value: isinstance(value, str),
+    "number array": lambda value: isinstance(value, list) and all(map(_is_number, value)),
+    "object": lambda value: isinstance(value, dict),
+}
+
+
+def _check_type(name: str, value, json_type: str) -> None:
+    if not _JSON_TYPES[json_type](value):
+        raise ValueError(f"{name} must be a JSON {json_type}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -107,7 +133,7 @@ class ExperimentConfig:
 
     def to_dict(self) -> dict:
         data: dict = {}
-        for name, (section, key) in CONFIG_SCHEMA.items():
+        for name, (section, key, _) in CONFIG_SCHEMA.items():
             value = getattr(self, name)
             if name == "chain":
                 value = asdict(value)
@@ -136,6 +162,9 @@ def _chain_from_dict(preset, overrides) -> DeviceChainParams:
     if preset is not None and not (isinstance(preset, str) and preset in CHAIN_PRESETS):
         raise ValueError(f"unknown preset {preset!r}")
     overrides = _json_object(overrides, "chain", {f.name for f in fields(DeviceChainParams)})
+    for key, value in overrides.items():
+        json_type = "number array" if key.startswith("path_") else "number"
+        _check_type(f"chain.{key}", value, json_type)
     if preset is not None:
         return replace(CHAIN_PRESETS[preset], **overrides)
     if not overrides:
@@ -147,7 +176,9 @@ def _grid_from_shorthand(grid: dict) -> tuple[float, ...]:
     """Expand {"start", "stop", "num"} into an evenly spaced grid."""
     if set(grid) != {"start", "stop", "num"}:
         raise ValueError("noise_grid shorthand takes exactly start, stop and num")
-    start, stop, num = float(grid["start"]), float(grid["stop"]), int(grid["num"])
+    for key, json_type in (("start", "number"), ("stop", "number"), ("num", "integer")):
+        _check_type(f"noise_grid.{key}", grid[key], json_type)
+    start, stop, num = float(grid["start"]), float(grid["stop"]), grid["num"]
     if num < 1:
         raise ValueError("noise_grid num must be >= 1")
     step = (stop - start) / (num - 1) if num > 1 else 0.0
@@ -161,10 +192,10 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     `preset`, where a missing or null preset means an explicit chain.
     """
     sections: dict[str, set[str]] = {}
-    for section, key in CONFIG_SCHEMA.values():
+    for section, key, _ in CONFIG_SCHEMA.values():
         if section is not None:
             sections.setdefault(section, set()).add(key)
-    top_level = {section or key for section, key in CONFIG_SCHEMA.values()}
+    top_level = {section or key for section, key, _ in CONFIG_SCHEMA.values()}
     data = _json_object(data, "config", top_level)
     objects = {None: data}
     for section, known in sections.items():
@@ -172,12 +203,15 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 
     preset = data.get("preset")
     kwargs: dict = {"preset": preset, "chain": _chain_from_dict(preset, data.get("chain"))}
-    for name, (section, key) in CONFIG_SCHEMA.items():
+    for name, (section, key, json_type) in CONFIG_SCHEMA.items():
         value = objects[section].get(key)
-        if name not in kwargs and value is not None:
-            kwargs[name] = value
-    if isinstance(kwargs.get("noise_grid"), dict):
-        kwargs["noise_grid"] = _grid_from_shorthand(kwargs["noise_grid"])
+        if name in kwargs or value is None:
+            continue
+        if name == "noise_grid" and isinstance(value, dict):
+            value = _grid_from_shorthand(value)
+        else:
+            _check_type(key if section is None else f"{section}.{key}", value, json_type)
+        kwargs[name] = value
     return ExperimentConfig(**kwargs)
 
 

@@ -6,7 +6,8 @@ a second path loss, the untrusted channel (loss against a thermal
 environment), a third path loss, phase-sensitive amplification with
 trusted amplifier noise, a fourth path loss, and a unit-gain back end
 adding lumped noise. The runtime path reads the receiver's record from
-one closed-form model, :func:`trusted_readout_constants`;
+one closed-form model, :func:`trusted_readout_constants`, computed once
+per chain (:attr:`DeviceChainParams.readout`);
 :func:`bob_output_distribution` builds the same chain from covariance
 operations in :mod:`mwqkd.gaussian` and is the oracle tests check it by.
 
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -156,9 +158,22 @@ class DeviceChainParams:
     def antisqueezed_variance(self) -> float:
         return level_to_variance(self.antisqueezing_db, "antisqueezed")
 
-    @property
+    # Derived constants are cached on the (frozen) instance: the security
+    # layer reads them at every key evaluation. They are not fields, so
+    # serialization and equality ignore them.
+    @cached_property
     def codebook_variance(self) -> float:
         return codebook_variance(self.squeezing_db, self.antisqueezing_db)
+
+    @cached_property
+    def readout(self) -> ReadoutModel:
+        """Readout model of a matched receiver."""
+        return trusted_readout_constants(self, matched=True)
+
+    @cached_property
+    def mismatched_readout(self) -> ReadoutModel:
+        """Readout model of a receiver that amplified the other quadrature."""
+        return trusted_readout_constants(self, matched=False)
 
     @property
     def measurement_gain(self) -> float:
@@ -304,13 +319,8 @@ def response_and_noise(
     variance; `matched` selects whether the receiver amplified the
     encoding quadrature.
     """
-    model = trusted_readout_constants(chain, matched)
-    eps = channel.loss
-    # a zero-loss channel couples nothing in, so its environment is moot
-    env = channel.environment_photons if eps > 0.0 else 0.0
-    v_out = (1.0 - eps) * model.channel_input_variance + eps * (1.0 + 2.0 * env) * VACUUM_VARIANCE
-    slope = math.sqrt(model.slope_gain) * math.sqrt(1.0 - eps)
-    return slope, model.variance_gain * v_out + model.variance_offset
+    model = chain.readout if matched else chain.mismatched_readout
+    return model.moments(channel.loss, channel.noise_photons)
 
 
 @dataclass(frozen=True)
@@ -332,15 +342,28 @@ class ReadoutModel:
     channel_input_variance: float
     orthogonal_input_variance: float
 
+    def moments(self, loss: float, nbar):
+        """(slope, variance) of the record at channel loss `loss`.
+
+        `nbar`, the coupled noise, may be a float or a numpy array (one
+        noise grid); the arithmetic is the same either way.
+        """
+        # a zero-loss channel couples nothing in, so its environment is moot
+        env = 2.0 * nbar / loss if loss > 0.0 else 0.0
+        v_out = (1.0 - loss) * self.channel_input_variance + loss * (1.0 + 2.0 * env) * VACUUM_VARIANCE
+        slope = math.sqrt(self.slope_gain) * math.sqrt(1.0 - loss)
+        return slope, self.variance_gain * v_out + self.variance_offset
+
     def standard_errors(
-        self, slope: float, slope_sigma: float, s2: float, samples: int
+        self, slope: float, slope_sigma, s2, samples: int, hypot=math.hypot
     ) -> tuple[float, float]:
         """(loss_sigma, noise_sigma) of a channel estimate from `samples`
         matched pairs: the slope error and the chi-square error of the
-        residual variance s2, referred through this model."""
+        residual variance s2, referred through this model. For arrays of
+        s2, pass an elementwise `hypot`."""
         loss_sigma = 2.0 * abs(slope) * slope_sigma / self.slope_gain
         s2_sigma = s2 * math.sqrt(2.0 / (samples - 1))
-        return loss_sigma, math.hypot(
+        return loss_sigma, hypot(
             s2_sigma / self.variance_gain,
             (self.channel_input_variance - VACUUM_VARIANCE) * loss_sigma,
         )

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .devices import ChannelParams, DeviceChainParams, response_and_noise, trusted_readout_constants
+from .devices import ChannelParams, DeviceChainParams, response_and_noise
 from .errors import InsufficientDataError
 from .gaussian import VACUUM_VARIANCE
 
@@ -177,7 +177,7 @@ def estimate_channel(
         raise InsufficientDataError(
             f"need at least {MIN_ESTIMATION_SAMPLES} matched pairs, got {m}"
         )
-    model = trusted_readout_constants(chain)
+    model = chain.readout
 
     sxx = float(alpha @ alpha)
     slope = float(alpha @ beta) / sxx

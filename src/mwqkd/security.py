@@ -6,14 +6,20 @@ Threat model: the eavesdropper purifies only the untrusted channel (its
 loss tap and coupled thermal noise); preparation impurity and the whole
 detection chain are trusted. Reconciliation is direct: the eavesdropper's
 information is bounded conditioned on the sender's classical symbols.
+
+Each formula is written once and evaluates either one parameter point on
+Python floats (root finders, single reports) or a whole noise grid on
+numpy arrays (:func:`sweep_noise`), with bit-identical results per point.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields, replace
+from types import SimpleNamespace
 
+import numpy as np
 from scipy.special import erfinv
 
 from . import devices
@@ -27,24 +33,66 @@ DEFAULT_SMOOTHING_EPSILON = 1e-10
 DEFAULT_PA_EPSILON = 1e-10
 
 
+def _elementwise(fn):
+    return np.vectorize(fn, otypes=[float])
+
+
+# The operations the formulas below use beyond + - * /, on Python floats
+# (one point: root finders, single reports) and on numpy arrays (a noise
+# grid). The array versions of the transcendental functions apply `math`
+# to each element, and maximum/minimum keep the builtins' tie rule (the
+# first argument unless the second is strictly larger or smaller), so a
+# grid point gets exactly the bits the float path gives it.
+_FLOAT = SimpleNamespace(
+    sqrt=math.sqrt,
+    pow=math.pow,
+    log2=math.log2,
+    hypot=math.hypot,
+    entropy=entropy_of_nu,
+    maximum=max,
+    minimum=min,
+    where=lambda cond, a, b: a if cond else b,
+    any=bool,
+)
+_ARRAY = SimpleNamespace(
+    sqrt=np.sqrt,
+    pow=_elementwise(math.pow),
+    log2=_elementwise(math.log2),
+    hypot=_elementwise(math.hypot),
+    entropy=_elementwise(entropy_of_nu),
+    maximum=lambda a, b: np.where(b > a, b, a),
+    minimum=lambda a, b: np.where(b < a, b, a),
+    where=np.where,
+    any=np.any,
+)
+
+
+def _snr(chain: DeviceChainParams, loss: float, nbar):
+    slope, variance = chain.readout.moments(loss, nbar)
+    return slope * slope * chain.codebook_variance / variance
+
+
 def snr(chain: DeviceChainParams, channel: ChannelParams) -> float:
     """Signal-to-noise ratio of the matched receiver record.
 
     slope^2 * codebook variance / record variance, from the affine
     decomposition of the device chain.
     """
-    slope, variance = devices.response_and_noise(chain, channel, matched=True)
-    return slope * slope * chain.codebook_variance / variance
+    return _snr(chain, channel.loss, channel.noise_photons)
+
+
+def _mutual_information(ops, snr_value):
+    return 0.5 * ops.log2(1.0 + snr_value)
 
 
 def mutual_information(snr_value: float) -> float:
     """Shannon mutual information of a Gaussian channel: log2(1 + SNR) / 2."""
     if not (snr_value >= 0.0):
         raise ValueError("snr must be >= 0")
-    return 0.5 * math.log2(1.0 + snr_value)
+    return _mutual_information(_FLOAT, snr_value)
 
 
-def _environment_entropy(eps: float, t: float, v: float, v_q: float, v_p: float) -> float:
+def _environment_entropy(ops, eps, t, v, v_q: float, v_p: float):
     """Entropy in bits of the eavesdropper's two environment modes.
 
     A signal of variances v_q, v_p meets one arm of a two-mode squeezed
@@ -59,16 +107,45 @@ def _environment_entropy(eps: float, t: float, v: float, v_q: float, v_p: float)
     det = (eps * a * v + t) * (eps * b * v + t)
     trace = eps * eps * (a * b + v * v) + eps * t * v * (a + b) + 2.0 * t
     x, y = a - v, b - v
-    if x * y < 0.0:
-        gap = (eps * x * y + v * (x + y)) ** 2 - 4.0 * t * (v - 1.0) * (v + 1.0) * x * y
-    else:
-        gap = (v * (x - y)) ** 2 + x * y * (4.0 * t + eps * (eps * x * y + 2.0 * v * (a + b)))
-    nu_plus_sq = 0.5 * (trace + eps * math.sqrt(gap))
+    gap = ops.where(
+        x * y < 0.0,
+        ops.pow(eps * x * y + v * (x + y), 2) - 4.0 * t * (v - 1.0) * (v + 1.0) * x * y,
+        ops.pow(v * (x - y), 2) + x * y * (4.0 * t + eps * (eps * x * y + 2.0 * v * (a + b))),
+    )
+    nu_plus_sq = 0.5 * (trace + eps * ops.sqrt(gap))
     nu_minus_sq = det / nu_plus_sq
-    tol = max(PHYSICALITY_TOL, PHYSICALITY_TOL_REL * max(v, eps * max(a, b) + t * v))
-    if nu_minus_sq < (1.0 - tol) ** 2:
+    tol = ops.maximum(
+        PHYSICALITY_TOL, PHYSICALITY_TOL_REL * ops.maximum(v, eps * max(a, b) + t * v)
+    )
+    if ops.any(nu_minus_sq < ops.pow(1.0 - tol, 2)):
         raise PhysicalityError(f"environment violates the uncertainty bound: {nu_minus_sq=}")
-    return entropy_of_nu(math.sqrt(nu_plus_sq)) + entropy_of_nu(math.sqrt(nu_minus_sq))
+    return ops.entropy(ops.sqrt(nu_plus_sq)) + ops.entropy(ops.sqrt(nu_minus_sq))
+
+
+def _leaks_nothing(chain: DeviceChainParams, loss: float, noisy: bool) -> bool:
+    """Whether chi is 0 without evaluating it: a lossless channel or an
+    unmodulated chain. A lossless channel carrying noise (`noisy`) has no
+    consistent environment and raises ValueError."""
+    if loss == 0.0:
+        if noisy:
+            raise ValueError(
+                "noise_photons > 0 with zero loss has no environment model"
+            )
+        return True
+    return chain.codebook_variance == 0.0
+
+
+def _holevo(ops, chain: DeviceChainParams, eps, nbar):
+    """chi at channel loss eps > 0 and coupled noise nbar (floats or arrays)."""
+    model = chain.readout
+    v_q, v_p = model.channel_input_variance, model.orthogonal_input_variance
+    v_avg = v_q + chain.codebook_variance * devices.channel_input_response(chain) ** 2
+    v, t = 1.0 + 2.0 * (2.0 * nbar / eps), 1.0 - eps
+    chi = _environment_entropy(ops, eps, t, v, v_avg, v_p) - _environment_entropy(
+        ops, eps, t, v, v_q, v_p
+    )
+    # the averaged state majorizes the conditional one; guard float dust
+    return ops.maximum(chi, 0.0)
 
 
 def holevo_dr(chain: DeviceChainParams, channel: ChannelParams) -> float:
@@ -87,24 +164,9 @@ def holevo_dr(chain: DeviceChainParams, channel: ChannelParams) -> float:
     lossless channel leaks nothing (0.0); a lossless channel with
     nbar > 0 has no consistent environment and raises ValueError.
     """
-    eps = channel.loss
-    if eps == 0.0:
-        if channel.noise_photons > 0.0:
-            raise ValueError(
-                "noise_photons > 0 with zero loss has no environment model"
-            )
+    if _leaks_nothing(chain, channel.loss, channel.noise_photons > 0.0):
         return 0.0
-    modulation = chain.codebook_variance
-    if modulation == 0.0:
-        return 0.0
-
-    model = devices.trusted_readout_constants(chain)
-    v_q, v_p = model.channel_input_variance, model.orthogonal_input_variance
-    v_avg = v_q + modulation * devices.channel_input_response(chain) ** 2
-    v, t = 1.0 + 2.0 * channel.environment_photons, channel.transmissivity
-    chi = _environment_entropy(eps, t, v, v_avg, v_p) - _environment_entropy(eps, t, v, v_q, v_p)
-    # the averaged state majorizes the conditional one; guard float dust
-    return max(chi, 0.0)
+    return _holevo(_FLOAT, chain, channel.loss, channel.noise_photons)
 
 
 def asymptotic_key(chain: DeviceChainParams, channel: ChannelParams) -> float:
@@ -123,6 +185,12 @@ def confidence_w(correctness_epsilon: float) -> float:
     return math.sqrt(2.0) * float(erfinv(1.0 - 2.0 * correctness_epsilon))
 
 
+def _worst_case(ops, loss, loss_sigma, noise, noise_sigma, w: float):
+    loss = loss + w * loss_sigma
+    noise = noise + w * noise_sigma
+    return ops.minimum(ops.maximum(loss, 0.0), 1.0 - 1e-12), ops.maximum(noise, 0.0)
+
+
 def worst_case_params(
     estimate: ChannelEstimate, w: float
 ) -> tuple[float, float]:
@@ -136,9 +204,10 @@ def worst_case_params(
     """
     if w < 0.0:
         raise ValueError("w must be >= 0")
-    loss = estimate.loss + w * estimate.loss_sigma
-    noise = estimate.noise_photons + w * estimate.noise_sigma
-    return min(max(loss, 0.0), 1.0 - 1e-12), max(noise, 0.0)
+    return _worst_case(
+        _FLOAT, estimate.loss, estimate.loss_sigma,
+        estimate.noise_photons, estimate.noise_sigma, w,
+    )
 
 
 def finite_size_delta(
@@ -161,6 +230,15 @@ def finite_size_delta(
     ) * math.log2(1.0 / pa_epsilon)
 
 
+def _predicted_sigmas(ops, chain: DeviceChainParams, loss: float, nbar, samples: int):
+    """(loss_sigma, noise_sigma) of a regression on `samples` matched pairs."""
+    if chain.codebook_variance == 0.0:
+        raise ValueError("an unmodulated chain (zero codebook variance) cannot estimate the channel")
+    slope, variance = chain.readout.moments(loss, nbar)
+    slope_sigma = ops.sqrt(variance / (samples * chain.codebook_variance))
+    return chain.readout.standard_errors(slope, slope_sigma, variance, samples, ops.hypot)
+
+
 def predicted_estimate(
     chain: DeviceChainParams, channel: ChannelParams, samples: int
 ) -> ChannelEstimate:
@@ -172,10 +250,9 @@ def predicted_estimate(
     """
     if samples < 2:
         raise ValueError("samples must be >= 2")
-    slope, variance = devices.response_and_noise(chain, channel, matched=True)
-    model = devices.trusted_readout_constants(chain)
-    slope_sigma = math.sqrt(variance / (samples * chain.codebook_variance))
-    loss_sigma, noise_sigma = model.standard_errors(slope, slope_sigma, variance, samples)
+    loss_sigma, noise_sigma = _predicted_sigmas(
+        _FLOAT, chain, channel.loss, channel.noise_photons, samples
+    )
     return ChannelEstimate(
         loss=channel.loss,
         loss_sigma=loss_sigma,
@@ -216,6 +293,108 @@ class CompositeKeyBound:
     include_estimation_penalty: bool
 
 
+@dataclass(frozen=True)
+class _BlockBudget:
+    """The parts of the composite bound that do not depend on the channel:
+    block sizes, prefactor, confidence factor w and Delta."""
+
+    n_raw: int
+    n_sifted: int
+    n_ec: int
+    n_estimation: int
+    prefactor: float
+    beta_ec: float
+    w: float
+    delta_bits: float
+    include_delta: bool
+    include_estimation_penalty: bool
+
+    def bound(self, mi, chi, worst_loss=None, worst_noise=None) -> CompositeKeyBound:
+        """The bound from I_AB and the (worst-case) chi, floats or arrays."""
+        per_symbol = self.beta_ec * mi - chi - self.delta_bits
+        return CompositeKeyBound(
+            bits_per_symbol=per_symbol,
+            bits_per_raw_symbol=self.prefactor * per_symbol,
+            prefactor=self.prefactor,
+            n_raw=self.n_raw,
+            n_sifted=self.n_sifted,
+            n_ec=self.n_ec,
+            n_estimation=self.n_estimation,
+            mi_bits=mi,
+            holevo_bits=chi,
+            delta_bits=self.delta_bits,
+            w=self.w,
+            worst_case_loss=worst_loss,
+            worst_case_noise=worst_noise,
+            include_delta=self.include_delta,
+            include_estimation_penalty=self.include_estimation_penalty,
+        )
+
+
+def _block_budget(
+    *,
+    n_raw: int,
+    n_ec: int | None,
+    beta_ec: float,
+    p_ec: float,
+    e_ec: float,
+    include_delta: bool,
+    include_estimation_penalty: bool,
+    predicted: bool,
+    smoothing_epsilon: float = DEFAULT_SMOOTHING_EPSILON,
+    pa_epsilon: float = DEFAULT_PA_EPSILON,
+) -> _BlockBudget:
+    """Validated block sizes and terms; `predicted` means the estimation
+    penalty is predicted from the estimation block, not measured."""
+    if n_raw < 4:
+        raise ValueError("n_raw must be >= 4")
+    if not 0.0 < beta_ec <= 1.0:
+        raise ValueError("beta_ec must be in (0, 1]")
+    if not 0.0 < p_ec <= 1.0:
+        raise ValueError("p_ec must be in (0, 1]")
+    n_sifted = n_raw // 2
+    if n_ec is None:
+        n_ec = n_sifted // 2
+    if not 0 < n_ec <= n_sifted:
+        raise ValueError("n_ec must be in 1..sifted length")
+    n_est = n_sifted - n_ec
+    if include_estimation_penalty and predicted and n_est < 2:
+        raise ValueError("estimation penalty requires at least 2 estimation symbols")
+    return _BlockBudget(
+        n_raw=int(n_raw),
+        n_sifted=int(n_sifted),
+        n_ec=int(n_ec),
+        n_estimation=int(n_est),
+        prefactor=n_ec * p_ec / n_raw,
+        beta_ec=beta_ec,
+        w=confidence_w(e_ec) if include_estimation_penalty else 0.0,
+        delta_bits=(
+            finite_size_delta(n_ec, smoothing_epsilon, pa_epsilon) if include_delta else 0.0
+        ),
+        include_delta=include_delta,
+        include_estimation_penalty=include_estimation_penalty,
+    )
+
+
+def _composite(
+    chain: DeviceChainParams,
+    channel: ChannelParams | None,
+    estimate: ChannelEstimate | None,
+    budget: _BlockBudget,
+    mi: float,
+    chi_point: float | None,
+) -> CompositeKeyBound:
+    """Scalar composite bound from the point's I_AB and (without the
+    estimation penalty) its chi."""
+    if not budget.include_estimation_penalty:
+        return budget.bound(mi, chi_point)
+    if estimate is None:
+        estimate = predicted_estimate(chain, channel, budget.n_estimation)
+    worst_loss, worst_noise = worst_case_params(estimate, budget.w)
+    chi = holevo_dr(chain, ChannelParams(worst_loss, worst_noise))
+    return budget.bound(mi, chi, worst_loss, worst_noise)
+
+
 def composite_key(
     chain: DeviceChainParams,
     channel: ChannelParams | None = None,
@@ -244,63 +423,18 @@ def composite_key(
     """
     if (channel is None) == (estimate is None):
         raise ValueError("provide exactly one of channel or estimate")
-    if n_raw < 4:
-        raise ValueError("n_raw must be >= 4")
-    if not 0.0 < beta_ec <= 1.0:
-        raise ValueError("beta_ec must be in (0, 1]")
-    if not 0.0 < p_ec <= 1.0:
-        raise ValueError("p_ec must be in (0, 1]")
-
-    n_sifted = n_raw // 2
-    if n_ec is None:
-        n_ec = n_sifted // 2
-    if not 0 < n_ec <= n_sifted:
-        raise ValueError("n_ec must be in 1..sifted length")
-    n_est = n_sifted - n_ec
-
-    point = channel if channel is not None else _point_channel(estimate)
-    mi = mutual_information(snr(chain, point))
-
-    w = 0.0
-    worst_loss: float | None = None
-    worst_noise: float | None = None
-    if include_estimation_penalty:
-        if estimate is None:
-            if n_est < 2:
-                raise ValueError(
-                    "estimation penalty requires at least 2 estimation symbols"
-                )
-            estimate = predicted_estimate(chain, channel, n_est)
-        w = confidence_w(e_ec)
-        worst_loss, worst_noise = worst_case_params(estimate, w)
-        chi = holevo_dr(chain, ChannelParams(worst_loss, worst_noise))
-    else:
-        chi = holevo_dr(chain, point)
-
-    delta = (
-        finite_size_delta(n_ec, smoothing_epsilon, pa_epsilon)
-        if include_delta
-        else 0.0
-    )
-    per_symbol = beta_ec * mi - chi - delta
-    prefactor = n_ec * p_ec / n_raw
-    return CompositeKeyBound(
-        bits_per_symbol=per_symbol,
-        bits_per_raw_symbol=prefactor * per_symbol,
-        prefactor=prefactor,
-        n_raw=int(n_raw),
-        n_sifted=int(n_sifted),
-        n_ec=int(n_ec),
-        n_estimation=int(n_est),
-        mi_bits=mi,
-        holevo_bits=chi,
-        delta_bits=delta,
-        w=w,
-        worst_case_loss=worst_loss,
-        worst_case_noise=worst_noise,
+    budget = _block_budget(
+        n_raw=n_raw, n_ec=n_ec, beta_ec=beta_ec, p_ec=p_ec, e_ec=e_ec,
         include_delta=include_delta,
         include_estimation_penalty=include_estimation_penalty,
+        predicted=estimate is None,
+        smoothing_epsilon=smoothing_epsilon,
+        pa_epsilon=pa_epsilon,
     )
+    point = channel if channel is not None else _point_channel(estimate)
+    mi = mutual_information(snr(chain, point))
+    chi = None if include_estimation_penalty else holevo_dr(chain, point)
+    return _composite(chain, channel, estimate, budget, mi, chi)
 
 
 def noise_crossing(key_fn, upper: float = 1.0, tol: float = 1e-7, *, lower: float = 0.0) -> float:
@@ -335,9 +469,18 @@ def noise_tolerance(
     )
 
 
+def _fields_dict(obj) -> dict:
+    """Field name -> value, without copying the values (unlike asdict)."""
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
+
+
 @dataclass(frozen=True)
 class SecurityReport:
-    """All security figures for one parameter point, JSON-serializable."""
+    """All security figures for one parameter point, JSON-serializable.
+
+    A grid report from :func:`sweep_noise` holds a 1-D array in each
+    per-point figure; :meth:`points` splits it into one report per point.
+    """
 
     snr: float
     mi_bits: float
@@ -348,10 +491,49 @@ class SecurityReport:
     inputs: dict
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        data = _fields_dict(self)
+        if self.finite_size is not None:
+            data["finite_size"] = _fields_dict(self.finite_size)
+        return data
 
     def to_json(self, indent: int | None = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+
+    def points(self) -> list[SecurityReport]:
+        """One float-valued report per point of a grid report."""
+
+        def columns(obj) -> dict:
+            return {
+                name: value.tolist()
+                for name, value in _fields_dict(obj).items()
+                if isinstance(value, np.ndarray)
+            }
+
+        top, bound = columns(self), columns(self.finite_size)
+        channel = self.inputs["channel"]
+        return [
+            replace(
+                self,
+                finite_size=replace(
+                    self.finite_size, **{name: col[i] for name, col in bound.items()}
+                ),
+                inputs={**self.inputs, "channel": {**channel, "noise_photons": nbar}},
+                **{name: col[i] for name, col in top.items()},
+            )
+            for i, nbar in enumerate(channel["noise_photons"].tolist())
+        ]
+
+
+def _report_inputs(chain, channel: dict, estimate, **settings) -> dict:
+    inputs = {
+        "chain": _fields_dict(chain),
+        "channel": channel,
+        "parameter_source": "estimated" if estimate is not None else "exact",
+        **settings,
+    }
+    if estimate is not None:
+        inputs["estimate"] = _fields_dict(estimate)
+    return inputs
 
 
 def build_report(
@@ -375,6 +557,11 @@ def build_report(
     """
     if (channel is None) == (estimate is None):
         raise ValueError("provide exactly one of channel or estimate")
+    settings = dict(
+        n_raw=n_raw, n_ec=n_ec, beta_ec=beta_ec, p_ec=p_ec, e_ec=e_ec,
+        include_delta=include_delta,
+        include_estimation_penalty=include_estimation_penalty,
+    )
     point = channel if channel is not None else _point_channel(estimate)
     snr_value = snr(chain, point)
     mi = mutual_information(snr_value)
@@ -382,33 +569,11 @@ def build_report(
 
     finite = None
     if n_raw is not None:
-        finite = composite_key(
-            chain,
-            channel=channel,
-            estimate=estimate,
-            n_raw=n_raw,
-            n_ec=n_ec,
-            beta_ec=beta_ec,
-            p_ec=p_ec,
-            e_ec=e_ec,
-            include_delta=include_delta,
-            include_estimation_penalty=include_estimation_penalty,
-        )
+        budget = _block_budget(**settings, predicted=estimate is None)
+        finite = _composite(chain, channel, estimate, budget, mi, chi)
 
-    inputs = {
-        "chain": asdict(chain),
-        "channel": asdict(point),
-        "parameter_source": "estimated" if estimate is not None else "exact",
-        "beta_ec": beta_ec,
-        "p_ec": p_ec,
-        "e_ec": e_ec,
-        "n_raw": n_raw,
-        "n_ec": n_ec,
-        "include_delta": include_delta,
-        "include_estimation_penalty": include_estimation_penalty,
-    }
-    if estimate is not None:
-        inputs["estimate"] = asdict(estimate)
+    inputs = _report_inputs(chain, _fields_dict(point), estimate, **settings)
+    provenance = inputs["parameter_source"]
     if extra_inputs:
         inputs.update(extra_inputs)
     return SecurityReport(
@@ -417,6 +582,67 @@ def build_report(
         holevo_bits=chi,
         asymptotic_key_bits=mi - chi,
         finite_size=finite,
-        provenance="estimated" if estimate is not None else "exact",
+        provenance=provenance,
         inputs=inputs,
+    )
+
+
+def sweep_noise(
+    chain: DeviceChainParams,
+    loss: float,
+    nbars,
+    *,
+    n_raw: int,
+    n_ec: int | None = None,
+    beta_ec: float = 1.0,
+    p_ec: float = 1.0,
+    e_ec: float = DEFAULT_CORRECTNESS_EPSILON,
+    include_delta: bool = True,
+    include_estimation_penalty: bool = True,
+) -> SecurityReport:
+    """Exact-parameter reports over a grid of coupled-noise levels.
+
+    One array evaluation of what ``build_report(chain, ChannelParams(loss,
+    nbar), n_raw=n_raw, ...)`` gives at each nbar of the 1-D grid `nbars`,
+    bit for bit. The returned report holds an array, one entry per grid
+    point, in each per-point figure; :meth:`SecurityReport.points` splits
+    it. Invalid settings raise even for an empty grid.
+    """
+    settings = dict(
+        n_raw=n_raw, n_ec=n_ec, beta_ec=beta_ec, p_ec=p_ec, e_ec=e_ec,
+        include_delta=include_delta,
+        include_estimation_penalty=include_estimation_penalty,
+    )
+    budget = _block_budget(**settings, predicted=True)
+    ChannelParams(loss)  # validates the loss
+    nbar = np.array(nbars, dtype=float)
+    if nbar.ndim != 1:
+        raise ValueError("nbars must be a 1-D grid")
+    if not np.all(np.isfinite(nbar) & (nbar >= 0.0)):
+        raise ValueError("noise levels must be finite and >= 0")
+
+    ops = _ARRAY
+    snr_value = _snr(chain, loss, nbar)
+    mi = _mutual_information(ops, snr_value)
+    if _leaks_nothing(chain, loss, bool(np.any(nbar > 0.0))):
+        chi = np.zeros_like(nbar)
+    else:
+        chi = _holevo(ops, chain, loss, nbar)
+    if include_estimation_penalty:
+        loss_sigma, noise_sigma = _predicted_sigmas(ops, chain, loss, nbar, budget.n_estimation)
+        worst_loss, worst_noise = _worst_case(ops, loss, loss_sigma, nbar, noise_sigma, budget.w)
+        # loss_sigma > 0 and w > 0, so the worst case is never lossless
+        finite = budget.bound(
+            mi, _holevo(ops, chain, worst_loss, worst_noise), worst_loss, worst_noise
+        )
+    else:
+        finite = budget.bound(mi, chi)
+    return SecurityReport(
+        snr=snr_value,
+        mi_bits=mi,
+        holevo_bits=chi,
+        asymptotic_key_bits=mi - chi,
+        finite_size=finite,
+        provenance="exact",
+        inputs=_report_inputs(chain, {"loss": loss, "noise_photons": nbar}, None, **settings),
     )

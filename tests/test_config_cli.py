@@ -221,6 +221,20 @@ def test_bad_config_exits_2(tmp_path, capsys):
     cfg.write_text(json.dumps({"channel": [1]}))
     assert run_cli("sweep", "--config", str(cfg)) == 2
     assert "channel must be a JSON object" in capsys.readouterr().err
+    # values of the wrong JSON type
+    for data, message in (
+        ({"preset": "run1", "n_symbols": "100"}, "n_symbols must be a JSON integer"),
+        ({"preset": "run1", "channel": {"loss": "0.01"}}, "channel.loss must be a JSON number"),
+        ({"preset": "run1", "seed": 1.5}, "seed must be a JSON integer"),
+        ({"preset": "run1", "channel": {"loss": True}}, "channel.loss must be a JSON number"),
+        ({"preset": "run1", "chain": {"hemt_noise_photons": "46"}},
+         "chain.hemt_noise_photons must be a JSON number"),
+        ({"preset": "run1", "noise_grid": [0.0, float("nan")]},
+         "noise_grid must be a JSON number array"),
+    ):
+        cfg.write_text(json.dumps(data))
+        assert run_cli("report", "--config", str(cfg)) == 2
+        assert message in capsys.readouterr().err
 
 
 def test_unwritable_path_exits_4(tmp_path):
@@ -238,6 +252,17 @@ def test_linkbudget_csv(tmp_path):
     assert all(a >= b for a, b in zip(eps, eps[1:]))
     # the cryo operating point appears in the table
     assert any(abs(float(r[2]) - 1161.9) < 1.0 for r in rows)
+
+
+def test_linkbudget_limits_come_from_the_medium_row(tmp_path):
+    for medium in mwqkd.linkbudget.MEDIA.values():
+        out = tmp_path / f"{medium.label}.json"
+        assert run_cli("linkbudget", "--preset", "run1", "--medium", medium.label,
+                       "--format", "json", "--out", str(out)) == 0
+        data = json.loads(out.read_text())
+        (row,) = [r for r in data["rows"] if r["nbar_th"] == medium.background_photons]
+        assert data["max_tolerable_loss"] == row["eps_max"]
+        assert data["distance_limit_m"] == row["distance_m"]
 
 
 def test_linkbudget_medium_flag(tmp_path):

@@ -10,10 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mwqkd
-from mwqkd import devices
+from mwqkd import cli, devices
 from mwqkd import gaussian as g
 from mwqkd import security as sec
 from mwqkd.devices import ChannelParams, DeviceChainParams
+from mwqkd.errors import PhysicalityError
 from mwqkd.protocol import ChannelEstimate
 
 RUN1 = mwqkd.RUN1_CHAIN
@@ -298,3 +299,69 @@ def test_report_serializes_with_inputs(tmp_path):
     assert rep.to_json() == sec.build_report(
         RUN2, QUIET, n_raw=16665, extra_inputs={"tag": 7}
     ).to_json()
+
+
+@st.composite
+def _report_settings(draw):
+    n_raw = draw(st.integers(100, 10**6))
+    return dict(
+        n_raw=n_raw,
+        n_ec=draw(st.none() | st.integers(1, n_raw // 2 - 2)),
+        beta_ec=draw(st.floats(0.0, 1.0, exclude_min=True)),
+        p_ec=draw(st.floats(0.0, 1.0, exclude_min=True)),
+        e_ec=draw(st.floats(1e-12, 0.4)),
+        include_delta=draw(st.booleans()),
+        include_estimation_penalty=draw(st.booleans()),
+    )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    chain=_chains(),
+    loss=st.floats(1e-3, 0.5),
+    grid=st.lists(st.floats(0.0, 0.5), max_size=6),
+    report_settings=_report_settings(),
+)
+def test_sweep_noise_matches_scalar_reports_bitwise(chain, loss, grid, report_settings):
+    # the per-point scalar reports are the reference; settings errors do not
+    # depend on the point, so an empty grid is probed at nbar = 0
+    probe = grid or [0.0]
+    try:
+        want = [
+            sec.build_report(chain, ChannelParams(loss, nbar), **report_settings).to_json()
+            for nbar in probe
+        ][: len(grid)]
+    except ValueError as exc:
+        with pytest.raises(type(exc)):
+            sec.sweep_noise(chain, loss, grid, **report_settings)
+        return
+    sweep = sec.sweep_noise(chain, loss, grid, **report_settings)
+    # JSON text carries every field, inputs included, with repr'd floats
+    assert [rep.to_json() for rep in sweep.points()] == want
+
+
+def test_sweep_noise_rejects_bad_points_like_the_scalar_path():
+    for bad in (-0.01, math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            sec.sweep_noise(RUN1, 0.0115, [0.0, bad], n_raw=16665)
+    with pytest.raises(ValueError, match="zero loss") as scalar:
+        sec.build_report(RUN1, ChannelParams(0.0, 0.01), n_raw=16665)
+    with pytest.raises(ValueError) as array:
+        sec.sweep_noise(RUN1, 0.0, [0.0, 0.01], n_raw=16665)
+    assert str(array.value) == str(scalar.value)
+    # a noiseless grid at zero loss leaks nothing
+    assert sec.sweep_noise(RUN1, 0.0, [0.0], n_raw=16665).holevo_bits.tolist() == [0.0]
+    assert cli.main(["sweep", "--preset", "run1", "--loss", "0"]) == 2
+
+
+def test_physicality_guard_raises_on_one_bad_grid_point(monkeypatch):
+    # a guard tightened past the uncertainty bound rejects the nearly pure
+    # environment at nbar = 0 but not the noisier ones
+    monkeypatch.setattr(sec, "PHYSICALITY_TOL", -1e-3)
+    monkeypatch.setattr(sec, "PHYSICALITY_TOL_REL", -1.0)
+    with pytest.raises(PhysicalityError):
+        sec.holevo_dr(RUN1, ChannelParams(0.0115, 0.0))
+    good = [0.01, 0.1]
+    sec.sweep_noise(RUN1, 0.0115, good, n_raw=16665)
+    with pytest.raises(PhysicalityError):
+        sec.sweep_noise(RUN1, 0.0115, [0.01, 0.0, 0.1], n_raw=16665)
