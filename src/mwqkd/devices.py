@@ -195,8 +195,8 @@ class ChannelParams:
 
     def __post_init__(self) -> None:
         _check_fraction(self.loss, "loss")
-        if self.noise_photons < 0.0:
-            raise ValueError("noise_photons must be >= 0")
+        if not 0.0 <= self.noise_photons < math.inf:
+            raise ValueError("noise_photons must be finite and >= 0")
 
     @property
     def transmissivity(self) -> float:

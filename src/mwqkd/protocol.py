@@ -9,7 +9,6 @@ regardless of evaluation or aggregation order.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import asdict, dataclass
 
@@ -26,6 +25,20 @@ BASIS_LABELS = ("q", "p")
 MIN_ESTIMATION_SAMPLES = 30
 
 KEY_CSV_COLUMNS = ("index", "alice_basis", "bob_basis", "alpha", "beta", "matched")
+# Basis labels are parsed two characters wide so that a longer label
+# (``qq``, ``qp``) truncates to something that is still not a label.
+_KEY_CSV_DTYPE = np.dtype(
+    [
+        ("index", np.int64),
+        ("alice_basis", "U2"),
+        ("bob_basis", "U2"),
+        ("alpha", np.float64),
+        ("beta", np.float64),
+        ("matched", np.int64),
+    ]
+)
+# Rows formatted and written per block by write_key_records.
+_WRITE_CHUNK_ROWS = 1 << 14
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -204,43 +217,75 @@ def estimate_channel(
 
 
 def write_key_records(record: KeyRecord, path) -> None:
-    """Write a transcript as CSV with the frozen column schema."""
+    """Write a transcript as CSV with the frozen column schema.
+
+    The bytes are those of ``csv.writer`` in its default dialect: comma
+    separated, ``\\r\\n`` line ends, floats as ``repr``, and nothing quoted,
+    since no field can hold a comma, quote or line break. Rows are
+    formatted column-wise and written one block per fixed-size slice, so
+    memory stays flat in the number of symbols.
+    """
+    columns = (
+        record.alice_bases,
+        record.bob_bases,
+        record.alice_symbols,
+        record.outcomes,
+        record.matched,
+    )
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(KEY_CSV_COLUMNS)
-        for i in range(record.n_symbols):
-            writer.writerow(
-                [
-                    i,
-                    BASIS_LABELS[record.alice_bases[i]],
-                    BASIS_LABELS[record.bob_bases[i]],
-                    repr(float(record.alice_symbols[i])),
-                    repr(float(record.outcomes[i])),
-                    int(record.matched[i]),
-                ]
+        fh.write(",".join(KEY_CSV_COLUMNS) + "\r\n")
+        for start in range(0, record.n_symbols, _WRITE_CHUNK_ROWS):
+            rows = slice(start, start + _WRITE_CHUNK_ROWS)
+            alice, bob, alpha, beta, matched = (c[rows].tolist() for c in columns)
+            fh.write(
+                "".join(
+                    [
+                        f"{i},{BASIS_LABELS[a]},{BASIS_LABELS[b]},{x!r},{y!r},{m:d}\r\n"
+                        for i, a, b, x, y, m in zip(
+                            range(start, start + len(alpha)), alice, bob, alpha, beta, matched
+                        )
+                    ]
+                )
             )
 
 
 def read_key_records(path) -> KeyRecord:
-    """Read a transcript written by :func:`write_key_records`."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = tuple(next(reader))
-        if header != KEY_CSV_COLUMNS:
-            raise ValueError(f"unexpected key CSV header: {header!r}")
-        rows = list(reader)
-    n = len(rows)
-    symbols = np.empty(n)
-    alice = np.empty(n, dtype=np.int8)
-    bob = np.empty(n, dtype=np.int8)
-    outcomes = np.empty(n)
-    for i, row in enumerate(rows):
-        _, a_basis, b_basis, alpha, beta, _ = row
-        alice[i] = BASIS_LABELS.index(a_basis)
-        bob[i] = BASIS_LABELS.index(b_basis)
-        symbols[i] = float(alpha)
-        outcomes[i] = float(beta)
-    return KeyRecord(symbols, alice, bob, outcomes, alice == bob)
+    """Read a transcript written by :func:`write_key_records`.
+
+    The rows are parsed in one ``np.loadtxt`` call, which rounds every
+    float exactly as ``float`` does, so a written record reads back
+    bit-exact. Both ``\\r\\n`` and ``\\n`` line ends are read. A short row,
+    a non-numeric field, a basis label other than ``q``/``p``, an index
+    column other than 0..n-1, or a matched flag that disagrees with the
+    bases raises ValueError.
+    """
+    with open(path) as fh:
+        header = tuple(fh.readline().rstrip("\n").split(","))
+        header_only = not fh.read(1)
+    if header != KEY_CSV_COLUMNS:
+        raise ValueError(f"unexpected key CSV header: {header!r}")
+    if header_only:  # loadtxt would warn about empty input
+        rows = np.empty(0, dtype=_KEY_CSV_DTYPE)
+    else:
+        rows = np.loadtxt(
+            path, dtype=_KEY_CSV_DTYPE, delimiter=",", comments=None, skiprows=1, ndmin=1
+        )
+    alice = _basis_codes(rows["alice_basis"], "alice_basis")
+    bob = _basis_codes(rows["bob_basis"], "bob_basis")
+    matched = alice == bob
+    if not np.array_equal(rows["index"], np.arange(rows.size)):
+        raise ValueError("key CSV index column must run 0..n-1")
+    if not np.array_equal(rows["matched"], matched):
+        raise ValueError("key CSV matched column disagrees with the basis columns")
+    return KeyRecord(rows["alpha"].copy(), alice, bob, rows["beta"].copy(), matched)
+
+
+def _basis_codes(labels: np.ndarray, column: str) -> np.ndarray:
+    """0/1 basis codes of a column of ``BASIS_LABELS``."""
+    is_p = labels == BASIS_LABELS[1]
+    if not np.all(is_p | (labels == BASIS_LABELS[0])):
+        raise ValueError(f"key CSV {column} must be one of {BASIS_LABELS}")
+    return is_p.astype(np.int8)
 
 
 def key_manifest(

@@ -133,24 +133,47 @@ def empirical_mutual_information(x, y) -> float:
     either variable (any a*x + b with a != 0), since the correlation
     coefficient is.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape or x.ndim != 1 or x.size < 2:
-        raise ValueError("x and y must be 1-D with equal length >= 2")
-    rho = float(np.corrcoef(x, y)[0, 1])
-    return -0.5 * math.log2(max(1.0 - rho * rho, 1e-300))
+    x, y = _paired_samples(x, y)
+    return _gaussian_mi_bits(float(np.corrcoef(x, y)[0, 1]))
 
 
 def bootstrap_mi_sigma(x, y, n_boot: int = 200, seed: int = 0) -> float:
-    """Bootstrap standard error of :func:`empirical_mutual_information`."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    """Bootstrap standard error of :func:`empirical_mutual_information`.
+
+    Each resample draws n indices with replacement, as
+    ``rng.integers(0, n, size=n)`` from a Philox stream keyed by `seed`.
+    Its correlation comes from five moments of the data, centred once on
+    the full-sample means and weighted by how often each pair was drawn,
+    so no resampled copy of the data is built. A resample with zero
+    variance in either variable has no correlation and gives nan, as
+    ``np.corrcoef`` does.
+    """
+    x, y = _paired_samples(x, y)
     if n_boot < 2:
         raise ValueError("n_boot must be >= 2")
     rng = np.random.Generator(np.random.Philox(key=seed))
     n = x.size
-    values = np.empty(n_boot)
+    xc = x - x.mean()
+    yc = y - y.mean()
+    terms = np.stack([xc, yc, xc * xc, yc * yc, xc * yc])
+    sums = np.empty((n_boot, terms.shape[0]))
     for b in range(n_boot):
-        idx = rng.integers(0, n, size=n)
-        values[b] = empirical_mutual_information(x[idx], y[idx])
+        sums[b] = terms @ np.bincount(rng.integers(0, n, size=n), minlength=n)
+    mx, my, mxx, myy, mxy = (sums / n).T
+    cov = mxy - mx * my
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rho = np.clip(cov / np.sqrt((mxx - mx * mx) * (myy - my * my)), -1.0, 1.0)
+    values = np.array([_gaussian_mi_bits(r) for r in rho.tolist()])
     return float(values.std(ddof=1))
+
+
+def _paired_samples(x, y) -> tuple[np.ndarray, np.ndarray]:
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.shape != y.shape or x.ndim != 1 or x.size < 2:
+        raise ValueError("x and y must be 1-D with equal length >= 2")
+    return x, y
+
+
+def _gaussian_mi_bits(rho: float) -> float:
+    return -0.5 * math.log2(max(1.0 - rho * rho, 1e-300))

@@ -73,6 +73,12 @@ def test_channel_environment_referral():
     assert d.ChannelParams(loss=0.0).environment_photons == 0.0
 
 
+@pytest.mark.parametrize("nbar", [-0.1, math.inf, math.nan])
+def test_channel_rejects_negative_or_non_finite_noise(nbar):
+    with pytest.raises(ValueError, match="noise_photons"):
+        d.ChannelParams(0.0115, nbar)
+
+
 def test_prepared_state_variances():
     st = d.prepared_state(RUN1, basis="q")
     assert st.cov[0, 0] == pytest.approx(RUN1.squeezed_variance)

@@ -1,5 +1,8 @@
 """Protocol simulation: codebooks, transcripts, sifting, estimation."""
 
+import csv
+import warnings
+
 import numpy as np
 import pytest
 
@@ -160,11 +163,109 @@ def test_key_csv_roundtrip(tmp_path):
     assert np.array_equal(back.matched, rec.matched)
 
 
+def test_key_csv_floats_read_back_bit_exact(tmp_path):
+    extremes = np.array(
+        [-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 0.1, 1 / 3, -2.5e-7]
+    )
+    bases = np.array([0, 1, 0, 1, 1, 0, 0], dtype=np.int8)
+    rec = proto.KeyRecord(extremes, bases, bases, extremes[::-1].copy(), bases == bases)
+    proto.write_key_records(rec, tmp_path / "key.csv")
+    back = proto.read_key_records(tmp_path / "key.csv")
+    assert back.alice_symbols.view(np.uint64).tolist() == extremes.view(np.uint64).tolist()
+    assert back.outcomes.view(np.uint64).tolist() == rec.outcomes.view(np.uint64).tolist()
+
+
 def test_key_csv_header_is_checked(tmp_path):
     path = tmp_path / "bogus.csv"
     path.write_text("a,b,c\n1,2,3\n")
     with pytest.raises(ValueError, match="header"):
         proto.read_key_records(path)
+
+
+def _csv_writer_oracle(record, path):
+    """The row-by-row ``csv.writer`` transcript writer: the byte reference."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(proto.KEY_CSV_COLUMNS)
+        for i in range(record.n_symbols):
+            writer.writerow(
+                [
+                    i,
+                    proto.BASIS_LABELS[record.alice_bases[i]],
+                    proto.BASIS_LABELS[record.bob_bases[i]],
+                    repr(float(record.alice_symbols[i])),
+                    repr(float(record.outcomes[i])),
+                    int(record.matched[i]),
+                ]
+            )
+
+
+@pytest.mark.parametrize("announce", [False, True])
+@pytest.mark.parametrize("chain", [RUN1, RUN2], ids=["run1", "run2"])
+def test_key_csv_bytes_match_csv_writer(tmp_path, chain, announce):
+    # odd, and long enough for two full write chunks and a partial third
+    n = 2 * proto._WRITE_CHUNK_ROWS + 101
+    cb = proto.generate_codebook(n, chain.codebook_variance, seed=121)
+    rec = proto.simulate_transmission(cb, chain, CHANNEL, seed=122, announce_bases=announce)
+    proto.write_key_records(rec, tmp_path / "key.csv")
+    _csv_writer_oracle(rec, tmp_path / "oracle.csv")
+    assert (tmp_path / "key.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+
+_KEY_ROWS = [
+    "index,alice_basis,bob_basis,alpha,beta,matched",
+    "0,q,q,0.5,1.25,1",
+    "1,q,p,-0.75,0.125,0",
+    "2,p,p,1e-05,-3.5,1",
+]
+
+
+def _with_row(i, row):
+    lines = list(_KEY_ROWS)
+    lines[i] = row
+    return lines
+
+
+@pytest.mark.parametrize(
+    "lines",
+    [
+        _with_row(2, "1,q,p,-0.75,0.125"),
+        _with_row(2, "1,q,p,abc,0.125,0"),
+        _with_row(2, "1,x,p,-0.75,0.125,0"),
+        _with_row(2, "1,qq,p,-0.75,0.125,0"),
+        _with_row(3, "2,p,pp,1e-05,-3.5,1"),
+        _with_row(2, "5,q,p,-0.75,0.125,0"),
+        _with_row(2, "1,q,p,-0.75,0.125,1"),
+        _with_row(3, "2,p,p,1e-05,-3.5,2"),
+    ],
+    ids=["short", "alpha", "label-x", "label-qq", "label-pp", "index", "matched", "matched-2"],
+)
+def test_key_csv_malformed_rows_are_rejected(tmp_path, lines):
+    path = tmp_path / "key.csv"
+    path.write_bytes(("\r\n".join(lines) + "\r\n").encode())
+    with pytest.raises(ValueError):
+        proto.read_key_records(path)
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\n"])
+def test_key_csv_reads_either_line_end(tmp_path, newline):
+    path = tmp_path / "key.csv"
+    path.write_bytes((newline.join(_KEY_ROWS) + newline).encode())
+    rec = proto.read_key_records(path)
+    assert rec.alice_symbols.tolist() == [0.5, -0.75, 1e-05]
+    assert rec.outcomes.tolist() == [1.25, 0.125, -3.5]
+    assert rec.alice_bases.tolist() == [0, 0, 1]
+    assert rec.bob_bases.tolist() == [0, 1, 1]
+    assert rec.matched.tolist() == [True, False, True]
+
+
+def test_key_csv_header_only_is_an_empty_record(tmp_path):
+    path = tmp_path / "key.csv"
+    path.write_bytes((_KEY_ROWS[0] + "\r\n").encode())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rec = proto.read_key_records(path)
+    assert rec.n_symbols == 0
 
 
 def test_manifest_reproduces_run(tmp_path):

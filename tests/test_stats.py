@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mwqkd import stats
 
@@ -137,3 +139,43 @@ def test_bootstrap_sigma_covers_sampling_spread():
     y = x + rng.normal(size=3000)
     sig = stats.bootstrap_mi_sigma(x, y, seed=7)
     assert sig == pytest.approx(spread, rel=0.5)
+
+
+def _bootstrap_oracle(x, y, n_boot=200, seed=0):
+    """The per-resample ``np.corrcoef`` bootstrap: the reference."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    values = np.empty(n_boot)
+    for b in range(n_boot):
+        idx = rng.integers(0, x.size, size=x.size)
+        values[b] = stats.empirical_mutual_information(x[idx], y[idx])
+    return float(values.std(ddof=1))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    n=st.integers(30, 600),
+    rho=st.floats(-0.99, 0.99),
+    data_seed=st.integers(0, 2**32 - 1),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_bootstrap_matches_corrcoef_oracle(n, rho, data_seed, seed):
+    rng = _rng(data_seed)
+    x = rng.normal(size=n)
+    y = rho * x + math.sqrt(1.0 - rho * rho) * rng.normal(size=n)
+    sig = stats.bootstrap_mi_sigma(x, y, seed=seed)
+    assert sig == pytest.approx(_bootstrap_oracle(x, y, seed=seed), rel=1e-12, abs=0.0)
+    assert sig == stats.bootstrap_mi_sigma(x, y, seed=seed)
+
+
+def test_bootstrap_zero_variance_gives_nan():
+    assert math.isnan(stats.bootstrap_mi_sigma(np.ones(50), np.arange(50.0)))
+    assert math.isnan(stats.bootstrap_mi_sigma(np.arange(50.0), np.full(50, 2.0)))
+
+
+def test_bootstrap_validation():
+    with pytest.raises(ValueError):
+        stats.bootstrap_mi_sigma(np.zeros(5), np.zeros(4))
+    with pytest.raises(ValueError):
+        stats.bootstrap_mi_sigma(np.zeros(1), np.zeros(1))
+    with pytest.raises(ValueError):
+        stats.bootstrap_mi_sigma(np.arange(5.0), np.arange(5.0), n_boot=1)
