@@ -129,14 +129,16 @@ class DeviceChainParams:
     path_environment_photons: tuple[float, float, float, float] = (0.0, 0.0, 0.0, 0.0)
 
     def __post_init__(self) -> None:
+        for name in ("squeezing_db", "antisqueezing_db"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.antisqueezing_db < self.squeezing_db:
             raise ValueError("antisqueezing_db must be >= squeezing_db")
         if not 0.0 < self.quantum_efficiency <= 1.0:
             raise ValueError("quantum_efficiency must be in (0, 1]")
-        if self.measurement_gain_db < 0.0:
-            raise ValueError("measurement_gain_db must be >= 0")
-        if self.hemt_noise_photons < 0.0:
-            raise ValueError("hemt_noise_photons must be >= 0")
+        for name in ("measurement_gain_db", "hemt_noise_photons"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0")
         if not 0.0 < self.displacement_coupler_transmissivity <= 1.0:
             raise ValueError("displacement_coupler_transmissivity must be in (0, 1]")
         losses = tuple(float(x) for x in self.path_losses)
@@ -145,8 +147,8 @@ class DeviceChainParams:
             raise ValueError("path_losses and path_environment_photons need 4 entries")
         for x in losses:
             _check_fraction(x, "path loss")
-        if any(n < 0.0 for n in envs):
-            raise ValueError("path environment photons must be >= 0")
+        if not all(0.0 <= n < math.inf for n in envs):
+            raise ValueError("path environment photons must be finite and >= 0")
         object.__setattr__(self, "path_losses", losses)
         object.__setattr__(self, "path_environment_photons", envs)
 

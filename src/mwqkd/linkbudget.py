@@ -12,10 +12,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.constants import Boltzmann, Planck
-
 from .devices import ChannelParams, DeviceChainParams
 from .security import asymptotic_key, noise_crossing
+
+# Exact SI values (2019 redefinition).
+BOLTZMANN = 1.380649e-23  # J/K
+PLANCK = 6.62607015e-34  # J s
 
 # Carrier used for the cryogenic medium's background occupation.
 CARRIER_FREQUENCY_HZ = 5.48e9
@@ -45,7 +47,7 @@ def thermal_occupancy(temperature_k: float, frequency_hz: float) -> float:
     """
     if not (temperature_k > 0.0 and frequency_hz > 0.0):
         raise ValueError("temperature and frequency must be > 0")
-    x = Planck * frequency_hz / (Boltzmann * temperature_k)
+    x = PLANCK * frequency_hz / (BOLTZMANN * temperature_k)
     if x > 700.0:  # exp would overflow; occupation is already < 1e-300
         return 0.0
     return 1.0 / math.expm1(x)
@@ -67,15 +69,11 @@ OPEN_AIR = MediumSpec(
 MEDIA = {medium.label: medium for medium in (CRYO_LINK, OPEN_AIR)}
 
 
-def max_tolerable_loss(
-    chain: DeviceChainParams,
-    background_photons: float,
-    tol: float = BISECTION_TOL,
-) -> float:
+def max_tolerable_loss(chain: DeviceChainParams, background_photons: float) -> float:
     """Largest channel loss with a positive asymptotic key.
 
     Bisection (:func:`mwqkd.security.noise_crossing`) on [1e-12, 1 - 1e-9]
-    to `tol` absolute on the loss, with the coupled noise tied to the
+    to BISECTION_TOL absolute on the loss, with the coupled noise tied to the
     loss as nbar = background * eps / 2. Returns 0.0 when no loss is
     tolerable at all and 1 - 1e-9 when every loss is.
     """
@@ -88,7 +86,7 @@ def max_tolerable_loss(
         )
 
     upper = 1.0 - 1e-9
-    return min(noise_crossing(key, upper, tol, lower=1e-12), upper)
+    return min(noise_crossing(key, upper, BISECTION_TOL, lower=1e-12), upper)
 
 
 def loss_to_distance(loss: float, attenuation_db_per_m: float) -> float:
@@ -116,21 +114,13 @@ def distance_limit(chain: DeviceChainParams, medium: MediumSpec) -> float:
 
 
 def raw_key_rate(
-    chain: DeviceChainParams,
-    channel: ChannelParams,
-    bandwidth_hz: float,
-    key_bits: float | None = None,
+    chain: DeviceChainParams, channel: ChannelParams, bandwidth_hz: float
 ) -> float:
-    """Secret key rate in bits/s over a measurement bandwidth.
-
-    Uses the asymptotic key per symbol unless a precomputed `key_bits`
-    (for example a composite bound) is supplied; a non-positive key gives
-    rate 0.
-    """
+    """Secret key rate in bits/s over a measurement bandwidth, from the
+    asymptotic key per symbol; a non-positive key gives rate 0."""
     if not bandwidth_hz > 0.0:
         raise ValueError("bandwidth_hz must be > 0")
-    key = asymptotic_key(chain, channel) if key_bits is None else key_bits
-    return bandwidth_hz * max(key, 0.0)
+    return bandwidth_hz * max(asymptotic_key(chain, channel), 0.0)
 
 
 def sweep_occupancy(

@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import json
 import math
+import statistics
 from dataclasses import dataclass, fields, replace
 from types import SimpleNamespace
 
 import numpy as np
-from scipy.special import erfinv
 
 from . import devices
 from .devices import ChannelParams, DeviceChainParams
@@ -29,8 +29,8 @@ from .gaussian import PHYSICALITY_TOL, PHYSICALITY_TOL_REL, entropy_of_nu
 from .protocol import ChannelEstimate
 
 DEFAULT_CORRECTNESS_EPSILON = 1e-10  # e_ec, failure bound on estimation confidence
-DEFAULT_SMOOTHING_EPSILON = 1e-10
-DEFAULT_PA_EPSILON = 1e-10
+SMOOTHING_EPSILON = 1e-10
+PA_EPSILON = 1e-10
 
 
 def _elementwise(fn):
@@ -175,14 +175,21 @@ def asymptotic_key(chain: DeviceChainParams, channel: ChannelParams) -> float:
 
 
 def confidence_w(correctness_epsilon: float) -> float:
-    """Confidence factor w = sqrt(2) * erfinv(1 - 2 e).
+    """Confidence factor w = sqrt(2) * erfinv(1 - 2 e), the upper e-quantile
+    of the standard normal.
 
     w standard deviations cover a Gaussian estimate up to failure
-    probability e per tail.
+    probability e per tail. Computed as -Phi^-1((1 - fl(1 - 2 e)) / 2)
+    with the standard-library normal quantile; e below ~5.6e-17 rounds
+    1 - 2 e to 1 and is rejected.
     """
     if not 0.0 < correctness_epsilon < 0.5:
         raise ValueError("correctness_epsilon must be in (0, 0.5)")
-    return math.sqrt(2.0) * float(erfinv(1.0 - 2.0 * correctness_epsilon))
+    # round 1 - 2e first, as sqrt(2) * erfinv(1 - 2e) does, so w keeps its value
+    tail = (1.0 - (1.0 - 2.0 * correctness_epsilon)) / 2.0
+    if tail == 0.0:
+        raise ValueError("correctness_epsilon is too small: 1 - 2e rounds to 1")
+    return -statistics.NormalDist().inv_cdf(tail)
 
 
 def _worst_case(ops, loss, loss_sigma, noise, noise_sigma, w: float):
@@ -210,24 +217,18 @@ def worst_case_params(
     )
 
 
-def finite_size_delta(
-    n_exp: float,
-    smoothing_epsilon: float = DEFAULT_SMOOTHING_EPSILON,
-    pa_epsilon: float = DEFAULT_PA_EPSILON,
-) -> float:
+def finite_size_delta(n_exp: float) -> float:
     """Composable finite-size penalty in bits per symbol.
 
     Delta(n) = 7 sqrt(log2(2/eps_smooth) / n) + (2/n) log2(1/eps_pa),
-    monotone decreasing in the effective key length n.
+    monotone decreasing in the effective key length n, with eps_smooth =
+    SMOOTHING_EPSILON and eps_pa = PA_EPSILON.
     """
     if not n_exp >= 1:
         raise ValueError("n_exp must be >= 1")
-    for name, value in (("smoothing_epsilon", smoothing_epsilon), ("pa_epsilon", pa_epsilon)):
-        if not 0.0 < value < 1.0:
-            raise ValueError(f"{name} must be in (0, 1)")
-    return 7.0 * math.sqrt(math.log2(2.0 / smoothing_epsilon) / n_exp) + (
+    return 7.0 * math.sqrt(math.log2(2.0 / SMOOTHING_EPSILON) / n_exp) + (
         2.0 / n_exp
-    ) * math.log2(1.0 / pa_epsilon)
+    ) * math.log2(1.0 / PA_EPSILON)
 
 
 def _predicted_sigmas(ops, chain: DeviceChainParams, loss: float, nbar, samples: int):
@@ -341,8 +342,6 @@ def _block_budget(
     include_delta: bool,
     include_estimation_penalty: bool,
     predicted: bool,
-    smoothing_epsilon: float = DEFAULT_SMOOTHING_EPSILON,
-    pa_epsilon: float = DEFAULT_PA_EPSILON,
 ) -> _BlockBudget:
     """Validated block sizes and terms; `predicted` means the estimation
     penalty is predicted from the estimation block, not measured."""
@@ -368,9 +367,7 @@ def _block_budget(
         prefactor=n_ec * p_ec / n_raw,
         beta_ec=beta_ec,
         w=confidence_w(e_ec) if include_estimation_penalty else 0.0,
-        delta_bits=(
-            finite_size_delta(n_ec, smoothing_epsilon, pa_epsilon) if include_delta else 0.0
-        ),
+        delta_bits=finite_size_delta(n_ec) if include_delta else 0.0,
         include_delta=include_delta,
         include_estimation_penalty=include_estimation_penalty,
     )
@@ -407,8 +404,6 @@ def composite_key(
     e_ec: float = DEFAULT_CORRECTNESS_EPSILON,
     include_delta: bool = True,
     include_estimation_penalty: bool = True,
-    smoothing_epsilon: float = DEFAULT_SMOOTHING_EPSILON,
-    pa_epsilon: float = DEFAULT_PA_EPSILON,
 ) -> CompositeKeyBound:
     """Finite-size composite secret key bound.
 
@@ -428,8 +423,6 @@ def composite_key(
         include_delta=include_delta,
         include_estimation_penalty=include_estimation_penalty,
         predicted=estimate is None,
-        smoothing_epsilon=smoothing_epsilon,
-        pa_epsilon=pa_epsilon,
     )
     point = channel if channel is not None else _point_channel(estimate)
     mi = mutual_information(snr(chain, point))
@@ -458,15 +451,10 @@ def noise_crossing(key_fn, upper: float = 1.0, tol: float = 1e-7, *, lower: floa
     return 0.5 * (lo + hi)
 
 
-def noise_tolerance(
-    chain: DeviceChainParams, loss: float, upper: float = 1.0, tol: float = 1e-7
-) -> float:
-    """Largest coupled-noise level with a positive asymptotic key."""
-    return noise_crossing(
-        lambda nbar: asymptotic_key(chain, ChannelParams(loss, nbar)),
-        upper=upper,
-        tol=tol,
-    )
+def noise_tolerance(chain: DeviceChainParams, loss: float) -> float:
+    """Largest coupled-noise level with a positive asymptotic key, by
+    bisection on [0, 1] to 1e-7 photons."""
+    return noise_crossing(lambda nbar: asymptotic_key(chain, ChannelParams(loss, nbar)))
 
 
 def _fields_dict(obj) -> dict:
@@ -486,18 +474,15 @@ class SecurityReport:
     mi_bits: float
     holevo_bits: float
     asymptotic_key_bits: float
-    finite_size: CompositeKeyBound | None
+    finite_size: CompositeKeyBound
     provenance: str  # "exact" or "estimated" channel parameters
     inputs: dict
 
     def to_dict(self) -> dict:
-        data = _fields_dict(self)
-        if self.finite_size is not None:
-            data["finite_size"] = _fields_dict(self.finite_size)
-        return data
+        return {**_fields_dict(self), "finite_size": _fields_dict(self.finite_size)}
 
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     def points(self) -> list[SecurityReport]:
         """One float-valued report per point of a grid report."""
@@ -541,7 +526,7 @@ def build_report(
     channel: ChannelParams | None = None,
     estimate: ChannelEstimate | None = None,
     *,
-    n_raw: int | None = None,
+    n_raw: int,
     n_ec: int | None = None,
     beta_ec: float = 1.0,
     p_ec: float = 1.0,
@@ -552,8 +537,8 @@ def build_report(
 ) -> SecurityReport:
     """Assemble a SecurityReport, echoing every input for reproducibility.
 
-    The asymptotic block always uses the point parameters; the
-    finite-size block is included when `n_raw` is given.
+    The asymptotic block uses the point parameters; the finite-size block
+    books `n_raw` raw symbols.
     """
     if (channel is None) == (estimate is None):
         raise ValueError("provide exactly one of channel or estimate")
@@ -566,11 +551,8 @@ def build_report(
     snr_value = snr(chain, point)
     mi = mutual_information(snr_value)
     chi = holevo_dr(chain, point)
-
-    finite = None
-    if n_raw is not None:
-        budget = _block_budget(**settings, predicted=estimate is None)
-        finite = _composite(chain, channel, estimate, budget, mi, chi)
+    budget = _block_budget(**settings, predicted=estimate is None)
+    finite = _composite(chain, channel, estimate, budget, mi, chi)
 
     inputs = _report_inputs(chain, _fields_dict(point), estimate, **settings)
     provenance = inputs["parameter_source"]

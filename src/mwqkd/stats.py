@@ -9,7 +9,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
 
 @dataclass(frozen=True)
@@ -44,17 +43,12 @@ class Histogram:
         return self.probabilities() / np.diff(self.bin_edges)
 
 
-def build_histogram(samples, bins="fd") -> Histogram:
-    """Histogram with Freedman-Diaconis bins by default.
-
-    `bins` accepts anything numpy's histogram edge selection does (a rule
-    name, a count, or explicit edges).
-    """
+def build_histogram(samples) -> Histogram:
+    """Histogram with Freedman-Diaconis bins."""
     samples = np.asarray(samples, dtype=float)
     if samples.size < 1:
         raise ValueError("need at least one sample")
-    edges = np.histogram_bin_edges(samples, bins=bins)
-    counts, edges = np.histogram(samples, bins=edges)
+    counts, edges = np.histogram(samples, bins=np.histogram_bin_edges(samples, bins="fd"))
     return Histogram(edges, counts)
 
 
@@ -69,7 +63,7 @@ def gaussian_bin_probabilities(bin_edges, mean: float, variance: float) -> np.nd
         raise ValueError("variance must be > 0")
     edges = np.asarray(bin_edges, dtype=float)
     z = (edges - mean) / math.sqrt(2.0 * variance)
-    cdf = 0.5 * (1.0 + erf(z))
+    cdf = 0.5 * (1.0 + np.array([math.erf(x) for x in z.tolist()]))
     return np.diff(cdf)
 
 

@@ -1,7 +1,11 @@
 """Configuration parsing and the command-line surface."""
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -289,3 +293,30 @@ def test_report_ablation_flags(capsys):
     assert fs["delta_bits"] == 0.0
     assert fs["include_estimation_penalty"] is False
     assert fs["bits_per_symbol"] == pytest.approx(0.8103797032259793, rel=1e-9)
+
+
+def test_commands_run_without_scipy(tmp_path):
+    # scipy is a test oracle only: a fresh interpreter running every
+    # command must never load it
+    src = Path(mwqkd.__file__).resolve().parents[1]
+    script = f"""
+import sys
+from mwqkd import cli
+out = {str(tmp_path)!r}
+assert cli.main(["sweep", "--out", out + "/sweep.csv"]) == 0
+assert cli.main(["sweep", "--format", "json", "--out", out + "/sweep.json"]) == 0
+assert cli.main(["report", "--out", out + "/report.json"]) == 0
+assert cli.main(["linkbudget", "--out", out + "/lb.csv"]) == 0
+assert cli.main(["protocol", "--n-symbols", "2000", "--out", out + "/run"]) == 0
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert not loaded, loaded
+"""
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr

@@ -27,6 +27,15 @@ def test_thermal_occupancy_bose_einstein():
         lb.thermal_occupancy(300.0, 0.0)
 
 
+def test_si_constants_match_scipy_oracle():
+    # the module's literals are the exact SI values scipy also carries
+    from scipy.constants import Boltzmann, Planck
+
+    x = Planck * lb.CARRIER_FREQUENCY_HZ / (Boltzmann * 0.015)
+    assert lb.CRYO_LINK.background_photons == 1.0 / math.expm1(x)
+    assert (lb.BOLTZMANN, lb.PLANCK) == (Boltzmann, Planck)
+
+
 def test_medium_presets():
     assert set(lb.MEDIA) == {"cryo-15mK", "openair-300K"}
     assert lb.CRYO_LINK.attenuation_db_per_m == pytest.approx(1.0e-3)
@@ -69,10 +78,6 @@ def test_raw_key_rate():
     assert lb.raw_key_rate(RUN2, ChannelParams(0.0115, 0.08), 400e3) == 0.0
     with pytest.raises(ValueError):
         lb.raw_key_rate(RUN2, ch, -1.0)
-
-
-def test_raw_key_rate_accepts_precomputed_key():
-    assert lb.raw_key_rate(RUN2, ChannelParams(0.0115, 0.0), 100.0, key_bits=0.5) == 50.0
 
 
 def test_occupancy_sweep_monotone():

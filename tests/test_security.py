@@ -165,6 +165,18 @@ def test_confidence_w_against_bisection_oracle():
         assert want == pytest.approx(0.5 * (lo + hi), abs=5e-7)
 
 
+def test_confidence_w_matches_scipy_erfinv_oracle():
+    from scipy.special import erfinv
+
+    grid = np.append(np.geomspace(1e-14, 0.49, 2001), 1e-10).tolist()
+    for e_ec in grid:
+        want = math.sqrt(2.0) * float(erfinv(1.0 - 2.0 * e_ec))
+        assert abs(sec.confidence_w(e_ec) - want) <= 1e-15 * want
+    # below ~5.6e-17, 1 - 2e rounds to 1 and w would be infinite
+    with pytest.raises(ValueError, match="too small"):
+        sec.confidence_w(1e-17)
+
+
 def test_worst_case_params_widen_conservatively():
     est = ChannelEstimate(
         loss=0.0115, loss_sigma=0.002, noise_photons=0.003, noise_sigma=0.001,
@@ -299,6 +311,29 @@ def test_report_serializes_with_inputs(tmp_path):
     assert rep.to_json() == sec.build_report(
         RUN2, QUIET, n_raw=16665, extra_inputs={"tag": 7}
     ).to_json()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "field",
+    ["squeezing_db", "antisqueezing_db", "measurement_gain_db", "hemt_noise_photons",
+     "path_environment_photons"],
+)
+def test_non_finite_chain_values_are_rejected(field, bad):
+    value = (0.0, 0.0, bad, 0.0) if field == "path_environment_photons" else bad
+    # the chain itself refuses, so neither the scalar report nor the grid
+    # can turn the value into a NaN key or a misleading late error
+    with pytest.raises(ValueError, match="finite"):
+        sec.build_report(replace(RUN1, **{field: value}), QUIET, n_raw=16665)
+    with pytest.raises(ValueError, match="finite"):
+        sec.sweep_noise(replace(RUN1, **{field: value}), 0.0115, [0.0, 0.01], n_raw=16665)
+
+
+def test_build_report_always_books_the_finite_size_block():
+    with pytest.raises(TypeError):
+        sec.build_report(RUN1, QUIET)
+    data = sec.build_report(RUN1, QUIET, n_raw=16665).to_dict()
+    assert data["finite_size"]["n_raw"] == 16665
 
 
 @st.composite

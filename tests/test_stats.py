@@ -44,6 +44,16 @@ def test_gaussian_bin_probabilities_integrate_cdf():
         stats.gaussian_bin_probabilities(edges, 0.0, -1.0)
 
 
+def test_gaussian_bin_probabilities_match_scipy_erf_oracle():
+    from scipy.special import erf
+
+    edges = np.linspace(-8.0, 8.0, 4001)
+    for mean, variance in ((0.0, 0.5), (0.3, 0.7), (-1.2, 2.5)):
+        want = np.diff(0.5 * (1.0 + erf((edges - mean) / math.sqrt(2.0 * variance))))
+        got = stats.gaussian_bin_probabilities(edges, mean, variance)
+        assert np.max(np.abs(got - want)) <= 4e-16
+
+
 def test_bhattacharyya_perfect_and_disjoint():
     p = np.array([0.25, 0.25, 0.5])
     assert stats.bhattacharyya(p, p) == pytest.approx(1.0)
