@@ -14,6 +14,7 @@ explicit flags. Exit codes: 0 success, 2 bad configuration or arguments,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict, replace
@@ -33,7 +34,10 @@ from .devices import ChannelParams, response_and_noise
 from .errors import InsufficientDataError
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parse_args leaves it
+    unchanged and returns a fresh namespace per call."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="FILE", help="JSON configuration file")
     common.add_argument("--preset", choices=sorted(CHAIN_PRESETS))
@@ -100,12 +104,6 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     return cfg
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _write_text(out, text: str) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -114,15 +112,16 @@ def _write_text(out, text: str) -> None:
 
 
 def _write_csv(out, header, rows, config: ExperimentConfig) -> None:
+    # str of a Python float is its shortest round-trip repr
     lines = ["# config: " + json.dumps(config.to_dict(), sort_keys=True)]
     lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_format_cell(v) for v in row))
+    lines.extend(",".join(map(str, row)) for row in rows)
     _write_text(out, "\n".join(lines) + "\n")
 
 
 def _write_json(out, payload: dict) -> None:
-    _write_text(out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    # compact, so json uses its C encoder
+    _write_text(out, json.dumps(payload, sort_keys=True) + "\n")
 
 
 def _report_kwargs(cfg: ExperimentConfig) -> dict:
@@ -152,10 +151,12 @@ def cmd_sweep(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     crossing = security.noise_tolerance(cfg.chain, cfg.channel_loss)
 
     if (args.out_format or "csv") == "json":
+        settings, points = sweep.split_grid()
         payload = {
             "config": cfg.to_dict(),
             "asymptotic_noise_crossing": crossing,
-            "reports": [rep.to_dict() for rep in sweep.points()],
+            "settings": settings,
+            "reports": points,
         }
         _write_json(args.out, payload)
     else:
@@ -302,8 +303,7 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         cfg = resolve_config(args)
         return _COMMANDS[args.command](cfg, args)

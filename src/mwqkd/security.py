@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 import statistics
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -467,7 +467,8 @@ class SecurityReport:
     """All security figures for one parameter point, JSON-serializable.
 
     A grid report from :func:`sweep_noise` holds a 1-D array in each
-    per-point figure; :meth:`points` splits it into one report per point.
+    per-point figure; :meth:`split_grid` splits it into the constant
+    fields and one dict per point.
     """
 
     snr: float
@@ -484,29 +485,40 @@ class SecurityReport:
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
-    def points(self) -> list[SecurityReport]:
-        """One float-valued report per point of a grid report."""
+    def split_grid(self) -> tuple[dict, list[dict]]:
+        """The constant fields of a grid report, and one dict per point of
+        its varying (array) fields.
 
-        def columns(obj) -> dict:
-            return {
-                name: value.tolist()
-                for name, value in _fields_dict(obj).items()
-                if isinstance(value, np.ndarray)
-            }
+        Both keep the nesting of :meth:`to_dict`: merging the constants
+        into the dict of one point gives the scalar report's dict there.
+        """
+        constant, varying = _split_arrays(self.to_dict())
+        count = len(self.inputs["channel"]["noise_photons"])
+        return constant, [_point_of(varying, i) for i in range(count)]
 
-        top, bound = columns(self), columns(self.finite_size)
-        channel = self.inputs["channel"]
-        return [
-            replace(
-                self,
-                finite_size=replace(
-                    self.finite_size, **{name: col[i] for name, col in bound.items()}
-                ),
-                inputs={**self.inputs, "channel": {**channel, "noise_photons": nbar}},
-                **{name: col[i] for name, col in top.items()},
-            )
-            for i, nbar in enumerate(channel["noise_photons"].tolist())
-        ]
+
+def _split_arrays(tree: dict) -> tuple[dict, dict]:
+    """(non-array fields, array fields as lists) of a nested dict."""
+    constant, varying = {}, {}
+    for name, value in tree.items():
+        if isinstance(value, dict):
+            fixed, column = _split_arrays(value)
+            if fixed or not column:
+                constant[name] = fixed
+            if column:
+                varying[name] = column
+        elif isinstance(value, np.ndarray):
+            varying[name] = value.tolist()
+        else:
+            constant[name] = value
+    return constant, varying
+
+
+def _point_of(columns: dict, i: int) -> dict:
+    return {
+        name: _point_of(value, i) if isinstance(value, dict) else value[i]
+        for name, value in columns.items()
+    }
 
 
 def _report_inputs(chain, channel: dict, estimate, **settings) -> dict:
@@ -587,8 +599,8 @@ def sweep_noise(
     One array evaluation of what ``build_report(chain, ChannelParams(loss,
     nbar), n_raw=n_raw, ...)`` gives at each nbar of the 1-D grid `nbars`,
     bit for bit. The returned report holds an array, one entry per grid
-    point, in each per-point figure; :meth:`SecurityReport.points` splits
-    it. Invalid settings raise even for an empty grid.
+    point, in each per-point figure; :meth:`SecurityReport.split_grid`
+    splits it. Invalid settings raise even for an empty grid.
     """
     settings = dict(
         n_raw=n_raw, n_ec=n_ec, beta_ec=beta_ec, p_ec=p_ec, e_ec=e_ec,

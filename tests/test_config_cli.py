@@ -1,5 +1,6 @@
 """Configuration parsing and the command-line surface."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -11,15 +12,19 @@ import numpy as np
 import pytest
 
 import mwqkd
-from mwqkd import cli
+from mwqkd import cli, security
 from mwqkd import protocol as proto
 from mwqkd.config import (
     CONFIG_SCHEMA,
     DEFAULT_CHANNEL_LOSS,
+    DEFAULT_OCCUPANCY_GRID,
     ExperimentConfig,
     config_from_dict,
     load_config,
 )
+from mwqkd.devices import ChannelParams
+
+from test_security import merge_point
 
 
 def test_default_config_uses_run1():
@@ -120,6 +125,14 @@ def test_sweep_writes_csv_with_config_echo(tmp_path):
     assert float(first[4]) == pytest.approx(0.8105382529199553, rel=1e-9)
 
 
+def _perfbench_checks():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "checks.py"
+    spec = importlib.util.spec_from_file_location("perfbench_checks", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_sweep_json_format(tmp_path):
     out = tmp_path / "sweep.json"
     assert run_cli("sweep", "--preset", "run1", "--format", "json",
@@ -128,6 +141,108 @@ def test_sweep_json_format(tmp_path):
     assert data["asymptotic_noise_crossing"] == pytest.approx(0.062379, abs=2e-5)
     assert len(data["reports"]) == 41
     assert data["config"]["preset"] == "run1"
+
+    # constants once in "settings", the varying fields per point; together
+    # they are the scalar report at that point, bit for bit
+    extract = _perfbench_checks().extract
+    for flags in ((), ("--no-pe",)):
+        out = tmp_path / f"sweep{len(flags)}.json"
+        assert run_cli("sweep", "--preset", "run2", "--loss", "0.02", "--format", "json",
+                       *flags, "--out", str(out)) == 0
+        data = json.loads(out.read_text())
+        cfg = config_from_dict(data["config"])
+        assert cfg.include_estimation_penalty == (not flags)
+        rows = []
+        for nbar, point in zip(cfg.noise_grid, data["reports"], strict=True):
+            want = security.build_report(
+                cfg.chain, ChannelParams(cfg.channel_loss, nbar), **cli._report_kwargs(cfg)
+            )
+            merged = merge_point(data["settings"], point)
+            assert json.dumps(merged, sort_keys=True) == json.dumps(want.to_dict(), sort_keys=True)
+            rows.append([nbar, want.snr, want.mi_bits, want.holevo_bits,
+                         want.asymptotic_key_bits, want.finite_size.bits_per_raw_symbol])
+        # every path the benchmark reads is present
+        values = extract("sweep", str(out), "")
+        assert values["rows"] == rows
+        assert values["crossing"] == data["asymptotic_noise_crossing"]
+
+    cfg_path = tmp_path / "empty.json"
+    cfg_path.write_text(json.dumps({"preset": "run1", "noise_grid": []}))
+    assert run_cli("sweep", "--config", str(cfg_path), "--format", "json",
+                   "--out", str(out)) == 0
+    assert json.loads(out.read_text())["reports"] == []
+
+
+def test_csv_cells_are_reprs_of_the_scalar_values(tmp_path):
+    argv = ["sweep", "--preset", "run2", "--loss", "0.02"]
+    cfg = cli.resolve_config(cli.build_parser().parse_args(argv))
+    out = tmp_path / "sweep.csv"
+    assert run_cli(*argv, "--out", str(out)) == 0
+    lines = out.read_text().split("\n")
+    assert lines[0] == "# config: " + json.dumps(cfg.to_dict(), sort_keys=True)
+    assert lines[-1] == ""
+    want = []
+    for nbar in cfg.noise_grid:
+        rep = security.build_report(
+            cfg.chain, ChannelParams(cfg.channel_loss, nbar), **cli._report_kwargs(cfg)
+        )
+        want.append([nbar, rep.snr, rep.mi_bits, rep.holevo_bits,
+                     rep.asymptotic_key_bits, rep.finite_size.bits_per_raw_symbol])
+    assert [line.split(",") for line in lines[2:-1]] == [list(map(repr, r)) for r in want]
+
+    argv = ["linkbudget", "--preset", "run1", "--medium", "openair-300K"]
+    cfg = cli.resolve_config(cli.build_parser().parse_args(argv))
+    out = tmp_path / "lb.csv"
+    assert run_cli(*argv, "--out", str(out)) == 0
+    lines = out.read_text().split("\n")
+    assert lines[0] == "# config: " + json.dumps(cfg.to_dict(), sort_keys=True)
+    medium = mwqkd.linkbudget.MEDIA["openair-300K"]
+    occupancies = sorted(set(DEFAULT_OCCUPANCY_GRID) | {medium.background_photons})
+    table = mwqkd.linkbudget.sweep_occupancy(cfg.chain, occupancies, medium.attenuation_db_per_m)
+    assert [line.split(",") for line in lines[2:-1]] == [list(map(repr, r)) for r in table]
+
+
+def _fresh_process(argv, env):
+    done = subprocess.run(
+        [sys.executable, "-m", "mwqkd", *argv], env=env, capture_output=True, timeout=120
+    )
+    return done.returncode, done.stdout
+
+
+def _tree_bytes(path: Path) -> dict:
+    if not path.is_dir():
+        return {}
+    return {p.name: p.read_bytes() for p in sorted(path.iterdir())}
+
+
+def test_reused_parser_leaks_no_state(tmp_path, capsysbinary, monkeypatch):
+    # one process runs the commands in turn through the cached parser; each
+    # must give what the same command gives as the first in a fresh process
+    monkeypatch.setenv("COLUMNS", "80")
+    src = Path(mwqkd.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    commands = [
+        ["--help"],
+        ["protocol", "--announce-bases", "--n-symbols", "2000"],
+        ["protocol", "--n-symbols", "2000"],
+        ["report", "--no-delta"],
+        ["report"],
+    ]
+    for i, argv in enumerate(commands):
+        if argv[0] == "protocol":
+            argv = [*argv, "--out", str(tmp_path / "in-process" / str(i))]
+        if argv == ["--help"]:
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            code = exc.value.code
+        else:
+            code = cli.main(argv)
+        got = (code, capsysbinary.readouterr().out, _tree_bytes(tmp_path / "in-process" / str(i)))
+        argv = [a.replace("in-process", "fresh") for a in argv]
+        want = (*_fresh_process(argv, env), _tree_bytes(tmp_path / "fresh" / str(i)))
+        assert got == want, argv
+        assert code == 0
 
 
 def test_sweep_empty_grid_gives_header_only(tmp_path):

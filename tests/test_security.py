@@ -370,9 +370,44 @@ def test_sweep_noise_matches_scalar_reports_bitwise(chain, loss, grid, report_se
         with pytest.raises(type(exc)):
             sec.sweep_noise(chain, loss, grid, **report_settings)
         return
-    sweep = sec.sweep_noise(chain, loss, grid, **report_settings)
+    constant, points = sec.sweep_noise(chain, loss, grid, **report_settings).split_grid()
     # JSON text carries every field, inputs included, with repr'd floats
-    assert [rep.to_json() for rep in sweep.points()] == want
+    got = [json.dumps(merge_point(constant, point), indent=2, sort_keys=True) for point in points]
+    assert got == want
+
+
+def merge_point(constant: dict, point: dict) -> dict:
+    """A grid report's constant fields with one point's fields merged in;
+    no field may be in both."""
+    merged = dict(constant)
+    for name, value in point.items():
+        if isinstance(value, dict):
+            merged[name] = merge_point(constant.get(name, {}), value)
+        else:
+            assert name not in constant, name
+            merged[name] = value
+    return merged
+
+
+def test_split_grid_keeps_only_arrays_per_point():
+    with_pe = sec.sweep_noise(RUN1, 0.0115, [0.0, 0.01], n_raw=16665)
+    without_pe = sec.sweep_noise(
+        RUN1, 0.0115, [0.0, 0.01], n_raw=16665, include_estimation_penalty=False
+    )
+    varying = {"snr", "mi_bits", "holevo_bits", "asymptotic_key_bits"}
+    bound = {"bits_per_symbol", "bits_per_raw_symbol", "mi_bits", "holevo_bits"}
+    for sweep, worst in ((with_pe, {"worst_case_loss", "worst_case_noise"}), (without_pe, set())):
+        constant, points = sweep.split_grid()
+        assert len(points) == 2
+        for point, nbar in zip(points, (0.0, 0.01)):
+            assert set(point) == varying | {"finite_size", "inputs"}
+            assert set(point["finite_size"]) == bound | worst
+            assert point["inputs"] == {"channel": {"noise_photons": nbar}}
+        assert constant["provenance"] == "exact"
+        assert constant["inputs"]["channel"] == {"loss": 0.0115}
+        assert set(constant["finite_size"]).isdisjoint(bound | worst)
+    assert without_pe.split_grid()[0]["finite_size"]["worst_case_loss"] is None
+    assert sec.sweep_noise(RUN1, 0.0115, [], n_raw=16665).split_grid()[1] == []
 
 
 def test_sweep_noise_rejects_bad_points_like_the_scalar_path():
