@@ -173,6 +173,12 @@ class DeviceChainParams:
         return trusted_readout_constants(self, matched=True)
 
     @cached_property
+    def modulated_input_variance(self) -> float:
+        """Channel-input variance of the encoding quadrature, averaged over the codebook."""
+        response = channel_input_response(self)
+        return self.readout.channel_input_variance + self.codebook_variance * response ** 2
+
+    @cached_property
     def mismatched_readout(self) -> ReadoutModel:
         """Readout model of a receiver that amplified the other quadrature."""
         return trusted_readout_constants(self, matched=False)

@@ -22,7 +22,6 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from . import devices
 from .devices import ChannelParams, DeviceChainParams
 from .errors import PhysicalityError
 from .gaussian import PHYSICALITY_TOL, PHYSICALITY_TOL_REL, entropy_of_nu
@@ -34,18 +33,30 @@ PA_EPSILON = 1e-10
 
 
 def _elementwise(fn):
-    return np.vectorize(fn, otypes=[float])
+    """`fn` applied to each element of its broadcast arguments, which a
+    memoryview hands over one at a time as Python floats; returns a float
+    array of the broadcast shape."""
+
+    def apply(*args):
+        columns = np.broadcast_arrays(*args)
+        shape = columns[0].shape
+        values = map(fn, *(memoryview(np.ravel(column)) for column in columns))
+        return np.fromiter(values, float, count=math.prod(shape)).reshape(shape)
+
+    return apply
 
 
 # The operations the formulas below use beyond + - * /, on Python floats
 # (one point: root finders, single reports) and on numpy arrays (a noise
-# grid). The array versions of the transcendental functions apply `math`
-# to each element, and maximum/minimum keep the builtins' tie rule (the
-# first argument unless the second is strictly larger or smaller), so a
-# grid point gets exactly the bits the float path gives it.
+# grid). Squares are written as products, which numpy and Python both
+# round correctly. The array versions of log2, hypot and g(nu) broadcast
+# their arguments and call the same `math`-based function on each element
+# as a Python float (`_elementwise`); sqrt is correctly rounded either
+# way; maximum/minimum keep the builtins' tie rule (the first argument
+# unless the second is strictly larger or smaller). So a grid point gets
+# exactly the bits the float path gives it.
 _FLOAT = SimpleNamespace(
     sqrt=math.sqrt,
-    pow=math.pow,
     log2=math.log2,
     hypot=math.hypot,
     entropy=entropy_of_nu,
@@ -56,7 +67,6 @@ _FLOAT = SimpleNamespace(
 )
 _ARRAY = SimpleNamespace(
     sqrt=np.sqrt,
-    pow=_elementwise(math.pow),
     log2=_elementwise(math.log2),
     hypot=_elementwise(math.hypot),
     entropy=_elementwise(entropy_of_nu),
@@ -107,17 +117,18 @@ def _environment_entropy(ops, eps, t, v, v_q: float, v_p: float):
     det = (eps * a * v + t) * (eps * b * v + t)
     trace = eps * eps * (a * b + v * v) + eps * t * v * (a + b) + 2.0 * t
     x, y = a - v, b - v
+    mixed, split = eps * x * y + v * (x + y), v * (x - y)
     gap = ops.where(
         x * y < 0.0,
-        ops.pow(eps * x * y + v * (x + y), 2) - 4.0 * t * (v - 1.0) * (v + 1.0) * x * y,
-        ops.pow(v * (x - y), 2) + x * y * (4.0 * t + eps * (eps * x * y + 2.0 * v * (a + b))),
+        mixed * mixed - 4.0 * t * (v - 1.0) * (v + 1.0) * x * y,
+        split * split + x * y * (4.0 * t + eps * (eps * x * y + 2.0 * v * (a + b))),
     )
     nu_plus_sq = 0.5 * (trace + eps * ops.sqrt(gap))
     nu_minus_sq = det / nu_plus_sq
-    tol = ops.maximum(
+    floor = 1.0 - ops.maximum(
         PHYSICALITY_TOL, PHYSICALITY_TOL_REL * ops.maximum(v, eps * max(a, b) + t * v)
     )
-    if ops.any(nu_minus_sq < ops.pow(1.0 - tol, 2)):
+    if ops.any(nu_minus_sq < floor * floor):
         raise PhysicalityError(f"environment violates the uncertainty bound: {nu_minus_sq=}")
     return ops.entropy(ops.sqrt(nu_plus_sq)) + ops.entropy(ops.sqrt(nu_minus_sq))
 
@@ -139,11 +150,10 @@ def _holevo(ops, chain: DeviceChainParams, eps, nbar):
     """chi at channel loss eps > 0 and coupled noise nbar (floats or arrays)."""
     model = chain.readout
     v_q, v_p = model.channel_input_variance, model.orthogonal_input_variance
-    v_avg = v_q + chain.codebook_variance * devices.channel_input_response(chain) ** 2
     v, t = 1.0 + 2.0 * (2.0 * nbar / eps), 1.0 - eps
-    chi = _environment_entropy(ops, eps, t, v, v_avg, v_p) - _environment_entropy(
-        ops, eps, t, v, v_q, v_p
-    )
+    chi = _environment_entropy(
+        ops, eps, t, v, chain.modulated_input_variance, v_p
+    ) - _environment_entropy(ops, eps, t, v, v_q, v_p)
     # the averaged state majorizes the conditional one; guard float dust
     return ops.maximum(chi, 0.0)
 
@@ -171,7 +181,10 @@ def holevo_dr(chain: DeviceChainParams, channel: ChannelParams) -> float:
 
 def asymptotic_key(chain: DeviceChainParams, channel: ChannelParams) -> float:
     """Asymptotic secret key in bits per symbol; negative means insecure."""
-    return mutual_information(snr(chain, channel)) - holevo_dr(chain, channel)
+    loss, nbar = channel.loss, channel.noise_photons
+    mi = mutual_information(_snr(chain, loss, nbar))
+    chi = 0.0 if _leaks_nothing(chain, loss, nbar > 0.0) else _holevo(_FLOAT, chain, loss, nbar)
+    return mi - chi
 
 
 def confidence_w(correctness_epsilon: float) -> float:

@@ -6,12 +6,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mwqkd
 from mwqkd import cli, devices
 from mwqkd import gaussian as g
+from mwqkd import linkbudget as lb
 from mwqkd import security as sec
 from mwqkd.devices import ChannelParams, DeviceChainParams
 from mwqkd.errors import PhysicalityError
@@ -99,6 +100,22 @@ def test_runtime_chain_model_matches_covariance_oracle(chain, loss, nbar):
         assert var == pytest.approx(want, rel=1e-12)
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(chain=_chains())
+def test_modulated_input_variance_matches_covariance_oracle(chain):
+    # conditional channel-input variance plus the codebook's spread of the
+    # symbol's mean shift, from the covariance pipeline
+    for case in (RUN1, RUN2, chain):
+        (mean0, _), (mean1, _) = (
+            devices.channel_input_state(case, "q", symbol).mean for symbol in (0.0, 1.0)
+        )
+        want = (
+            devices.channel_input_state(case, "q", 0.0).cov[0, 0]
+            + case.codebook_variance * (mean1 - mean0) ** 2
+        )
+        assert case.modulated_input_variance == pytest.approx(want, rel=1e-12)
+
+
 def test_holevo_edge_cases():
     assert sec.holevo_dr(RUN1, ChannelParams(0.0, 0.0)) == 0.0
     with pytest.raises(ValueError):
@@ -127,6 +144,82 @@ def test_noise_tolerance_bisection():
     assert sec.noise_tolerance(RUN2, 0.0115) == pytest.approx(0.063025, abs=2e-5)
     # a lossier channel tolerates less added noise
     assert sec.noise_tolerance(RUN2, 0.2) < sec.noise_tolerance(RUN2, 0.0115)
+
+
+def count_calls(monkeypatch, name, *modules):
+    """Route `name` in each of `modules` through one counting wrapper of the
+    first module's function; returns the list of recorded calls."""
+    calls = []
+    original = getattr(modules[0], name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "chain, loss, want",
+    [
+        (RUN1, 0.005, 0.06490150094032288),
+        (RUN1, 0.0115, 0.06237933039665222),
+        (RUN1, 0.2, 0.004460960626602173),
+        (RUN2, 0.005, 0.06553915143013),
+        (RUN2, 0.0115, 0.06302526593208313),
+        (RUN2, 0.2, 0.005085676908493042),
+    ],
+)
+def test_noise_tolerance_is_pinned_to_the_bit(monkeypatch, chain, loss, want):
+    # every bisection midpoint depends on the sign of the key there, so a
+    # faster core must keep these floats exactly; the 26 evaluations (two
+    # end points, 24 halvings) go through the public asymptotic_key
+    calls = count_calls(monkeypatch, "asymptotic_key", sec)
+    assert sec.noise_tolerance(chain, loss) == want
+    assert len(calls) == 26
+
+
+@pytest.mark.parametrize(
+    "chain, background, want",
+    [
+        (RUN1, lb.CRYO_LINK.background_photons, 0.23112535453648922),
+        (RUN1, lb.OPEN_AIR.background_photons, 0.00010728836148830747),
+        (RUN1, 1e4, 1.382827857404852e-05),
+        (RUN2, lb.CRYO_LINK.background_photons, 0.23473405814615816),
+        (RUN2, lb.OPEN_AIR.background_photons, 0.00010824203580375911),
+        (RUN2, 1e4, 1.382827857404852e-05),
+    ],
+)
+def test_max_tolerable_loss_is_pinned_to_the_bit(monkeypatch, chain, background, want):
+    # two end points and 20 halvings, through the name linkbudget imported
+    calls = count_calls(monkeypatch, "asymptotic_key", sec, lb)
+    assert lb.max_tolerable_loss(chain, background) == want
+    assert len(calls) == 22
+
+
+def test_elementwise_matches_the_float_function_bitwise():
+    rng = np.random.default_rng(8)
+    x = np.concatenate([[1e-300, 0.5, 1.0, 2.0], rng.lognormal(0.0, 20.0, 300)])
+    # g(nu) at and around its branch points, then the main branch
+    edges = np.array([0.0, 1e-13, 1e-12, 2e-12, 1e-10, 1e-8, 2e-8])
+    nu = 1.0 + np.concatenate([edges, rng.exponential(3.0, 300)])
+    cases = [
+        (math.log2, (x,), [math.log2(v) for v in x.tolist()]),
+        (math.hypot, (0.25, x), [math.hypot(0.25, v) for v in x.tolist()]),
+        (math.hypot, (x, 0.25), [math.hypot(v, 0.25) for v in x.tolist()]),
+        (g.entropy_of_nu, (nu,), [g.entropy_of_nu(v) for v in nu.tolist()]),
+        (math.log2, (np.array([]),), []),
+        (math.hypot, (0.25, np.array([])), []),
+        (g.entropy_of_nu, (np.array([]),), []),
+    ]
+    for fn, args, want in cases:
+        got = sec._elementwise(fn)(*args)
+        assert got.dtype == np.float64
+        assert got.tobytes() == np.array(want).tobytes()
+    table = sec._elementwise(math.hypot)(np.array([[1.0], [2.0]]), np.array([3.0, 4.0, 5.0]))
+    assert table.tolist() == [[math.hypot(a, b) for b in (3.0, 4.0, 5.0)] for a in (1.0, 2.0)]
 
 
 def test_noise_crossing_degenerate_cases():
@@ -350,6 +443,13 @@ def _report_settings(draw):
     )
 
 
+BRANCH_GRID = [0.0, 1e-15, 1e-12, 1e-9, 0.05]
+PAPER_SETTINGS = dict(
+    n_raw=16665, n_ec=None, beta_ec=1.0, p_ec=1.0, e_ec=sec.DEFAULT_CORRECTNESS_EPSILON,
+    include_delta=True, include_estimation_penalty=True,
+)
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(
     chain=_chains(),
@@ -357,6 +457,10 @@ def _report_settings(draw):
     grid=st.lists(st.floats(0.0, 0.5), max_size=6),
     report_settings=_report_settings(),
 )
+# a grid that reaches all three branches of g(nu) (nu <= 1 + 1e-12, the
+# series, the main branch) and both branches of the eigenvalue gap
+@example(chain=RUN1, loss=0.0115, grid=BRANCH_GRID, report_settings=PAPER_SETTINGS)
+@example(chain=RUN2, loss=0.0115, grid=BRANCH_GRID, report_settings=PAPER_SETTINGS)
 def test_sweep_noise_matches_scalar_reports_bitwise(chain, loss, grid, report_settings):
     # the per-point scalar reports are the reference; settings errors do not
     # depend on the point, so an empty grid is probed at nbar = 0
@@ -407,7 +511,11 @@ def test_split_grid_keeps_only_arrays_per_point():
         assert constant["inputs"]["channel"] == {"loss": 0.0115}
         assert set(constant["finite_size"]).isdisjoint(bound | worst)
     assert without_pe.split_grid()[0]["finite_size"]["worst_case_loss"] is None
-    assert sec.sweep_noise(RUN1, 0.0115, [], n_raw=16665).split_grid()[1] == []
+    empty = sec.sweep_noise(RUN1, 0.0115, [], n_raw=16665)
+    assert empty.split_grid()[1] == []
+    for column in (empty.snr, empty.mi_bits, empty.holevo_bits, empty.asymptotic_key_bits,
+                   empty.finite_size.bits_per_raw_symbol, empty.finite_size.worst_case_noise):
+        assert column.dtype == np.float64 and column.shape == (0,)
 
 
 def test_sweep_noise_rejects_bad_points_like_the_scalar_path():
