@@ -231,11 +231,8 @@ def cmd_protocol(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     }
     _write_json(outdir / "report.json", payload)
 
-    dens = hist.densities()
-    rows = [
-        (float(hist.bin_edges[i]), float(hist.bin_edges[i + 1]), int(c), float(d))
-        for i, (c, d) in enumerate(zip(hist.counts, dens))
-    ]
+    edges = hist.bin_edges.tolist()
+    rows = zip(edges[:-1], edges[1:], hist.counts.tolist(), hist.densities().tolist())
     _write_csv(outdir / "histogram.csv", ("bin_lo", "bin_hi", "count", "density"), rows, cfg)
 
     print(f"matched symbols: {alpha.size} of {cfg.n_symbols}")

@@ -25,13 +25,13 @@ BASIS_LABELS = ("q", "p")
 MIN_ESTIMATION_SAMPLES = 30
 
 KEY_CSV_COLUMNS = ("index", "alice_basis", "bob_basis", "alpha", "beta", "matched")
-# Basis labels are parsed two characters wide so that a longer label
+# Basis labels are parsed as 2-byte strings so that a longer label
 # (``qq``, ``qp``) truncates to something that is still not a label.
 _KEY_CSV_DTYPE = np.dtype(
     [
         ("index", np.int64),
-        ("alice_basis", "U2"),
-        ("bob_basis", "U2"),
+        ("alice_basis", "S2"),
+        ("bob_basis", "S2"),
         ("alpha", np.float64),
         ("beta", np.float64),
         ("matched", np.int64),
@@ -39,6 +39,10 @@ _KEY_CSV_DTYPE = np.dtype(
 )
 # Rows formatted and written per block by write_key_records.
 _WRITE_CHUNK_ROWS = 1 << 14
+# The label fields and the matched field of a key.csv row, indexed by the
+# basis-pair code 2 * alice + bob.
+_ROW_MID = ("q,q,", "q,p,", "p,q,", "p,p,")
+_ROW_END = (",1\r\n", ",0\r\n", ",0\r\n", ",1\r\n")
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -221,29 +225,24 @@ def write_key_records(record: KeyRecord, path) -> None:
 
     The bytes are those of ``csv.writer`` in its default dialect: comma
     separated, ``\\r\\n`` line ends, floats as ``repr``, and nothing quoted,
-    since no field can hold a comma, quote or line break. Rows are
-    formatted column-wise and written one block per fixed-size slice, so
-    memory stays flat in the number of symbols.
+    since no field can hold a comma, quote or line break. The two label
+    columns and the matched column are written from one basis-pair code
+    per row, ``2 * alice + bob``; ``KeyRecord`` guarantees that the
+    matched flag is ``alice == bob``. Rows are written one block per
+    fixed-size slice, so memory stays flat in the number of symbols.
     """
-    columns = (
-        record.alice_bases,
-        record.bob_bases,
-        record.alice_symbols,
-        record.outcomes,
-        record.matched,
-    )
     with open(path, "w", newline="") as fh:
         fh.write(",".join(KEY_CSV_COLUMNS) + "\r\n")
         for start in range(0, record.n_symbols, _WRITE_CHUNK_ROWS):
             rows = slice(start, start + _WRITE_CHUNK_ROWS)
-            alice, bob, alpha, beta, matched = (c[rows].tolist() for c in columns)
+            pair = (2 * record.alice_bases[rows] + record.bob_bases[rows]).tolist()
+            alpha = record.alice_symbols[rows].tolist()
+            beta = record.outcomes[rows].tolist()
             fh.write(
                 "".join(
                     [
-                        f"{i},{BASIS_LABELS[a]},{BASIS_LABELS[b]},{x!r},{y!r},{m:d}\r\n"
-                        for i, a, b, x, y, m in zip(
-                            range(start, start + len(alpha)), alice, bob, alpha, beta, matched
-                        )
+                        f"{i},{_ROW_MID[c]}{x!r},{y!r}{_ROW_END[c]}"
+                        for i, c, x, y in zip(range(start, start + len(alpha)), pair, alpha, beta)
                     ]
                 )
             )
@@ -281,9 +280,9 @@ def read_key_records(path) -> KeyRecord:
 
 
 def _basis_codes(labels: np.ndarray, column: str) -> np.ndarray:
-    """0/1 basis codes of a column of ``BASIS_LABELS``."""
-    is_p = labels == BASIS_LABELS[1]
-    if not np.all(is_p | (labels == BASIS_LABELS[0])):
+    """0/1 basis codes of a column of ``BASIS_LABELS`` read as bytes."""
+    is_p = labels == b"p"
+    if not np.all(is_p | (labels == b"q")):
         raise ValueError(f"key CSV {column} must be one of {BASIS_LABELS}")
     return is_p.astype(np.int8)
 

@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import mwqkd
 from mwqkd import protocol as proto
@@ -212,6 +214,73 @@ def test_key_csv_bytes_match_csv_writer(tmp_path, chain, announce):
     assert (tmp_path / "key.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
 
 
+def test_key_csv_bytes_cross_repr_notation_switches(tmp_path):
+    # repr switches to exponent notation below 1e-4 and at 1e16
+    floats = np.array(
+        [
+            -0.0,
+            5e-324,
+            1e-05,
+            9.999999999999999e-05,
+            0.0001,
+            1e16,
+            9999999999999998.0,
+            1.7976931348623157e308,
+        ]
+    )
+    alice = np.array([0, 0, 1, 1, 0, 1, 0, 1], dtype=np.int8)
+    bob = np.array([0, 1, 0, 1, 1, 0, 0, 1], dtype=np.int8)
+    rec = proto.KeyRecord(floats, alice, bob, floats[::-1].copy(), alice == bob)
+    proto.write_key_records(rec, tmp_path / "key.csv")
+    _csv_writer_oracle(rec, tmp_path / "oracle.csv")
+    written = (tmp_path / "key.csv").read_bytes()
+    assert written == (tmp_path / "oracle.csv").read_bytes()
+    for row in (
+        b"0,q,q,-0.0,1.7976931348623157e+308,1",
+        b"2,p,q,1e-05,1e+16,0",
+        b"4,q,p,0.0001,9.999999999999999e-05,0",
+        b"6,q,q,9999999999999998.0,5e-324,1",
+    ):
+        assert row + b"\r\n" in written
+
+
+@st.composite
+def _key_records(draw):
+    n = draw(st.integers(0, 300))
+    bases = st.lists(st.integers(0, 1), min_size=n, max_size=n)
+    floats = st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=n, max_size=n)
+    alice = np.array(draw(bases), dtype=np.int8)
+    bob = np.array(draw(bases), dtype=np.int8)
+    alpha = np.array(draw(floats), dtype=np.float64)
+    beta = np.array(draw(floats), dtype=np.float64)
+    return proto.KeyRecord(alpha, alice, bob, beta, alice == bob)
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(rec=_key_records())
+def test_key_csv_bytes_and_read_back_property(tmp_path, rec):
+    path, oracle = tmp_path / "key.csv", tmp_path / "oracle.csv"
+    proto.write_key_records(rec, path)
+    _csv_writer_oracle(rec, oracle)
+    assert path.read_bytes() == oracle.read_bytes()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        back = proto.read_key_records(path)
+    if rec.n_symbols == 0:
+        assert path.read_bytes() == (",".join(proto.KEY_CSV_COLUMNS) + "\r\n").encode()
+        assert back.n_symbols == 0
+    for got, want in ((back.alice_symbols, rec.alice_symbols), (back.outcomes, rec.outcomes)):
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+    assert back.alice_bases.tolist() == rec.alice_bases.tolist()
+    assert back.bob_bases.tolist() == rec.bob_bases.tolist()
+    assert back.matched.tolist() == rec.matched.tolist()
+
+
 _KEY_ROWS = [
     "index,alice_basis,bob_basis,alpha,beta,matched",
     "0,q,q,0.5,1.25,1",
@@ -237,8 +306,25 @@ def _with_row(i, row):
         _with_row(2, "5,q,p,-0.75,0.125,0"),
         _with_row(2, "1,q,p,-0.75,0.125,1"),
         _with_row(3, "2,p,p,1e-05,-3.5,2"),
+        _with_row(2, "1,é,p,-0.75,0.125,0"),
+        _with_row(2, "1,€,p,-0.75,0.125,0"),
+        _with_row(2, "1,,p,-0.75,0.125,0"),
+        _with_row(2, "1,qqq,p,-0.75,0.125,0"),
     ],
-    ids=["short", "alpha", "label-x", "label-qq", "label-pp", "index", "matched", "matched-2"],
+    ids=[
+        "short",
+        "alpha",
+        "label-x",
+        "label-qq",
+        "label-pp",
+        "index",
+        "matched",
+        "matched-2",
+        "label-latin1",
+        "label-non-latin1",
+        "label-empty",
+        "label-qqq",
+    ],
 )
 def test_key_csv_malformed_rows_are_rejected(tmp_path, lines):
     path = tmp_path / "key.csv"
