@@ -38,6 +38,9 @@ CHAIN_PRESETS = {"run1": RUN1_CHAIN, "run2": RUN2_CHAIN}
 DEFAULT_CHANNEL_LOSS = 0.0115
 DEFAULT_N_RAW = 16665
 DEFAULT_SEED = 20230817
+# A protocol run keys Philox streams, whose keys are 128-bit, with seed,
+# seed + 1 (transmission) and seed + 2 (bootstrap).
+MAX_SEED = 2**128 - 3
 DEFAULT_BANDWIDTH_HZ = 400e3
 DEFAULT_NOISE_GRID = tuple(0.0025 * i for i in range(41))  # 0 .. 0.1
 DEFAULT_OCCUPANCY_GRID = tuple(10.0**k for k in range(-8, 5))
@@ -121,6 +124,8 @@ class ExperimentConfig:
             raise ValueError("noise_photons must be >= 0")
         if self.n_symbols < 4:
             raise ValueError("n_symbols must be >= 4")
+        if not 0 <= self.seed <= MAX_SEED:
+            raise ValueError(f"seed must be in [0, 2**128 - 3], got {self.seed}")
         if not 0.0 < self.n_ec_fraction < 1.0:
             raise ValueError("n_ec_fraction must be in (0, 1)")
         if self.medium not in MEDIA:

@@ -11,6 +11,13 @@ per chain (:attr:`DeviceChainParams.readout`);
 :func:`bob_output_distribution` builds the same chain from covariance
 operations in :mod:`mwqkd.gaussian` and is the oracle tests check it by.
 
+This module does not import numpy: the runtime path is Python floats, and
+the three oracle functions (:func:`prepared_state`,
+:func:`channel_input_state`, :func:`bob_output_distribution`) import
+:mod:`mwqkd.gaussian` and numpy when they are called. It also holds the
+pieces the numpy modules share with the numpy-free ones: the vacuum
+variance and :class:`ChannelEstimate`.
+
 Preparation and detection noise are trusted: they shape the measured
 statistics but are not attributed to an eavesdropper. Only the channel
 loss and its coupled noise photons are untrusted.
@@ -21,13 +28,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import gaussian
-from .gaussian import VACUUM_VARIANCE, GaussianState
+if TYPE_CHECKING:
+    from .gaussian import GaussianState
 
 QUADRATURES = ("q", "p")
+
+# Vacuum quadrature variance: the unit convention of the whole package.
+VACUUM_VARIANCE = 0.25
 
 
 def level_to_variance(level_db: float, kind: str) -> float:
@@ -228,6 +237,29 @@ class ChannelParams:
         return 2.0 * self.noise_photons / self.loss
 
 
+@dataclass(frozen=True)
+class ChannelEstimate:
+    """Method-of-moments channel parameters with asymptotic standard errors.
+
+    `clamped` marks a negative raw noise estimate that was clipped to 0
+    (expected in roughly half of all runs on a noiseless channel).
+    """
+
+    loss: float
+    loss_sigma: float
+    noise_photons: float
+    noise_sigma: float
+    samples: int
+    clamped: bool = False
+
+    def __post_init__(self) -> None:
+        if self.loss_sigma < 0.0 or self.noise_sigma < 0.0:
+            raise ValueError("standard errors must be >= 0")
+        for value in (self.loss, self.noise_photons):
+            if not math.isfinite(value):
+                raise ValueError("estimates must be finite")
+
+
 def prepared_state(chain: DeviceChainParams, basis: str = "q") -> GaussianState:
     """Conditional (unmodulated) state leaving the source.
 
@@ -235,6 +267,8 @@ def prepared_state(chain: DeviceChainParams, basis: str = "q") -> GaussianState:
     the anti-squeezed variance along the orthogonal quadrature, built as a
     thermal state squeezed along the encoding axis.
     """
+    from . import gaussian
+
     if basis not in QUADRATURES:
         raise ValueError("basis must be 'q' or 'p'")
     ss = chain.squeezed_variance
@@ -251,6 +285,8 @@ def channel_input_state(
     chain: DeviceChainParams, basis: str = "q", symbol: float = 0.0
 ) -> GaussianState:
     """State entering the untrusted channel for one encoded symbol."""
+    from . import gaussian
+
     state = prepared_state(chain, basis)
     state = gaussian.apply_loss(
         state, chain.path_losses[0], chain.path_environment_photons[0]
@@ -289,6 +325,10 @@ def bob_output_distribution(
     This step-by-step covariance pipeline is the test oracle of
     :func:`response_and_noise`.
     """
+    import numpy as np
+
+    from . import gaussian
+
     if bob_basis not in QUADRATURES:
         raise ValueError("bob_basis must be 'q' or 'p'")
     state = channel_input_state(chain, basis, symbol)

@@ -11,6 +11,11 @@ mode; the conversion from 0.25-variance units is the factor 4 inside
 All operations are pure functions that return new states; inputs are never
 mutated. Covariances are re-symmetrized after every operation to contain
 floating-point drift.
+
+The vacuum variance, g(nu) (:func:`entropy_of_nu`) and the physicality
+tolerances are shared with the numpy-free runtime modules and defined
+there (:mod:`mwqkd.devices`, :mod:`mwqkd.security`); they are re-exported
+here.
 """
 
 from __future__ import annotations
@@ -20,19 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .devices import VACUUM_VARIANCE
 from .errors import PhysicalityError
-
-VACUUM_VARIANCE = 0.25
-
-# Tolerance on nu >= 1 after long operation chains; accumulated rounding in
-# deep compositions can push a pure symplectic eigenvalue a few 1e-12 below 1.
-PHYSICALITY_TOL = 1e-9
-# For very hot states (covariance elements thousands of vacuum units) the
-# eigensolve itself carries absolute error proportional to the matrix norm,
-# so the floor loosens with scale rather than rejecting physical states.
-PHYSICALITY_TOL_REL = 1e-11
-
-_LN2 = math.log(2.0)
+from .security import PHYSICALITY_TOL, PHYSICALITY_TOL_REL, entropy_of_nu
 
 
 def _symmetrize(matrix: np.ndarray) -> np.ndarray:
@@ -340,17 +335,6 @@ def symplectic_eigenvalues(state: GaussianState) -> np.ndarray:
             f"covariance violates the uncertainty bound: min nu = {nu.min():.12g}"
         )
     return nu
-
-
-def entropy_of_nu(nu: float) -> float:
-    """g(nu) in bits: ((nu+1)/2)log2((nu+1)/2) - ((nu-1)/2)log2((nu-1)/2)."""
-    if nu <= 1.0 + 1e-12:
-        return 0.0
-    n = 0.5 * (nu - 1.0)
-    if nu < 1.0 + 1e-8:
-        # leading series term; avoids cancellation in (n+1)log(n+1) for tiny n
-        return n * (1.0 - math.log(n)) / _LN2
-    return (n + 1.0) * math.log2(n + 1.0) - n * math.log2(n)
 
 
 def von_neumann_entropy(state: GaussianState) -> float:

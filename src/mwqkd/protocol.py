@@ -14,9 +14,14 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .devices import ChannelParams, DeviceChainParams, response_and_noise
+from .devices import (
+    VACUUM_VARIANCE,
+    ChannelEstimate,
+    ChannelParams,
+    DeviceChainParams,
+    response_and_noise,
+)
 from .errors import InsufficientDataError
-from .gaussian import VACUUM_VARIANCE
 
 BASIS_LABELS = ("q", "p")
 
@@ -148,29 +153,6 @@ def sift(record: KeyRecord) -> tuple[np.ndarray, np.ndarray]:
     """Matched (alpha, beta) pairs, in transmission order."""
     mask = record.matched
     return record.alice_symbols[mask].copy(), record.outcomes[mask].copy()
-
-
-@dataclass(frozen=True)
-class ChannelEstimate:
-    """Method-of-moments channel parameters with asymptotic standard errors.
-
-    `clamped` marks a negative raw noise estimate that was clipped to 0
-    (expected in roughly half of all runs on a noiseless channel).
-    """
-
-    loss: float
-    loss_sigma: float
-    noise_photons: float
-    noise_sigma: float
-    samples: int
-    clamped: bool = False
-
-    def __post_init__(self) -> None:
-        if self.loss_sigma < 0.0 or self.noise_sigma < 0.0:
-            raise ValueError("standard errors must be >= 0")
-        for value in (self.loss, self.noise_photons):
-            if not math.isfinite(value):
-                raise ValueError("estimates must be finite")
 
 
 def estimate_channel(

@@ -10,32 +10,52 @@ information is bounded conditioned on the sender's classical symbols.
 Each formula is written once and evaluates either one parameter point on
 Python floats (root finders, single reports) or a whole noise grid on
 numpy arrays (:func:`sweep_noise`), with bit-identical results per point.
+Only the array path imports numpy, so scalar callers never load it.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import statistics
 from dataclasses import dataclass, fields
 from types import SimpleNamespace
 
-import numpy as np
-
-from .devices import ChannelParams, DeviceChainParams
+from .devices import ChannelEstimate, ChannelParams, DeviceChainParams
 from .errors import PhysicalityError
-from .gaussian import PHYSICALITY_TOL, PHYSICALITY_TOL_REL, entropy_of_nu
-from .protocol import ChannelEstimate
 
 DEFAULT_CORRECTNESS_EPSILON = 1e-10  # e_ec, failure bound on estimation confidence
 SMOOTHING_EPSILON = 1e-10
 PA_EPSILON = 1e-10
+
+# Tolerance on nu >= 1 after long operation chains; accumulated rounding in
+# deep compositions can push a pure symplectic eigenvalue a few 1e-12 below 1.
+PHYSICALITY_TOL = 1e-9
+# For very hot states (covariance elements thousands of vacuum units) the
+# eigensolve itself carries absolute error proportional to the matrix norm,
+# so the floor loosens with scale rather than rejecting physical states.
+PHYSICALITY_TOL_REL = 1e-11
+
+_LN2 = math.log(2.0)
+
+
+def entropy_of_nu(nu: float) -> float:
+    """g(nu) in bits: ((nu+1)/2)log2((nu+1)/2) - ((nu-1)/2)log2((nu-1)/2)."""
+    if nu <= 1.0 + 1e-12:
+        return 0.0
+    n = 0.5 * (nu - 1.0)
+    if nu < 1.0 + 1e-8:
+        # leading series term; avoids cancellation in (n+1)log(n+1) for tiny n
+        return n * (1.0 - math.log(n)) / _LN2
+    return (n + 1.0) * math.log2(n + 1.0) - n * math.log2(n)
 
 
 def _elementwise(fn):
     """`fn` applied to each element of its broadcast arguments, which a
     memoryview hands over one at a time as Python floats; returns a float
     array of the broadcast shape."""
+    import numpy as np
 
     def apply(*args):
         columns = np.broadcast_arrays(*args)
@@ -65,16 +85,25 @@ _FLOAT = SimpleNamespace(
     where=lambda cond, a, b: a if cond else b,
     any=bool,
 )
-_ARRAY = SimpleNamespace(
-    sqrt=np.sqrt,
-    log2=_elementwise(math.log2),
-    hypot=_elementwise(math.hypot),
-    entropy=_elementwise(entropy_of_nu),
-    maximum=lambda a, b: np.where(b > a, b, a),
-    minimum=lambda a, b: np.where(b < a, b, a),
-    where=np.where,
-    any=np.any,
-)
+
+
+@functools.cache
+def _array_ops() -> SimpleNamespace:
+    """The array versions of the operations, made on first use: numpy is
+    imported only by the functions that take arrays, so scalar evaluations
+    never load it."""
+    import numpy as np
+
+    return SimpleNamespace(
+        sqrt=np.sqrt,
+        log2=_elementwise(math.log2),
+        hypot=_elementwise(math.hypot),
+        entropy=_elementwise(entropy_of_nu),
+        maximum=lambda a, b: np.where(b > a, b, a),
+        minimum=lambda a, b: np.where(b < a, b, a),
+        where=np.where,
+        any=np.any,
+    )
 
 
 def _snr(chain: DeviceChainParams, loss: float, nbar):
@@ -512,6 +541,8 @@ class SecurityReport:
 
 def _split_arrays(tree: dict) -> tuple[dict, dict]:
     """(non-array fields, array fields as lists) of a nested dict."""
+    import numpy as np
+
     constant, varying = {}, {}
     for name, value in tree.items():
         if isinstance(value, dict):
@@ -615,6 +646,8 @@ def sweep_noise(
     point, in each per-point figure; :meth:`SecurityReport.split_grid`
     splits it. Invalid settings raise even for an empty grid.
     """
+    import numpy as np
+
     settings = dict(
         n_raw=n_raw, n_ec=n_ec, beta_ec=beta_ec, p_ec=p_ec, e_ec=e_ec,
         include_delta=include_delta,
@@ -628,7 +661,7 @@ def sweep_noise(
     if not np.all(np.isfinite(nbar) & (nbar >= 0.0)):
         raise ValueError("noise levels must be finite and >= 0")
 
-    ops = _ARRAY
+    ops = _array_ops()
     snr_value = _snr(chain, loss, nbar)
     mi = _mutual_information(ops, snr_value)
     if _leaks_nothing(chain, loss, bool(np.any(nbar > 0.0))):

@@ -18,6 +18,7 @@ from mwqkd.config import (
     CONFIG_SCHEMA,
     DEFAULT_CHANNEL_LOSS,
     DEFAULT_OCCUPANCY_GRID,
+    MAX_SEED,
     ExperimentConfig,
     config_from_dict,
     load_config,
@@ -202,10 +203,21 @@ def test_csv_cells_are_reprs_of_the_scalar_values(tmp_path):
     assert [line.split(",") for line in lines[2:-1]] == [list(map(repr, r)) for r in table]
 
 
-def _fresh_process(argv, env):
-    done = subprocess.run(
-        [sys.executable, "-m", "mwqkd", *argv], env=env, capture_output=True, timeout=120
+def _fresh_interpreter(*args: str) -> subprocess.CompletedProcess:
+    """``python *args`` in a new process that imports mwqkd from this
+    checkout, with stdout and stderr captured as bytes."""
+    src = Path(mwqkd.__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        timeout=120,
     )
+
+
+def _fresh_process(argv):
+    done = _fresh_interpreter("-m", "mwqkd", *argv)
     return done.returncode, done.stdout
 
 
@@ -219,9 +231,6 @@ def test_reused_parser_leaks_no_state(tmp_path, capsysbinary, monkeypatch):
     # one process runs the commands in turn through the cached parser; each
     # must give what the same command gives as the first in a fresh process
     monkeypatch.setenv("COLUMNS", "80")
-    src = Path(mwqkd.__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
     commands = [
         ["--help"],
         ["protocol", "--announce-bases", "--n-symbols", "2000"],
@@ -240,7 +249,7 @@ def test_reused_parser_leaks_no_state(tmp_path, capsysbinary, monkeypatch):
             code = cli.main(argv)
         got = (code, capsysbinary.readouterr().out, _tree_bytes(tmp_path / "in-process" / str(i)))
         argv = [a.replace("in-process", "fresh") for a in argv]
-        want = (*_fresh_process(argv, env), _tree_bytes(tmp_path / "fresh" / str(i)))
+        want = (*_fresh_process(argv), _tree_bytes(tmp_path / "fresh" / str(i)))
         assert got == want, argv
         assert code == 0
 
@@ -413,8 +422,7 @@ def test_report_ablation_flags(capsys):
 def test_commands_run_without_scipy(tmp_path):
     # scipy is a test oracle only: a fresh interpreter running every
     # command must never load it
-    src = Path(mwqkd.__file__).resolve().parents[1]
-    script = f"""
+    done = _fresh_interpreter("-c", f"""
 import sys
 from mwqkd import cli
 out = {str(tmp_path)!r}
@@ -425,13 +433,108 @@ assert cli.main(["linkbudget", "--out", out + "/lb.csv"]) == 0
 assert cli.main(["protocol", "--n-symbols", "2000", "--out", out + "/run"]) == 0
 loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 assert not loaded, loaded
-"""
-    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-c", script],
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert done.returncode == 0, done.stderr
+""")
+    assert done.returncode == 0, done.stderr.decode()
+
+
+def test_scalar_commands_run_without_numpy(tmp_path):
+    # importing the CLI registers every layer module but runs none of the
+    # numpy ones; help, linkbudget and report stay on Python floats, and
+    # the array commands and the covariance oracle load numpy when used
+    done = _fresh_interpreter("-c", f"""
+import contextlib
+import io
+import sys
+
+from mwqkd import cli
+
+def numpy_modules():
+    return sorted(m for m in sys.modules if m == "numpy" or m.startswith("numpy."))
+
+layers = ("gaussian", "devices", "security", "linkbudget", "protocol", "stats", "cli", "config")
+missing = [m for m in layers if "mwqkd." + m not in sys.modules]
+assert not missing, missing
+assert not numpy_modules(), numpy_modules()
+
+out = {str(tmp_path)!r}
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        cli.main(["--help"])
+    except SystemExit as exc:
+        assert exc.code == 0, exc.code
+    assert cli.main(["linkbudget", "--out", out + "/lb.csv"]) == 0
+    assert cli.main(["linkbudget", "--medium", "openair-300K", "--format", "json",
+                     "--out", out + "/lb.json"]) == 0
+    assert cli.main(["report", "--out", out + "/report.json"]) == 0
+assert not numpy_modules(), numpy_modules()
+
+assert cli.main(["sweep", "--out", out + "/sweep.csv"]) == 0
+assert "numpy" in sys.modules
+assert cli.main(["protocol", "--n-symbols", "2000", "--out", out + "/run"]) == 0
+
+import mwqkd
+channel = mwqkd.ChannelParams(0.0115, 1e-3)
+mean, variance = mwqkd.bob_output_distribution(mwqkd.RUN1_CHAIN, channel, 1.0)
+slope, noise = mwqkd.response_and_noise(mwqkd.RUN1_CHAIN, channel)
+assert abs(mean - slope) <= 1e-9 * slope and abs(variance - noise) <= 1e-9 * noise
+""")
+    assert done.returncode == 0, done.stderr.decode()
+
+
+# Package constants of __all__, by defining module; classes and functions
+# name theirs in __module__.
+_CONSTANT_OWNERS = {
+    "CHAIN_PRESETS": "config",
+    "DEFAULT_CHANNEL_LOSS": "config",
+    "DEFAULT_N_RAW": "config",
+    "RUN1_CHAIN": "config",
+    "RUN2_CHAIN": "config",
+    "CRYO_LINK": "linkbudget",
+    "MEDIA": "linkbudget",
+    "OPEN_AIR": "linkbudget",
+    "VACUUM_VARIANCE": "devices",
+}
+
+
+def test_package_namespace_is_whole():
+    for name in mwqkd.__all__:
+        value = getattr(mwqkd, name)
+        if name in _CONSTANT_OWNERS:
+            owner = sys.modules["mwqkd." + _CONSTANT_OWNERS[name]]
+        else:
+            owner = sys.modules[value.__module__]
+        assert getattr(owner, name) is value, name
+    assert set(mwqkd.__all__) <= set(dir(mwqkd))
+    star: dict = {}
+    exec("from mwqkd import *", star)
+    assert all(star[name] is getattr(mwqkd, name) for name in mwqkd.__all__)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        mwqkd.no_such_name
+    # each piece the numpy and numpy-free modules share has one definition
+    from mwqkd import devices, gaussian
+
+    assert proto.ChannelEstimate is devices.ChannelEstimate
+    assert gaussian.entropy_of_nu is security.entropy_of_nu
+    assert security._FLOAT.entropy is gaussian.entropy_of_nu
+    assert gaussian.VACUUM_VARIANCE is devices.VACUUM_VARIANCE
+    assert gaussian.PHYSICALITY_TOL is security.PHYSICALITY_TOL
+    assert gaussian.PHYSICALITY_TOL_REL is security.PHYSICALITY_TOL_REL
+
+
+def test_seed_outside_the_philox_key_range_exits_2_before_writing(tmp_path, capsys):
+    # the run keys Philox with seed, seed + 1 and seed + 2, all below 2**128
+    for seed in (-1, MAX_SEED + 1):
+        with pytest.raises(ValueError, match="seed"):
+            ExperimentConfig(seed=seed)
+        out = tmp_path / str(seed)
+        assert run_cli("protocol", "--seed", str(seed), "--n-symbols", "200",
+                       "--out", str(out)) == 2
+        assert "seed" in capsys.readouterr().err
+        assert not out.exists()
+    assert MAX_SEED == 2**128 - 3
+    assert run_cli("protocol", "--seed", str(MAX_SEED), "--n-symbols", "200",
+                   "--out", str(tmp_path / "max")) == 0
+    manifest = json.loads((tmp_path / "max" / "manifest.json").read_text())
+    assert manifest["codebook_seed"] == MAX_SEED
+    assert manifest["transmission_seed"] == MAX_SEED + 1
+    assert ExperimentConfig(seed=0).seed == 0
