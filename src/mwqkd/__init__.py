@@ -146,85 +146,9 @@ def __dir__():
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CHAIN_PRESETS",
-    "CRYO_LINK",
-    "DEFAULT_CHANNEL_LOSS",
-    "DEFAULT_N_RAW",
-    "MEDIA",
-    "OPEN_AIR",
-    "RUN1_CHAIN",
-    "RUN2_CHAIN",
-    "VACUUM_VARIANCE",
-    "ChannelEstimate",
-    "ChannelParams",
-    "Codebook",
-    "CompositeKeyBound",
-    "DeviceChainParams",
-    "ExperimentConfig",
-    "GaussianState",
-    "Histogram",
-    "InsufficientDataError",
-    "KeyRecord",
-    "MediumSpec",
-    "PhysicalityError",
-    "ReadoutModel",
-    "SecurityReport",
-    "apply_beamsplitter",
-    "apply_loss",
-    "apply_phase_sensitive_amp",
-    "apply_squeeze",
-    "asymptotic_key",
-    "bhattacharyya",
-    "bhattacharyya_gaussian",
-    "bob_output_distribution",
-    "bootstrap_mi_sigma",
-    "build_histogram",
-    "build_report",
-    "codebook_variance",
-    "composite_key",
-    "condition_on_classical_gaussian",
-    "confidence_w",
-    "config_from_dict",
-    "displace",
-    "distance_limit",
-    "distance_to_loss",
-    "efficiency_to_noise",
-    "empirical_mutual_information",
-    "estimate_channel",
-    "finite_size_delta",
-    "gaussian_bin_probabilities",
-    "generate_codebook",
-    "hellinger",
-    "hellinger_from_coefficient",
-    "histogram_vs_gaussian",
-    "holevo_dr",
-    "key_manifest",
-    "level_to_variance",
-    "load_config",
-    "loss_to_distance",
-    "make_thermal",
-    "make_vacuum",
-    "max_tolerable_loss",
-    "mutual_information",
-    "noise_crossing",
-    "noise_tolerance",
-    "partial_trace",
-    "predicted_estimate",
-    "raw_key_rate",
-    "read_key_records",
-    "response_and_noise",
-    "sift",
-    "simulate_transmission",
-    "snr",
-    "sweep_noise",
-    "sweep_occupancy",
-    "symplectic_eigenvalues",
-    "tensor",
-    "thermal_occupancy",
-    "trusted_readout_constants",
-    "two_mode_squeezed_thermal",
-    "von_neumann_entropy",
-    "worst_case_params",
-    "write_key_records",
-]
+# The public names: every non-module global above and the lazy re-exports.
+__all__ = sorted(
+    {name for name, value in globals().items()
+     if not name.startswith("_") and not isinstance(value, type(sys))}
+    | set(_LAZY_OWNER)
+)

@@ -147,9 +147,6 @@ class ExperimentConfig:
             (data if section is None else data.setdefault(section, {}))[key] = value
         return data
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
 
 def _json_object(value, name: str, known) -> dict:
     """`value` as a JSON object with keys from `known`; null is empty."""

@@ -64,13 +64,6 @@ def efficiency_to_noise(efficiency: float) -> float:
     return 0.5 * (1.0 / efficiency - 1.0)
 
 
-def noise_to_efficiency(noise_photons: float) -> float:
-    """Inverse of :func:`efficiency_to_noise`."""
-    if not (noise_photons >= 0.0):
-        raise ValueError("noise_photons must be >= 0")
-    return 1.0 / (1.0 + 2.0 * noise_photons)
-
-
 def codebook_variance(squeezing_db: float, antisqueezing_db: float) -> float:
     """Displacement-ensemble variance that hides the encoding basis.
 

@@ -16,9 +16,7 @@ Only the array path imports numpy, so scalar callers never load it.
 from __future__ import annotations
 
 import functools
-import json
 import math
-import statistics
 from dataclasses import dataclass, fields
 from types import SimpleNamespace
 
@@ -74,7 +72,9 @@ def _elementwise(fn):
 # as a Python float (`_elementwise`); sqrt is correctly rounded either
 # way; maximum/minimum keep the builtins' tie rule (the first argument
 # unless the second is strictly larger or smaller). So a grid point gets
-# exactly the bits the float path gives it.
+# exactly the bits the float path gives it. worst_case_chi is chi at the
+# widened parameters of the composite bound: one point goes through
+# holevo_dr, with its channel checks and lossless guard.
 _FLOAT = SimpleNamespace(
     sqrt=math.sqrt,
     log2=math.log2,
@@ -84,6 +84,7 @@ _FLOAT = SimpleNamespace(
     minimum=min,
     where=lambda cond, a, b: a if cond else b,
     any=bool,
+    worst_case_chi=lambda chain, loss, nbar: holevo_dr(chain, ChannelParams(loss, nbar)),
 )
 
 
@@ -94,7 +95,7 @@ def _array_ops() -> SimpleNamespace:
     never load it."""
     import numpy as np
 
-    return SimpleNamespace(
+    ops = SimpleNamespace(
         sqrt=np.sqrt,
         log2=_elementwise(math.log2),
         hypot=_elementwise(math.hypot),
@@ -104,6 +105,9 @@ def _array_ops() -> SimpleNamespace:
         where=np.where,
         any=np.any,
     )
+    # loss_sigma > 0 and w > 0, so a worst case on the grid is never lossless
+    ops.worst_case_chi = lambda chain, loss, nbar: _holevo(ops, chain, loss, nbar)
+    return ops
 
 
 def _snr(chain: DeviceChainParams, loss: float, nbar):
@@ -231,6 +235,8 @@ def confidence_w(correctness_epsilon: float) -> float:
     tail = (1.0 - (1.0 - 2.0 * correctness_epsilon)) / 2.0
     if tail == 0.0:
         raise ValueError("correctness_epsilon is too small: 1 - 2e rounds to 1")
+    import statistics  # with random, fractions and decimal: only w needs it
+
     return -statistics.NormalDist().inv_cdf(tail)
 
 
@@ -336,45 +342,13 @@ class CompositeKeyBound:
     include_estimation_penalty: bool
 
 
-@dataclass(frozen=True)
-class _BlockBudget:
-    """The parts of the composite bound that do not depend on the channel:
-    block sizes, prefactor, confidence factor w and Delta."""
-
-    n_raw: int
-    n_sifted: int
-    n_ec: int
-    n_estimation: int
-    prefactor: float
-    beta_ec: float
-    w: float
-    delta_bits: float
-    include_delta: bool
-    include_estimation_penalty: bool
-
-    def bound(self, mi, chi, worst_loss=None, worst_noise=None) -> CompositeKeyBound:
-        """The bound from I_AB and the (worst-case) chi, floats or arrays."""
-        per_symbol = self.beta_ec * mi - chi - self.delta_bits
-        return CompositeKeyBound(
-            bits_per_symbol=per_symbol,
-            bits_per_raw_symbol=self.prefactor * per_symbol,
-            prefactor=self.prefactor,
-            n_raw=self.n_raw,
-            n_sifted=self.n_sifted,
-            n_ec=self.n_ec,
-            n_estimation=self.n_estimation,
-            mi_bits=mi,
-            holevo_bits=chi,
-            delta_bits=self.delta_bits,
-            w=self.w,
-            worst_case_loss=worst_loss,
-            worst_case_noise=worst_noise,
-            include_delta=self.include_delta,
-            include_estimation_penalty=self.include_estimation_penalty,
-        )
-
-
-def _block_budget(
+def _composite(
+    ops,
+    chain: DeviceChainParams,
+    point: tuple,
+    estimate: ChannelEstimate | None,
+    mi,
+    chi,
     *,
     n_raw: int,
     n_ec: int | None,
@@ -383,10 +357,14 @@ def _block_budget(
     e_ec: float,
     include_delta: bool,
     include_estimation_penalty: bool,
-    predicted: bool,
-) -> _BlockBudget:
-    """Validated block sizes and terms; `predicted` means the estimation
-    penalty is predicted from the estimation block, not measured."""
+) -> CompositeKeyBound:
+    """The composite bound at `point` = (loss, nbar), floats or a noise
+    grid, from its I_AB and (without the estimation penalty) its chi.
+
+    With the penalty, chi is taken at the worst case of `estimate`, or of
+    the estimate the estimation block would give at `point` when
+    `estimate` is None.
+    """
     if n_raw < 4:
         raise ValueError("n_raw must be >= 4")
     if not 0.0 < beta_ec <= 1.0:
@@ -399,39 +377,40 @@ def _block_budget(
     if not 0 < n_ec <= n_sifted:
         raise ValueError("n_ec must be in 1..sifted length")
     n_est = n_sifted - n_ec
-    if include_estimation_penalty and predicted and n_est < 2:
+    if include_estimation_penalty and estimate is None and n_est < 2:
         raise ValueError("estimation penalty requires at least 2 estimation symbols")
-    return _BlockBudget(
+    w = confidence_w(e_ec) if include_estimation_penalty else 0.0
+    delta_bits = finite_size_delta(n_ec) if include_delta else 0.0
+
+    worst_loss = worst_noise = None
+    if include_estimation_penalty:
+        if estimate is None:
+            loss, nbar = point
+            loss_sigma, noise_sigma = _predicted_sigmas(ops, chain, loss, nbar, n_est)
+        else:
+            loss, loss_sigma = estimate.loss, estimate.loss_sigma
+            nbar, noise_sigma = estimate.noise_photons, estimate.noise_sigma
+        worst_loss, worst_noise = _worst_case(ops, loss, loss_sigma, nbar, noise_sigma, w)
+        chi = ops.worst_case_chi(chain, worst_loss, worst_noise)
+    per_symbol = beta_ec * mi - chi - delta_bits
+    prefactor = n_ec * p_ec / n_raw
+    return CompositeKeyBound(
+        bits_per_symbol=per_symbol,
+        bits_per_raw_symbol=prefactor * per_symbol,
+        prefactor=prefactor,
         n_raw=int(n_raw),
         n_sifted=int(n_sifted),
         n_ec=int(n_ec),
         n_estimation=int(n_est),
-        prefactor=n_ec * p_ec / n_raw,
-        beta_ec=beta_ec,
-        w=confidence_w(e_ec) if include_estimation_penalty else 0.0,
-        delta_bits=finite_size_delta(n_ec) if include_delta else 0.0,
+        mi_bits=mi,
+        holevo_bits=chi,
+        delta_bits=delta_bits,
+        w=w,
+        worst_case_loss=worst_loss,
+        worst_case_noise=worst_noise,
         include_delta=include_delta,
         include_estimation_penalty=include_estimation_penalty,
     )
-
-
-def _composite(
-    chain: DeviceChainParams,
-    channel: ChannelParams | None,
-    estimate: ChannelEstimate | None,
-    budget: _BlockBudget,
-    mi: float,
-    chi_point: float | None,
-) -> CompositeKeyBound:
-    """Scalar composite bound from the point's I_AB and (without the
-    estimation penalty) its chi."""
-    if not budget.include_estimation_penalty:
-        return budget.bound(mi, chi_point)
-    if estimate is None:
-        estimate = predicted_estimate(chain, channel, budget.n_estimation)
-    worst_loss, worst_noise = worst_case_params(estimate, budget.w)
-    chi = holevo_dr(chain, ChannelParams(worst_loss, worst_noise))
-    return budget.bound(mi, chi, worst_loss, worst_noise)
 
 
 def composite_key(
@@ -460,16 +439,15 @@ def composite_key(
     """
     if (channel is None) == (estimate is None):
         raise ValueError("provide exactly one of channel or estimate")
-    budget = _block_budget(
-        n_raw=n_raw, n_ec=n_ec, beta_ec=beta_ec, p_ec=p_ec, e_ec=e_ec,
-        include_delta=include_delta,
-        include_estimation_penalty=include_estimation_penalty,
-        predicted=estimate is None,
-    )
     point = channel if channel is not None else _point_channel(estimate)
     mi = mutual_information(snr(chain, point))
     chi = None if include_estimation_penalty else holevo_dr(chain, point)
-    return _composite(chain, channel, estimate, budget, mi, chi)
+    return _composite(
+        _FLOAT, chain, (point.loss, point.noise_photons), estimate, mi, chi,
+        n_raw=n_raw, n_ec=n_ec, beta_ec=beta_ec, p_ec=p_ec, e_ec=e_ec,
+        include_delta=include_delta,
+        include_estimation_penalty=include_estimation_penalty,
+    )
 
 
 def noise_crossing(key_fn, upper: float = 1.0, tol: float = 1e-7, *, lower: float = 0.0) -> float:
@@ -523,9 +501,6 @@ class SecurityReport:
 
     def to_dict(self) -> dict:
         return {**_fields_dict(self), "finite_size": _fields_dict(self.finite_size)}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     def split_grid(self) -> tuple[dict, list[dict]]:
         """The constant fields of a grid report, and one dict per point of
@@ -607,8 +582,9 @@ def build_report(
     snr_value = snr(chain, point)
     mi = mutual_information(snr_value)
     chi = holevo_dr(chain, point)
-    budget = _block_budget(**settings, predicted=estimate is None)
-    finite = _composite(chain, channel, estimate, budget, mi, chi)
+    finite = _composite(
+        _FLOAT, chain, (point.loss, point.noise_photons), estimate, mi, chi, **settings
+    )
 
     inputs = _report_inputs(chain, _fields_dict(point), estimate, **settings)
     provenance = inputs["parameter_source"]
@@ -653,7 +629,6 @@ def sweep_noise(
         include_delta=include_delta,
         include_estimation_penalty=include_estimation_penalty,
     )
-    budget = _block_budget(**settings, predicted=True)
     ChannelParams(loss)  # validates the loss
     nbar = np.array(nbars, dtype=float)
     if nbar.ndim != 1:
@@ -668,15 +643,7 @@ def sweep_noise(
         chi = np.zeros_like(nbar)
     else:
         chi = _holevo(ops, chain, loss, nbar)
-    if include_estimation_penalty:
-        loss_sigma, noise_sigma = _predicted_sigmas(ops, chain, loss, nbar, budget.n_estimation)
-        worst_loss, worst_noise = _worst_case(ops, loss, loss_sigma, nbar, noise_sigma, budget.w)
-        # loss_sigma > 0 and w > 0, so the worst case is never lossless
-        finite = budget.bound(
-            mi, _holevo(ops, chain, worst_loss, worst_noise), worst_loss, worst_noise
-        )
-    else:
-        finite = budget.bound(mi, chi)
+    finite = _composite(ops, chain, (loss, nbar), None, mi, chi, **settings)
     return SecurityReport(
         snr=snr_value,
         mi_bits=mi,

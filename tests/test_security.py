@@ -2,7 +2,8 @@
 
 import json
 import math
-from dataclasses import replace
+import re
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -391,9 +392,13 @@ def test_predicted_estimate_structure():
     assert wider.loss_sigma > pred.loss_sigma
 
 
+def _to_json(report) -> str:
+    return json.dumps(report.to_dict(), indent=2, sort_keys=True)
+
+
 def test_report_serializes_with_inputs(tmp_path):
     rep = sec.build_report(RUN2, QUIET, n_raw=16665, extra_inputs={"tag": 7})
-    data = json.loads(rep.to_json())
+    data = json.loads(_to_json(rep))
     assert data["snr"] == pytest.approx(2.480461077211082)
     assert data["asymptotic_key_bits"] == pytest.approx(0.8103797032259793)
     assert data["finite_size"]["n_raw"] == 16665
@@ -401,9 +406,9 @@ def test_report_serializes_with_inputs(tmp_path):
     assert data["inputs"]["channel"]["loss"] == 0.0115
     assert data["inputs"]["tag"] == 7
     # serialization is stable
-    assert rep.to_json() == sec.build_report(
-        RUN2, QUIET, n_raw=16665, extra_inputs={"tag": 7}
-    ).to_json()
+    assert _to_json(rep) == _to_json(
+        sec.build_report(RUN2, QUIET, n_raw=16665, extra_inputs={"tag": 7})
+    )
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -467,7 +472,7 @@ def test_sweep_noise_matches_scalar_reports_bitwise(chain, loss, grid, report_se
     probe = grid or [0.0]
     try:
         want = [
-            sec.build_report(chain, ChannelParams(loss, nbar), **report_settings).to_json()
+            _to_json(sec.build_report(chain, ChannelParams(loss, nbar), **report_settings))
             for nbar in probe
         ][: len(grid)]
     except ValueError as exc:
@@ -478,6 +483,29 @@ def test_sweep_noise_matches_scalar_reports_bitwise(chain, loss, grid, report_se
     # JSON text carries every field, inputs included, with repr'd floats
     got = [json.dumps(merge_point(constant, point), indent=2, sort_keys=True) for point in points]
     assert got == want
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    chain=_chains(),
+    loss=st.floats(1e-3, 0.5),
+    nbar=st.floats(0.0, 0.5),
+    report_settings=_report_settings(),
+)
+def test_composite_key_is_the_report_bound(chain, loss, nbar, report_settings):
+    channel = ChannelParams(loss, nbar)
+    try:
+        report = sec.build_report(chain, channel, **report_settings)
+    except ValueError as exc:
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            sec.composite_key(chain, channel, **report_settings)
+        return
+    bound = sec.composite_key(chain, channel, **report_settings)
+    # repr tells every float apart, signed zeros included
+    for field in fields(bound):
+        got, want = getattr(bound, field.name), getattr(report.finite_size, field.name)
+        assert repr(got) == repr(want), field.name
+    assert bound.bits_per_symbol <= sec.asymptotic_key(chain, channel) + 1e-12
 
 
 def merge_point(constant: dict, point: dict) -> dict:
