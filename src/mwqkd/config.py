@@ -126,6 +126,14 @@ class ExperimentConfig:
             raise ValueError("n_symbols must be >= 4")
         if not 0 <= self.seed <= MAX_SEED:
             raise ValueError(f"seed must be in [0, 2**128 - 3], got {self.seed}")
+        # checked here whatever the penalty flags, so a bad value exits 2
+        # before any command writes output
+        if not 0.0 < self.e_ec < 0.5:
+            raise ValueError("e_ec must be in (0, 0.5)")
+        if not 0.0 < self.beta_ec <= 1.0:
+            raise ValueError("beta_ec must be in (0, 1]")
+        if not 0.0 < self.p_ec <= 1.0:
+            raise ValueError("p_ec must be in (0, 1]")
         if not 0.0 < self.n_ec_fraction < 1.0:
             raise ValueError("n_ec_fraction must be in (0, 1)")
         if self.medium not in MEDIA:

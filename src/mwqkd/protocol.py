@@ -1,10 +1,13 @@
 """Prepare-and-measure protocol: codebook sampling, single-shot records,
 sifting, and channel estimation from the sifted data.
 
-Randomness comes from numpy's counter-based Philox generator. Every
-random quantity of a run is drawn as a fixed-shape vectorized block, so
-each symbol consumes a fixed counter range and results are reproducible
-regardless of evaluation or aggregation order.
+Randomness comes from numpy's counter-based Philox generator. A run draws
+each random quantity for all symbols in a fixed order (all basis coins,
+then all normals), so results are reproducible regardless of evaluation
+or aggregation order. The coins' uniforms pass through one block-sized
+buffer and the normals go straight into their output arrays; both give
+the bits of one N-length draw, and working memory beyond the record
+stays at one block.
 """
 
 from __future__ import annotations
@@ -42,8 +45,10 @@ _KEY_CSV_DTYPE = np.dtype(
         ("matched", np.int64),
     ]
 )
+# Symbols per block of the draws and of the record checks.
+_DRAW_BLOCK = 1 << 14
 # Rows formatted and written per block by write_key_records.
-_WRITE_CHUNK_ROWS = 1 << 14
+_WRITE_CHUNK_ROWS = 1 << 11
 # The label fields and the matched field of a key.csv row, indexed by the
 # basis-pair code 2 * alice + bob.
 _ROW_MID = ("q,q,", "q,p,", "p,q,", "p,p,")
@@ -52,6 +57,23 @@ _ROW_END = (",1\r\n", ",0\r\n", ",0\r\n", ",1\r\n")
 
 def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed))
+
+
+def _blocks(n: int, size: int = _DRAW_BLOCK):
+    """Consecutive slices of at most `size` covering 0..n-1."""
+    return (slice(start, min(start + size, n)) for start in range(0, n, size))
+
+
+def _fair_coins(rng: np.random.Generator, n: int) -> np.ndarray:
+    """n fair coin flips as int8 0/1: the bits of ``rng.random(n) < 0.5``,
+    drawn through one block-sized buffer."""
+    coins = np.empty(n, dtype=np.int8)
+    uniform = np.empty(min(n, _DRAW_BLOCK))
+    for rows in _blocks(n):
+        u = uniform[: rows.stop - rows.start]
+        rng.random(out=u)
+        np.less(u, 0.5, out=coins[rows])
+    return coins
 
 
 @dataclass(frozen=True)
@@ -83,8 +105,9 @@ def generate_codebook(n_symbols: int, variance: float, seed: int) -> Codebook:
     if not (variance >= 0.0):
         raise ValueError("variance must be >= 0")
     rng = _rng(seed)
-    bases = (rng.random(n_symbols) < 0.5).astype(np.int8)
-    symbols = math.sqrt(variance) * rng.standard_normal(n_symbols)
+    bases = _fair_coins(rng, n_symbols)
+    symbols = rng.standard_normal(n_symbols)
+    symbols *= math.sqrt(variance)
     return Codebook(symbols, bases, float(variance), int(seed))
 
 
@@ -103,9 +126,13 @@ class KeyRecord:
         for arr in (self.alice_bases, self.bob_bases, self.outcomes, self.matched):
             if arr.size != n:
                 raise ValueError("all record columns must have equal length")
-        if not np.array_equal(self.matched, self.alice_bases == self.bob_bases):
+        # block-wise, so checking a record needs no N-length temporary
+        if not all(
+            np.array_equal(self.matched[rows], self.alice_bases[rows] == self.bob_bases[rows])
+            for rows in _blocks(n)
+        ):
             raise ValueError("matched flags inconsistent with basis columns")
-        if not np.all(np.isfinite(self.outcomes)):
+        if not all(np.isfinite(self.outcomes[rows]).all() for rows in _blocks(n)):
             raise ValueError("outcomes must be finite")
 
     @property
@@ -128,31 +155,37 @@ def simulate_transmission(
     from the exact output distribution of the device chain; matched and
     mismatched records differ only in slope and variance, and the
     mismatched slope is suppressed by the measurement gain.
+
+    The stream holds all basis coins, then all noise draws; the coins are
+    drawn even when `announce_bases` discards them, so the noise of a
+    symbol is the same in both modes.
     """
     rng = _rng(seed)
     n = codebook.n_symbols
-    coins = rng.random(n)
-    noise = rng.standard_normal(n)
+    bob_bases = _fair_coins(rng, n)
     if announce_bases:
-        bob_bases = codebook.bases.copy()
-    else:
-        bob_bases = (coins < 0.5).astype(np.int8)
+        np.copyto(bob_bases, codebook.bases)
     matched = codebook.bases == bob_bases
 
     # The chain is symmetric under swapping q and p, so only matched-ness
     # matters for the affine decomposition of the record.
     slope_m, var_m = response_and_noise(chain, channel, matched=True)
     slope_x, var_x = response_and_noise(chain, channel, matched=False)
-    slope = np.where(matched, slope_m, slope_x)
-    sigma = np.where(matched, math.sqrt(var_m), math.sqrt(var_x))
-    outcomes = slope * codebook.symbols + sigma * noise
+    sigma_m, sigma_x = math.sqrt(var_m), math.sqrt(var_x)
+    # outcome = slope * symbol + sigma * noise, formed in place on the noise
+    outcomes = rng.standard_normal(n)
+    for rows in _blocks(n):
+        noise = outcomes[rows]
+        noise *= np.where(matched[rows], sigma_m, sigma_x)
+        noise += np.where(matched[rows], slope_m, slope_x) * codebook.symbols[rows]
     return KeyRecord(codebook.symbols.copy(), codebook.bases.copy(), bob_bases, outcomes, matched)
 
 
 def sift(record: KeyRecord) -> tuple[np.ndarray, np.ndarray]:
     """Matched (alpha, beta) pairs, in transmission order."""
+    # boolean indexing already copies
     mask = record.matched
-    return record.alice_symbols[mask].copy(), record.outcomes[mask].copy()
+    return record.alice_symbols[mask], record.outcomes[mask]
 
 
 def estimate_channel(
@@ -215,8 +248,7 @@ def write_key_records(record: KeyRecord, path) -> None:
     """
     with open(path, "w", newline="") as fh:
         fh.write(",".join(KEY_CSV_COLUMNS) + "\r\n")
-        for start in range(0, record.n_symbols, _WRITE_CHUNK_ROWS):
-            rows = slice(start, start + _WRITE_CHUNK_ROWS)
+        for rows in _blocks(record.n_symbols, _WRITE_CHUNK_ROWS):
             pair = (2 * record.alice_bases[rows] + record.bob_bases[rows]).tolist()
             alpha = record.alice_symbols[rows].tolist()
             beta = record.outcomes[rows].tolist()
@@ -224,7 +256,7 @@ def write_key_records(record: KeyRecord, path) -> None:
                 "".join(
                     [
                         f"{i},{_ROW_MID[c]}{x!r},{y!r}{_ROW_END[c]}"
-                        for i, c, x, y in zip(range(start, start + len(alpha)), pair, alpha, beta)
+                        for i, c, x, y in zip(range(rows.start, rows.stop), pair, alpha, beta)
                     ]
                 )
             )

@@ -371,6 +371,9 @@ def _composite(
         raise ValueError("beta_ec must be in (0, 1]")
     if not 0.0 < p_ec <= 1.0:
         raise ValueError("p_ec must be in (0, 1]")
+    # also without the estimation penalty, which alone uses it (through w)
+    if not 0.0 < e_ec < 0.5:
+        raise ValueError("e_ec must be in (0, 0.5)")
     n_sifted = n_raw // 2
     if n_ec is None:
         n_ec = n_sifted // 2

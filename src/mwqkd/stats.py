@@ -138,18 +138,24 @@ def bootstrap_mi_sigma(x, y, n_boot: int = 200, seed: int = 0) -> float:
     ``rng.integers(0, n, size=n)`` from a Philox stream keyed by `seed`.
     Its correlation comes from five moments of the data, centred once on
     the full-sample means and weighted by how often each pair was drawn,
-    so no resampled copy of the data is built. A resample with zero
-    variance in either variable has no correlation and gives nan, as
-    ``np.corrcoef`` does.
+    so no resampled copy of the data is built. The five moment rows are
+    filled in place, and each resample's sums are one ``terms @ counts``
+    product, whose summation order fixes the bits of the result. A
+    resample with zero variance in either variable has no correlation and
+    gives nan, as ``np.corrcoef`` does.
     """
     x, y = _paired_samples(x, y)
     if n_boot < 2:
         raise ValueError("n_boot must be >= 2")
     rng = np.random.Generator(np.random.Philox(key=seed))
     n = x.size
-    xc = x - x.mean()
-    yc = y - y.mean()
-    terms = np.stack([xc, yc, xc * xc, yc * yc, xc * yc])
+    terms = np.empty((5, n))
+    xc, yc, xx, yy, xy = terms
+    np.subtract(x, x.mean(), out=xc)
+    np.subtract(y, y.mean(), out=yc)
+    np.multiply(xc, xc, out=xx)
+    np.multiply(yc, yc, out=yy)
+    np.multiply(xc, yc, out=xy)
     sums = np.empty((n_boot, terms.shape[0]))
     for b in range(n_boot):
         sums[b] = terms @ np.bincount(rng.integers(0, n, size=n), minlength=n)

@@ -1,6 +1,7 @@
 """Configuration parsing and the command-line surface."""
 
 import ast
+import hashlib
 import importlib.util
 import json
 import os
@@ -587,3 +588,80 @@ def test_seed_outside_the_philox_key_range_exits_2_before_writing(tmp_path, caps
     assert manifest["codebook_seed"] == MAX_SEED
     assert manifest["transmission_seed"] == MAX_SEED + 1
     assert ExperimentConfig(seed=0).seed == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("report", "--no-pe", "--e-ec", "0.7"),
+        ("report", "--no-pe", "--e-ec", "-1"),
+        ("report", "--e-ec", "0.5"),
+        ("report", "--e-ec", "nan"),
+        ("sweep", "--no-pe", "--e-ec", "0.7"),
+        ("sweep", "--beta", "1.5"),
+        ("protocol", "--no-pe", "--e-ec", "0.7", "--n-symbols", "200"),
+        ("protocol", "--beta", "0", "--n-symbols", "200"),
+    ],
+    ids=lambda argv: "_".join(argv[:4]),
+)
+def test_security_settings_are_checked_whatever_the_penalty_flags(tmp_path, capsys, argv):
+    # e_ec is used only with the estimation penalty, yet out of range it is
+    # a bad configuration either way: exit 2, and nothing is written
+    out = tmp_path / "out"
+    assert run_cli(*argv, "--out", str(out)) == 2
+    assert "must be in" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_rejects_security_settings_out_of_range():
+    for kwargs, message in (
+        ({"e_ec": 0.7}, "e_ec"),
+        ({"e_ec": 0.0}, "e_ec"),
+        ({"e_ec": 0.7, "include_estimation_penalty": False}, "e_ec"),
+        ({"beta_ec": 1.01}, "beta_ec"),
+        ({"beta_ec": 0.0}, "beta_ec"),
+        ({"p_ec": -0.5}, "p_ec"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(**kwargs)
+    with pytest.raises(ValueError, match="p_ec"):
+        config_from_dict({"preset": "run1", "security": {"p_ec": 2.0}})
+    ExperimentConfig(e_ec=0.49, beta_ec=1.0, p_ec=1.0)
+
+
+# sha256 of key.csv and manifest.json of `protocol --seed 7 --nbar 1.7e-06`
+# at the default N = 16 665, recorded before the draws and the key.csv
+# writer went block-wise. A speed-up must keep these bytes.
+GOLDEN_TRANSCRIPTS = {
+    ("run1", False): (
+        "a26fe9fd4fbe5f06a8fd92ff8da0ad199cc2b418fd5e2a0f1d632f706ef553d3",
+        "ac5af54e2d09051bc56ff7f07aadafe696d1b216e2bda485e512a37a471260ee",
+    ),
+    ("run1", True): (
+        "57e35eefc69d8d2c72a7f9899d1346e4ba00c61faeebad62e64602aa645d01cc",
+        "a53b4ab6bb337515117cd2298a582ff174e9feca8eea623797f89339b5618ef0",
+    ),
+    ("run2", False): (
+        "ff4315f99ca4eb2d92a76bbda44469ed9c6d1dd09bc9f8b7828826f852f419d1",
+        "c76a03c856c17dd2b9cae708c76620a9da99af7f2786014f5e2f182f6d134bb5",
+    ),
+    ("run2", True): (
+        "02a78ef55ea2d46e146f75c30948651c85913490edfd00809f5017aa5c6766dd",
+        "0c271e9491b5e10f92e1f67f09a3da51a4fdae22032f38d3fc646dc63cb20dd5",
+    ),
+}
+
+
+@pytest.mark.parametrize("preset, announce", sorted(GOLDEN_TRANSCRIPTS))
+def test_protocol_transcript_bytes_are_pinned(tmp_path, capsys, preset, announce):
+    # report.json is not pinned: its bootstrap sigma goes through BLAS
+    out = tmp_path / "run"
+    argv = ["protocol", "--preset", preset, "--seed", "7", "--nbar", "1.7e-06",
+            "--out", str(out)]
+    assert run_cli(*argv, *(["--announce-bases"] if announce else [])) == 0
+    capsys.readouterr()
+    got = tuple(
+        hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in ("key.csv", "manifest.json")
+    )
+    assert got == GOLDEN_TRANSCRIPTS[preset, announce]

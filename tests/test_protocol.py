@@ -1,6 +1,8 @@
 """Protocol simulation: codebooks, transcripts, sifting, estimation."""
 
 import csv
+import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -52,6 +54,113 @@ def test_transmission_is_deterministic():
     assert np.array_equal(r1.bob_bases, r2.bob_bases)
     r3 = proto.simulate_transmission(cb, RUN2, CHANNEL, seed=23)
     assert not np.array_equal(r1.outcomes, r3.outcomes)
+
+
+# The one-shot formulas the block-wise draws replaced: every random
+# quantity drawn for all N symbols at once, coins before normals.
+def _one_shot_codebook(n, variance, seed):
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    bases = (rng.random(n) < 0.5).astype(np.int8)
+    symbols = math.sqrt(variance) * rng.standard_normal(n)
+    return symbols, bases
+
+
+def _one_shot_transmission(codebook, chain, channel, seed, announce_bases):
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    n = codebook.n_symbols
+    coins = rng.random(n)
+    noise = rng.standard_normal(n)
+    if announce_bases:
+        bob_bases = codebook.bases.copy()
+    else:
+        bob_bases = (coins < 0.5).astype(np.int8)
+    matched = codebook.bases == bob_bases
+    slope_m, var_m = response_and_noise(chain, channel, matched=True)
+    slope_x, var_x = response_and_noise(chain, channel, matched=False)
+    slope = np.where(matched, slope_m, slope_x)
+    sigma = np.where(matched, math.sqrt(var_m), math.sqrt(var_x))
+    return bob_bases, matched, slope * codebook.symbols + sigma * noise
+
+
+def _bits(a):
+    return a.dtype, a.tobytes()
+
+
+_B = proto._DRAW_BLOCK
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    n=st.sampled_from([1, _B - 1, _B, _B + 1, 3 * _B + 7]),
+    chain=st.sampled_from([RUN1, RUN2]),
+    announce=st.booleans(),
+    seed=st.integers(0, 2**128 - 2),
+)
+def test_block_wise_draws_match_one_shot_draws(n, chain, announce, seed):
+    cb = proto.generate_codebook(n, chain.codebook_variance, seed=seed)
+    symbols, bases = _one_shot_codebook(n, chain.codebook_variance, seed)
+    assert _bits(cb.symbols) == _bits(symbols)
+    assert _bits(cb.bases) == _bits(bases)
+
+    rec = proto.simulate_transmission(cb, chain, CHANNEL, seed=seed + 1, announce_bases=announce)
+    bob_bases, matched, outcomes = _one_shot_transmission(cb, chain, CHANNEL, seed + 1, announce)
+    assert _bits(rec.bob_bases) == _bits(bob_bases)
+    assert _bits(rec.matched) == _bits(matched)
+    assert _bits(rec.outcomes) == _bits(outcomes)
+    assert _bits(rec.alice_symbols) == _bits(cb.symbols)
+    assert _bits(rec.alice_bases) == _bits(cb.bases)
+
+
+def _traced_peak(fn, *args, **kwargs):
+    """(result, peak bytes traced while `fn` ran above what was live before)."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn(*args, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def _nbytes(*arrays):
+    return sum(a.nbytes for a in arrays)
+
+
+# Working memory beyond the outputs is one block, whatever N: the traced
+# peaks at 4 and 16 blocks (plus a partial one) differ by well under a block
+# of float64, and both stay under 1 MB.
+_FLAT = 32 * 1024
+_CAP = 1 << 20
+
+
+def test_key_csv_writer_memory_is_flat_in_n(tmp_path):
+    peaks = []
+    for n in (4 * proto._WRITE_CHUNK_ROWS + 17, 16 * proto._WRITE_CHUNK_ROWS + 17):
+        cb = proto.generate_codebook(n, RUN2.codebook_variance, seed=5)
+        rec = proto.simulate_transmission(cb, RUN2, CHANNEL, seed=6)
+        _, peak = _traced_peak(proto.write_key_records, rec, tmp_path / f"{n}.csv")
+        peaks.append(peak)
+    assert max(peaks) < _CAP, peaks
+    assert abs(peaks[1] - peaks[0]) < _FLAT, peaks
+
+
+@pytest.mark.parametrize("announce", [False, True])
+def test_draw_memory_beyond_the_outputs_is_flat_in_n(announce):
+    codebook_extra, transmission_extra = [], []
+    for n in (4 * _B + 17, 16 * _B + 17):
+        cb, peak = _traced_peak(proto.generate_codebook, n, RUN1.codebook_variance, seed=8)
+        codebook_extra.append(peak - _nbytes(cb.symbols, cb.bases))
+        rec, peak = _traced_peak(
+            proto.simulate_transmission, cb, RUN1, CHANNEL, seed=9, announce_bases=announce
+        )
+        transmission_extra.append(
+            peak
+            - _nbytes(rec.alice_symbols, rec.alice_bases, rec.bob_bases, rec.outcomes, rec.matched)
+        )
+    for extra in (codebook_extra, transmission_extra):
+        assert max(extra) < _CAP, extra
+        assert abs(extra[1] - extra[0]) < _FLAT, extra
 
 
 def test_transmission_moments_track_model():

@@ -372,6 +372,18 @@ def test_composite_key_needs_exactly_one_channel_source():
         sec.composite_key(RUN2, n_raw=1000)
 
 
+@pytest.mark.parametrize("e_ec", [0.7, 0.5, 0.0, -1.0, math.nan])
+@pytest.mark.parametrize("penalty", [True, False])
+def test_composite_key_checks_e_ec_whatever_the_penalty(e_ec, penalty):
+    # without the penalty e_ec is never used, but out of range it is still wrong
+    for fn in (sec.composite_key, sec.build_report):
+        with pytest.raises(ValueError, match="e_ec"):
+            fn(RUN2, QUIET, n_raw=16665, e_ec=e_ec, include_estimation_penalty=penalty)
+    with pytest.raises(ValueError, match="e_ec"):
+        sec.sweep_noise(RUN2, 0.0115, [0.0, 1e-3], n_raw=16665, e_ec=e_ec,
+                        include_estimation_penalty=penalty)
+
+
 def test_composite_key_respects_beta_and_pec():
     full = sec.composite_key(RUN2, QUIET, n_raw=16665, include_delta=False,
                              include_estimation_penalty=False)
