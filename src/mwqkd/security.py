@@ -454,20 +454,66 @@ def composite_key(
 
 
 def noise_crossing(key_fn, upper: float = 1.0, tol: float = 1e-7, *, lower: float = 0.0) -> float:
-    """Zero crossing of a decreasing key function, by bisection.
+    """Zero crossing of a non-increasing key function, by bisection.
 
-    Bisection on [lower, upper] to an absolute width `tol`; returns the
-    midpoint of the last bracket, 0.0 if the key is not positive at
-    `lower` and inf if it is still positive at `upper`.
+    Bisection on [lower, upper] to an absolute width `tol` (which must be
+    > 0), or until no float lies strictly between the bracket ends;
+    returns the midpoint of the last bracket, 0.0 if the key is not
+    positive at `lower` and inf if it is still positive at `upper`.
+
+    The key is evaluated only where its sign is not yet implied. Beside
+    the bisection bracket the loop keeps the tightest evaluated bracket
+    (a, b), key(a) > 0 >= key(b): a midpoint <= a is positive and one
+    >= b is not, for any non-increasing key. A midpoint strictly inside
+    (a, b) first gets Illinois (modified regula falsi) points inside
+    (a, b), then, if it is still inside, an evaluation of its own. The
+    result is therefore plain bisection's float, bit for bit. An
+    Illinois point that leaves the midpoint inside (a, b) costs one
+    evaluation more than bisection; after six of them the call stops
+    interpolating, so it never makes more than plain bisection's
+    evaluations plus six.
     """
-    if key_fn(lower) <= 0.0:
+    if not tol > 0.0:
+        raise ValueError("tol must be > 0")
+    fa = key_fn(lower)
+    if fa <= 0.0:
         return 0.0
-    if key_fn(upper) > 0.0:
+    fb = key_fn(upper)
+    if fb > 0.0:
         return math.inf
-    lo, hi = lower, upper
+    lo, a, hi, b = lower, lower, upper, upper
+    side, strikes = 0, 6
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if key_fn(mid) > 0.0:
+        if not lo < mid < hi:
+            break
+        while strikes and a < mid < b:
+            # 0 once Illinois halving underflows both values, inf or nan
+            # from the key itself: fall back to the midpoint
+            denom = fa - fb
+            if not 0.0 < denom < math.inf:
+                break
+            x = a + fa / denom * (b - a)
+            if not a < x < b:
+                break
+            fx = key_fn(x)
+            if fx > 0.0:
+                if side > 0:
+                    fb *= 0.5
+                a, fa, side = x, fx, 1
+            else:
+                if side < 0:
+                    fa *= 0.5
+                b, fb, side = x, fx, -1
+            if a < mid < b:
+                strikes -= 1
+        if a < mid < b:
+            fm = key_fn(mid)
+            if fm > 0.0:
+                a, fa = mid, fm
+            else:
+                b, fb = mid, fm
+        if mid <= a:
             lo = mid
         else:
             hi = mid

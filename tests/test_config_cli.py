@@ -27,7 +27,7 @@ from mwqkd.config import (
 )
 from mwqkd.devices import ChannelParams
 
-from test_security import merge_point
+from test_security import count_calls, merge_point
 
 
 def test_default_config_uses_run1():
@@ -402,6 +402,24 @@ def test_linkbudget_medium_flag(tmp_path):
     data = json.loads(out.read_text())
     assert data["medium"]["label"] == "openair-300K"
     assert data["distance_limit_m"] == pytest.approx(74.6, abs=0.5)
+
+
+@pytest.mark.parametrize(
+    "preset, medium, evals",
+    [
+        ("run1", "cryo-15mK", 155),
+        ("run1", "openair-300K", 159),
+        ("run2", "cryo-15mK", 150),
+        ("run2", "openair-300K", 155),
+    ],
+)
+def test_linkbudget_key_evaluations_are_pinned(monkeypatch, tmp_path, preset, medium, evals):
+    # 14 crossings and the key rate at the configured loss; bisection
+    # that evaluates every midpoint made 14 * 22 + 1 = 309
+    calls = count_calls(monkeypatch, "asymptotic_key", security, mwqkd.linkbudget)
+    assert run_cli("linkbudget", "--preset", preset, "--medium", medium,
+                   "--out", str(tmp_path / "lb.csv")) == 0
+    assert len(calls) == evals
 
 
 def test_report_command_stdout(capsys):

@@ -162,42 +162,51 @@ def count_calls(monkeypatch, name, *modules):
     return calls
 
 
+def pinned(cases):
+    """Parametrize (chain, point, want, evals) cases with the ids
+    chain<i>-<point>-<want>, which stay stable when a count changes."""
+    return [pytest.param(*case, id=f"chain{i}-{case[1]}-{case[2]}") for i, case in enumerate(cases)]
+
+
 @pytest.mark.parametrize(
-    "chain, loss, want",
-    [
-        (RUN1, 0.005, 0.06490150094032288),
-        (RUN1, 0.0115, 0.06237933039665222),
-        (RUN1, 0.2, 0.004460960626602173),
-        (RUN2, 0.005, 0.06553915143013),
-        (RUN2, 0.0115, 0.06302526593208313),
-        (RUN2, 0.2, 0.005085676908493042),
-    ],
+    "chain, loss, want, evals",
+    pinned([
+        (RUN1, 0.005, 0.06490150094032288, 12),
+        (RUN1, 0.0115, 0.06237933039665222, 12),
+        (RUN1, 0.2, 0.004460960626602173, 11),
+        (RUN2, 0.005, 0.06553915143013, 12),
+        (RUN2, 0.0115, 0.06302526593208313, 12),
+        (RUN2, 0.2, 0.005085676908493042, 11),
+    ]),
 )
-def test_noise_tolerance_is_pinned_to_the_bit(monkeypatch, chain, loss, want):
+def test_noise_tolerance_is_pinned_to_the_bit(monkeypatch, chain, loss, want, evals):
     # every bisection midpoint depends on the sign of the key there, so a
-    # faster core must keep these floats exactly; the 26 evaluations (two
-    # end points, 24 halvings) go through the public asymptotic_key
+    # faster core must keep these floats exactly; plain bisection makes 26
+    # evaluations (two end points, 24 halvings), the bracket-guided loop
+    # skips the midpoints whose sign is implied; all of them go through
+    # the public asymptotic_key
     calls = count_calls(monkeypatch, "asymptotic_key", sec)
     assert sec.noise_tolerance(chain, loss) == want
-    assert len(calls) == 26
+    assert len(calls) == evals
 
 
 @pytest.mark.parametrize(
-    "chain, background, want",
-    [
-        (RUN1, lb.CRYO_LINK.background_photons, 0.23112535453648922),
-        (RUN1, lb.OPEN_AIR.background_photons, 0.00010728836148830747),
-        (RUN1, 1e4, 1.382827857404852e-05),
-        (RUN2, lb.CRYO_LINK.background_photons, 0.23473405814615816),
-        (RUN2, lb.OPEN_AIR.background_photons, 0.00010824203580375911),
-        (RUN2, 1e4, 1.382827857404852e-05),
-    ],
+    "chain, background, want, evals",
+    pinned([
+        (RUN1, lb.CRYO_LINK.background_photons, 0.23112535453648922, 10),
+        (RUN1, lb.OPEN_AIR.background_photons, 0.00010728836148830747, 14),
+        (RUN1, 1e4, 1.382827857404852e-05, 14),
+        (RUN2, lb.CRYO_LINK.background_photons, 0.23473405814615816, 9),
+        (RUN2, lb.OPEN_AIR.background_photons, 0.00010824203580375911, 14),
+        (RUN2, 1e4, 1.382827857404852e-05, 14),
+    ]),
 )
-def test_max_tolerable_loss_is_pinned_to_the_bit(monkeypatch, chain, background, want):
-    # two end points and 20 halvings, through the name linkbudget imported
+def test_max_tolerable_loss_is_pinned_to_the_bit(monkeypatch, chain, background, want, evals):
+    # plain bisection: two end points and 20 halvings; all evaluations go
+    # through the name linkbudget imported
     calls = count_calls(monkeypatch, "asymptotic_key", sec, lb)
     assert lb.max_tolerable_loss(chain, background) == want
-    assert len(calls) == 22
+    assert len(calls) == evals
 
 
 def test_elementwise_matches_the_float_function_bitwise():
@@ -226,6 +235,157 @@ def test_elementwise_matches_the_float_function_bitwise():
 def test_noise_crossing_degenerate_cases():
     assert sec.noise_crossing(lambda n: -1.0) == 0.0
     assert sec.noise_crossing(lambda n: 1.0) == math.inf
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, -math.inf])
+def test_noise_crossing_rejects_a_tolerance_that_is_not_positive(tol):
+    calls = []
+    with pytest.raises(ValueError, match="tol must be > 0"):
+        sec.noise_crossing(lambda n: calls.append(n) or 0.0625 - n, tol=tol)
+    assert calls == []
+
+
+def test_noise_crossing_stops_at_adjacent_floats():
+    # below the float spacing at the root, hi - lo stops shrinking once
+    # lo and hi are adjacent; the loop must end there, not spin
+    for key in (lambda n: 0.0625 - n, lambda n: 0.1 - n):
+        calls = []
+        got = sec.noise_crossing(lambda n: calls.append(n) or key(n), tol=1e-18)
+        assert abs(got - key(0.0)) <= math.ulp(key(0.0))
+        assert len(calls) <= 2 + 60
+
+
+def _plain_bisection(key_fn, upper, tol, lower):
+    """Reference: bisection that evaluates every midpoint."""
+    if key_fn(lower) <= 0.0:
+        return 0.0
+    if key_fn(upper) > 0.0:
+        return math.inf
+    lo, hi = lower, upper
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if key_fn(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+# Illinois points noise_crossing may spend beyond plain bisection's count
+STRIKES = 6
+
+
+def assert_plain_bisection(fn, upper, tol, lower):
+    """noise_crossing returns plain bisection's float bit for bit, raises
+    nothing plain bisection would not, and evaluates the key at most
+    STRIKES times more often; returns the float."""
+    plain, fast = [], []
+
+    def counted(calls):
+        return lambda x: calls.append(x) or fn(x)
+
+    try:
+        want = _plain_bisection(counted(plain), upper, tol, lower)
+    except Exception as exc:  # the fast path may skip the failing point, nothing more
+        with pytest.raises(type(exc)):
+            sec.noise_crossing(counted(fast), upper, tol, lower=lower)
+        return None
+    got = sec.noise_crossing(counted(fast), upper, tol, lower=lower)
+    assert got.hex() == want.hex()
+    assert len(fast) <= len(plain) + STRIKES
+    return got
+
+
+_SYNTHETIC_KEYS = {
+    "affine": lambda r: lambda x: r - x,
+    "step": lambda r: lambda x: 1.0 if x < r else -1.0,
+    "step to zero": lambda r: lambda x: 1.0 if x < r else 0.0,
+    "flat root": lambda r: lambda x: (r - x) ** 3,
+    "log": lambda r: lambda x: math.log(r / x) if x > 0.0 else math.inf,
+    "underflowing exp": lambda r: lambda x: math.exp(-x / 1e-4) - math.exp(-r / 1e-4),
+    # subnormal near the root, where Illinois halving underflows to 0
+    "subnormal exp": lambda r: lambda x: math.exp(-744.0 * x / r) - math.exp(-744.0),
+    "tiny": lambda r: lambda x: 1e-300 * (r - x),
+    "huge": lambda r: lambda x: 1e300 * (r - x),
+    "tiny above, huge below": lambda r: lambda x: 1e-300 if x < r else -1e300,
+}
+
+
+@settings(max_examples=1500, deadline=None, derandomize=True)
+@given(
+    shape=st.sampled_from(sorted(_SYNTHETIC_KEYS)),
+    root=st.one_of(st.floats(0.0, 1.0), st.floats(-9.0, 0.0).map(lambda e: 10.0**e)),
+    lower=st.floats(0.0, 0.5),
+    width=st.floats(1e-6, 2.0),
+    tol=st.floats(-16.0, -1.0).map(lambda e: 10.0**e),
+)
+@example(shape="flat root", root=0.3, lower=0.0, width=1.0, tol=1e-12)
+@example(shape="underflowing exp", root=0.5, lower=0.0, width=1.0, tol=1e-12)
+def test_noise_crossing_is_plain_bisection_on_synthetic_keys(shape, root, lower, width, tol):
+    assert_plain_bisection(_SYNTHETIC_KEYS[shape](root), lower + width, tol, lower)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(chain=_chains(), loss=st.floats(1e-3, 0.95), background=st.floats(0.0, 1e5))
+def test_noise_crossing_is_plain_bisection_on_real_keys(chain, loss, background):
+    want = assert_plain_bisection(
+        lambda nbar: sec.asymptotic_key(chain, ChannelParams(loss, nbar)), 1.0, 1e-7, 0.0
+    )
+    assert sec.noise_tolerance(chain, loss) == want
+    upper = 1.0 - 1e-9
+    want = assert_plain_bisection(
+        lambda eps: sec.asymptotic_key(chain, ChannelParams(eps, 0.5 * background * eps)),
+        upper, lb.BISECTION_TOL, 1e-12,
+    )
+    assert lb.max_tolerable_loss(chain, background) == min(want, upper)
+
+
+def plob_bound(channel: ChannelParams) -> float:
+    """Repeaterless secret-key capacity of the thermal-loss channel in bits
+    per use (Pirandola, Laurenza, Ottaviani and Banchi, Nat. Commun. 8,
+    15043 (2017)): -log2(loss * eta**n) - h(n) for n < eta / loss, else 0,
+    with eta = 1 - loss and n the environment occupation."""
+    loss, n = channel.loss, channel.environment_photons
+    eta = 1.0 - loss
+    if not n < eta / loss:
+        return 0.0
+    h = (n + 1.0) * math.log2(n + 1.0) - (n * math.log2(n) if n > 0.0 else 0.0)
+    return -math.log2(loss) - n * math.log2(eta) - h
+
+
+def test_plob_bound_values():
+    # pure loss: -log2(loss); at n = eta / loss the bound reaches 0
+    assert plob_bound(ChannelParams(0.5, 0.0)) == 1.0
+    assert plob_bound(ChannelParams(0.01, 0.0)) == pytest.approx(-math.log2(0.01))
+    assert plob_bound(ChannelParams(0.5, 0.125)) == pytest.approx(
+        -math.log2(0.5 * 0.5**0.5) - (1.5 * math.log2(1.5) - 0.5 * math.log2(0.5))
+    )
+    assert plob_bound(ChannelParams(0.5, 0.5)) == 0.0
+    just_below = ChannelParams(0.2, 0.5 * 0.2 * 4.0 * (1.0 - 1e-6))
+    assert 0.0 < plob_bound(just_below) < 1e-5
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    chain=_chains(),
+    loss=st.floats(-5.0, math.log10(0.98)).map(lambda e: 10.0**e),
+    ratio=st.one_of(st.just(0.0), st.floats(-8.0, 0.0).map(lambda e: 10.0**e)),
+)
+def test_asymptotic_key_stays_below_the_plob_bound(chain, loss, ratio):
+    channel = ChannelParams(loss, ratio * loss)
+    assert sec.asymptotic_key(chain, channel) <= plob_bound(channel)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(chain=_chains(), background=st.floats(0.0, 1e5))
+@example(chain=RUN1, background=lb.OPEN_AIR.background_photons)
+@example(chain=RUN2, background=1e5)
+def test_max_tolerable_loss_stays_below_the_plob_reach(chain, background):
+    # the environment of the loss key holds `background` photons at every
+    # loss, and the PLOB bound is 0 from loss = 1 / (1 + background) on
+    assert lb.max_tolerable_loss(chain, background) < 1.0 / (1.0 + background)
 
 
 def test_confidence_w():
