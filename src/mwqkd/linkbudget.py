@@ -36,8 +36,12 @@ class MediumSpec:
     def __post_init__(self) -> None:
         if not self.attenuation_db_per_m > 0.0:
             raise ValueError("attenuation_db_per_m must be > 0")
-        if self.background_photons < 0.0:
-            raise ValueError("background_photons must be >= 0")
+        _check_background(self.background_photons)
+
+
+def _check_background(background_photons: float) -> None:
+    if not 0.0 <= background_photons < math.inf:
+        raise ValueError("background_photons must be finite and >= 0")
 
 
 def thermal_occupancy(temperature_k: float, frequency_hz: float) -> float:
@@ -69,16 +73,19 @@ OPEN_AIR = MediumSpec(
 MEDIA = {medium.label: medium for medium in (CRYO_LINK, OPEN_AIR)}
 
 
-def max_tolerable_loss(chain: DeviceChainParams, background_photons: float) -> float:
+def max_tolerable_loss(
+    chain: DeviceChainParams, background_photons: float, *, guess: float | None = None
+) -> float:
     """Largest channel loss with a positive asymptotic key.
 
     Bisection (:func:`mwqkd.security.noise_crossing`) on [1e-12, 1 - 1e-9]
     to BISECTION_TOL absolute on the loss, with the coupled noise tied to the
     loss as nbar = background * eps / 2. Returns 0.0 when no loss is
-    tolerable at all and 1 - 1e-9 when every loss is.
+    tolerable at all and 1 - 1e-9 when every loss is. An estimate of the
+    root, `guess`, is handed to the crossing: it saves key evaluations
+    when it is close and never changes the result.
     """
-    if background_photons < 0.0:
-        raise ValueError("background_photons must be >= 0")
+    _check_background(background_photons)
 
     def key(eps: float) -> float:
         return asymptotic_key(
@@ -86,7 +93,7 @@ def max_tolerable_loss(chain: DeviceChainParams, background_photons: float) -> f
         )
 
     upper = 1.0 - 1e-9
-    return min(noise_crossing(key, upper, BISECTION_TOL, lower=1e-12), upper)
+    return min(noise_crossing(key, upper, BISECTION_TOL, lower=1e-12, guess=guess), upper)
 
 
 def loss_to_distance(loss: float, attenuation_db_per_m: float) -> float:
@@ -128,11 +135,21 @@ def sweep_occupancy(
     occupancies,
     attenuation_db_per_m: float,
 ) -> list[tuple[float, float, float]]:
-    """Rows (background occupation, max tolerable loss, distance limit)."""
+    """Rows (background occupation, max tolerable loss, distance limit).
+
+    Each crossing after the first starts from the previous row's loss
+    scaled by (1 + previous occupation) / (1 + occupation), the way the
+    zero of the repeaterless (PLOB) bound moves with the background. The
+    rows are those of cold :func:`max_tolerable_loss` calls, bit for bit;
+    only the number of key evaluations depends on the order.
+    """
     rows = []
-    for n_th in occupancies:
-        eps_max = max_tolerable_loss(chain, float(n_th))
-        rows.append(
-            (float(n_th), eps_max, loss_to_distance(eps_max, attenuation_db_per_m))
-        )
+    for n_th in map(float, occupancies):
+        _check_background(n_th)  # before the guess divides by 1 + n_th
+        guess = None
+        if rows:
+            prev_n_th, prev_eps, _ = rows[-1]
+            guess = prev_eps * (1.0 + prev_n_th) / (1.0 + n_th)
+        eps_max = max_tolerable_loss(chain, n_th, guess=guess)
+        rows.append((n_th, eps_max, loss_to_distance(eps_max, attenuation_db_per_m)))
     return rows

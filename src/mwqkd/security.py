@@ -453,13 +453,16 @@ def composite_key(
     )
 
 
-def noise_crossing(key_fn, upper: float = 1.0, tol: float = 1e-7, *, lower: float = 0.0) -> float:
+def noise_crossing(
+    key_fn, upper: float = 1.0, tol: float = 1e-7, *, lower: float = 0.0, guess: float | None = None
+) -> float:
     """Zero crossing of a non-increasing key function, by bisection.
 
-    Bisection on [lower, upper] to an absolute width `tol` (which must be
-    > 0), or until no float lies strictly between the bracket ends;
-    returns the midpoint of the last bracket, 0.0 if the key is not
-    positive at `lower` and inf if it is still positive at `upper`.
+    Bisection on [lower, upper] (finite, lower < upper) to an absolute
+    width `tol` (which must be > 0), or until no float lies strictly
+    between the bracket ends; returns the midpoint of the last bracket,
+    0.0 if the key is not positive at `lower` and inf if it is still
+    positive at `upper`.
 
     The key is evaluated only where its sign is not yet implied. Beside
     the bisection bracket the loop keeps the tightest evaluated bracket
@@ -470,18 +473,52 @@ def noise_crossing(key_fn, upper: float = 1.0, tol: float = 1e-7, *, lower: floa
     result is therefore plain bisection's float, bit for bit. An
     Illinois point that leaves the midpoint inside (a, b) costs one
     evaluation more than bisection; after six of them the call stops
-    interpolating, so it never makes more than plain bisection's
-    evaluations plus six.
+    interpolating.
+
+    Without a `guess`, (a, b) starts as (lower, upper). A finite `guess`
+    is clamped into [lower, upper] and the key is evaluated there first.
+    A walk then steps away from that point, towards the side its sign
+    points to, until the key changes sign: first by max(|point| / 8, tol),
+    each step four times the last, and after four steps straight to the
+    bracket end. That evaluated bracket starts (a, b); `lower` or `upper`
+    is evaluated only if the walk reaches it. Since (a, b) only decides
+    midpoints whose sign monotonicity implies, the result does not depend
+    on the guess. A call never makes more than plain bisection's
+    evaluations plus six Illinois points, plus four walk steps with a
+    guess.
     """
     if not tol > 0.0:
         raise ValueError("tol must be > 0")
-    fa = key_fn(lower)
-    if fa <= 0.0:
-        return 0.0
-    fb = key_fn(upper)
-    if fb > 0.0:
-        return math.inf
-    lo, a, hi, b = lower, lower, upper, upper
+    if not -math.inf < lower < upper < math.inf:
+        raise ValueError("lower and upper must be finite, with lower < upper")
+    if guess is None:  # lower, then straight to upper
+        x, step, steps = lower, math.inf, 0
+    elif math.isfinite(guess):
+        x = min(max(guess, lower), upper)
+        step, steps = max(abs(x) / 8.0, tol), 4
+    else:
+        raise ValueError("guess must be finite")
+    fx = key_fn(x)
+    rising = fx > 0.0  # the root lies above x
+    while (fx > 0.0) == rising:
+        if rising:
+            a, fa = x, fx
+            if x == upper:
+                return math.inf
+            x = min(x + step, upper)
+        else:
+            b, fb = x, fx
+            if x == lower:
+                return 0.0
+            x = max(x - step, lower)
+        steps -= 1
+        step = step * 4.0 if steps > 0 else math.inf
+        fx = key_fn(x)
+    if rising:
+        b, fb = x, fx
+    else:
+        a, fa = x, fx
+    lo, hi = lower, upper
     side, strikes = 0, 6
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)

@@ -94,3 +94,41 @@ def test_occupancy_sweep_monotone():
     assert rows[idx][1] == pytest.approx(
         lb.max_tolerable_loss(RUN2, 1250.0), abs=1e-9
     )
+
+
+@pytest.mark.parametrize("background", [math.nan, math.inf, -1.0, -1e-300])
+def test_background_occupation_must_be_finite_and_non_negative(monkeypatch, background):
+    # checked before any key evaluation, and before the sweep scales a
+    # root estimate by 1 / (1 + background)
+    calls = []
+    monkeypatch.setattr(lb, "asymptotic_key", lambda *args: calls.append(args))
+    match = "background_photons must be finite and >= 0"
+    with pytest.raises(ValueError, match=match):
+        lb.max_tolerable_loss(RUN2, background)
+    with pytest.raises(ValueError, match=match):
+        lb.max_tolerable_loss(RUN2, background, guess=0.2)
+    with pytest.raises(ValueError, match=match):
+        lb.MediumSpec(1e-3, background, "bad")
+    with pytest.raises(ValueError, match=match):
+        lb.sweep_occupancy(RUN2, [background], 1e-3)
+    assert calls == []
+    monkeypatch.undo()
+    with pytest.raises(ValueError, match=match):
+        lb.sweep_occupancy(RUN2, [1.0, background], 1e-3)
+
+
+def test_sweep_hands_each_crossing_the_scaled_previous_root(monkeypatch):
+    seen = []
+    cold = lb.max_tolerable_loss
+
+    def recorded(chain, background, *, guess=None):
+        seen.append((background, guess))
+        return cold(chain, background, guess=guess)
+
+    monkeypatch.setattr(lb, "max_tolerable_loss", recorded)
+    rows = lb.sweep_occupancy(RUN2, [1e-8, 10.0, 10.0], 1e-3)
+    assert seen == [
+        (1e-8, None),
+        (10.0, rows[0][1] * (1.0 + 1e-8) / 11.0),
+        (10.0, rows[1][1] * 11.0 / 11.0),
+    ]

@@ -245,6 +245,46 @@ def test_noise_crossing_rejects_a_tolerance_that_is_not_positive(tol):
     assert calls == []
 
 
+@pytest.mark.parametrize(
+    "lower, upper",
+    [(0.8, 0.2), (0.5, 0.5), (0.0, math.inf), (0.0, math.nan), (-math.inf, 1.0), (math.nan, 1.0)],
+)
+def test_noise_crossing_rejects_a_bracket_that_is_not_finite_and_ordered(lower, upper):
+    calls = []
+    with pytest.raises(ValueError, match="lower and upper must be finite, with lower < upper"):
+        sec.noise_crossing(lambda x: calls.append(x) or 0.5 - x, upper, lower=lower)
+    assert calls == []
+
+
+@pytest.mark.parametrize("guess", [math.nan, math.inf, -math.inf])
+def test_noise_crossing_rejects_a_guess_that_is_not_finite(guess):
+    calls = []
+    with pytest.raises(ValueError, match="guess must be finite"):
+        sec.noise_crossing(lambda x: calls.append(x) or 0.5 - x, guess=guess)
+    assert calls == []
+
+
+@pytest.mark.parametrize("guess", [-5.0, 0.0, 0.25, 0.5, 1.0, 7.0])
+def test_noise_crossing_clamps_the_guess_into_the_bracket(guess):
+    calls = []
+    got = sec.noise_crossing(lambda x: calls.append(x) or 0.5 - x, guess=guess)
+    assert got == sec.noise_crossing(lambda x: 0.5 - x)
+    assert calls[0] == min(max(guess, 0.0), 1.0)
+    assert all(0.0 <= x <= 1.0 for x in calls)
+
+
+def test_noise_crossing_evaluates_an_end_only_if_the_walk_reaches_it():
+    # a close guess brackets the root without touching 0 or 1; a guess at
+    # an end on the wrong side of the root settles the crossing at once
+    calls = []
+    sec.noise_crossing(lambda x: calls.append(x) or 0.5 - x, guess=0.45)
+    assert 0.0 not in calls and 1.0 not in calls
+    for guess, sign, want in ((0.0, -1.0, 0.0), (1.0, 1.0, math.inf)):
+        calls = []
+        assert sec.noise_crossing(lambda x: calls.append(x) or sign, guess=guess) == want
+        assert calls == [guess]
+
+
 def test_noise_crossing_stops_at_adjacent_floats():
     # below the float spacing at the root, hi - lo stops shrinking once
     # lo and hi are adjacent; the loop must end there, not spin
@@ -275,12 +315,15 @@ def _plain_bisection(key_fn, upper, tol, lower):
 
 # Illinois points noise_crossing may spend beyond plain bisection's count
 STRIKES = 6
+# steps the walk from a guess may spend beyond plain bisection's count
+WALK = 4
 
 
-def assert_plain_bisection(fn, upper, tol, lower):
+def assert_plain_bisection(fn, upper, tol, lower, guess=None):
     """noise_crossing returns plain bisection's float bit for bit, raises
-    nothing plain bisection would not, and evaluates the key at most
-    STRIKES times more often; returns the float."""
+    nothing plain bisection would not, evaluates the key only inside
+    [lower, upper], and at most STRIKES (and, with a guess, WALK) times
+    more often than plain bisection; returns the float."""
     plain, fast = [], []
 
     def counted(calls):
@@ -290,12 +333,30 @@ def assert_plain_bisection(fn, upper, tol, lower):
         want = _plain_bisection(counted(plain), upper, tol, lower)
     except Exception as exc:  # the fast path may skip the failing point, nothing more
         with pytest.raises(type(exc)):
-            sec.noise_crossing(counted(fast), upper, tol, lower=lower)
+            sec.noise_crossing(counted(fast), upper, tol, lower=lower, guess=guess)
         return None
-    got = sec.noise_crossing(counted(fast), upper, tol, lower=lower)
+    got = sec.noise_crossing(counted(fast), upper, tol, lower=lower, guess=guess)
     assert got.hex() == want.hex()
-    assert len(fast) <= len(plain) + STRIKES
+    assert all(lower <= x <= upper for x in fast)
+    assert len(fast) <= len(plain) + STRIKES + (0 if guess is None else WALK)
     return got
+
+
+# A guess for a crossing on [lower, upper]: none, a point at a fraction of
+# the bracket (inside, at its ends or outside it), or a fixed point that
+# is tiny, huge or negative
+_GUESSES = st.one_of(
+    st.none(),
+    st.tuples(st.just("fraction"), st.floats(-1.0, 2.0)),
+    st.tuples(st.just("point"), st.sampled_from([0.0, 5e-324, 1e-300, 1e-12, -1e-12, 1e300])),
+)
+
+
+def _place(guess, lower, upper):
+    if guess is None:
+        return None
+    kind, value = guess
+    return lower + value * (upper - lower) if kind == "fraction" else value
 
 
 _SYNTHETIC_KEYS = {
@@ -320,26 +381,68 @@ _SYNTHETIC_KEYS = {
     lower=st.floats(0.0, 0.5),
     width=st.floats(1e-6, 2.0),
     tol=st.floats(-16.0, -1.0).map(lambda e: 10.0**e),
+    guess=_GUESSES,
 )
-@example(shape="flat root", root=0.3, lower=0.0, width=1.0, tol=1e-12)
-@example(shape="underflowing exp", root=0.5, lower=0.0, width=1.0, tol=1e-12)
-def test_noise_crossing_is_plain_bisection_on_synthetic_keys(shape, root, lower, width, tol):
-    assert_plain_bisection(_SYNTHETIC_KEYS[shape](root), lower + width, tol, lower)
+@example(shape="flat root", root=0.3, lower=0.0, width=1.0, tol=1e-12, guess=None)
+@example(shape="underflowing exp", root=0.5, lower=0.0, width=1.0, tol=1e-12, guess=None)
+@example(shape="affine", root=1e-9, lower=0.0, width=1.0, tol=1e-16, guess=("point", 0.0))
+@example(shape="log", root=0.3, lower=0.0, width=1.0, tol=1e-12, guess=("point", 5e-324))
+@example(shape="subnormal exp", root=1e-9, lower=0.0, width=2.0, tol=1e-16,
+         guess=("fraction", 1.0))
+def test_noise_crossing_is_plain_bisection_on_synthetic_keys(shape, root, lower, width, tol, guess):
+    upper = lower + width
+    assert_plain_bisection(
+        _SYNTHETIC_KEYS[shape](root), upper, tol, lower, _place(guess, lower, upper)
+    )
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
-@given(chain=_chains(), loss=st.floats(1e-3, 0.95), background=st.floats(0.0, 1e5))
-def test_noise_crossing_is_plain_bisection_on_real_keys(chain, loss, background):
+@given(
+    chain=_chains(),
+    loss=st.floats(1e-3, 0.95),
+    background=st.floats(0.0, 1e5),
+    guesses=st.tuples(_GUESSES, _GUESSES),
+)
+def test_noise_crossing_is_plain_bisection_on_real_keys(chain, loss, background, guesses):
     want = assert_plain_bisection(
-        lambda nbar: sec.asymptotic_key(chain, ChannelParams(loss, nbar)), 1.0, 1e-7, 0.0
+        lambda nbar: sec.asymptotic_key(chain, ChannelParams(loss, nbar)),
+        1.0, 1e-7, 0.0, _place(guesses[0], 0.0, 1.0),
     )
     assert sec.noise_tolerance(chain, loss) == want
     upper = 1.0 - 1e-9
+    guess = _place(guesses[1], 1e-12, upper)
     want = assert_plain_bisection(
         lambda eps: sec.asymptotic_key(chain, ChannelParams(eps, 0.5 * background * eps)),
-        upper, lb.BISECTION_TOL, 1e-12,
+        upper, lb.BISECTION_TOL, 1e-12, guess,
     )
     assert lb.max_tolerable_loss(chain, background) == min(want, upper)
+    assert lb.max_tolerable_loss(chain, background, guess=guess) == min(want, upper)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    chain=_chains(),
+    occupancies=st.lists(
+        st.one_of(
+            st.just(0.0),
+            st.floats(0.0, 1e5),
+            st.floats(-8.0, 5.0).map(lambda e: 10.0**e),
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+)
+@example(chain=RUN1, occupancies=[1e4, 0.0, 1e4, 1e-8, lb.OPEN_AIR.background_photons, 0.0])
+def test_warm_started_sweep_rows_are_the_cold_rows(chain, occupancies):
+    # each row's crossing starts from the previous row's root; unsorted,
+    # repeated and zero occupations must still give the cold floats
+    gamma = lb.OPEN_AIR.attenuation_db_per_m
+    got = lb.sweep_occupancy(chain, occupancies, gamma)
+    want = []
+    for n_th in occupancies:
+        eps = lb.max_tolerable_loss(chain, n_th)
+        want.append((n_th, eps, lb.loss_to_distance(eps, gamma)))
+    assert [[x.hex() for x in row] for row in got] == [[x.hex() for x in row] for row in want]
 
 
 def plob_bound(channel: ChannelParams) -> float:
