@@ -26,6 +26,7 @@ loss and its coupled noise photons are untrusted.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING
@@ -79,6 +80,13 @@ def codebook_variance(squeezing_db: float, antisqueezing_db: float) -> float:
     return level_to_variance(antisqueezing_db, "antisqueezed") - level_to_variance(
         squeezing_db, "squeezed"
     )
+
+
+# A channel loss below this, the smallest normal float, is lossless: the
+# channel is the loss -> 0+ limit at fixed coupled noise nbar. At zero loss
+# that limit is the only model; below the smallest normal float 2 nbar /
+# loss can overflow.
+LOSSLESS_BELOW = sys.float_info.min
 
 
 def _check_fraction(value: float, name: str, closed_top: bool = False) -> None:
@@ -325,9 +333,12 @@ def bob_output_distribution(
     if bob_basis not in QUADRATURES:
         raise ValueError("bob_basis must be 'q' or 'p'")
     state = channel_input_state(chain, basis, symbol)
-    # a zero-loss channel couples nothing in, so its environment is moot
-    env = channel.environment_photons if channel.loss > 0.0 else 0.0
-    state = gaussian.apply_loss(state, channel.loss, env)
+    if channel.loss < LOSSLESS_BELOW:  # the limit adds nbar to each quadrature
+        state = gaussian.apply_phase_sensitive_amp(
+            state, 1.0, bob_basis, added_noise=channel.noise_photons * np.eye(2)
+        )
+    else:
+        state = gaussian.apply_loss(state, channel.loss, channel.environment_photons)
     state = gaussian.apply_loss(
         state, chain.path_losses[2], chain.path_environment_photons[2]
     )
@@ -389,9 +400,12 @@ class ReadoutModel:
         `nbar`, the coupled noise, may be a float or a numpy array (one
         noise grid); the arithmetic is the same either way.
         """
-        # a zero-loss channel couples nothing in, so its environment is moot
-        env = 2.0 * nbar / loss if loss > 0.0 else 0.0
-        v_out = (1.0 - loss) * self.channel_input_variance + loss * (1.0 + 2.0 * env) * VACUUM_VARIANCE
+        v_in = self.channel_input_variance
+        if loss < LOSSLESS_BELOW:  # the noise still arrives
+            v_out = v_in + nbar
+        else:
+            env = 2.0 * nbar / loss
+            v_out = (1.0 - loss) * v_in + loss * (1.0 + 2.0 * env) * VACUUM_VARIANCE
         slope = math.sqrt(self.slope_gain) * math.sqrt(1.0 - loss)
         return slope, self.variance_gain * v_out + self.variance_offset
 

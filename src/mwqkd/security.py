@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, fields
 from types import SimpleNamespace
 
-from .devices import ChannelEstimate, ChannelParams, DeviceChainParams
+from .devices import LOSSLESS_BELOW, ChannelEstimate, ChannelParams, DeviceChainParams
 from .errors import PhysicalityError
 
 DEFAULT_CORRECTNESS_EPSILON = 1e-10  # e_ec, failure bound on estimation confidence
@@ -74,7 +74,7 @@ def _elementwise(fn):
 # unless the second is strictly larger or smaller). So a grid point gets
 # exactly the bits the float path gives it. worst_case_chi is chi at the
 # widened parameters of the composite bound: one point goes through
-# holevo_dr, with its channel checks and lossless guard.
+# holevo_dr, with its channel checks and lossless limit.
 _FLOAT = SimpleNamespace(
     sqrt=math.sqrt,
     log2=math.log2,
@@ -166,19 +166,6 @@ def _environment_entropy(ops, eps, t, v, v_q: float, v_p: float):
     return ops.entropy(ops.sqrt(nu_plus_sq)) + ops.entropy(ops.sqrt(nu_minus_sq))
 
 
-def _leaks_nothing(chain: DeviceChainParams, loss: float, noisy: bool) -> bool:
-    """Whether chi is 0 without evaluating it: a lossless channel or an
-    unmodulated chain. A lossless channel carrying noise (`noisy`) has no
-    consistent environment and raises ValueError."""
-    if loss == 0.0:
-        if noisy:
-            raise ValueError(
-                "noise_photons > 0 with zero loss has no environment model"
-            )
-        return True
-    return chain.codebook_variance == 0.0
-
-
 def _holevo(ops, chain: DeviceChainParams, eps, nbar):
     """chi at channel loss eps > 0 and coupled noise nbar (floats or arrays)."""
     model = chain.readout
@@ -189,6 +176,39 @@ def _holevo(ops, chain: DeviceChainParams, eps, nbar):
     ) - _environment_entropy(ops, eps, t, v, v_q, v_p)
     # the averaged state majorizes the conditional one; guard float dust
     return ops.maximum(chi, 0.0)
+
+
+def _lossless_holevo(ops, chain: DeviceChainParams, nbar):
+    """chi's eps -> 0+ limit at fixed coupled noise nbar (a float or an array).
+
+    In :func:`_environment_entropy` eps * v tends to m = 4 nbar, so with
+    a = 4 v_q, b = 4 v_p the invariants tend to det = (a m + 1)(b m + 1)
+    and nu+^2 = [m^2 + m(a + b) + 2 + m sqrt((a - b)^2 + 4 + m^2 +
+    2 m(a + b))] / 2: finite, and the vacuum (nu = 1, chi = 0) at nbar = 0.
+    """
+    model = chain.readout
+    m, b = 4.0 * nbar, 4.0 * model.orthogonal_input_variance
+
+    def entropy(v_q):
+        a = 4.0 * v_q
+        mixed = m * (a + b)
+        root = ops.sqrt((a - b) * (a - b) + 4.0 + m * m + 2.0 * mixed)
+        nu_plus_sq = 0.5 * (m * m + mixed + 2.0 + m * root)
+        nu_minus_sq = (a * m + 1.0) * (b * m + 1.0) / nu_plus_sq
+        return ops.entropy(ops.sqrt(nu_plus_sq)) + ops.entropy(ops.sqrt(nu_minus_sq))
+
+    chi = entropy(chain.modulated_input_variance) - entropy(model.channel_input_variance)
+    return ops.maximum(chi, 0.0)
+
+
+def _chi(ops, chain: DeviceChainParams, loss: float, nbar):
+    """chi at a float loss, with nbar a float or an array: 0 for an
+    unmodulated chain, the eps -> 0+ limit on a lossless channel."""
+    if chain.codebook_variance == 0.0:
+        return 0.0 * nbar
+    if loss < LOSSLESS_BELOW:
+        return _lossless_holevo(ops, chain, nbar)
+    return _holevo(ops, chain, loss, nbar)
 
 
 def holevo_dr(chain: DeviceChainParams, channel: ChannelParams) -> float:
@@ -204,20 +224,17 @@ def holevo_dr(chain: DeviceChainParams, channel: ChannelParams) -> float:
     times the squared pre-channel response.
 
     Trusted detection noise never enters the environment state. A
-    lossless channel leaks nothing (0.0); a lossless channel with
-    nbar > 0 has no consistent environment and raises ValueError.
+    lossless channel takes chi's loss -> 0+ limit at fixed nbar, which is
+    finite: 0 without noise, positive with it.
     """
-    if _leaks_nothing(chain, channel.loss, channel.noise_photons > 0.0):
-        return 0.0
-    return _holevo(_FLOAT, chain, channel.loss, channel.noise_photons)
+    return _chi(_FLOAT, chain, channel.loss, channel.noise_photons)
 
 
 def asymptotic_key(chain: DeviceChainParams, channel: ChannelParams) -> float:
     """Asymptotic secret key in bits per symbol; negative means insecure."""
     loss, nbar = channel.loss, channel.noise_photons
     mi = mutual_information(_snr(chain, loss, nbar))
-    chi = 0.0 if _leaks_nothing(chain, loss, nbar > 0.0) else _holevo(_FLOAT, chain, loss, nbar)
-    return mi - chi
+    return mi - _chi(_FLOAT, chain, loss, nbar)
 
 
 def confidence_w(correctness_epsilon: float) -> float:
@@ -363,7 +380,9 @@ def _composite(
 
     With the penalty, chi is taken at the worst case of `estimate`, or of
     the estimate the estimation block would give at `point` when
-    `estimate` is None.
+    `estimate` is None. An `estimate` also sets the booked counts: its
+    samples are the estimation block, and the sifted block is those plus
+    the n_ec key symbols.
     """
     if n_raw < 4:
         raise ValueError("n_raw must be >= 4")
@@ -380,7 +399,10 @@ def _composite(
     if not 0 < n_ec <= n_sifted:
         raise ValueError("n_ec must be in 1..sifted length")
     n_est = n_sifted - n_ec
-    if include_estimation_penalty and estimate is None and n_est < 2:
+    if estimate is not None:  # book the pairs the estimate had
+        n_est = estimate.samples
+        n_sifted = n_ec + n_est
+    elif include_estimation_penalty and n_est < 2:
         raise ValueError("estimation penalty requires at least 2 estimation symbols")
     w = confidence_w(e_ec) if include_estimation_penalty else 0.0
     delta_bits = finite_size_delta(n_ec) if include_delta else 0.0
@@ -435,10 +457,12 @@ def composite_key(
     parameters with standard errors) must be given. Of the N raw symbols,
     half survive sifting in expectation; `n_ec` of those carry the key
     (default: half the sifted block) and the remainder feed parameter
-    estimation. The bound is r * [beta*I - chi(worst case) - Delta(n_ec)]
-    with r = n_ec * p_ec / N. The two penalty flags reproduce the
-    finite-size-only and estimation-only ablations; with both off the
-    per-symbol bound equals the asymptotic key at the point parameters.
+    estimation. An `estimate` books its own `samples` as that remainder,
+    and n_ec + samples as the sifted block. The bound is
+    r * [beta*I - chi(worst case) - Delta(n_ec)] with r = n_ec * p_ec / N.
+    The two penalty flags reproduce the finite-size-only and
+    estimation-only ablations; with both off the per-symbol bound equals
+    the asymptotic key at the point parameters.
     """
     if (channel is None) == (estimate is None):
         raise ValueError("provide exactly one of channel or estimate")
@@ -458,81 +482,55 @@ def noise_crossing(
 ) -> float:
     """Zero crossing of a non-increasing key function, by bisection.
 
-    Bisection on [lower, upper] (finite, lower < upper) to an absolute
-    width `tol` (which must be > 0), or until no float lies strictly
-    between the bracket ends; returns the midpoint of the last bracket,
-    0.0 if the key is not positive at `lower` and inf if it is still
-    positive at `upper`.
+    Bisects [lower, upper] (finite, lower < upper) to an absolute width
+    `tol` > 0, or until no float lies strictly between the ends, and
+    returns the last midpoint: 0.0 if the key is not positive at `lower`,
+    inf if it is still positive at `upper`. A midpoint outside the
+    tightest evaluated bracket (a, b), key(a) > 0 >= key(b), is decided
+    unevaluated. An open one gets one evaluation, at the Illinois (modified
+    regula falsi) point of (a, b) while one is usable and strikes remain
+    (each Illinois point that leaves it open costs one of six), else at
+    itself, and is tested again: the result is plain bisection's float.
 
-    The key is evaluated only where its sign is not yet implied. Beside
-    the bisection bracket the loop keeps the tightest evaluated bracket
-    (a, b), key(a) > 0 >= key(b): a midpoint <= a is positive and one
-    >= b is not, for any non-increasing key. A midpoint strictly inside
-    (a, b) first gets Illinois (modified regula falsi) points inside
-    (a, b), then, if it is still inside, an evaluation of its own. The
-    result is therefore plain bisection's float, bit for bit. An
-    Illinois point that leaves the midpoint inside (a, b) costs one
-    evaluation more than bisection; after six of them the call stops
-    interpolating.
-
-    Without a `guess`, (a, b) starts as (lower, upper). A finite `guess`
-    is clamped into [lower, upper] and the key is evaluated there first.
-    A walk then steps away from that point, towards the side its sign
-    points to, until the key changes sign: first by max(|point| / 8, tol),
-    each step four times the last, and after four steps straight to the
-    bracket end. That evaluated bracket starts (a, b); `lower` or `upper`
-    is evaluated only if the walk reaches it. Since (a, b) only decides
-    midpoints whose sign monotonicity implies, the result does not depend
-    on the guess. A call never makes more than plain bisection's
-    evaluations plus six Illinois points, plus four walk steps with a
-    guess.
+    (a, b) starts from key(lower) and key(upper), or from `guess` (finite,
+    clamped into [lower, upper]) and a walk away from it towards the side
+    its sign points to, until the sign changes: steps d, 4d, 16d and 64d
+    with d = max(|clamped guess| / 8, tol), then straight to the end.
     """
     if not tol > 0.0:
         raise ValueError("tol must be > 0")
     if not -math.inf < lower < upper < math.inf:
         raise ValueError("lower and upper must be finite, with lower < upper")
     if guess is None:  # lower, then straight to upper
-        x, step, steps = lower, math.inf, 0
+        x, steps = lower, iter(())
     elif math.isfinite(guess):
         x = min(max(guess, lower), upper)
-        step, steps = max(abs(x) / 8.0, tol), 4
+        d = max(abs(x) / 8.0, tol)
+        steps = iter((d, 4.0 * d, 16.0 * d, 64.0 * d))
     else:
         raise ValueError("guess must be finite")
-    fx = key_fn(x)
-    rising = fx > 0.0  # the root lies above x
-    while (fx > 0.0) == rising:
-        if rising:
-            a, fa = x, fx
+    a = b = None
+    while a is None or b is None:
+        fx, step = key_fn(x), next(steps, math.inf)
+        if fx > 0.0:
             if x == upper:
                 return math.inf
-            x = min(x + step, upper)
+            a, fa, x = x, fx, min(x + step, upper)
         else:
-            b, fb = x, fx
             if x == lower:
                 return 0.0
-            x = max(x - step, lower)
-        steps -= 1
-        step = step * 4.0 if steps > 0 else math.inf
-        fx = key_fn(x)
-    if rising:
-        b, fb = x, fx
-    else:
-        a, fa = x, fx
-    lo, hi = lower, upper
-    side, strikes = 0, 6
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        while strikes and a < mid < b:
-            # 0 once Illinois halving underflows both values, inf or nan
-            # from the key itself: fall back to the midpoint
-            denom = fa - fb
-            if not 0.0 < denom < math.inf:
-                break
-            x = a + fa / denom * (b - a)
-            if not a < x < b:
-                break
+            b, fb, x = x, fx, max(x - step, lower)
+    lo, hi, side, strikes = lower, upper, 0, 6
+    while hi - lo > tol and lo < (mid := 0.5 * (lo + hi)) < hi:
+        if mid <= a:
+            lo = mid
+        elif mid >= b:
+            hi = mid
+        # open: the Illinois point while usable (fa - fb is 0 once halving
+        # underflows both, inf or nan from the key), else the midpoint
+        elif strikes and 0.0 < (den := fa - fb) < math.inf and (
+            a < (x := a + fa / den * (b - a)) < b
+        ):
             fx = key_fn(x)
             if fx > 0.0:
                 if side > 0:
@@ -542,18 +540,11 @@ def noise_crossing(
                 if side < 0:
                     fa *= 0.5
                 b, fb, side = x, fx, -1
-            if a < mid < b:
-                strikes -= 1
-        if a < mid < b:
-            fm = key_fn(mid)
-            if fm > 0.0:
-                a, fa = mid, fm
-            else:
-                b, fb = mid, fm
-        if mid <= a:
-            lo = mid
+            strikes -= a < mid < b
+        elif (fm := key_fn(mid)) > 0.0:
+            a, fa = mid, fm
         else:
-            hi = mid
+            b, fb = mid, fm
     return 0.5 * (lo + hi)
 
 
@@ -725,10 +716,7 @@ def sweep_noise(
     ops = _array_ops()
     snr_value = _snr(chain, loss, nbar)
     mi = _mutual_information(ops, snr_value)
-    if _leaks_nothing(chain, loss, bool(np.any(nbar > 0.0))):
-        chi = np.zeros_like(nbar)
-    else:
-        chi = _holevo(ops, chain, loss, nbar)
+    chi = _chi(ops, chain, loss, nbar)
     finite = _composite(ops, chain, (loss, nbar), None, mi, chi, **settings)
     return SecurityReport(
         snr=snr_value,

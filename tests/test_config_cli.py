@@ -7,11 +7,14 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import mwqkd
 from mwqkd import cli, security
@@ -336,6 +339,53 @@ def test_protocol_without_enough_data_exits_3(tmp_path, capsys):
                    "--out", str(tmp_path / "x"))
     assert code == 3
     assert "matched pairs" in capsys.readouterr().err
+
+
+def test_lossless_channel_with_noise_exits_0(tmp_path, capsys):
+    # the estimated loss clamps to 0 while the noise estimate stays positive
+    assert run_cli("protocol", "--preset", "run2", "--loss", "0.0005", "--nbar", "0",
+                   "--seed", "3", "--out", str(tmp_path / "p")) == 0
+    assert run_cli("report", "--loss", "0", "--nbar", "0.05",
+                   "--out", str(tmp_path / "r.json")) == 0
+    assert run_cli("sweep", "--loss", "0", "--out", str(tmp_path / "s.csv")) == 0
+    capsys.readouterr()
+    # a lossless channel carries its noise into the transcript
+    for nbar in ("0", "0.05"):
+        assert run_cli("protocol", "--loss", "0", "--nbar", nbar, "--n-symbols", "2000",
+                       "--out", str(tmp_path / nbar)) == 0
+    assert (tmp_path / "0" / "key.csv").read_bytes() != (tmp_path / "0.05" / "key.csv").read_bytes()
+
+
+def _output_bytes(directory) -> dict:
+    return {path.name: path.read_bytes() for path in sorted(Path(directory).iterdir())}
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    preset=st.sampled_from(["run1", "run2"]),
+    loss=st.one_of(st.just(0.0), st.floats(0.0, 0.05)),
+    nbar=st.one_of(st.just(0.0), st.floats(0.0, 0.02)),
+    seed=st.integers(0, 2**32),
+    announce=st.booleans(),
+    n=st.integers(64, 4000),
+)
+@example(preset="run2", loss=0.0, nbar=0.01, seed=3, announce=False, n=2000)
+@example(preset="run1", loss=5e-324, nbar=0.02, seed=0, announce=True, n=4000)
+def test_protocol_exits_0_or_3_reproducibly_and_books_its_counts(
+    preset, loss, nbar, seed, announce, n
+):
+    argv = ["protocol", "--preset", preset, "--loss", repr(loss), "--nbar", repr(nbar),
+            "--seed", str(seed), "--n-symbols", str(n)]
+    argv += ["--announce-bases"] if announce else []
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = (os.path.join(tmp, run) for run in ("a", "b"))
+        code = run_cli(*argv, "--out", first)
+        assert code in (0, 3)
+        assert run_cli(*argv, "--out", second) == code
+        assert _output_bytes(first) == _output_bytes(second)
+        if code == 0:
+            report = json.loads(Path(first, "report.json").read_text())
+            assert report["finite_size"]["n_sifted"] == report["empirical"]["n_matched"]
 
 
 def test_protocol_requires_out(capsys):

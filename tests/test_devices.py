@@ -155,6 +155,28 @@ def test_response_and_noise_agrees_with_distribution():
         assert v == pytest.approx(var, rel=1e-12)
 
 
+def test_lossless_channel_still_adds_its_noise():
+    # zero loss is the loss -> 0+ limit at fixed nbar: the record keeps the
+    # coupled noise, in the closed form and in the covariance oracle alike
+    for nbar in (0.0, 0.05):
+        lossless = d.ChannelParams(0.0, nbar)
+        for matched, bob_basis in ((True, "q"), (False, "p")):
+            k, v = d.response_and_noise(RUN2, lossless, matched=matched)
+            mean, var = d.bob_output_distribution(RUN2, lossless, 1.0, "q", bob_basis)
+            assert k == pytest.approx(mean, rel=1e-12)
+            assert v == pytest.approx(var, rel=1e-12)
+            near = d.response_and_noise(RUN2, d.ChannelParams(1e-12, nbar), matched=matched)
+            assert v == pytest.approx(near[1], rel=1e-9)
+            # a subnormal loss is lossless too: 2 nbar / loss would overflow
+            assert d.response_and_noise(RUN2, d.ChannelParams(5e-324, nbar), matched) == (k, v)
+    model = RUN2.readout
+    quiet, loud = (model.moments(0.0, nbar)[1] for nbar in (0.0, 0.05))
+    assert loud == pytest.approx(quiet + model.variance_gain * 0.05, rel=1e-12)
+    # a noise grid at zero loss gets each point's float bits
+    grid = model.moments(0.0, np.array([0.0, 0.05]))[1]
+    assert grid.tolist() == [quiet, loud]
+
+
 def test_trusted_readout_constants_match_op_chain():
     # the closed-form readout model must reproduce the covariance oracle,
     # for a matched (G) and a mismatched (G -> 1/G) receiver

@@ -119,11 +119,33 @@ def test_modulated_input_variance_matches_covariance_oracle(chain):
 
 def test_holevo_edge_cases():
     assert sec.holevo_dr(RUN1, ChannelParams(0.0, 0.0)) == 0.0
-    with pytest.raises(ValueError):
-        sec.holevo_dr(RUN1, ChannelParams(0.0, 0.01))
+    # a lossless channel with noise takes chi's loss -> 0+ limit
+    assert sec.holevo_dr(RUN1, ChannelParams(0.0, 0.01)) == pytest.approx(
+        sec.holevo_dr(RUN1, ChannelParams(1e-10, 0.01)), rel=1e-8
+    )
     # no modulation leaks nothing
     flat = replace(RUN1, squeezing_db=0.0, antisqueezing_db=0.0)
     assert sec.holevo_dr(flat, QUIET) == 0.0
+
+
+def test_lossless_holevo_is_the_loss_limit():
+    # chi at zero loss is its loss -> 0+ limit at fixed nbar: finite,
+    # continuous in the loss, 0 only without noise, and the same closed
+    # form below the smallest normal loss, where 2 nbar / loss overflows
+    assert sec.holevo_dr(RUN2, ChannelParams(0.0, 0.01)) == pytest.approx(
+        0.2740723164436815, rel=1e-12
+    )
+    for chain in (RUN1, RUN2):
+        previous = 0.0
+        for nbar in (1e-6, 0.01, 0.05, 1.0):
+            limit = sec.holevo_dr(chain, ChannelParams(0.0, nbar))
+            assert limit > previous
+            assert abs(limit - sec.holevo_dr(chain, ChannelParams(1e-10, nbar))) < 1e-7
+            assert sec.holevo_dr(chain, ChannelParams(5e-324, nbar)) == limit
+            assert sec.asymptotic_key(chain, ChannelParams(0.0, nbar)) == (
+                sec.mutual_information(sec.snr(chain, ChannelParams(0.0, nbar))) - limit
+            )
+            previous = limit
 
 
 def test_holevo_monotone_in_loss_and_noise():
@@ -593,6 +615,18 @@ def test_composite_key_accounting():
     )
 
 
+def test_composite_key_books_the_estimate_counts():
+    # an estimate books the pairs it had, not half of half of N; the
+    # counts it books move no key value
+    estimate = sec.predicted_estimate(RUN2, QUIET, 4122)
+    bound = sec.composite_key(RUN2, estimate=estimate, n_raw=16665)
+    assert (bound.n_sifted, bound.n_ec, bound.n_estimation) == (8288, 4166, 4122)
+    assert sec.build_report(RUN2, estimate=estimate, n_raw=16665).finite_size == bound
+    expected = sec.composite_key(RUN2, estimate=replace(estimate, samples=4166), n_raw=16665)
+    assert (expected.n_sifted, expected.n_estimation) == (8332, 4166)
+    assert bound.bits_per_raw_symbol == expected.bits_per_raw_symbol
+
+
 def test_composite_key_ablations_reduce_to_asymptotic():
     bound = sec.composite_key(
         RUN2, QUIET, n_raw=16665, include_delta=False,
@@ -825,14 +859,16 @@ def test_sweep_noise_rejects_bad_points_like_the_scalar_path():
     for bad in (-0.01, math.nan, math.inf):
         with pytest.raises(ValueError, match="finite and >= 0"):
             sec.sweep_noise(RUN1, 0.0115, [0.0, bad], n_raw=16665)
-    with pytest.raises(ValueError, match="zero loss") as scalar:
-        sec.build_report(RUN1, ChannelParams(0.0, 0.01), n_raw=16665)
-    with pytest.raises(ValueError) as array:
-        sec.sweep_noise(RUN1, 0.0, [0.0, 0.01], n_raw=16665)
-    assert str(array.value) == str(scalar.value)
+    # zero loss is a valid point, with noise too: each grid point is the
+    # scalar report, bit for bit
+    grid = [0.0, 0.01]
+    constant, points = sec.sweep_noise(RUN1, 0.0, grid, n_raw=16665).split_grid()
+    assert [json.dumps(merge_point(constant, p), indent=2, sort_keys=True) for p in points] == [
+        _to_json(sec.build_report(RUN1, ChannelParams(0.0, nbar), n_raw=16665)) for nbar in grid
+    ]
     # a noiseless grid at zero loss leaks nothing
     assert sec.sweep_noise(RUN1, 0.0, [0.0], n_raw=16665).holevo_bits.tolist() == [0.0]
-    assert cli.main(["sweep", "--preset", "run1", "--loss", "0"]) == 2
+    assert cli.main(["sweep", "--preset", "run1", "--loss", "0"]) == 0
 
 
 def test_physicality_guard_raises_on_one_bad_grid_point(monkeypatch):
