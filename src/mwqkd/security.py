@@ -11,6 +11,11 @@ Each formula is written once and evaluates either one parameter point on
 Python floats (root finders, single reports) or a whole noise grid on
 numpy arrays (:func:`sweep_noise`), with bit-identical results per point.
 Only the array path imports numpy, so scalar callers never load it.
+
+Reports have one evaluation, ``_report``: SNR, I_AB, chi and the composite
+bound at a point or over a grid, inputs echoed. :func:`build_report` (one
+point), :func:`sweep_noise` (a noise grid) and :func:`composite_key` (the
+report's ``finite_size``) check their arguments and call it.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import math
 from dataclasses import dataclass, fields
 from types import SimpleNamespace
 
-from .devices import LOSSLESS_BELOW, ChannelEstimate, ChannelParams, DeviceChainParams
+from .devices import ChannelEstimate, ChannelParams, DeviceChainParams
 from .errors import PhysicalityError
 
 DEFAULT_CORRECTNESS_EPSILON = 1e-10  # e_ec, failure bound on estimation confidence
@@ -72,9 +77,10 @@ def _elementwise(fn):
 # as a Python float (`_elementwise`); sqrt is correctly rounded either
 # way; maximum/minimum keep the builtins' tie rule (the first argument
 # unless the second is strictly larger or smaller). So a grid point gets
-# exactly the bits the float path gives it. worst_case_chi is chi at the
-# widened parameters of the composite bound: one point goes through
-# holevo_dr, with its channel checks and lossless limit.
+# exactly the bits the float path gives it. `first` is the first value
+# where cond holds, or None; `piecewise` is f where cond holds and g
+# elsewhere, each evaluated at its own points only. worst_case_chi is chi
+# at the composite bound's widened parameters; one point is checked first.
 _FLOAT = SimpleNamespace(
     sqrt=math.sqrt,
     log2=math.log2,
@@ -83,7 +89,8 @@ _FLOAT = SimpleNamespace(
     maximum=max,
     minimum=min,
     where=lambda cond, a, b: a if cond else b,
-    any=bool,
+    first=lambda cond, values: values if cond else None,
+    piecewise=lambda cond, f, g, *args: f(*args) if cond else g(*args),
     worst_case_chi=lambda chain, loss, nbar: holevo_dr(chain, ChannelParams(loss, nbar)),
 )
 
@@ -95,7 +102,16 @@ def _array_ops() -> SimpleNamespace:
     never load it."""
     import numpy as np
 
-    ops = SimpleNamespace(
+    def piecewise(cond, f, g, *args):
+        if not cond.any():  # the common grid: g everywhere, unsplit
+            return g(*args)
+        cond, *args = np.broadcast_arrays(cond, *args)
+        out = np.empty(cond.shape)
+        out[cond] = f(*(arg[cond] for arg in args))
+        out[~cond] = g(*(arg[~cond] for arg in args))
+        return out
+
+    return SimpleNamespace(
         sqrt=np.sqrt,
         log2=_elementwise(math.log2),
         hypot=_elementwise(math.hypot),
@@ -103,11 +119,10 @@ def _array_ops() -> SimpleNamespace:
         maximum=lambda a, b: np.where(b > a, b, a),
         minimum=lambda a, b: np.where(b < a, b, a),
         where=np.where,
-        any=np.any,
+        first=lambda cond, values: values[cond][0] if cond.any() else None,
+        piecewise=piecewise,
+        worst_case_chi=lambda chain, loss, nbar: _chi(_array_ops(), chain, loss, nbar),
     )
-    # loss_sigma > 0 and w > 0, so a worst case on the grid is never lossless
-    ops.worst_case_chi = lambda chain, loss, nbar: _holevo(ops, chain, loss, nbar)
-    return ops
 
 
 def _snr(chain: DeviceChainParams, loss: float, nbar):
@@ -161,8 +176,8 @@ def _environment_entropy(ops, eps, t, v, v_q: float, v_p: float):
     floor = 1.0 - ops.maximum(
         PHYSICALITY_TOL, PHYSICALITY_TOL_REL * ops.maximum(v, eps * max(a, b) + t * v)
     )
-    if ops.any(nu_minus_sq < floor * floor):
-        raise PhysicalityError(f"environment violates the uncertainty bound: {nu_minus_sq=}")
+    if (bad := ops.first(nu_minus_sq < floor * floor, nu_minus_sq)) is not None:
+        raise PhysicalityError(f"environment violates the uncertainty bound: nu_minus_sq={bad}")
     return ops.entropy(ops.sqrt(nu_plus_sq)) + ops.entropy(ops.sqrt(nu_minus_sq))
 
 
@@ -201,14 +216,23 @@ def _lossless_holevo(ops, chain: DeviceChainParams, nbar):
     return ops.maximum(chi, 0.0)
 
 
-def _chi(ops, chain: DeviceChainParams, loss: float, nbar):
-    """chi at a float loss, with nbar a float or an array: 0 for an
-    unmodulated chain, the eps -> 0+ limit on a lossless channel."""
-    if chain.codebook_variance == 0.0:
-        return 0.0 * nbar
-    if loss < LOSSLESS_BELOW:
-        return _lossless_holevo(ops, chain, nbar)
-    return _holevo(ops, chain, loss, nbar)
+# Past this 4 nbar / loss (v - 1) the closed form's rounding error outgrows
+# the ~1.1 loss / (4 nbar) bits its loss -> 0+ limit is off by: against a
+# 50-digit chi (nbar 1e-6..30, four chains) both stay within 2.3e-9 bits.
+# The closed form is off by 4e-7 at 1e11 and fails its physicality check past it.
+_LOSSLESS_RATIO = 5e8
+
+
+def _chi(ops, chain: DeviceChainParams, loss, nbar):
+    """chi at (loss, nbar), floats or arrays: the loss -> 0+ limit where
+    4 nbar / loss reaches _LOSSLESS_RATIO (loss 0 included), else the closed
+    form; both give 0 for an unmodulated chain (equal input variances)."""
+    return ops.piecewise(
+        _LOSSLESS_RATIO * loss <= 4.0 * nbar,
+        lambda loss, nbar: _lossless_holevo(ops, chain, nbar),
+        lambda loss, nbar: _holevo(ops, chain, loss, nbar),
+        loss, nbar,
+    )
 
 
 def holevo_dr(chain: DeviceChainParams, channel: ChannelParams) -> float:
@@ -326,11 +350,6 @@ def predicted_estimate(
         noise_sigma=noise_sigma,
         samples=int(samples),
     )
-
-
-def _point_channel(estimate: ChannelEstimate) -> ChannelParams:
-    loss = min(max(estimate.loss, 0.0), 1.0 - 1e-12)
-    return ChannelParams(loss, estimate.noise_photons)
 
 
 @dataclass(frozen=True)
@@ -464,17 +483,12 @@ def composite_key(
     estimation-only ablations; with both off the per-symbol bound equals
     the asymptotic key at the point parameters.
     """
-    if (channel is None) == (estimate is None):
-        raise ValueError("provide exactly one of channel or estimate")
-    point = channel if channel is not None else _point_channel(estimate)
-    mi = mutual_information(snr(chain, point))
-    chi = None if include_estimation_penalty else holevo_dr(chain, point)
-    return _composite(
-        _FLOAT, chain, (point.loss, point.noise_photons), estimate, mi, chi,
+    return build_report(
+        chain, channel, estimate,
         n_raw=n_raw, n_ec=n_ec, beta_ec=beta_ec, p_ec=p_ec, e_ec=e_ec,
         include_delta=include_delta,
         include_estimation_penalty=include_estimation_penalty,
-    )
+    ).finite_size
 
 
 def noise_crossing(
@@ -617,16 +631,31 @@ def _point_of(columns: dict, i: int) -> dict:
     }
 
 
-def _report_inputs(chain, channel: dict, estimate, **settings) -> dict:
+def _report(ops, chain: DeviceChainParams, loss, nbar, estimate, **settings) -> SecurityReport:
+    """The report at (loss, nbar), floats or a noise grid, its composite
+    bound widened from `estimate` when one is given."""
+    snr_value = _snr(chain, loss, nbar)
+    mi = _mutual_information(ops, snr_value)
+    chi = _chi(ops, chain, loss, nbar)
+    finite = _composite(ops, chain, (loss, nbar), estimate, mi, chi, **settings)
+    provenance = "exact" if estimate is None else "estimated"
     inputs = {
         "chain": _fields_dict(chain),
-        "channel": channel,
-        "parameter_source": "estimated" if estimate is not None else "exact",
+        "channel": {"loss": loss, "noise_photons": nbar},
+        "parameter_source": provenance,
         **settings,
     }
     if estimate is not None:
         inputs["estimate"] = _fields_dict(estimate)
-    return inputs
+    return SecurityReport(
+        snr=snr_value,
+        mi_bits=mi,
+        holevo_bits=chi,
+        asymptotic_key_bits=mi - chi,
+        finite_size=finite,
+        provenance=provenance,
+        inputs=inputs,
+    )
 
 
 def build_report(
@@ -646,36 +675,20 @@ def build_report(
     """Assemble a SecurityReport, echoing every input for reproducibility.
 
     The asymptotic block uses the point parameters; the finite-size block
-    books `n_raw` raw symbols.
+    books `n_raw` raw symbols. `extra_inputs` are merged into the echo.
     """
     if (channel is None) == (estimate is None):
         raise ValueError("provide exactly one of channel or estimate")
-    settings = dict(
+    if channel is None:  # the estimate's loss, clamped into [0, 1)
+        channel = ChannelParams(min(max(estimate.loss, 0.0), 1.0 - 1e-12), estimate.noise_photons)
+    report = _report(
+        _FLOAT, chain, channel.loss, channel.noise_photons, estimate,
         n_raw=n_raw, n_ec=n_ec, beta_ec=beta_ec, p_ec=p_ec, e_ec=e_ec,
         include_delta=include_delta,
         include_estimation_penalty=include_estimation_penalty,
     )
-    point = channel if channel is not None else _point_channel(estimate)
-    snr_value = snr(chain, point)
-    mi = mutual_information(snr_value)
-    chi = holevo_dr(chain, point)
-    finite = _composite(
-        _FLOAT, chain, (point.loss, point.noise_photons), estimate, mi, chi, **settings
-    )
-
-    inputs = _report_inputs(chain, _fields_dict(point), estimate, **settings)
-    provenance = inputs["parameter_source"]
-    if extra_inputs:
-        inputs.update(extra_inputs)
-    return SecurityReport(
-        snr=snr_value,
-        mi_bits=mi,
-        holevo_bits=chi,
-        asymptotic_key_bits=mi - chi,
-        finite_size=finite,
-        provenance=provenance,
-        inputs=inputs,
-    )
+    report.inputs.update(extra_inputs or {})
+    return report
 
 
 def sweep_noise(
@@ -701,29 +714,15 @@ def sweep_noise(
     """
     import numpy as np
 
-    settings = dict(
-        n_raw=n_raw, n_ec=n_ec, beta_ec=beta_ec, p_ec=p_ec, e_ec=e_ec,
-        include_delta=include_delta,
-        include_estimation_penalty=include_estimation_penalty,
-    )
     ChannelParams(loss)  # validates the loss
     nbar = np.array(nbars, dtype=float)
     if nbar.ndim != 1:
         raise ValueError("nbars must be a 1-D grid")
     if not np.all(np.isfinite(nbar) & (nbar >= 0.0)):
         raise ValueError("noise levels must be finite and >= 0")
-
-    ops = _array_ops()
-    snr_value = _snr(chain, loss, nbar)
-    mi = _mutual_information(ops, snr_value)
-    chi = _chi(ops, chain, loss, nbar)
-    finite = _composite(ops, chain, (loss, nbar), None, mi, chi, **settings)
-    return SecurityReport(
-        snr=snr_value,
-        mi_bits=mi,
-        holevo_bits=chi,
-        asymptotic_key_bits=mi - chi,
-        finite_size=finite,
-        provenance="exact",
-        inputs=_report_inputs(chain, {"loss": loss, "noise_photons": nbar}, None, **settings),
+    return _report(
+        _array_ops(), chain, loss, nbar, None,
+        n_raw=n_raw, n_ec=n_ec, beta_ec=beta_ec, p_ec=p_ec, e_ec=e_ec,
+        include_delta=include_delta,
+        include_estimation_penalty=include_estimation_penalty,
     )

@@ -502,6 +502,41 @@ def test_linkbudget_bytes_are_pinned(tmp_path, capsys, preset, medium, fmt):
     assert got == GOLDEN_LINKBUDGETS[preset, medium, fmt]
 
 
+# sha256 of the report and sweep outputs, recorded before build_report,
+# sweep_noise and composite_key shared one evaluation. The paper's point
+# (loss 0.0115, nbar 1.7e-6) and a lossless channel with noise.
+GOLDEN_REPORTS = {
+    ("run1", "0.0115", "1.7e-06"): "8b75b83fd8e4708d2d57769298b4613429cc7142e35449c0bb10c3a0ca370e0b",
+    ("run1", "0", "0.01"): "97e0df8106fe58d6fa99f85e17f138bed9e39ca278a218a801d7802074d6c60b",
+    ("run2", "0.0115", "1.7e-06"): "701377ea118f0751eddb2173385471d86aaf8302201ca819c9fe5d34c2325a57",
+    ("run2", "0", "0.01"): "0ce3ec5bf5df0d0bc7bc41ce17327919b811a0ced9ada32c36770524e48f359e",
+}
+GOLDEN_SWEEPS = {
+    ("run1", "csv"): "0df32a248663152739acd6cd523d4ed8352296e05b2bb3e8d8a0dbfefd53b114",
+    ("run1", "json"): "09a592bad97d80abb8961475d6f166e28f76b75c3650538e9f2308df64cbffb6",
+    ("run2", "csv"): "488dee6b015f1206d055b0345caf790d257d1a0610efcb98410d70bfefb59260",
+    ("run2", "json"): "868bf00d3ff401eec7e05895dd0aa963a26c92cccabdd9ec281cd4b9ddf8cf22",
+}
+
+
+@pytest.mark.parametrize("preset, loss, nbar", sorted(GOLDEN_REPORTS))
+def test_report_bytes_are_pinned(tmp_path, preset, loss, nbar):
+    out = tmp_path / "report.json"
+    assert run_cli("report", "--preset", preset, "--loss", loss, "--nbar", nbar,
+                   "--out", str(out)) == 0
+    got = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert got == GOLDEN_REPORTS[preset, loss, nbar]
+
+
+@pytest.mark.parametrize("preset, fmt", sorted(GOLDEN_SWEEPS))
+def test_sweep_bytes_are_pinned(tmp_path, capsys, preset, fmt):
+    out = tmp_path / f"sweep.{fmt}"
+    assert run_cli("sweep", "--preset", preset, "--format", fmt, "--out", str(out)) == 0
+    capsys.readouterr()
+    got = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert got == GOLDEN_SWEEPS[preset, fmt]
+
+
 def test_report_command_stdout(capsys):
     assert run_cli("report", "--preset", "run2", "--nbar", "1.7e-6") == 0
     data = json.loads(capsys.readouterr().out)

@@ -7,7 +7,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import mwqkd
@@ -146,6 +146,83 @@ def test_lossless_holevo_is_the_loss_limit():
                 sec.mutual_information(sec.snr(chain, ChannelParams(0.0, nbar))) - limit
             )
             previous = limit
+
+
+def _mp_holevo(chain, loss, nbar):
+    """chi from the environment invariants in mpmath, with 50 digits beyond
+    the ones the variance v = 1 + 4 nbar / loss cancels in x - y."""
+    mpmath = pytest.importorskip("mpmath")
+    loss, nbar = mpmath.mpf(loss), mpmath.mpf(nbar)
+    with mpmath.workdps(50 + 2 * max(0, int(mpmath.log10(1 + 4 * nbar / loss)))):
+        t, v = 1 - loss, 1 + 4 * nbar / loss
+        b = 4 * mpmath.mpf(chain.readout.orthogonal_input_variance)
+
+        def entropy(nu):
+            n = (nu - 1) / 2
+            return 0 if n <= 0 else ((n + 1) * mpmath.log(n + 1) - n * mpmath.log(n)) / mpmath.log(2)
+
+        def environment(v_q):
+            a = 4 * mpmath.mpf(v_q)
+            det = (loss * a * v + t) * (loss * b * v + t)
+            trace = loss**2 * (a * b + v * v) + loss * t * v * (a + b) + 2 * t
+            x, y = a - v, b - v
+            gap = (v * (x - y)) ** 2 + x * y * (4 * t + loss * (loss * x * y + 2 * v * (a + b)))
+            nu_plus_sq = (trace + loss * mpmath.sqrt(gap)) / 2
+            return entropy(mpmath.sqrt(nu_plus_sq)) + entropy(mpmath.sqrt(det / nu_plus_sq))
+
+        chi = environment(chain.modulated_input_variance)
+        return float(max(chi - environment(chain.readout.channel_input_variance), 0))
+
+
+@pytest.mark.parametrize("chain", [RUN1, RUN2])
+@pytest.mark.parametrize("nbar", [1e-6, 0.01, 1.0])
+@pytest.mark.parametrize("ratio", [1e4, 1e6, 1e8, 5e8, 1e9, 1e11, 1e13, 1e200])
+def test_holevo_matches_mpmath_as_the_loss_vanishes(chain, nbar, ratio):
+    # the closed form up to 4 nbar / loss = 5e8, its loss -> 0+ limit past it:
+    # both within 2.3e-9 bits there, where the closed form alone drifts by
+    # 4e-7 at 1e11 and breaks beyond
+    loss = 4.0 * nbar / ratio
+    assert sec.holevo_dr(chain, ChannelParams(loss, nbar)) == pytest.approx(
+        _mp_holevo(chain, loss, nbar), abs=3e-9
+    )
+
+
+@pytest.mark.parametrize("argv", [
+    ["report", "--preset", "run2", "--loss", "1e-13", "--nbar", "0.01"],
+    ["report", "--loss", "1e-200", "--nbar", "0.01", "--no-pe"],
+    ["sweep", "--preset", "run2", "--loss", "1e-13", "--format", "json"],
+])
+def test_tiny_losses_exit_0_with_the_precise_chi(tmp_path, capsys, argv):
+    out = tmp_path / "out.json"
+    assert cli.main([*argv, "--out", str(out)]) == 0
+    capsys.readouterr()
+    chain = cli.resolve_config(cli.build_parser().parse_args(argv)).chain
+    data = json.loads(out.read_text())
+    if argv[0] == "sweep":
+        points = [merge_point(data["settings"], point) for point in data["reports"]]
+        assert len(points) == 41
+    else:
+        points = [data]
+    for point in points:
+        channel = point["inputs"]["channel"]
+        assert math.isfinite(point["holevo_bits"])
+        assert point["holevo_bits"] == pytest.approx(
+            _mp_holevo(chain, channel["loss"], channel["noise_photons"]), abs=3e-9
+        )
+
+
+def test_tiny_loss_grid_points_are_the_scalar_reports():
+    # one grid on both sides of the lossless switch, point by point the
+    # scalar report's bits
+    grid = [0.0, 1e-8, 2.5e-5, 0.01, 0.5]
+    for loss in (1e-13, 1e-12, 0.0):
+        constant, points = sec.sweep_noise(RUN2, loss, grid, n_raw=16665,
+                                           include_estimation_penalty=False).split_grid()
+        want = [_to_json(sec.build_report(RUN2, ChannelParams(loss, nbar), n_raw=16665,
+                                          include_estimation_penalty=False))
+                for nbar in grid]
+        got = [json.dumps(merge_point(constant, p), indent=2, sort_keys=True) for p in points]
+        assert got == want
 
 
 def test_holevo_monotone_in_loss_and_noise():
@@ -511,6 +588,30 @@ def test_max_tolerable_loss_stays_below_the_plob_reach(chain, background):
     # the environment of the loss key holds `background` photons at every
     # loss, and the PLOB bound is 0 from loss = 1 / (1 + background) on
     assert lb.max_tolerable_loss(chain, background) < 1.0 / (1.0 + background)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    chain=_chains(),
+    loss=st.floats(-5.0, math.log10(0.98)).map(lambda e: 10.0**e),
+    ratio=st.one_of(st.just(0.0), st.floats(-8.0, 0.0).map(lambda e: 10.0**e)),
+    n_raw=st.integers(8, 10**9),
+)
+@example(chain=RUN1, loss=0.0115, ratio=1.7e-6 / 0.0115, n_raw=16665)
+@example(chain=RUN2, loss=0.0115, ratio=1.7e-6 / 0.0115, n_raw=16665)
+def test_composite_key_stays_below_asymptotic_and_plob(chain, loss, ratio, n_raw):
+    # composite <= asymptotic <= PLOB; the raw-symbol rate never beats the
+    # asymptotic key, and dropping either finite-size term never lowers it;
+    # an unmodulated chain cannot estimate the channel, so it has no bound
+    assume(chain.codebook_variance > 0.0)
+    channel = ChannelParams(loss, ratio * loss)
+    report = sec.build_report(chain, channel, n_raw=n_raw)
+    bound = report.finite_size
+    assert bound.bits_per_symbol <= report.asymptotic_key_bits <= plob_bound(channel)
+    assert bound.bits_per_raw_symbol <= max(report.asymptotic_key_bits, 0.0)
+    for ablation in ("include_delta", "include_estimation_penalty"):
+        relaxed = sec.composite_key(chain, channel, n_raw=n_raw, **{ablation: False})
+        assert relaxed.bits_per_raw_symbol >= bound.bits_per_raw_symbol, ablation
 
 
 def test_confidence_w():
@@ -880,5 +981,9 @@ def test_physicality_guard_raises_on_one_bad_grid_point(monkeypatch):
         sec.holevo_dr(RUN1, ChannelParams(0.0115, 0.0))
     good = [0.01, 0.1]
     sec.sweep_noise(RUN1, 0.0115, good, n_raw=16665)
-    with pytest.raises(PhysicalityError):
+    # the error names the bad point's nu_-^2, not the whole grid
+    with pytest.raises(PhysicalityError, match=r"nu_minus_sq=[-+.e\d]+$") as grid_error:
         sec.sweep_noise(RUN1, 0.0115, [0.01, 0.0, 0.1], n_raw=16665)
+    with pytest.raises(PhysicalityError) as point_error:
+        sec.holevo_dr(RUN1, ChannelParams(0.0115, 0.0))
+    assert str(grid_error.value) == str(point_error.value)
