@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -111,9 +112,9 @@ def _write_text(out, text: str) -> None:
         Path(out).write_text(text)
 
 
-def _write_csv(out, header, rows, config: ExperimentConfig) -> None:
+def _write_csv(out, header, rows, config: dict) -> None:
     # str of a Python float is its shortest round-trip repr
-    lines = ["# config: " + json.dumps(config.to_dict(), sort_keys=True)]
+    lines = ["# config: " + json.dumps(config, sort_keys=True)]
     lines.append(",".join(header))
     lines.extend(",".join(map(str, row)) for row in rows)
     _write_text(out, "\n".join(lines) + "\n")
@@ -168,10 +169,73 @@ def cmd_sweep(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
             sweep.finite_size.bits_per_raw_symbol,
         )
         rows = zip(cfg.noise_grid, *(column.tolist() for column in columns))
-        _write_csv(args.out, header, rows, cfg)
+        _write_csv(args.out, header, rows, cfg.to_dict())
     if args.out is not None:
         print(f"asymptotic key rate crosses zero at nbar = {crossing:.6f}")
     return 0
+
+
+def _in_child(fn, *args):
+    """Start fn(*args) in a forked child and return a join callable.
+
+    join() returns the child's result or raises its exception, of the same
+    type and message. join(cancel=True) kills and reaps a child not yet
+    joined; after a join it does nothing. Where os.fork is missing or
+    fails, or the child ends without a result, join() calls fn(*args) in
+    this process, so an error surfaces where it would have without a
+    child. The child ends in os._exit: it never unwinds into the caller or
+    flushes the stdio buffers it inherited.
+    """
+    import pickle  # not at module level: they would lengthen every CLI start
+    import signal
+
+    def in_process(cancel=False):
+        return None if cancel else fn(*args)
+
+    if not hasattr(os, "fork"):
+        return in_process
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        return in_process
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            try:
+                result = True, fn(*args)
+            except Exception as exc:  # raised again by the parent's join
+                result = False, exc
+            with open(write_fd, "wb") as pipe:
+                pipe.write(pickle.dumps(result))
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+
+    def join(cancel=False):
+        nonlocal pid
+        if pid is None:
+            return None
+        if cancel:
+            os.kill(pid, signal.SIGKILL)
+        with open(read_fd, "rb") as pipe:
+            payload = b"" if cancel else pipe.read()
+        status = os.waitpid(pid, 0)[1]
+        pid = None
+        if cancel:
+            return None
+        if status != 0 or not payload:
+            return fn(*args)
+        ok, value = pickle.loads(payload)
+        if ok:
+            return value
+        raise value
+
+    return join
 
 
 def cmd_protocol(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
@@ -180,6 +244,7 @@ def cmd_protocol(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
 
+    config = cfg.to_dict()
     channel = ChannelParams(loss=cfg.channel_loss, noise_photons=cfg.noise_photons)
     codebook = proto.generate_codebook(
         cfg.n_symbols, cfg.chain.codebook_variance, seed=cfg.seed
@@ -191,36 +256,41 @@ def cmd_protocol(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
         seed=cfg.seed + 1,
         announce_bases=bool(args.announce_bases),
     )
-    proto.write_key_records(record, outdir / "key.csv")
-    manifest = proto.key_manifest(
-        codebook, record, cfg.chain, channel, cfg.seed + 1, bool(args.announce_bases)
-    )
-    manifest["config"] = cfg.to_dict()
-    _write_json(outdir / "manifest.json", manifest)
-
     alpha, beta = proto.sift(record)
-    kwargs = _report_kwargs(cfg)
-    n_ec = kwargs["n_ec"]
-    estimate = proto.estimate_channel(alpha[n_ec:], beta[n_ec:], cfg.chain)
-    report = security.build_report(
-        cfg.chain,
-        estimate=estimate,
-        extra_inputs={
-            "codebook_seed": cfg.seed,
-            "transmission_seed": cfg.seed + 1,
-            "n_matched": int(alpha.size),
-            "config": cfg.to_dict(),
-        },
-        **kwargs,
-    )
+    # the bootstrap needs only the sifted pairs, so it runs beside the rest
+    join_mi_sigma = _in_child(stats.bootstrap_mi_sigma, alpha, beta, 200, cfg.seed + 2)
+    try:
+        proto.write_key_records(record, outdir / "key.csv")
+        manifest = proto.key_manifest(
+            codebook, record, cfg.chain, channel, cfg.seed + 1, bool(args.announce_bases)
+        )
+        manifest["config"] = config
+        _write_json(outdir / "manifest.json", manifest)
 
-    slope, variance = response_and_noise(cfg.chain, channel, matched=True)
-    mi_emp = stats.empirical_mutual_information(alpha, beta)
-    mi_sigma = stats.bootstrap_mi_sigma(alpha, beta, seed=cfg.seed + 2)
-    hist = stats.build_histogram(beta)
-    overlap = stats.histogram_vs_gaussian(
-        hist, 0.0, slope**2 * cfg.chain.codebook_variance + variance
-    )
+        kwargs = _report_kwargs(cfg)
+        n_ec = kwargs["n_ec"]
+        estimate = proto.estimate_channel(alpha[n_ec:], beta[n_ec:], cfg.chain)
+        report = security.build_report(
+            cfg.chain,
+            estimate=estimate,
+            extra_inputs={
+                "codebook_seed": cfg.seed,
+                "transmission_seed": cfg.seed + 1,
+                "n_matched": int(alpha.size),
+                "config": config,
+            },
+            **kwargs,
+        )
+
+        slope, variance = response_and_noise(cfg.chain, channel, matched=True)
+        mi_emp = stats.empirical_mutual_information(alpha, beta)
+        hist = stats.build_histogram(beta)
+        overlap = stats.histogram_vs_gaussian(
+            hist, 0.0, slope**2 * cfg.chain.codebook_variance + variance
+        )
+        mi_sigma = join_mi_sigma()
+    finally:
+        join_mi_sigma(cancel=True)
     payload = report.to_dict()
     payload["empirical"] = {
         "n_matched": int(alpha.size),
@@ -233,7 +303,9 @@ def cmd_protocol(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
 
     edges = hist.bin_edges.tolist()
     rows = zip(edges[:-1], edges[1:], hist.counts.tolist(), hist.densities().tolist())
-    _write_csv(outdir / "histogram.csv", ("bin_lo", "bin_hi", "count", "density"), rows, cfg)
+    _write_csv(
+        outdir / "histogram.csv", ("bin_lo", "bin_hi", "count", "density"), rows, config
+    )
 
     print(f"matched symbols: {alpha.size} of {cfg.n_symbols}")
     print(f"estimated loss: {estimate.loss:.6f} +- {estimate.loss_sigma:.6f}")
@@ -270,7 +342,7 @@ def cmd_linkbudget(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
         }
         _write_json(args.out, payload)
     else:
-        _write_csv(args.out, ("nbar_th", "eps_max", "distance_m"), table, cfg)
+        _write_csv(args.out, ("nbar_th", "eps_max", "distance_m"), table, cfg.to_dict())
     if args.out is not None:
         print(f"medium: {medium.label}")
         print(f"max tolerable loss: {eps_max:.6f}")

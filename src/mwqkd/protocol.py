@@ -198,7 +198,8 @@ def estimate_channel(
     residual variance minus the trusted noise contributions gives the
     coupled-noise estimate. Standard errors are the asymptotic
     slope-error and chi-square variance-error formulas propagated through
-    the same referral.
+    the same referral. Fewer than MIN_ESTIMATION_SAMPLES pairs, or pairs
+    whose alpha are all 0, raise InsufficientDataError.
     """
     alpha = np.asarray(alpha, dtype=float)
     beta = np.asarray(beta, dtype=float)
@@ -212,6 +213,10 @@ def estimate_channel(
     model = chain.readout
 
     sxx = float(alpha @ alpha)
+    if sxx == 0.0:
+        raise InsufficientDataError(
+            "every matched symbol is 0 (an unmodulated chain), so the regression has no slope"
+        )
     slope = float(alpha @ beta) / sxx
     resid = beta - slope * alpha
     s2 = float(resid @ resid) / (m - 1)

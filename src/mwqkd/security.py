@@ -401,7 +401,9 @@ def _composite(
     the estimate the estimation block would give at `point` when
     `estimate` is None. An `estimate` also sets the booked counts: its
     samples are the estimation block, and the sifted block is those plus
-    the n_ec key symbols.
+    the n_ec key symbols. An unmodulated chain has I_AB = chi = 0 at every
+    channel, so no widening can move its bound: it is reported unwidened,
+    with no worst case.
     """
     if n_raw < 4:
         raise ValueError("n_raw must be >= 4")
@@ -427,7 +429,7 @@ def _composite(
     delta_bits = finite_size_delta(n_ec) if include_delta else 0.0
 
     worst_loss = worst_noise = None
-    if include_estimation_penalty:
+    if include_estimation_penalty and chain.codebook_variance > 0.0:
         if estimate is None:
             loss, nbar = point
             loss_sigma, noise_sigma = _predicted_sigmas(ops, chain, loss, nbar, n_est)
@@ -481,7 +483,10 @@ def composite_key(
     r * [beta*I - chi(worst case) - Delta(n_ec)] with r = n_ec * p_ec / N.
     The two penalty flags reproduce the finite-size-only and
     estimation-only ablations; with both off the per-symbol bound equals
-    the asymptotic key at the point parameters.
+    the asymptotic key at the point parameters. An unmodulated chain (zero
+    codebook variance) has I_AB = chi = 0 at every channel, so its bound
+    is -Delta(n_ec) per symbol, or 0 without the finite-size term, with
+    worst_case_loss and worst_case_noise None.
     """
     return build_report(
         chain, channel, estimate,

@@ -5,9 +5,11 @@ import hashlib
 import importlib.util
 import json
 import os
+import signal
 import subprocess
 import sys
 import tempfile
+import time
 from dataclasses import fields
 from pathlib import Path
 
@@ -17,11 +19,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mwqkd
-from mwqkd import cli, security
+from mwqkd import cli, security, stats
 from mwqkd import protocol as proto
 from mwqkd.config import (
     CONFIG_SCHEMA,
     DEFAULT_CHANNEL_LOSS,
+    DEFAULT_NOISE_GRID,
     DEFAULT_OCCUPANCY_GRID,
     MAX_SEED,
     ExperimentConfig,
@@ -29,6 +32,7 @@ from mwqkd.config import (
     load_config,
 )
 from mwqkd.devices import ChannelParams
+from mwqkd.errors import InsufficientDataError
 
 from test_security import count_calls, merge_point
 
@@ -360,6 +364,149 @@ def _output_bytes(directory) -> dict:
     return {path.name: path.read_bytes() for path in sorted(Path(directory).iterdir())}
 
 
+def _reject_constant(name):
+    raise ValueError(f"not strict JSON: {name}")
+
+
+def test_unmodulated_chain_reports_no_key_and_its_protocol_exits_3(tmp_path, capsys):
+    # I_AB = chi = 0 at every channel, so the estimation widening cannot
+    # move the bound: report and sweep give it unwidened, in strict JSON;
+    # the protocol's regression has no slope, the documented exit 3
+    cfg = tmp_path / "flat.json"
+    cfg.write_text(json.dumps(
+        {"preset": "run1", "chain": {"squeezing_db": 0.0, "antisqueezing_db": 0.0}}
+    ))
+    outputs = {}
+    for argv in (("report",), ("report", "--no-pe"), ("sweep", "--format", "json"),
+                 ("sweep",)):
+        out = tmp_path / "_".join(argv)
+        assert run_cli(*argv, "--config", str(cfg), "--out", str(out)) == 0, argv
+        outputs[argv] = out.read_text()
+    report, no_pe, sweep = (
+        json.loads(outputs[argv], parse_constant=_reject_constant)
+        for argv in (("report",), ("report", "--no-pe"), ("sweep", "--format", "json"))
+    )
+    bound = report["finite_size"]
+    assert report["asymptotic_key_bits"] == bound["mi_bits"] == bound["holevo_bits"] == 0.0
+    assert bound["bits_per_symbol"] == -bound["delta_bits"] < 0.0
+    assert bound["worst_case_loss"] is None and bound["worst_case_noise"] is None
+    assert bound["include_estimation_penalty"] and bound["w"] > 0.0
+    for name in ("bits_per_symbol", "bits_per_raw_symbol", "holevo_bits"):
+        assert no_pe["finite_size"][name] == bound[name], name
+    assert len(sweep["reports"]) == len(DEFAULT_NOISE_GRID)
+    for row in outputs[("sweep",)].splitlines()[2:]:
+        assert [float(x) for x in row.split(",")[1:]] == [
+            0.0, 0.0, 0.0, 0.0, bound["bits_per_raw_symbol"]
+        ]
+
+    out = tmp_path / "protocol"
+    capsys.readouterr()
+    assert run_cli("protocol", "--config", str(cfg), "--out", str(out)) == 3
+    assert "unmodulated" in capsys.readouterr().err
+    assert sorted(_output_bytes(out)) == ["key.csv", "manifest.json"]
+
+
+def _recording_forks(monkeypatch) -> list:
+    """Patch os.fork to record the pid of every child it starts."""
+    pids = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32), n=st.integers(400, 6000), announce=st.booleans())
+@example(seed=7, n=16665, announce=False)
+def test_forked_bootstrap_sigma_is_the_in_process_sigma(seed, n, announce):
+    argv = ["protocol", "--preset", "run2", "--seed", str(seed), "--n-symbols", str(n)]
+    argv += ["--announce-bases"] if announce else []
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        forks = _recording_forks(patch)
+        assert run_cli(*argv, "--out", tmp) == 0
+        assert len(forks) == 1
+        sigma = json.loads(Path(tmp, "report.json").read_text())["empirical"][
+            "mutual_information_sigma"
+        ]
+        alpha, beta = proto.sift(proto.read_key_records(Path(tmp, "key.csv")))
+    assert sigma == stats.bootstrap_mi_sigma(alpha, beta, 200, seed + 2)
+
+
+@pytest.mark.parametrize("error, code", [(ValueError, 2), (InsufficientDataError, 3)])
+def test_a_raise_in_the_child_is_the_in_process_raise(tmp_path, capsys, monkeypatch, error, code):
+    calls = []
+
+    def fails(*args):
+        calls.append(os.getpid())
+        raise error("the bootstrap failed")
+
+    monkeypatch.setattr(stats, "bootstrap_mi_sigma", fails)
+    results = {}
+    for where in ("child", "in process"):
+        if where == "in process":
+            monkeypatch.delattr(os, "fork")
+        out = tmp_path / where
+        results[where] = (
+            run_cli("protocol", "--n-symbols", "2000", "--out", str(out)),
+            capsys.readouterr(),
+            _output_bytes(out),
+        )
+    assert calls == [os.getpid()]  # once, in process; the child's call stays there
+    assert results["child"] == results["in process"]
+    exit_code, captured, outputs = results["child"]
+    assert exit_code == code
+    assert captured.err == "error: the bootstrap failed\n"
+    assert sorted(outputs) == ["key.csv", "manifest.json"]
+
+
+@pytest.mark.parametrize("death", ["exit", "kill"])
+def test_a_child_without_a_result_leaves_the_bytes_unchanged(tmp_path, capsys, monkeypatch, death):
+    argv = ("protocol", "--preset", "run2", "--n-symbols", "3000", "--announce-bases")
+    assert run_cli(*argv, "--out", str(tmp_path / "joined")) == 0
+    joined = capsys.readouterr()
+    parent = os.getpid()
+    bootstrap = stats.bootstrap_mi_sigma
+
+    def dies_in_the_child(*args):
+        if os.getpid() != parent:
+            if death == "exit":
+                os._exit(0)
+            os.kill(os.getpid(), signal.SIGKILL)
+        return bootstrap(*args)
+
+    monkeypatch.setattr(stats, "bootstrap_mi_sigma", dies_in_the_child)
+    forks = _recording_forks(monkeypatch)
+    assert run_cli(*argv, "--out", str(tmp_path / "died")) == 0
+    assert len(forks) == 1
+    assert capsys.readouterr() == joined
+    assert _output_bytes(tmp_path / "died") == _output_bytes(tmp_path / "joined")
+
+
+def test_the_exit_3_path_kills_and_reaps_the_child(tmp_path, capsys, monkeypatch):
+    parent = os.getpid()
+
+    def sleeps_in_the_child(*args):
+        if os.getpid() != parent:
+            time.sleep(60)
+        return 0.0
+
+    monkeypatch.setattr(stats, "bootstrap_mi_sigma", sleeps_in_the_child)
+    forks = _recording_forks(monkeypatch)
+    start = time.monotonic()
+    assert run_cli("protocol", "--n-symbols", "100", "--out", str(tmp_path / "x")) == 3
+    assert time.monotonic() - start < 30  # killed, not waited for
+    assert "matched pairs" in capsys.readouterr().err
+    assert len(forks) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(forks[0], os.WNOHANG)
+
+
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(
     preset=st.sampled_from(["run1", "run2"]),
@@ -592,6 +739,8 @@ missing = [m for m in layers if "mwqkd." + m not in sys.modules]
 assert not missing, missing
 assert not numpy_modules(), numpy_modules()
 assert "statistics" not in sys.modules
+# the protocol's bootstrap child imports pickle when it starts
+assert "pickle" not in sys.modules
 
 out = {str(tmp_path)!r}
 with contextlib.redirect_stdout(io.StringIO()):
@@ -605,6 +754,7 @@ with contextlib.redirect_stdout(io.StringIO()):
     assert "statistics" not in sys.modules
     assert cli.main(["report", "--out", out + "/report.json"]) == 0
 assert not numpy_modules(), numpy_modules()
+assert "pickle" not in sys.modules
 
 assert cli.main(["sweep", "--out", out + "/sweep.csv"]) == 0
 assert "numpy" in sys.modules

@@ -7,7 +7,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mwqkd
@@ -599,11 +599,13 @@ def test_max_tolerable_loss_stays_below_the_plob_reach(chain, background):
 )
 @example(chain=RUN1, loss=0.0115, ratio=1.7e-6 / 0.0115, n_raw=16665)
 @example(chain=RUN2, loss=0.0115, ratio=1.7e-6 / 0.0115, n_raw=16665)
+@example(
+    chain=replace(RUN1, squeezing_db=0.0, antisqueezing_db=0.0),
+    loss=0.0115, ratio=1e-3, n_raw=16665,
+)
 def test_composite_key_stays_below_asymptotic_and_plob(chain, loss, ratio, n_raw):
     # composite <= asymptotic <= PLOB; the raw-symbol rate never beats the
-    # asymptotic key, and dropping either finite-size term never lowers it;
-    # an unmodulated chain cannot estimate the channel, so it has no bound
-    assume(chain.codebook_variance > 0.0)
+    # asymptotic key, and dropping either finite-size term never lowers it
     channel = ChannelParams(loss, ratio * loss)
     report = sec.build_report(chain, channel, n_raw=n_raw)
     bound = report.finite_size
