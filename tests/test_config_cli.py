@@ -345,6 +345,23 @@ def test_protocol_without_enough_data_exits_3(tmp_path, capsys):
     assert "matched pairs" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["report", "--n-symbols", "4"],
+    ["sweep", "--n-symbols", "7"],
+    ["report", "--n-ec-fraction", "0.9999"],
+])
+def test_too_few_estimation_symbols_exit_3(tmp_path, capsys, argv):
+    # fewer than 2 symbols left for estimation: the documented exit 3 of
+    # a protocol run short of data, with nothing written
+    out = tmp_path / "out"
+    assert run_cli(*argv, "--out", str(out)) == 3
+    assert "at least 2 estimation symbols" in capsys.readouterr().err
+    assert not out.exists()
+    # without the estimation penalty the same configuration has a bound
+    assert run_cli(*argv, "--no-pe", "--out", str(out)) == 0
+    assert out.exists()
+
+
 def test_lossless_channel_with_noise_exits_0(tmp_path, capsys):
     # the estimated loss clamps to 0 while the noise estimate stays positive
     assert run_cli("protocol", "--preset", "run2", "--loss", "0.0005", "--nbar", "0",
@@ -607,10 +624,10 @@ def test_linkbudget_medium_flag(tmp_path):
     [
         pytest.param(preset, medium, evals, id=f"{preset}-{medium}")
         for preset, medium, evals in (
-            ("run1", "cryo-15mK", 83),
-            ("run1", "openair-300K", 83),
-            ("run2", "cryo-15mK", 78),
-            ("run2", "openair-300K", 80),
+            ("run1", "cryo-15mK", 84),
+            ("run1", "openair-300K", 84),
+            ("run2", "cryo-15mK", 79),
+            ("run2", "openair-300K", 81),
         )
     ],
 )
@@ -649,20 +666,21 @@ def test_linkbudget_bytes_are_pinned(tmp_path, capsys, preset, medium, fmt):
     assert got == GOLDEN_LINKBUDGETS[preset, medium, fmt]
 
 
-# sha256 of the report and sweep outputs, recorded before build_report,
-# sweep_noise and composite_key shared one evaluation. The paper's point
-# (loss 0.0115, nbar 1.7e-6) and a lossless channel with noise.
+# sha256 of the report and sweep outputs, recorded when chi became one
+# closed form at every loss (only chi and the figures made from it moved,
+# in their last digits). The paper's point (loss 0.0115, nbar 1.7e-6) and
+# a lossless channel with noise.
 GOLDEN_REPORTS = {
-    ("run1", "0.0115", "1.7e-06"): "8b75b83fd8e4708d2d57769298b4613429cc7142e35449c0bb10c3a0ca370e0b",
+    ("run1", "0.0115", "1.7e-06"): "a78d17fb3765fbdd676b2b388a04263792aa6f987c766e15b18c3883bf9e0158",
     ("run1", "0", "0.01"): "97e0df8106fe58d6fa99f85e17f138bed9e39ca278a218a801d7802074d6c60b",
-    ("run2", "0.0115", "1.7e-06"): "701377ea118f0751eddb2173385471d86aaf8302201ca819c9fe5d34c2325a57",
-    ("run2", "0", "0.01"): "0ce3ec5bf5df0d0bc7bc41ce17327919b811a0ced9ada32c36770524e48f359e",
+    ("run2", "0.0115", "1.7e-06"): "b0cd1d9b2ac24099808853ae35f60ff3224298e9b823fc1783efc5b7e63c9929",
+    ("run2", "0", "0.01"): "dc46a25b4bf112d4beaa0addd5719f271ddf841f4fc996d3ac4e229754d917d6",
 }
 GOLDEN_SWEEPS = {
-    ("run1", "csv"): "0df32a248663152739acd6cd523d4ed8352296e05b2bb3e8d8a0dbfefd53b114",
-    ("run1", "json"): "09a592bad97d80abb8961475d6f166e28f76b75c3650538e9f2308df64cbffb6",
-    ("run2", "csv"): "488dee6b015f1206d055b0345caf790d257d1a0610efcb98410d70bfefb59260",
-    ("run2", "json"): "868bf00d3ff401eec7e05895dd0aa963a26c92cccabdd9ec281cd4b9ddf8cf22",
+    ("run1", "csv"): "57f2b30a93567a7fb306c26fb3cd3b2814a565ad721e55ce475132abc3215b82",
+    ("run1", "json"): "fcdc50e5693694e74ea9f2216728270915042f3e2bb3429ccfbccdea911fe95f",
+    ("run2", "csv"): "dfadfd80d64ab6f6e3656cd68c5a79e0b84d397189191b6428b0c7d1ceeaf0af",
+    ("run2", "json"): "de257cc6d12f3bf2739d761169120639b36dd356c773297cbafa5c53a1e132b2",
 }
 
 

@@ -164,8 +164,10 @@ def test_symplectic_spectrum_of_direct_sum():
 
 def test_entropy_series_branch_agrees_with_log1p_oracle():
     # both branches around the switch must track an independently
-    # computed (n+1)log2(n+1) - n log2 n with log1p for the tiny n
-    for nu in (1.0 + 5e-9, 1.0 + 9.9e-9, 1.0 + 1.01e-8, 1.0 + 2e-8, 1.0 + 1e-6):
+    # computed (n+1)log2(n+1) - n log2 n with log1p for the tiny n, down
+    # to the smallest n (g(1 + 1e-13) is 2.3e-12 bits)
+    for nu in (1.0 + 2.2e-16, 1.0 + 1e-13, 1.0 + 5e-9, 1.0 + 9.9e-9, 1.0 + 1.01e-8,
+               1.0 + 2e-8, 1.0 + 1e-6):
         n = 0.5 * (nu - 1.0)
         want = (n + 1.0) * math.log1p(n) / math.log(2.0) - n * math.log2(n)
         assert g.entropy_of_nu(nu) == pytest.approx(want, abs=1e-12)

@@ -178,13 +178,31 @@ def _mp_holevo(chain, loss, nbar):
 @pytest.mark.parametrize("nbar", [1e-6, 0.01, 1.0])
 @pytest.mark.parametrize("ratio", [1e4, 1e6, 1e8, 5e8, 1e9, 1e11, 1e13, 1e200])
 def test_holevo_matches_mpmath_as_the_loss_vanishes(chain, nbar, ratio):
-    # the closed form up to 4 nbar / loss = 5e8, its loss -> 0+ limit past it:
-    # both within 2.3e-9 bits there, where the closed form alone drifts by
-    # 4e-7 at 1e11 and breaks beyond
+    # one closed form in m = loss + 4 nbar at every ratio 4 nbar / loss
     loss = 4.0 * nbar / ratio
     assert sec.holevo_dr(chain, ChannelParams(loss, nbar)) == pytest.approx(
-        _mp_holevo(chain, loss, nbar), abs=3e-9
+        _mp_holevo(chain, loss, nbar), abs=1e-12
     )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    chain=_chains(),
+    loss=st.sampled_from([0.0, 5e-324]) | st.floats(-300.0, math.log10(0.999)).map(
+        lambda exponent: 10.0**exponent
+    ),
+    nbar=st.floats(0.0, 30.0),
+)
+@example(chain=RUN1, loss=7e-14, nbar=0.0)  # nu - 1 < 1e-12: chi is 1.1e-11 bits
+@example(chain=RUN2, loss=0.0, nbar=30.0)
+@example(chain=RUN2, loss=0.999, nbar=30.0)
+@example(chain=RUN1, loss=0.0115, nbar=1e150)  # finite while m^2 is
+def test_holevo_matches_mpmath_at_every_loss(chain, loss, nbar):
+    # _mp_holevo divides by the loss; at loss 0 and below the smallest
+    # normal float chi is its loss -> 0+ limit, which loss 1e-40 gives to
+    # far below 1e-12 bits
+    reference = _mp_holevo(chain, 1e-40 if loss < devices.LOSSLESS_BELOW else loss, nbar)
+    assert abs(sec.holevo_dr(chain, ChannelParams(loss, nbar)) - reference) <= 1e-12
 
 
 @pytest.mark.parametrize("argv", [
@@ -207,13 +225,13 @@ def test_tiny_losses_exit_0_with_the_precise_chi(tmp_path, capsys, argv):
         channel = point["inputs"]["channel"]
         assert math.isfinite(point["holevo_bits"])
         assert point["holevo_bits"] == pytest.approx(
-            _mp_holevo(chain, channel["loss"], channel["noise_photons"]), abs=3e-9
+            _mp_holevo(chain, channel["loss"], channel["noise_photons"]), abs=1e-12
         )
 
 
 def test_tiny_loss_grid_points_are_the_scalar_reports():
-    # one grid on both sides of the lossless switch, point by point the
-    # scalar report's bits
+    # grids at tiny and zero loss, where 4 nbar / loss spans 0 to inf,
+    # point by point the scalar report's bits
     grid = [0.0, 1e-8, 2.5e-5, 0.01, 0.5]
     for loss in (1e-13, 1e-12, 0.0):
         constant, points = sec.sweep_noise(RUN2, loss, grid, n_raw=16665,
@@ -976,16 +994,16 @@ def test_sweep_noise_rejects_bad_points_like_the_scalar_path():
 
 def test_physicality_guard_raises_on_one_bad_grid_point(monkeypatch):
     # a guard tightened past the uncertainty bound rejects the nearly pure
-    # environment at nbar = 0 but not the noisier ones
+    # environment at nbar = 0 but not the noisier ones, at loss 0 too
     monkeypatch.setattr(sec, "PHYSICALITY_TOL", -1e-3)
-    monkeypatch.setattr(sec, "PHYSICALITY_TOL_REL", -1.0)
-    with pytest.raises(PhysicalityError):
-        sec.holevo_dr(RUN1, ChannelParams(0.0115, 0.0))
-    good = [0.01, 0.1]
-    sec.sweep_noise(RUN1, 0.0115, good, n_raw=16665)
-    # the error names the bad point's nu_-^2, not the whole grid
-    with pytest.raises(PhysicalityError, match=r"nu_minus_sq=[-+.e\d]+$") as grid_error:
-        sec.sweep_noise(RUN1, 0.0115, [0.01, 0.0, 0.1], n_raw=16665)
-    with pytest.raises(PhysicalityError) as point_error:
-        sec.holevo_dr(RUN1, ChannelParams(0.0115, 0.0))
-    assert str(grid_error.value) == str(point_error.value)
+    for loss in (0.0115, 0.0):
+        with pytest.raises(PhysicalityError):
+            sec.holevo_dr(RUN1, ChannelParams(loss, 0.0))
+        good = [0.01, 0.1]
+        sec.sweep_noise(RUN1, loss, good, n_raw=16665)
+        # the error names the bad point's nu_-^2, not the whole grid
+        with pytest.raises(PhysicalityError, match=r"nu_minus_sq=[-+.e\d]+$") as grid_error:
+            sec.sweep_noise(RUN1, loss, [0.01, 0.0, 0.1], n_raw=16665)
+        with pytest.raises(PhysicalityError) as point_error:
+            sec.holevo_dr(RUN1, ChannelParams(loss, 0.0))
+        assert str(grid_error.value) == str(point_error.value)
