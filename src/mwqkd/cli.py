@@ -121,8 +121,8 @@ def _write_csv(out, header, rows, config: dict) -> None:
 
 
 def _write_json(out, payload: dict) -> None:
-    # compact, so json uses its C encoder
-    _write_text(out, json.dumps(payload, sort_keys=True) + "\n")
+    # compact, so json uses its C encoder; strict, so no NaN or Infinity
+    _write_text(out, json.dumps(payload, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _report_kwargs(cfg: ExperimentConfig) -> dict:

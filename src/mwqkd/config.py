@@ -12,7 +12,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, fields, replace
 
-from .devices import DeviceChainParams
+from .devices import DeviceChainParams, check_channel
 from .linkbudget import MEDIA
 
 # Calibrated chains of the two reference runs. The lumped back-end noise
@@ -118,10 +118,7 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.preset is not None and self.preset not in CHAIN_PRESETS:
             raise ValueError(f"unknown preset {self.preset!r}")
-        if not 0.0 <= self.channel_loss < 1.0:
-            raise ValueError("channel_loss must be in [0, 1)")
-        if self.noise_photons < 0.0:
-            raise ValueError("noise_photons must be >= 0")
+        check_channel(self.channel_loss, self.noise_photons)
         if self.n_symbols < 4:
             raise ValueError("n_symbols must be >= 4")
         if not 0 <= self.seed <= MAX_SEED:

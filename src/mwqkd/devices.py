@@ -82,17 +82,23 @@ def codebook_variance(squeezing_db: float, antisqueezing_db: float) -> float:
     )
 
 
-# A channel loss below this, the smallest normal float, is lossless: the
-# channel is the loss -> 0+ limit at fixed coupled noise nbar. At zero loss
-# that limit is the only model; below the smallest normal float 2 nbar /
-# loss can overflow.
+# The covariance oracle treats a channel loss below this, the smallest
+# normal float, as lossless: the loss -> 0+ limit at fixed coupled noise
+# nbar, where the environment's 2 nbar / loss photons can overflow.
 LOSSLESS_BELOW = sys.float_info.min
+# A level in dB has a finite linear ratio 10 ** (level / 10) below this.
+MAX_LEVEL_DB = 10.0 * math.log10(sys.float_info.max)
 
 
-def _check_fraction(value: float, name: str, closed_top: bool = False) -> None:
-    top_ok = value <= 1.0 if closed_top else value < 1.0
-    if not (0.0 <= value and top_ok):
-        raise ValueError(f"{name} must be in [0, 1{']' if closed_top else ')'}")
+def check_channel(loss: float, nbar) -> None:
+    """Raise ValueError unless loss is in [0, 1) and the coupled noise nbar,
+    a float or a numpy array (one noise grid), is finite and >= 0: the
+    channel domain of every path. The message names the value outside."""
+    if not 0.0 <= loss < 1.0:
+        raise ValueError(f"loss must be in [0, 1), got {float(loss)!r}")
+    for value in nbar.tolist() if getattr(nbar, "ndim", 0) else (nbar,):
+        if not 0.0 <= value < math.inf:
+            raise ValueError(f"noise_photons must be finite and >= 0, got {float(value)!r}")
 
 
 @dataclass(frozen=True)
@@ -139,9 +145,9 @@ class DeviceChainParams:
     path_environment_photons: tuple[float, float, float, float] = (0.0, 0.0, 0.0, 0.0)
 
     def __post_init__(self) -> None:
-        for name in ("squeezing_db", "antisqueezing_db"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+        for name in ("squeezing_db", "antisqueezing_db", "measurement_gain_db"):
+            if not abs(level := getattr(self, name)) < MAX_LEVEL_DB:
+                raise ValueError(f"{name} must be finite, also as a linear ratio, got {level!r}")
         if self.antisqueezing_db < self.squeezing_db:
             raise ValueError("antisqueezing_db must be >= squeezing_db")
         if not 0.0 < self.quantum_efficiency <= 1.0:
@@ -155,8 +161,8 @@ class DeviceChainParams:
         envs = tuple(float(x) for x in self.path_environment_photons)
         if len(losses) != 4 or len(envs) != 4:
             raise ValueError("path_losses and path_environment_photons need 4 entries")
-        for x in losses:
-            _check_fraction(x, "path loss")
+        if not all(0.0 <= x < 1.0 for x in losses):
+            raise ValueError("path loss must be in [0, 1)")
         if not all(0.0 <= n < math.inf for n in envs):
             raise ValueError("path environment photons must be finite and >= 0")
         object.__setattr__(self, "path_losses", losses)
@@ -206,15 +212,13 @@ class DeviceChainParams:
 
 @dataclass(frozen=True)
 class ChannelParams:
-    """Untrusted channel: loss tap and coupled noise photons."""
+    """Untrusted channel: loss tap and coupled noise photons (:func:`check_channel`)."""
 
     loss: float
     noise_photons: float = 0.0
 
     def __post_init__(self) -> None:
-        _check_fraction(self.loss, "loss")
-        if not 0.0 <= self.noise_photons < math.inf:
-            raise ValueError("noise_photons must be finite and >= 0")
+        check_channel(self.loss, self.noise_photons)
 
     @property
     def transmissivity(self) -> float:
@@ -398,14 +402,10 @@ class ReadoutModel:
         """(slope, variance) of the record at channel loss `loss`.
 
         `nbar`, the coupled noise, may be a float or a numpy array (one
-        noise grid); the arithmetic is the same either way.
+        noise grid); the arithmetic is the same either way. It divides by
+        nothing, so it is finite on the whole channel domain, loss 0 too.
         """
-        v_in = self.channel_input_variance
-        if loss < LOSSLESS_BELOW:  # the noise still arrives
-            v_out = v_in + nbar
-        else:
-            env = 2.0 * nbar / loss
-            v_out = (1.0 - loss) * v_in + loss * (1.0 + 2.0 * env) * VACUUM_VARIANCE
+        v_out = (1.0 - loss) * self.channel_input_variance + loss * VACUUM_VARIANCE + nbar
         slope = math.sqrt(self.slope_gain) * math.sqrt(1.0 - loss)
         return slope, self.variance_gain * v_out + self.variance_offset
 

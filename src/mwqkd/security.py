@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass, fields
 from types import SimpleNamespace
 
-from .devices import ChannelEstimate, ChannelParams, DeviceChainParams
+from .devices import ChannelEstimate, ChannelParams, DeviceChainParams, check_channel
 from .errors import InsufficientDataError, PhysicalityError
 
 DEFAULT_CORRECTNESS_EPSILON = 1e-10  # e_ec, failure bound on estimation confidence
@@ -41,11 +41,6 @@ PA_EPSILON = 1e-10
 # Tolerance on nu >= 1 after long operation chains; accumulated rounding in
 # deep compositions can push a pure symplectic eigenvalue a few 1e-12 below 1.
 PHYSICALITY_TOL = 1e-9
-# For very hot states (covariance elements thousands of vacuum units) the
-# eigensolve in `gaussian` carries absolute error proportional to the
-# matrix norm, so its floor loosens with scale rather than rejecting
-# physical states. chi's closed form needs no such slack.
-PHYSICALITY_TOL_REL = 1e-11
 
 _LN2 = math.log(2.0)
 
@@ -84,9 +79,8 @@ def _elementwise(fn):
 # as a Python float (`_elementwise`); sqrt is correctly rounded either
 # way; maximum/minimum keep the builtins' tie rule (the first argument
 # unless the second is strictly larger or smaller). So a grid point gets
-# exactly the bits the float path gives it. `first` is the first value
-# where cond holds, or None. worst_case_chi is chi at the composite
-# bound's widened parameters; one point is checked first.
+# exactly the bits the float path gives it. `first_failure` gives the
+# values at the first point where `ok` is false, or None.
 _FLOAT = SimpleNamespace(
     sqrt=math.sqrt,
     log2=math.log2,
@@ -95,8 +89,7 @@ _FLOAT = SimpleNamespace(
     maximum=max,
     minimum=min,
     where=lambda cond, a, b: a if cond else b,
-    first=lambda cond, values: values if cond else None,
-    worst_case_chi=lambda chain, loss, nbar: holevo_dr(chain, ChannelParams(loss, nbar)),
+    first_failure=lambda ok, *values: None if ok else values,
 )
 
 
@@ -115,8 +108,9 @@ def _array_ops() -> SimpleNamespace:
         maximum=lambda a, b: np.where(b > a, b, a),
         minimum=lambda a, b: np.where(b < a, b, a),
         where=np.where,
-        first=lambda cond, values: values[cond][0] if cond.any() else None,
-        worst_case_chi=lambda chain, loss, nbar: _chi(_array_ops(), chain, loss, nbar),
+        first_failure=lambda ok, *values: None if ok.all() else tuple(
+            np.broadcast_to(value, ok.shape)[~ok][0] for value in values
+        ),
     )
 
 
@@ -180,9 +174,14 @@ def _environment_entropy(ops, eps, nbar, v_q: float, v_p: float):
     )
     nu_plus_sq = 0.5 * (trace + s * ops.sqrt(gap))
     nu_minus_sq = det / nu_plus_sq
+    # past nbar ~1e154, m^2 and the invariants overflow; NaN fails both tests
+    finite = (det < math.inf) & (nu_plus_sq < math.inf)
+    if (bad := ops.first_failure(finite, eps, nbar)) is not None:
+        loss, noise = map(float, bad)
+        raise ValueError(f"noise_photons={noise!r} at loss={loss!r} overflows chi's invariants")
     floor = 1.0 - PHYSICALITY_TOL
-    if (bad := ops.first(nu_minus_sq < floor * floor, nu_minus_sq)) is not None:
-        raise PhysicalityError(f"environment violates the uncertainty bound: nu_minus_sq={bad}")
+    if (bad := ops.first_failure(nu_minus_sq >= floor * floor, nu_minus_sq)) is not None:
+        raise PhysicalityError(f"environment violates the uncertainty bound: nu_minus_sq={bad[0]}")
     return ops.entropy(ops.sqrt(nu_plus_sq)) + ops.entropy(ops.sqrt(nu_minus_sq))
 
 
@@ -245,10 +244,9 @@ def confidence_w(correctness_epsilon: float) -> float:
     return -statistics.NormalDist().inv_cdf(tail)
 
 
-def _worst_case(ops, loss, loss_sigma, noise, noise_sigma, w: float):
-    loss = loss + w * loss_sigma
-    noise = noise + w * noise_sigma
-    return ops.minimum(ops.maximum(loss, 0.0), 1.0 - 1e-12), ops.maximum(noise, 0.0)
+def _clamp(ops, loss, nbar):
+    """(loss, nbar) clamped into the channel domain, loss to [0, 1 - 1e-12]."""
+    return ops.minimum(ops.maximum(loss, 0.0), 1.0 - 1e-12), ops.maximum(nbar, 0.0)
 
 
 def worst_case_params(
@@ -264,10 +262,8 @@ def worst_case_params(
     """
     if w < 0.0:
         raise ValueError("w must be >= 0")
-    return _worst_case(
-        _FLOAT, estimate.loss, estimate.loss_sigma,
-        estimate.noise_photons, estimate.noise_sigma, w,
-    )
+    loss = estimate.loss + w * estimate.loss_sigma
+    return _clamp(_FLOAT, loss, estimate.noise_photons + w * estimate.noise_sigma)
 
 
 def finite_size_delta(n_exp: float) -> float:
@@ -401,8 +397,8 @@ def _composite(
         else:
             loss, loss_sigma = estimate.loss, estimate.loss_sigma
             nbar, noise_sigma = estimate.noise_photons, estimate.noise_sigma
-        worst_loss, worst_noise = _worst_case(ops, loss, loss_sigma, nbar, noise_sigma, w)
-        chi = ops.worst_case_chi(chain, worst_loss, worst_noise)
+        worst_loss, worst_noise = _clamp(ops, loss + w * loss_sigma, nbar + w * noise_sigma)
+        chi = _chi(ops, chain, worst_loss, worst_noise)
     per_symbol = beta_ec * mi - chi - delta_bits
     prefactor = n_ec * p_ec / n_raw
     return CompositeKeyBound(
@@ -649,8 +645,8 @@ def build_report(
     """
     if (channel is None) == (estimate is None):
         raise ValueError("provide exactly one of channel or estimate")
-    if channel is None:  # the estimate's loss, clamped into [0, 1)
-        channel = ChannelParams(min(max(estimate.loss, 0.0), 1.0 - 1e-12), estimate.noise_photons)
+    if channel is None:
+        channel = ChannelParams(*_clamp(_FLOAT, estimate.loss, estimate.noise_photons))
     report = _report(
         _FLOAT, chain, channel.loss, channel.noise_photons, estimate,
         n_raw=n_raw, n_ec=n_ec, beta_ec=beta_ec, p_ec=p_ec, e_ec=e_ec,
@@ -684,15 +680,15 @@ def sweep_noise(
     """
     import numpy as np
 
-    ChannelParams(loss)  # validates the loss
     nbar = np.array(nbars, dtype=float)
     if nbar.ndim != 1:
         raise ValueError("nbars must be a 1-D grid")
-    if not np.all(np.isfinite(nbar) & (nbar >= 0.0)):
-        raise ValueError("noise levels must be finite and >= 0")
-    return _report(
-        _array_ops(), chain, loss, nbar, None,
-        n_raw=n_raw, n_ec=n_ec, beta_ec=beta_ec, p_ec=p_ec, e_ec=e_ec,
-        include_delta=include_delta,
-        include_estimation_penalty=include_estimation_penalty,
-    )
+    check_channel(loss, nbar)
+    # an overflow raises below, as on the float path, without numpy's warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _report(
+            _array_ops(), chain, loss, nbar, None,
+            n_raw=n_raw, n_ec=n_ec, beta_ec=beta_ec, p_ec=p_ec, e_ec=e_ec,
+            include_delta=include_delta,
+            include_estimation_penalty=include_estimation_penalty,
+        )

@@ -1,9 +1,12 @@
 """Configuration parsing and the command-line surface."""
 
 import ast
+import contextlib
 import hashlib
 import importlib.util
+import io
 import json
+import math
 import os
 import signal
 import subprocess
@@ -552,6 +555,40 @@ def test_protocol_exits_0_or_3_reproducibly_and_books_its_counts(
             assert report["finite_size"]["n_sifted"] == report["empirical"]["n_matched"]
 
 
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    loss=st.sampled_from([0.0, 5e-324]) | st.floats(-300.0, math.log10(0.999)).map(
+        lambda exponent: 10.0**exponent
+    ),
+    nbar=st.just(0.0) | st.floats(-12.0, 300.0).map(lambda exponent: 10.0**exponent),
+)
+@example(loss=0.0115, nbar=1e160)  # m^2, and so chi's invariants, overflow
+@example(loss=1e-300, nbar=1e12)  # 2 nbar / loss is past the largest float
+@example(loss=1e-300, nbar=1e80)
+def test_every_channel_in_the_domain_exits_0_or_3_or_names_its_value(loss, nbar):
+    # loss in [0, 1) and nbar finite and >= 0 is the one channel domain:
+    # report and sweep exit 0 or 3 there, or exit 2 naming the noise at
+    # which chi's invariants overflow; every JSON they write is strict
+    channel = ["--loss", repr(loss), "--nbar", repr(nbar)]
+    with tempfile.TemporaryDirectory() as tmp:
+        grid = Path(tmp, "grid.json")
+        grid.write_text(json.dumps({"preset": "run1", "noise_grid": [0.0, nbar]}))
+        for argv in (["report", *channel], ["report", *channel, "--no-pe"],
+                     ["sweep", "--config", str(grid), *channel, "--format", "json"]):
+            out, err = Path(tmp, "out.json"), io.StringIO()
+            out.unlink(missing_ok=True)
+            with contextlib.redirect_stderr(err):
+                code = run_cli(*argv, "--out", str(out))
+            if code == 2:
+                named = err.getvalue().split("noise_photons=")[1].split()[0]
+                assert float(named) >= nbar > 1e100, argv
+                assert not out.exists()
+            else:
+                assert code in (0, 3), argv
+                if code == 0:
+                    json.loads(out.read_text(), parse_constant=_reject_constant)
+
+
 def test_protocol_requires_out(capsys):
     assert run_cli("protocol", "--preset", "run1") == 2
 
@@ -850,7 +887,6 @@ def test_package_namespace_is_whole():
     assert security._FLOAT.entropy is gaussian.entropy_of_nu
     assert gaussian.VACUUM_VARIANCE is devices.VACUUM_VARIANCE
     assert gaussian.PHYSICALITY_TOL is security.PHYSICALITY_TOL
-    assert gaussian.PHYSICALITY_TOL_REL is security.PHYSICALITY_TOL_REL
 
 
 def test_benchmark_tracer_targets_exist():

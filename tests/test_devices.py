@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -167,7 +168,7 @@ def test_lossless_channel_still_adds_its_noise():
             assert v == pytest.approx(var, rel=1e-12)
             near = d.response_and_noise(RUN2, d.ChannelParams(1e-12, nbar), matched=matched)
             assert v == pytest.approx(near[1], rel=1e-9)
-            # a subnormal loss is lossless too: 2 nbar / loss would overflow
+            # a subnormal loss rounds to the lossless record
             assert d.response_and_noise(RUN2, d.ChannelParams(5e-324, nbar), matched) == (k, v)
     model = RUN2.readout
     quiet, loud = (model.moments(0.0, nbar)[1] for nbar in (0.0, 0.05))
@@ -175,6 +176,23 @@ def test_lossless_channel_still_adds_its_noise():
     # a noise grid at zero loss gets each point's float bits
     grid = model.moments(0.0, np.array([0.0, 0.05]))[1]
     assert grid.tolist() == [quiet, loud]
+
+
+@pytest.mark.parametrize("chain", [RUN1, RUN2], ids=["run1", "run2"])
+@pytest.mark.parametrize("matched", [True, False], ids=["matched", "mismatched"])
+def test_readout_moments_match_an_exact_rational_oracle(chain, matched):
+    # v = G_v ((1 - eps) v_in + eps / 4 + nbar) + offset in exact rationals
+    # of the model's floats; the readout is finite and within 2 ulp of it
+    # on the whole channel domain, at vanishing and subnormal losses too
+    model = chain.readout if matched else chain.mismatched_readout
+    for loss in (0.0, 5e-324, 1e-300, 1e-12, 0.0115, 0.999):
+        for nbar in (0.0, 1.7e-6, 1e12, 1e150):
+            slope, variance = model.moments(loss, nbar)
+            eps = Fraction(loss)
+            v_out = (1 - eps) * Fraction(model.channel_input_variance) + eps / 4 + Fraction(nbar)
+            exact = Fraction(model.variance_gain) * v_out + Fraction(model.variance_offset)
+            assert math.isfinite(slope) and math.isfinite(variance)
+            assert abs(Fraction(variance) - exact) <= 2 * Fraction(math.ulp(float(exact)))
 
 
 def test_trusted_readout_constants_match_op_chain():

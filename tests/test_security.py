@@ -841,19 +841,24 @@ def test_report_serializes_with_inputs(tmp_path):
     )
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize(
-    "field",
-    ["squeezing_db", "antisqueezing_db", "measurement_gain_db", "hemt_noise_photons",
-     "path_environment_photons"],
+    "field, bad",
+    [(field, bad)
+     for field in ("squeezing_db", "antisqueezing_db", "measurement_gain_db",
+                   "hemt_noise_photons", "path_environment_photons")
+     for bad in (math.nan, math.inf, -math.inf)]
+    # finite levels whose linear ratio 10 ** (level / 10) overflows
+    + [("squeezing_db", -4000.0), ("antisqueezing_db", 4000.0),
+       ("measurement_gain_db", 4000.0)],
 )
 def test_non_finite_chain_values_are_rejected(field, bad):
     value = (0.0, 0.0, bad, 0.0) if field == "path_environment_photons" else bad
     # the chain itself refuses, so neither the scalar report nor the grid
     # can turn the value into a NaN key or a misleading late error
-    with pytest.raises(ValueError, match="finite"):
+    message = f"{field} must be finite" if field.endswith("_db") else "finite"
+    with pytest.raises(ValueError, match=message):
         sec.build_report(replace(RUN1, **{field: value}), QUIET, n_raw=16665)
-    with pytest.raises(ValueError, match="finite"):
+    with pytest.raises(ValueError, match=message):
         sec.sweep_noise(replace(RUN1, **{field: value}), 0.0115, [0.0, 0.01], n_raw=16665)
 
 
