@@ -167,6 +167,13 @@ class DeviceChainParams:
             raise ValueError("path environment photons must be finite and >= 0")
         object.__setattr__(self, "path_losses", losses)
         object.__setattr__(self, "path_environment_photons", envs)
+        # at zero noise chi's invariants stay below 5 k^2 at every loss: a
+        # chain past the largest float there overflows them by itself
+        v_q = max(self.modulated_input_variance, self.readout.channel_input_variance)
+        v_p = self.readout.orthogonal_input_variance
+        k = (4.0 * v_q + 1.0) * (4.0 * v_p + 1.0)
+        if not 5.0 * k * k < math.inf:
+            raise ValueError(f"chain channel-input variances ({v_q!r}, {v_p!r}) overflow chi")
 
     @property
     def squeezed_variance(self) -> float:

@@ -171,6 +171,9 @@ def simulate_transmission(
     # matters for the affine decomposition of the record.
     slope_m, var_m = response_and_noise(chain, channel, matched=True)
     slope_x, var_x = response_and_noise(chain, channel, matched=False)
+    if not max(var_m, var_x) < math.inf:
+        noise, loss = channel.noise_photons, channel.loss
+        raise ValueError(f"noise_photons={noise!r} at loss={loss!r} overflows the record variance")
     sigma_m, sigma_x = math.sqrt(var_m), math.sqrt(var_x)
     # outcome = slope * symbol + sigma * noise, formed in place on the noise
     outcomes = rng.standard_normal(n)

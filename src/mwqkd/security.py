@@ -16,7 +16,8 @@ chi has one closed form at every channel loss in [0, 1), loss 0 included:
 the environment's symplectic invariants written in m = loss * v = loss +
 4 nbar, which stays finite as the loss vanishes at fixed coupled noise
 nbar. It agrees with a 50-digit mpmath chi to 1.3e-13 bits from loss 0 to
-0.999.
+0.999, and for nbar up to 1e40. g(nu) is one cancellation-free form, within
+2.5e-16 relative of mpmath for nu up to 1e300.
 
 Reports have one evaluation, ``_report``: SNR, I_AB, chi and the composite
 bound at a point or over a grid, inputs echoed. :func:`build_report` (one
@@ -46,37 +47,21 @@ _LN2 = math.log(2.0)
 
 
 def entropy_of_nu(nu: float) -> float:
-    """g(nu) in bits: ((nu+1)/2)log2((nu+1)/2) - ((nu-1)/2)log2((nu-1)/2)."""
+    """g(nu) in bits: ((nu+1)/2)log2((nu+1)/2) - ((nu-1)/2)log2((nu-1)/2),
+    written as (log(1 + n) + n log(1 + 1/n)) / ln 2 with n = (nu - 1)/2,
+    which nothing cancels at any n > 0."""
     if nu <= 1.0:  # a pure mode, or one rounded just below it
         return 0.0
     n = 0.5 * (nu - 1.0)
-    if nu < 1.0 + 1e-8:
-        # leading series term; avoids cancellation in (n+1)log(n+1) for tiny n
-        return n * (1.0 - math.log(n)) / _LN2
-    return (n + 1.0) * math.log2(n + 1.0) - n * math.log2(n)
-
-
-def _elementwise(fn):
-    """`fn` applied to each element of its broadcast arguments, which a
-    memoryview hands over one at a time as Python floats; returns a float
-    array of the broadcast shape."""
-    import numpy as np
-
-    def apply(*args):
-        columns = np.broadcast_arrays(*args)
-        shape = columns[0].shape
-        values = map(fn, *(memoryview(np.ravel(column)) for column in columns))
-        return np.fromiter(values, float, count=math.prod(shape)).reshape(shape)
-
-    return apply
+    return (math.log1p(n) + n * math.log1p(1.0 / n)) / _LN2
 
 
 # The operations the formulas below use beyond + - * /, on Python floats
 # (one point: root finders, single reports) and on numpy arrays (a noise
 # grid). Squares are written as products, which numpy and Python both
-# round correctly. The array versions of log2, hypot and g(nu) broadcast
-# their arguments and call the same `math`-based function on each element
-# as a Python float (`_elementwise`); sqrt is correctly rounded either
+# round correctly. The array log2, hypot and g(nu) are `np.frompyfunc`
+# ufuncs of the same `math`-based functions, which get each element of the
+# broadcast arguments as a Python float; sqrt is correctly rounded either
 # way; maximum/minimum keep the builtins' tie rule (the first argument
 # unless the second is strictly larger or smaller). So a grid point gets
 # exactly the bits the float path gives it. `first_failure` gives the
@@ -100,11 +85,15 @@ def _array_ops() -> SimpleNamespace:
     never load it."""
     import numpy as np
 
+    def elementwise(fn, nin):
+        ufunc = np.frompyfunc(fn, nin, 1)
+        return lambda *args: ufunc(*args).astype(float)
+
     return SimpleNamespace(
         sqrt=np.sqrt,
-        log2=_elementwise(math.log2),
-        hypot=_elementwise(math.hypot),
-        entropy=_elementwise(entropy_of_nu),
+        log2=elementwise(math.log2, 1),
+        hypot=elementwise(math.hypot, 2),
+        entropy=elementwise(entropy_of_nu, 1),
         maximum=lambda a, b: np.where(b > a, b, a),
         minimum=lambda a, b: np.where(b < a, b, a),
         where=np.where,

@@ -618,6 +618,57 @@ def test_bad_config_exits_2(tmp_path, capsys):
         assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, config, named",
+    [
+        (("report", "--loss", "1.0"), None, "loss must be in [0, 1), got 1.0"),
+        (("report", "--loss", "-0.1"), None, "loss must be in [0, 1), got -0.1"),
+        (("report", "--n-symbols", "3"), None, "n_symbols must be >= 4"),
+        (("report", "--n-ec-fraction", "1.0"), None, "n_ec_fraction must be in (0, 1)"),
+        (("linkbudget",), {"preset": "run1", "linkbudget": {"medium": "vacuum"}},
+         "unknown medium 'vacuum'"),
+        (("sweep",), {"preset": "run1", "noise_grid": {"start": 0.0, "stop": 0.1, "num": 0}},
+         "noise_grid num must be >= 1"),
+    ],
+    ids=["loss-1", "loss-negative", "n-symbols-3", "n-ec-fraction-1", "medium", "grid-num-0"],
+)
+def test_out_of_range_settings_exit_2_naming_the_field(tmp_path, capsys, argv, config, named):
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        argv = (*argv, "--config", str(path))
+    out = tmp_path / "out"
+    assert run_cli(*argv, "--out", str(out)) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_chain_that_overflows_chi_alone_is_named_not_the_noise(tmp_path, capsys):
+    # 3000 dB is a finite linear ratio, but its channel-input variances
+    # overflow chi's invariants at zero noise: the chain is refused
+    cfg = tmp_path / "chain.json"
+    cfg.write_text(json.dumps(
+        {"preset": "run1", "chain": {"squeezing_db": 3000, "antisqueezing_db": 3000}}
+    ))
+    for argv in (("report", "--no-pe"), ("sweep",), ("protocol", "--n-symbols", "200")):
+        out = tmp_path / argv[0]
+        assert run_cli(*argv, "--config", str(cfg), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "chain channel-input variances (2.5e+299, 2.5e+299) overflow chi" in err
+        assert "noise_photons" not in err
+        assert not out.exists()
+
+
+def test_protocol_names_the_noise_that_overflows_the_record_variance(tmp_path, capsys):
+    # nbar = 1e308 is finite, but times the measurement gain the record
+    # variance is not: refused before any draw, so nothing is written
+    out = tmp_path / "run"
+    assert run_cli("protocol", "--preset", "run1", "--nbar", "1e308", "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert "noise_photons=1e+308 at loss=0.0115 overflows the record variance" in err
+    assert list(out.iterdir()) == []
+
+
 def test_unwritable_path_exits_4(tmp_path):
     assert run_cli("sweep", "--preset", "run1",
                    "--out", str(tmp_path / "no" / "dir" / "x.csv")) == 4
@@ -663,8 +714,8 @@ def test_linkbudget_medium_flag(tmp_path):
         for preset, medium, evals in (
             ("run1", "cryo-15mK", 84),
             ("run1", "openair-300K", 84),
-            ("run2", "cryo-15mK", 79),
-            ("run2", "openair-300K", 81),
+            ("run2", "cryo-15mK", 78),
+            ("run2", "openair-300K", 80),
         )
     ],
 )
@@ -672,7 +723,8 @@ def test_linkbudget_key_evaluations_are_pinned(monkeypatch, tmp_path, preset, me
     # 14 crossings and the key rate at the configured loss; bisection
     # that evaluates every midpoint made 14 * 22 + 1 = 309, cold
     # bracket-guided crossings 150 to 159; each crossing after the first
-    # now starts from the previous row's root
+    # now starts from the previous row's root. The key's last bits move
+    # the Illinois points, so these counts follow g(nu)'s rounding
     calls = count_calls(monkeypatch, "asymptotic_key", security, mwqkd.linkbudget)
     assert run_cli("linkbudget", "--preset", preset, "--medium", medium,
                    "--out", str(tmp_path / "lb.csv")) == 0
@@ -680,14 +732,16 @@ def test_linkbudget_key_evaluations_are_pinned(monkeypatch, tmp_path, preset, me
 
 
 # sha256 of the linkbudget outputs, recorded before the reach sweep was
-# warm-started. A root estimate may only save key evaluations.
+# warm-started. A root estimate may only save key evaluations. The two
+# cryo JSON files were re-recorded when g(nu) became one cancellation-free
+# form: only `raw_key_rate_bits_per_s` moved, in its last digit.
 GOLDEN_LINKBUDGETS = {
     ("run1", "cryo-15mK", "csv"): "8b1c89c9a03f88a80a9724ab7aab28b1226b1296434dd2e1f1381d3e96509fe1",
-    ("run1", "cryo-15mK", "json"): "6f681f28a32719c27d1575fae6f7194d997405f83a8385dcb5015878e90e16ca",
+    ("run1", "cryo-15mK", "json"): "170de8f4c196d0f8449ee045cac8a82849594b2cfdada50951c8adbcace701b5",
     ("run1", "openair-300K", "csv"): "c8ecc87659e059b3f8dcbb932271a4d22054ca30886cef6ef8b8a8dc0c39a232",
     ("run1", "openair-300K", "json"): "e939c919545034f9d2900c1e9e9228a3e3d1248dc232e25e69cbee70a50cfdef",
     ("run2", "cryo-15mK", "csv"): "76e9a93316c05897d65a487759c4126fd301313cc0b8930963c5e3042829dca4",
-    ("run2", "cryo-15mK", "json"): "02867e76af701760b898177d6d0438586e659baaff5baa92573a8127fec30f94",
+    ("run2", "cryo-15mK", "json"): "e6c9d8fd6e513fe7498f66c753e5d26c63d73a54a02d8ffea06f391f29c3c740",
     ("run2", "openair-300K", "csv"): "b5d1cf20b3e83d16005fafd4fae6e50632f8607b92286de15ed60d7f61e9f4f6",
     ("run2", "openair-300K", "json"): "a60d5a7cc615de032fc54f581f4c5ecf96f722a6a69ce78eacd4dafeff4aa37d",
 }
@@ -703,21 +757,21 @@ def test_linkbudget_bytes_are_pinned(tmp_path, capsys, preset, medium, fmt):
     assert got == GOLDEN_LINKBUDGETS[preset, medium, fmt]
 
 
-# sha256 of the report and sweep outputs, recorded when chi became one
-# closed form at every loss (only chi and the figures made from it moved,
-# in their last digits). The paper's point (loss 0.0115, nbar 1.7e-6) and
+# sha256 of the report and sweep outputs, re-recorded when g(nu) became one
+# cancellation-free form (only chi and the figures made from it moved, by
+# at most ~1e-15 bits). The paper's point (loss 0.0115, nbar 1.7e-6) and
 # a lossless channel with noise.
 GOLDEN_REPORTS = {
-    ("run1", "0.0115", "1.7e-06"): "a78d17fb3765fbdd676b2b388a04263792aa6f987c766e15b18c3883bf9e0158",
-    ("run1", "0", "0.01"): "97e0df8106fe58d6fa99f85e17f138bed9e39ca278a218a801d7802074d6c60b",
-    ("run2", "0.0115", "1.7e-06"): "b0cd1d9b2ac24099808853ae35f60ff3224298e9b823fc1783efc5b7e63c9929",
-    ("run2", "0", "0.01"): "dc46a25b4bf112d4beaa0addd5719f271ddf841f4fc996d3ac4e229754d917d6",
+    ("run1", "0.0115", "1.7e-06"): "ede7ed36ce3f5f20adf7f07105f1d3ac0c95d5478688117103a7379cfbc10ce1",
+    ("run1", "0", "0.01"): "2003ca377c46b7e95e7991f2bd0957f4e1a0960632455a930f6523ddfb6c0ebc",
+    ("run2", "0.0115", "1.7e-06"): "3acab236816477f86c592c5b713b180f99112c1a5994c9b3bc4cdcfd0f87eb12",
+    ("run2", "0", "0.01"): "e7b02be30fa6e4da11959513be775ee48c783d57acb2b5dd824bd59afe96a84b",
 }
 GOLDEN_SWEEPS = {
-    ("run1", "csv"): "57f2b30a93567a7fb306c26fb3cd3b2814a565ad721e55ce475132abc3215b82",
-    ("run1", "json"): "fcdc50e5693694e74ea9f2216728270915042f3e2bb3429ccfbccdea911fe95f",
-    ("run2", "csv"): "dfadfd80d64ab6f6e3656cd68c5a79e0b84d397189191b6428b0c7d1ceeaf0af",
-    ("run2", "json"): "de257cc6d12f3bf2739d761169120639b36dd356c773297cbafa5c53a1e132b2",
+    ("run1", "csv"): "205daedf71a1c019270b0ccc81e963499d18953f31d3cd44a00e6855e05d2e71",
+    ("run1", "json"): "c5ecfce609d4d4906c9d643415d63851c141299c9785a05b7b177e034ccd720d",
+    ("run2", "csv"): "ba9f5708d8f7557e0a7b3a3af3cf3bae2f7906bc0339158fa89038562ba43311",
+    ("run2", "json"): "781cbaf032a506820d3ed0a1f984f2b4a78f6af7292357b94f48654474c76bd9",
 }
 
 

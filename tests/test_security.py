@@ -148,6 +148,13 @@ def test_lossless_holevo_is_the_loss_limit():
             previous = limit
 
 
+def _mp_entropy(nu):
+    """g(nu) in bits, from an mpmath nu at the working precision."""
+    mpmath = pytest.importorskip("mpmath")
+    n = (nu - 1) / 2
+    return 0 if n <= 0 else ((n + 1) * mpmath.log(n + 1) - n * mpmath.log(n)) / mpmath.log(2)
+
+
 def _mp_holevo(chain, loss, nbar):
     """chi from the environment invariants in mpmath, with 50 digits beyond
     the ones the variance v = 1 + 4 nbar / loss cancels in x - y."""
@@ -157,10 +164,6 @@ def _mp_holevo(chain, loss, nbar):
         t, v = 1 - loss, 1 + 4 * nbar / loss
         b = 4 * mpmath.mpf(chain.readout.orthogonal_input_variance)
 
-        def entropy(nu):
-            n = (nu - 1) / 2
-            return 0 if n <= 0 else ((n + 1) * mpmath.log(n + 1) - n * mpmath.log(n)) / mpmath.log(2)
-
         def environment(v_q):
             a = 4 * mpmath.mpf(v_q)
             det = (loss * a * v + t) * (loss * b * v + t)
@@ -168,7 +171,7 @@ def _mp_holevo(chain, loss, nbar):
             x, y = a - v, b - v
             gap = (v * (x - y)) ** 2 + x * y * (4 * t + loss * (loss * x * y + 2 * v * (a + b)))
             nu_plus_sq = (trace + loss * mpmath.sqrt(gap)) / 2
-            return entropy(mpmath.sqrt(nu_plus_sq)) + entropy(mpmath.sqrt(det / nu_plus_sq))
+            return _mp_entropy(mpmath.sqrt(nu_plus_sq)) + _mp_entropy(mpmath.sqrt(det / nu_plus_sq))
 
         chi = environment(chain.modulated_input_variance)
         return float(max(chi - environment(chain.readout.channel_input_variance), 0))
@@ -203,6 +206,38 @@ def test_holevo_matches_mpmath_at_every_loss(chain, loss, nbar):
     # far below 1e-12 bits
     reference = _mp_holevo(chain, 1e-40 if loss < devices.LOSSLESS_BELOW else loss, nbar)
     assert abs(sec.holevo_dr(chain, ChannelParams(loss, nbar)) - reference) <= 1e-12
+
+
+def test_entropy_of_nu_matches_mpmath_from_one_to_1e300():
+    # one cancellation-free form: the nu just above 1, where g is mostly
+    # its log term, and nu up to 1e300, where (n + 1) log(n + 1) - n log n
+    # cancels all but log10(n) of its digits (mpmath keeps 50 beyond them)
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(22)
+    nus = [1.0 + k * 2.0**-52 for k in (1, 2, 3, 5, 1000, 2**20)] + [
+        1.0 + 10.0**e for e in np.concatenate([np.linspace(-15.0, 300.0, 316),
+                                                rng.uniform(-15.0, 300.0, 200)])
+    ]
+    for nu in [*nus, 3.0, 1e300]:
+        with mpmath.workdps(50 + int(math.log10(nu))):
+            want = _mp_entropy(mpmath.mpf(nu))
+            assert abs(g.entropy_of_nu(nu) - want) <= 1e-15 * want, nu
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    chain=_chains(),
+    loss=st.sampled_from([0.0115, 0.2, 0.9]) | st.floats(1e-3, 0.999),
+    nbar=st.floats(0.0, 40.0).map(lambda exponent: 10.0**exponent),
+)
+@example(chain=RUN1, loss=0.0115, nbar=1e6)  # (n+1)log(n+1) - n log n loses 1.7e-8 bits
+@example(chain=RUN1, loss=0.9, nbar=1e10)
+@example(chain=RUN2, loss=0.2, nbar=1e40)
+def test_holevo_matches_mpmath_at_large_noise(chain, loss, nbar):
+    # symplectic eigenvalues up to ~1e42, where (n+1)log(n+1) - n log n
+    # cancels ~42 digits
+    reference = _mp_holevo(chain, loss, nbar)
+    assert abs(sec.holevo_dr(chain, ChannelParams(loss, nbar)) - reference) <= 1e-13
 
 
 @pytest.mark.parametrize("argv", [
@@ -329,23 +364,24 @@ def test_max_tolerable_loss_is_pinned_to_the_bit(monkeypatch, chain, background,
 def test_elementwise_matches_the_float_function_bitwise():
     rng = np.random.default_rng(8)
     x = np.concatenate([[1e-300, 0.5, 1.0, 2.0], rng.lognormal(0.0, 20.0, 300)])
-    # g(nu) at and around its branch points, then the main branch
+    # g(nu) near nu = 1, then over the physical range
     edges = np.array([0.0, 1e-13, 1e-12, 2e-12, 1e-10, 1e-8, 2e-8])
     nu = 1.0 + np.concatenate([edges, rng.exponential(3.0, 300)])
+    ops = sec._array_ops()
     cases = [
-        (math.log2, (x,), [math.log2(v) for v in x.tolist()]),
-        (math.hypot, (0.25, x), [math.hypot(0.25, v) for v in x.tolist()]),
-        (math.hypot, (x, 0.25), [math.hypot(v, 0.25) for v in x.tolist()]),
-        (g.entropy_of_nu, (nu,), [g.entropy_of_nu(v) for v in nu.tolist()]),
-        (math.log2, (np.array([]),), []),
-        (math.hypot, (0.25, np.array([])), []),
-        (g.entropy_of_nu, (np.array([]),), []),
+        (ops.log2, (x,), [math.log2(v) for v in x.tolist()]),
+        (ops.hypot, (0.25, x), [math.hypot(0.25, v) for v in x.tolist()]),
+        (ops.hypot, (x, 0.25), [math.hypot(v, 0.25) for v in x.tolist()]),
+        (ops.entropy, (nu,), [g.entropy_of_nu(v) for v in nu.tolist()]),
+        (ops.log2, (np.array([]),), []),
+        (ops.hypot, (0.25, np.array([])), []),
+        (ops.entropy, (np.array([]),), []),
     ]
-    for fn, args, want in cases:
-        got = sec._elementwise(fn)(*args)
+    for op, args, want in cases:
+        got = op(*args)
         assert got.dtype == np.float64
         assert got.tobytes() == np.array(want).tobytes()
-    table = sec._elementwise(math.hypot)(np.array([[1.0], [2.0]]), np.array([3.0, 4.0, 5.0]))
+    table = ops.hypot(np.array([[1.0], [2.0]]), np.array([3.0, 4.0, 5.0]))
     assert table.tolist() == [[math.hypot(a, b) for b in (3.0, 4.0, 5.0)] for a in (1.0, 2.0)]
 
 
@@ -860,6 +896,20 @@ def test_non_finite_chain_values_are_rejected(field, bad):
         sec.build_report(replace(RUN1, **{field: value}), QUIET, n_raw=16665)
     with pytest.raises(ValueError, match=message):
         sec.sweep_noise(replace(RUN1, **{field: value}), 0.0115, [0.0, 0.01], n_raw=16665)
+
+
+def test_chains_are_refused_only_near_where_chi_overflows_alone():
+    # the chain check bounds chi's invariants at zero noise and any loss;
+    # 768 dB passes with a finite chi, 775 dB is refused, and at 775 dB
+    # chi's invariants do overflow at zero noise
+    accepted = replace(RUN1, squeezing_db=768.0, antisqueezing_db=768.0)
+    for loss in (0.0, 0.0115, 0.5, 0.999):
+        assert math.isfinite(sec.holevo_dr(accepted, ChannelParams(loss, 0.0)))
+    with pytest.raises(ValueError, match="chain channel-input variances"):
+        replace(RUN1, squeezing_db=775.0, antisqueezing_db=775.0)
+    v = devices.level_to_variance(775.0, "antisqueezed")
+    with pytest.raises(ValueError, match="overflows chi's invariants"):
+        sec._environment_entropy(sec._FLOAT, 0.999, 0.0, v, v)
 
 
 def test_build_report_always_books_the_finite_size_block():
