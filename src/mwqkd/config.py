@@ -14,6 +14,7 @@ from dataclasses import asdict, dataclass, fields, replace
 
 from .devices import DeviceChainParams, check_channel
 from .linkbudget import MEDIA
+from .security import DEFAULT_CORRECTNESS_EPSILON, key_settings
 
 # Calibrated chains of the two reference runs. The lumped back-end noise
 # values reproduce the measured signal-to-noise ratios and key figures of
@@ -105,7 +106,7 @@ class ExperimentConfig:
     noise_grid: tuple[float, ...] = DEFAULT_NOISE_GRID
     n_symbols: int = DEFAULT_N_RAW
     seed: int = DEFAULT_SEED
-    e_ec: float = 1e-10
+    e_ec: float = DEFAULT_CORRECTNESS_EPSILON
     beta_ec: float = 1.0
     p_ec: float = 1.0
     n_ec_fraction: float = 0.5
@@ -123,14 +124,8 @@ class ExperimentConfig:
             raise ValueError("n_symbols must be >= 4")
         if not 0 <= self.seed <= MAX_SEED:
             raise ValueError(f"seed must be in [0, 2**128 - 3], got {self.seed}")
-        # checked here whatever the penalty flags, so a bad value exits 2
-        # before any command writes output
-        if not 0.0 < self.e_ec < 0.5:
-            raise ValueError("e_ec must be in (0, 0.5)")
-        if not 0.0 < self.beta_ec <= 1.0:
-            raise ValueError("beta_ec must be in (0, 1]")
-        if not 0.0 < self.p_ec <= 1.0:
-            raise ValueError("p_ec must be in (0, 1]")
+        # checked here, so a bad value exits 2 before any command writes output
+        key_settings(self.n_symbols, beta_ec=self.beta_ec, p_ec=self.p_ec, e_ec=self.e_ec)
         if not 0.0 < self.n_ec_fraction < 1.0:
             raise ValueError("n_ec_fraction must be in (0, 1)")
         if self.medium not in MEDIA:

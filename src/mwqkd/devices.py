@@ -69,14 +69,16 @@ def codebook_variance(squeezing_db: float, antisqueezing_db: float) -> float:
     """Displacement-ensemble variance that hides the encoding basis.
 
     The modulated squeezed quadrature must reach the anti-squeezed
-    variance, so sigma_A^2 = sigma_as^2 - sigma_s^2. Raises if the
-    anti-squeezing level is below the squeezing level (no covering
-    ensemble exists).
+    variance, so sigma_A^2 = sigma_as^2 - sigma_s^2. Raises unless the
+    levels S, A in dB meet the uncertainty bound, sigma_s sigma_as >= 1/4
+    or A >= S, and the covering condition, sigma_as^2 >= sigma_s^2 or
+    A >= -S (a negative S is an anti-squeezed "squeezed" quadrature).
     """
-    if antisqueezing_db < squeezing_db:
-        raise ValueError(
-            "antisqueezing level below squeezing level: no covering codebook"
-        )
+    levels = f"antisqueezing_db={float(antisqueezing_db)!r}, squeezing_db={float(squeezing_db)!r}"
+    if not antisqueezing_db >= squeezing_db:
+        raise ValueError(f"{levels}: A < S violates the uncertainty bound")
+    if not antisqueezing_db >= -squeezing_db:
+        raise ValueError(f"{levels}: A < -S leaves no codebook that covers the squeezed quadrature")
     return level_to_variance(antisqueezing_db, "antisqueezed") - level_to_variance(
         squeezing_db, "squeezed"
     )
@@ -148,8 +150,6 @@ class DeviceChainParams:
         for name in ("squeezing_db", "antisqueezing_db", "measurement_gain_db"):
             if not abs(level := getattr(self, name)) < MAX_LEVEL_DB:
                 raise ValueError(f"{name} must be finite, also as a linear ratio, got {level!r}")
-        if self.antisqueezing_db < self.squeezing_db:
-            raise ValueError("antisqueezing_db must be >= squeezing_db")
         if not 0.0 < self.quantum_efficiency <= 1.0:
             raise ValueError("quantum_efficiency must be in (0, 1]")
         for name in ("measurement_gain_db", "hemt_noise_photons"):

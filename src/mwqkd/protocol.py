@@ -171,9 +171,17 @@ def simulate_transmission(
     # matters for the affine decomposition of the record.
     slope_m, var_m = response_and_noise(chain, channel, matched=True)
     slope_x, var_x = response_and_noise(chain, channel, matched=False)
-    if not max(var_m, var_x) < math.inf:
-        noise, loss = channel.noise_photons, channel.loss
-        raise ValueError(f"noise_photons={noise!r} at loss={loss!r} overflows the record variance")
+    # estimation and the bootstrap sum squares of the m matched records,
+    # E[beta^2] times a chi-square of m degrees of freedom (or a resample of
+    # it): bounded 8 sd, 8 sqrt(2m), above its mean. The gain is >= 1, so
+    # var_x <= var_m.
+    m = int(np.count_nonzero(matched))
+    if not (m + 8.0 * math.sqrt(2.0 * m)) * (slope_m * slope_m * codebook.variance + var_m) < math.inf:
+        raise ValueError(
+            f"measurement_gain_db={float(chain.measurement_gain_db)!r} with noise_photons="
+            f"{channel.noise_photons!r} at loss={channel.loss!r} overflows the record variance"
+            f" or the sums of squares of its {m} matched records"
+        )
     sigma_m, sigma_x = math.sqrt(var_m), math.sqrt(var_x)
     # outcome = slope * symbol + sigma * noise, formed in place on the noise
     outcomes = rng.standard_normal(n)

@@ -22,7 +22,9 @@ nbar. It agrees with a 50-digit mpmath chi to 1.3e-13 bits from loss 0 to
 Reports have one evaluation, ``_report``: SNR, I_AB, chi and the composite
 bound at a point or over a grid, inputs echoed. :func:`build_report` (one
 point), :func:`sweep_noise` (a noise grid) and :func:`composite_key` (the
-report's ``finite_size``) check their arguments and call it.
+report's ``finite_size``) check their arguments and call it; the
+finite-size settings, their defaults and their domains are those of
+:func:`key_settings`.
 """
 
 from __future__ import annotations
@@ -301,6 +303,42 @@ def predicted_estimate(
     )
 
 
+def key_settings(
+    n_raw: int,
+    n_ec: int | None = None,
+    beta_ec: float = 1.0,
+    p_ec: float = 1.0,
+    e_ec: float = DEFAULT_CORRECTNESS_EPSILON,
+    include_delta: bool = True,
+    include_estimation_penalty: bool = True,
+) -> dict:
+    """The finite-size settings of a key, checked, defaults filled in.
+
+    Of `n_raw` raw symbols, half survive sifting in expectation; `n_ec` of
+    those carry the key (default: half the sifted block), the rest feed
+    parameter estimation. beta_ec is the reconciliation efficiency, p_ec
+    the probability that error correction succeeds, and e_ec the failure
+    bound of the estimation confidence, checked also without the penalty.
+    The flags switch the finite-size term and the estimation widening.
+    """
+    if n_raw < 4:
+        raise ValueError("n_raw must be >= 4")
+    if not 0.0 < beta_ec <= 1.0:
+        raise ValueError("beta_ec must be in (0, 1]")
+    if not 0.0 < p_ec <= 1.0:
+        raise ValueError("p_ec must be in (0, 1]")
+    if not 0.0 < e_ec < 0.5:
+        raise ValueError("e_ec must be in (0, 0.5)")
+    if n_ec is None:
+        n_ec = n_raw // 2 // 2
+    elif not 0 < n_ec <= n_raw // 2:
+        raise ValueError("n_ec must be in 1..sifted length")
+    return dict(
+        n_raw=n_raw, n_ec=n_ec, beta_ec=beta_ec, p_ec=p_ec, e_ec=e_ec,
+        include_delta=include_delta, include_estimation_penalty=include_estimation_penalty,
+    )
+
+
 @dataclass(frozen=True)
 class CompositeKeyBound:
     """Finite-size secret key bound and its ingredients.
@@ -336,7 +374,7 @@ def _composite(
     chi,
     *,
     n_raw: int,
-    n_ec: int | None,
+    n_ec: int,
     beta_ec: float,
     p_ec: float,
     e_ec: float,
@@ -344,7 +382,8 @@ def _composite(
     include_estimation_penalty: bool,
 ) -> CompositeKeyBound:
     """The composite bound at `point` = (loss, nbar), floats or a noise
-    grid, from its I_AB and (without the estimation penalty) its chi.
+    grid, from its I_AB and (without the estimation penalty) its chi, for
+    settings checked by :func:`key_settings`.
 
     With the penalty, chi is taken at the worst case of `estimate`, or of
     the estimate the estimation block would give at `point` when
@@ -355,20 +394,7 @@ def _composite(
     with no worst case. The penalty needs at least 2 estimation symbols;
     fewer raise InsufficientDataError, as a short protocol record does.
     """
-    if n_raw < 4:
-        raise ValueError("n_raw must be >= 4")
-    if not 0.0 < beta_ec <= 1.0:
-        raise ValueError("beta_ec must be in (0, 1]")
-    if not 0.0 < p_ec <= 1.0:
-        raise ValueError("p_ec must be in (0, 1]")
-    # also without the estimation penalty, which alone uses it (through w)
-    if not 0.0 < e_ec < 0.5:
-        raise ValueError("e_ec must be in (0, 0.5)")
     n_sifted = n_raw // 2
-    if n_ec is None:
-        n_ec = n_sifted // 2
-    if not 0 < n_ec <= n_sifted:
-        raise ValueError("n_ec must be in 1..sifted length")
     n_est = n_sifted - n_ec
     if estimate is not None:  # book the pairs the estimate had
         n_est = estimate.samples
@@ -413,23 +439,15 @@ def composite_key(
     chain: DeviceChainParams,
     channel: ChannelParams | None = None,
     estimate: ChannelEstimate | None = None,
-    *,
-    n_raw: int,
-    n_ec: int | None = None,
-    beta_ec: float = 1.0,
-    p_ec: float = 1.0,
-    e_ec: float = DEFAULT_CORRECTNESS_EPSILON,
-    include_delta: bool = True,
-    include_estimation_penalty: bool = True,
+    **settings,
 ) -> CompositeKeyBound:
-    """Finite-size composite secret key bound.
+    """Finite-size composite secret key bound, for the settings of
+    :func:`key_settings` (`n_raw` is required).
 
     Exactly one of `channel` (exact parameters) or `estimate` (measured
-    parameters with standard errors) must be given. Of the N raw symbols,
-    half survive sifting in expectation; `n_ec` of those carry the key
-    (default: half the sifted block) and the remainder feed parameter
-    estimation. An `estimate` books its own `samples` as that remainder,
-    and n_ec + samples as the sifted block. The bound is
+    parameters with standard errors) must be given. An `estimate` books
+    its own `samples` as the estimation block, and n_ec + samples as the
+    sifted block. The bound is
     r * [beta*I - chi(worst case) - Delta(n_ec)] with r = n_ec * p_ec / N.
     The two penalty flags reproduce the finite-size-only and
     estimation-only ablations; with both off the per-symbol bound equals
@@ -438,12 +456,7 @@ def composite_key(
     is -Delta(n_ec) per symbol, or 0 without the finite-size term, with
     worst_case_loss and worst_case_noise None.
     """
-    return build_report(
-        chain, channel, estimate,
-        n_raw=n_raw, n_ec=n_ec, beta_ec=beta_ec, p_ec=p_ec, e_ec=e_ec,
-        include_delta=include_delta,
-        include_estimation_penalty=include_estimation_penalty,
-    ).finite_size
+    return build_report(chain, channel, estimate, **settings).finite_size
 
 
 def noise_crossing(
@@ -588,7 +601,9 @@ def _point_of(columns: dict, i: int) -> dict:
 
 def _report(ops, chain: DeviceChainParams, loss, nbar, estimate, **settings) -> SecurityReport:
     """The report at (loss, nbar), floats or a noise grid, its composite
-    bound widened from `estimate` when one is given."""
+    bound widened from `estimate` when one is given; the settings pass
+    through :func:`key_settings`, and the echo holds what it returns."""
+    settings = key_settings(**settings)
     snr_value = _snr(chain, loss, nbar)
     mi = _mutual_information(ops, snr_value)
     chi = _chi(ops, chain, loss, nbar)
@@ -618,30 +633,21 @@ def build_report(
     channel: ChannelParams | None = None,
     estimate: ChannelEstimate | None = None,
     *,
-    n_raw: int,
-    n_ec: int | None = None,
-    beta_ec: float = 1.0,
-    p_ec: float = 1.0,
-    e_ec: float = DEFAULT_CORRECTNESS_EPSILON,
-    include_delta: bool = True,
-    include_estimation_penalty: bool = True,
     extra_inputs: dict | None = None,
+    **settings,
 ) -> SecurityReport:
     """Assemble a SecurityReport, echoing every input for reproducibility.
 
     The asymptotic block uses the point parameters; the finite-size block
-    books `n_raw` raw symbols. `extra_inputs` are merged into the echo.
+    takes the settings of :func:`key_settings` (`n_raw` is required), and
+    the echo holds all of them, defaults included. `extra_inputs` are
+    merged into the echo.
     """
     if (channel is None) == (estimate is None):
         raise ValueError("provide exactly one of channel or estimate")
     if channel is None:
         channel = ChannelParams(*_clamp(_FLOAT, estimate.loss, estimate.noise_photons))
-    report = _report(
-        _FLOAT, chain, channel.loss, channel.noise_photons, estimate,
-        n_raw=n_raw, n_ec=n_ec, beta_ec=beta_ec, p_ec=p_ec, e_ec=e_ec,
-        include_delta=include_delta,
-        include_estimation_penalty=include_estimation_penalty,
-    )
+    report = _report(_FLOAT, chain, channel.loss, channel.noise_photons, estimate, **settings)
     report.inputs.update(extra_inputs or {})
     return report
 
@@ -650,20 +656,13 @@ def sweep_noise(
     chain: DeviceChainParams,
     loss: float,
     nbars,
-    *,
-    n_raw: int,
-    n_ec: int | None = None,
-    beta_ec: float = 1.0,
-    p_ec: float = 1.0,
-    e_ec: float = DEFAULT_CORRECTNESS_EPSILON,
-    include_delta: bool = True,
-    include_estimation_penalty: bool = True,
+    **settings,
 ) -> SecurityReport:
     """Exact-parameter reports over a grid of coupled-noise levels.
 
     One array evaluation of what ``build_report(chain, ChannelParams(loss,
-    nbar), n_raw=n_raw, ...)`` gives at each nbar of the 1-D grid `nbars`,
-    bit for bit. The returned report holds an array, one entry per grid
+    nbar), **settings)`` gives at each nbar of the 1-D grid `nbars`, bit
+    for bit. The returned report holds an array, one entry per grid
     point, in each per-point figure; :meth:`SecurityReport.split_grid`
     splits it. Invalid settings raise even for an empty grid.
     """
@@ -675,9 +674,4 @@ def sweep_noise(
     check_channel(loss, nbar)
     # an overflow raises below, as on the float path, without numpy's warning
     with np.errstate(over="ignore", invalid="ignore"):
-        return _report(
-            _array_ops(), chain, loss, nbar, None,
-            n_raw=n_raw, n_ec=n_ec, beta_ec=beta_ec, p_ec=p_ec, e_ec=e_ec,
-            include_delta=include_delta,
-            include_estimation_penalty=include_estimation_penalty,
-        )
+        return _report(_array_ops(), chain, loss, nbar, None, **settings)

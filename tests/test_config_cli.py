@@ -669,6 +669,46 @@ def test_protocol_names_the_noise_that_overflows_the_record_variance(tmp_path, c
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("squeezing, antisqueezing, named", [
+    (-1, 0, "antisqueezing_db=0.0, squeezing_db=-1.0: A < -S"),
+    (3, 1, "antisqueezing_db=1.0, squeezing_db=3.0: A < S"),
+], ids=["no-covering-codebook", "below-the-uncertainty-bound"])
+def test_every_command_refuses_levels_outside_the_chain_domain(
+    tmp_path, capsys, squeezing, antisqueezing, named
+):
+    # a negative squeezing level with A < -S has a negative codebook
+    # variance; A < S is not a physical state
+    cfg = tmp_path / "chain.json"
+    cfg.write_text(json.dumps(
+        {"preset": "run1", "chain": {"squeezing_db": squeezing, "antisqueezing_db": antisqueezing}}
+    ))
+    for argv in (("report", "--no-pe"), ("sweep", "--no-pe"), ("protocol",)):
+        out = tmp_path / argv[0]
+        assert run_cli(*argv, "--config", str(cfg), "--out", str(out)) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("gain_db, code", [(3040, 0), (3050, 2), (3080, 2)])
+def test_protocol_refuses_a_gain_whose_sums_of_squares_overflow(tmp_path, capsys, gain_db, code):
+    # 3040 dB keeps the matched records' sums of squares finite; from 3050 dB
+    # the bootstrap's and then the estimate's overflow: refused before the
+    # outcomes are drawn. A RuntimeWarning, here or in the bootstrap's child,
+    # is an error under this suite's warning filter.
+    cfg = tmp_path / "gain.json"
+    cfg.write_text(json.dumps({"preset": "run1", "chain": {"measurement_gain_db": gain_db}}))
+    out = tmp_path / "run"
+    assert run_cli("protocol", "--config", str(cfg), "--out", str(out)) == code
+    err = capsys.readouterr().err
+    if code == 0:
+        empirical = json.loads((out / "report.json").read_text())["empirical"]
+        assert empirical["mutual_information_bits"] == 1.2723109422885874
+        assert empirical["mutual_information_sigma"] == 0.01350370034581278
+    else:
+        assert f"measurement_gain_db={float(gain_db)!r} with noise_photons=0.0 at loss=0.0115" in err
+        assert list(out.iterdir()) == []
+
+
 def test_unwritable_path_exits_4(tmp_path):
     assert run_cli("sweep", "--preset", "run1",
                    "--out", str(tmp_path / "no" / "dir" / "x.csv")) == 4

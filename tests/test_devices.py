@@ -41,6 +41,15 @@ def test_codebook_variance_covering_difference():
         d.codebook_variance(5.0, 3.0)
 
 
+def test_codebook_variance_needs_the_uncertainty_bound_and_the_covering_condition():
+    # A >= S and A >= -S: the messages name both levels
+    assert d.codebook_variance(-1.0, 1.0) == 0.0
+    with pytest.raises(ValueError, match=r"antisqueezing_db=3.0, squeezing_db=5.0: A < S"):
+        d.codebook_variance(5.0, 3.0)
+    with pytest.raises(ValueError, match=r"antisqueezing_db=0.5, squeezing_db=-1.0: A < -S"):
+        d.codebook_variance(-1.0, 0.5)
+
+
 def test_chain_validation():
     with pytest.raises(ValueError):
         replace(RUN1, quantum_efficiency=0.0)

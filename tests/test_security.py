@@ -919,6 +919,44 @@ def test_build_report_always_books_the_finite_size_block():
     assert data["finite_size"]["n_raw"] == 16665
 
 
+SETTINGS_ENTRY_POINTS = [
+    lambda **settings: sec.composite_key(RUN1, QUIET, **settings),
+    lambda **settings: sec.build_report(RUN1, QUIET, **settings),
+    lambda **settings: sec.sweep_noise(RUN1, 0.0115, [0.0, 1e-3], **settings),
+]
+
+
+@pytest.mark.parametrize("entry", SETTINGS_ENTRY_POINTS, ids=["composite", "report", "sweep"])
+def test_every_entry_point_takes_exactly_the_key_settings(entry):
+    with pytest.raises(TypeError, match="n_raw"):
+        entry()
+    with pytest.raises(TypeError, match="n_est"):
+        entry(n_raw=16665, n_est=100)
+    with pytest.raises(TypeError, match="n_raw"):
+        entry(beta_ec=0.9)
+
+
+def test_reports_echo_the_resolved_settings_defaults_included():
+    want = sec.key_settings(n_raw=16665)
+    assert want["n_ec"] == 16665 // 2 // 2
+    for report in (sec.build_report(RUN1, QUIET, n_raw=16665),
+                   sec.sweep_noise(RUN1, 0.0115, [0.0, 1e-3], n_raw=16665)):
+        echoed = {k: v for k, v in report.inputs.items()
+                  if k not in ("chain", "channel", "parameter_source")}
+        assert echoed == want
+    bound = sec.composite_key(RUN1, QUIET, n_raw=16665)
+    assert (bound.n_ec, bound.include_delta, bound.include_estimation_penalty) == (
+        want["n_ec"], want["include_delta"], want["include_estimation_penalty"]
+    )
+
+
+def test_the_config_defaults_are_the_key_settings_defaults():
+    # the default config resolves to the library's defaults at its N, so
+    # the two definitions cannot drift apart
+    config = mwqkd.ExperimentConfig()
+    assert cli._report_kwargs(config) == sec.key_settings(config.n_symbols)
+
+
 @st.composite
 def _report_settings(draw):
     n_raw = draw(st.integers(100, 10**6))
@@ -947,8 +985,8 @@ PAPER_SETTINGS = dict(
     grid=st.lists(st.floats(0.0, 0.5), max_size=6),
     report_settings=_report_settings(),
 )
-# a grid that reaches all three branches of g(nu) (nu <= 1 + 1e-12, the
-# series, the main branch) and both branches of the eigenvalue gap
+# a grid that reaches g(nu) at nu <= 1 (its guard), just above 1 and far
+# above it, and both branches of the eigenvalue gap
 @example(chain=RUN1, loss=0.0115, grid=BRANCH_GRID, report_settings=PAPER_SETTINGS)
 @example(chain=RUN2, loss=0.0115, grid=BRANCH_GRID, report_settings=PAPER_SETTINGS)
 def test_sweep_noise_matches_scalar_reports_bitwise(chain, loss, grid, report_settings):
