@@ -125,18 +125,6 @@ def _write_json(out, payload: dict) -> None:
     _write_text(out, json.dumps(payload, sort_keys=True, allow_nan=False) + "\n")
 
 
-def _report_kwargs(cfg: ExperimentConfig) -> dict:
-    return {
-        "n_raw": cfg.n_symbols,
-        "n_ec": max(1, round(cfg.n_ec_fraction * (cfg.n_symbols // 2))),
-        "beta_ec": cfg.beta_ec,
-        "p_ec": cfg.p_ec,
-        "e_ec": cfg.e_ec,
-        "include_delta": cfg.include_delta,
-        "include_estimation_penalty": cfg.include_estimation_penalty,
-    }
-
-
 def cmd_sweep(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     header = (
         "nbar",
@@ -146,9 +134,7 @@ def cmd_sweep(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
         "asymptotic_key_bits",
         "composite_key_bits_per_raw_symbol",
     )
-    sweep = security.sweep_noise(
-        cfg.chain, cfg.channel_loss, cfg.noise_grid, **_report_kwargs(cfg)
-    )
+    sweep = security.sweep_noise(cfg.chain, cfg.channel_loss, cfg.noise_grid, **cfg.key_settings)
     crossing = security.noise_tolerance(cfg.chain, cfg.channel_loss)
 
     if (args.out_format or "csv") == "json":
@@ -267,8 +253,7 @@ def cmd_protocol(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
         manifest["config"] = config
         _write_json(outdir / "manifest.json", manifest)
 
-        kwargs = _report_kwargs(cfg)
-        n_ec = kwargs["n_ec"]
+        n_ec = cfg.key_settings["n_ec"]
         estimate = proto.estimate_channel(alpha[n_ec:], beta[n_ec:], cfg.chain)
         report = security.build_report(
             cfg.chain,
@@ -279,7 +264,7 @@ def cmd_protocol(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
                 "n_matched": int(alpha.size),
                 "config": config,
             },
-            **kwargs,
+            **cfg.key_settings,
         )
 
         slope, variance = response_and_noise(cfg.chain, channel, matched=True)
@@ -354,10 +339,7 @@ def cmd_linkbudget(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
 def cmd_report(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     channel = ChannelParams(loss=cfg.channel_loss, noise_photons=cfg.noise_photons)
     report = security.build_report(
-        cfg.chain,
-        channel,
-        extra_inputs={"config": cfg.to_dict()},
-        **_report_kwargs(cfg),
+        cfg.chain, channel, extra_inputs={"config": cfg.to_dict()}, **cfg.key_settings
     )
     _write_json(args.out, report.to_dict())
     return 0

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, fields, replace
 
 from .devices import DeviceChainParams, check_channel
 from .linkbudget import MEDIA
-from .security import DEFAULT_CORRECTNESS_EPSILON, key_settings
+from .security import DEFAULT_CORRECTNESS_EPSILON, ec_block, key_settings
 
 # Calibrated chains of the two reference runs. The lumped back-end noise
 # values reproduce the measured signal-to-noise ratios and key figures of
@@ -97,7 +97,8 @@ def _check_type(name: str, value, json_type: str) -> None:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything one run needs, resolvable from JSON and flags."""
+    """Everything one run needs, resolvable from JSON and flags. Derived,
+    not a field: `key_settings`, the run's resolved finite-size settings."""
 
     chain: DeviceChainParams = RUN1_CHAIN
     preset: str | None = "run1"
@@ -124,10 +125,14 @@ class ExperimentConfig:
             raise ValueError("n_symbols must be >= 4")
         if not 0 <= self.seed <= MAX_SEED:
             raise ValueError(f"seed must be in [0, 2**128 - 3], got {self.seed}")
-        # checked here, so a bad value exits 2 before any command writes output
-        key_settings(self.n_symbols, beta_ec=self.beta_ec, p_ec=self.p_ec, e_ec=self.e_ec)
         if not 0.0 < self.n_ec_fraction < 1.0:
             raise ValueError("n_ec_fraction must be in (0, 1)")
+        # resolved once, so a bad value exits 2 before any command writes output
+        object.__setattr__(self, "key_settings", key_settings(
+            self.n_symbols, ec_block(self.n_symbols, self.n_ec_fraction),
+            self.beta_ec, self.p_ec, self.e_ec,
+            self.include_delta, self.include_estimation_penalty,
+        ))
         if self.medium not in MEDIA:
             raise ValueError(f"unknown medium {self.medium!r}; choose from {sorted(MEDIA)}")
         object.__setattr__(self, "noise_grid", tuple(float(x) for x in self.noise_grid))

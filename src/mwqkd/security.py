@@ -16,8 +16,9 @@ chi has one closed form at every channel loss in [0, 1), loss 0 included:
 the environment's symplectic invariants written in m = loss * v = loss +
 4 nbar, which stays finite as the loss vanishes at fixed coupled noise
 nbar. It agrees with a 50-digit mpmath chi to 1.3e-13 bits from loss 0 to
-0.999, and for nbar up to 1e40. g(nu) is one cancellation-free form, within
-2.5e-16 relative of mpmath for nu up to 1e300.
+0.999 and for nbar up to 1e40, and to 1.5e-14 bits for chains squeezed up
+to 150 dB at losses up to 1 - 1e-12. g(nu) is one cancellation-free form,
+within 2.5e-16 relative of mpmath for nu up to 1e300.
 
 Reports have one evaluation, ``_report``: SNR, I_AB, chi and the composite
 bound at a point or over a grid, inputs echoed. :func:`build_report` (one
@@ -143,7 +144,8 @@ def _environment_entropy(ops, eps, nbar, v_q: float, v_p: float):
     + m^2 + t m (a + b) + 2 t and, with X = (eps a - m)(eps b - m) >= 0,
     (nu+^2 - nu-^2)^2 = m^2 (a - b)^2 + X (4 t + X + 2 m (a + b)), a sum of
     non-negative terms. X < 0 puts v between a and b, where the gap is
-    written in v = m / eps; at eps = 0, X = m^2.
+    written in v = m / eps, x = a - v, y = b - v, its mixed term as a b -
+    v^2 - t x y, which keeps its digits as t -> 0; at eps = 0, X = m^2.
     """
     a, b, t = 4.0 * v_q, 4.0 * v_p, 1.0 - eps
     m = eps + 4.0 * nbar
@@ -156,7 +158,7 @@ def _environment_entropy(ops, eps, nbar, v_q: float, v_p: float):
     s = ops.maximum(m, 1.0)
     v = m / ops.where(split, eps, s)
     x, y = a - v, b - v
-    mixed = eps * x * y + v * (x + y)
+    mixed = a * b - v * v - t * x * y
     r, z = m / s, big_x / s
     gap = ops.where(
         split,
@@ -221,8 +223,8 @@ def confidence_w(correctness_epsilon: float) -> float:
 
     w standard deviations cover a Gaussian estimate up to failure
     probability e per tail. Computed as -Phi^-1((1 - fl(1 - 2 e)) / 2)
-    with the standard-library normal quantile; e below ~5.6e-17 rounds
-    1 - 2 e to 1 and is rejected.
+    with the standard-library normal quantile; e at or below 2^-55
+    (~2.8e-17) rounds 1 - 2 e to 1 and is rejected.
     """
     if not 0.0 < correctness_epsilon < 0.5:
         raise ValueError("correctness_epsilon must be in (0, 0.5)")
@@ -303,6 +305,12 @@ def predicted_estimate(
     )
 
 
+def ec_block(n_raw: int, fraction: float = 0.5) -> int:
+    """The EC (key) block: floor(fraction * (n_raw // 2)), exactly, and >= 1."""
+    num, den = fraction.as_integer_ratio()
+    return max(1, num * (n_raw // 2) // den)
+
+
 def key_settings(
     n_raw: int,
     n_ec: int | None = None,
@@ -315,11 +323,12 @@ def key_settings(
     """The finite-size settings of a key, checked, defaults filled in.
 
     Of `n_raw` raw symbols, half survive sifting in expectation; `n_ec` of
-    those carry the key (default: half the sifted block), the rest feed
-    parameter estimation. beta_ec is the reconciliation efficiency, p_ec
-    the probability that error correction succeeds, and e_ec the failure
-    bound of the estimation confidence, checked also without the penalty.
-    The flags switch the finite-size term and the estimation widening.
+    those carry the key (default: half the sifted block, :func:`ec_block`),
+    the rest feed parameter estimation. beta_ec is the reconciliation
+    efficiency, p_ec the probability that error correction succeeds, and
+    e_ec the failure bound of the estimation confidence, checked (also
+    without the penalty) over the domain of :func:`confidence_w`. The
+    flags switch the finite-size term and the estimation widening.
     """
     if n_raw < 4:
         raise ValueError("n_raw must be >= 4")
@@ -329,8 +338,10 @@ def key_settings(
         raise ValueError("p_ec must be in (0, 1]")
     if not 0.0 < e_ec < 0.5:
         raise ValueError("e_ec must be in (0, 0.5)")
+    if not 1.0 - 2.0 * e_ec < 1.0:
+        raise ValueError(f"e_ec={e_ec!r} is too small: 1 - 2 e_ec rounds to 1")
     if n_ec is None:
-        n_ec = n_raw // 2 // 2
+        n_ec = ec_block(n_raw)
     elif not 0 < n_ec <= n_raw // 2:
         raise ValueError("n_ec must be in 1..sifted length")
     return dict(

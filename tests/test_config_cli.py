@@ -13,7 +13,7 @@ import subprocess
 import sys
 import tempfile
 import time
-from dataclasses import fields
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -168,7 +168,7 @@ def test_sweep_json_format(tmp_path):
         rows = []
         for nbar, point in zip(cfg.noise_grid, data["reports"], strict=True):
             want = security.build_report(
-                cfg.chain, ChannelParams(cfg.channel_loss, nbar), **cli._report_kwargs(cfg)
+                cfg.chain, ChannelParams(cfg.channel_loss, nbar), **cfg.key_settings
             )
             merged = merge_point(data["settings"], point)
             assert json.dumps(merged, sort_keys=True) == json.dumps(want.to_dict(), sort_keys=True)
@@ -197,7 +197,7 @@ def test_csv_cells_are_reprs_of_the_scalar_values(tmp_path):
     want = []
     for nbar in cfg.noise_grid:
         rep = security.build_report(
-            cfg.chain, ChannelParams(cfg.channel_loss, nbar), **cli._report_kwargs(cfg)
+            cfg.chain, ChannelParams(cfg.channel_loss, nbar), **cfg.key_settings
         )
         want.append([nbar, rep.snr, rep.mi_bits, rep.holevo_bits,
                      rep.asymptotic_key_bits, rep.finite_size.bits_per_raw_symbol])
@@ -220,9 +220,10 @@ def _fresh_interpreter(*args: str) -> subprocess.CompletedProcess:
     checkout, with stdout and stderr captured as bytes."""
     src = Path(mwqkd.__file__).resolve().parents[1]
     path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    # as the suite's filterwarnings: a RuntimeWarning fails the child too
     return subprocess.run(
         [sys.executable, *args],
-        env={**os.environ, "PYTHONPATH": path},
+        env={**os.environ, "PYTHONPATH": path, "PYTHONWARNINGS": "error::RuntimeWarning"},
         capture_output=True,
         timeout=120,
     )
@@ -350,7 +351,7 @@ def test_protocol_without_enough_data_exits_3(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["report", "--n-symbols", "4"],
-    ["sweep", "--n-symbols", "7"],
+    ["sweep", "--n-symbols", "5"],
     ["report", "--n-ec-fraction", "0.9999"],
 ])
 def test_too_few_estimation_symbols_exit_3(tmp_path, capsys, argv):
@@ -800,7 +801,9 @@ def test_linkbudget_bytes_are_pinned(tmp_path, capsys, preset, medium, fmt):
 # sha256 of the report and sweep outputs, re-recorded when g(nu) became one
 # cancellation-free form (only chi and the figures made from it moved, by
 # at most ~1e-15 bits). The paper's point (loss 0.0115, nbar 1.7e-6) and
-# a lossless channel with noise.
+# a lossless channel with noise. The run1 sweeps were re-recorded when
+# chi's split-branch gap lost its cancellation near full loss: chi at one
+# grid point and the worst-case chi at three moved by at most 4.4e-16 bits.
 GOLDEN_REPORTS = {
     ("run1", "0.0115", "1.7e-06"): "ede7ed36ce3f5f20adf7f07105f1d3ac0c95d5478688117103a7379cfbc10ce1",
     ("run1", "0", "0.01"): "2003ca377c46b7e95e7991f2bd0957f4e1a0960632455a930f6523ddfb6c0ebc",
@@ -808,8 +811,8 @@ GOLDEN_REPORTS = {
     ("run2", "0", "0.01"): "e7b02be30fa6e4da11959513be775ee48c783d57acb2b5dd824bd59afe96a84b",
 }
 GOLDEN_SWEEPS = {
-    ("run1", "csv"): "205daedf71a1c019270b0ccc81e963499d18953f31d3cd44a00e6855e05d2e71",
-    ("run1", "json"): "c5ecfce609d4d4906c9d643415d63851c141299c9785a05b7b177e034ccd720d",
+    ("run1", "csv"): "a46be873158d38d287851664f94af21ed3714100184275f95eb2bf3a1f701bc6",
+    ("run1", "json"): "9e16943a35fc56df090b6f3b595ccfd0f0388b72d3fc4955505f810ca7cd0089",
     ("run2", "csv"): "ba9f5708d8f7557e0a7b3a3af3cf3bae2f7906bc0339158fa89038562ba43311",
     ("run2", "json"): "781cbaf032a506820d3ed0a1f984f2b4a78f6af7292357b94f48654474c76bd9",
 }
@@ -1058,6 +1061,72 @@ def test_config_rejects_security_settings_out_of_range():
     with pytest.raises(ValueError, match="p_ec"):
         config_from_dict({"preset": "run1", "security": {"p_ec": 2.0}})
     ExperimentConfig(e_ec=0.49, beta_ec=1.0, p_ec=1.0)
+
+
+def test_key_settings_are_derived_not_a_field():
+    cfg = ExperimentConfig(n_symbols=16670, n_ec_fraction=0.25)
+    assert cfg.key_settings == security.key_settings(16670, security.ec_block(16670, 0.25))
+    assert "key_settings" not in {f.name for f in fields(cfg)}
+    assert "key_settings" not in asdict(cfg) and "key_settings" not in str(cfg.to_dict())
+    # equality sees only the fields; a replaced config resolves again
+    assert cfg == config_from_dict(json.loads(json.dumps(cfg.to_dict())))
+    assert replace(cfg, n_ec_fraction=0.5).key_settings == security.key_settings(16670)
+
+
+def _booked_report(*argv) -> dict:
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert run_cli("report", "--no-pe", *argv) == 0
+    return json.loads(stdout.getvalue())
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    n=st.integers(4, 10**7),
+    fraction=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+)
+@example(n=16670, fraction=0.5)
+@example(n=7, fraction=0.5)
+@example(n=4, fraction=1e-300)
+@example(n=10**7, fraction=math.nextafter(1.0, 0.0))
+def test_report_books_the_library_ec_block(n, fraction):
+    # the CLI books what key_settings gives for the shared EC-block rule
+    data = _booked_report("--n-symbols", str(n), "--n-ec-fraction", repr(fraction))
+    want = security.key_settings(
+        n, security.ec_block(n, fraction), include_estimation_penalty=False
+    )
+    assert {name: data["inputs"][name] for name in want} == want
+    booked = data["finite_size"]
+    assert (booked["n_raw"], booked["n_sifted"], booked["n_ec"], booked["n_estimation"]) == (
+        n, n // 2, want["n_ec"], n // 2 - want["n_ec"]
+    )
+    if fraction == 0.5:
+        assert want["n_ec"] == security.key_settings(n)["n_ec"] == n // 2 // 2
+
+
+def test_report_books_the_library_n_ec_at_16670():
+    # half the sifted 8335 is 4167.5; the library floors it
+    data = _booked_report("--n-symbols", "16670")
+    library = security.build_report(
+        mwqkd.RUN1_CHAIN, ChannelParams(DEFAULT_CHANNEL_LOSS, 0.0), n_raw=16670,
+        include_estimation_penalty=False,
+    )
+    assert data["finite_size"]["n_ec"] == library.finite_size.n_ec == 4167
+    assert data["inputs"]["n_ec"] == 4167
+
+
+@pytest.mark.parametrize(
+    "argv", [("report", "--no-pe"), ("report",), ("sweep",), ("protocol",)], ids="_".join
+)
+def test_an_e_ec_that_rounds_1_minus_2e_to_1_exits_2_before_writing(tmp_path, capsys, argv):
+    # w = sqrt(2) erfinv(1 - 2 e_ec) needs 1 - 2 e_ec < 1 in floats: the
+    # config refuses it before a command writes anything
+    outdir = tmp_path / "out"
+    outdir.mkdir()
+    assert run_cli(*argv, "--e-ec", "1e-17", "--out", str(outdir / "result")) == 2
+    err = capsys.readouterr().err
+    assert "e_ec=1e-17 is too small" in err and "correctness_epsilon" not in err
+    assert list(outdir.iterdir()) == []
 
 
 # sha256 of key.csv and manifest.json of `protocol --seed 7 --nbar 1.7e-06`

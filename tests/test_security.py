@@ -240,6 +240,33 @@ def test_holevo_matches_mpmath_at_large_noise(chain, loss, nbar):
     assert abs(sec.holevo_dr(chain, ChannelParams(loss, nbar)) - reference) <= 1e-13
 
 
+@pytest.mark.parametrize("squeezing_db, antisqueezing_db", [(60, 60), (100, 100), (100, 103.5)])
+@pytest.mark.parametrize("loss", [0.999999, 1 - 1e-8, 1 - 1e-10, 1 - 1e-12])
+@pytest.mark.parametrize("nbar", [0.0, 1e-6, 0.01, 1.0, 30.0])
+def test_holevo_matches_mpmath_near_full_loss_for_strong_squeezing(
+    squeezing_db, antisqueezing_db, loss, nbar
+):
+    # v between a and b with t -> 0: the gap's mixed term keeps its digits
+    chain = replace(RUN1, squeezing_db=squeezing_db, antisqueezing_db=antisqueezing_db)
+    reference = _mp_holevo(chain, loss, nbar)
+    assert abs(sec.holevo_dr(chain, ChannelParams(loss, nbar)) - reference) <= 1e-13
+
+
+def test_a_strongly_squeezed_chain_near_full_loss_exits_0(tmp_path, capsys):
+    cfg = tmp_path / "chain.json"
+    cfg.write_text(json.dumps(
+        {"preset": "run1", "chain": {"squeezing_db": 100, "antisqueezing_db": 100}}
+    ))
+    argv = ["report", "--config", str(cfg), "--no-pe", "--loss", "0.999999999999"]
+    out = tmp_path / "out.json"
+    assert cli.main([*argv, "--out", str(out)]) == 0
+    capsys.readouterr()
+    chain = cli.resolve_config(cli.build_parser().parse_args(argv)).chain
+    assert json.loads(out.read_text())["holevo_bits"] == pytest.approx(
+        _mp_holevo(chain, 0.999999999999, 0.0), abs=1e-13
+    )
+
+
 @pytest.mark.parametrize("argv", [
     ["report", "--preset", "run2", "--loss", "1e-13", "--nbar", "0.01"],
     ["report", "--loss", "1e-200", "--nbar", "0.01", "--no-pe"],
@@ -708,9 +735,25 @@ def test_confidence_w_matches_scipy_erfinv_oracle():
     for e_ec in grid:
         want = math.sqrt(2.0) * float(erfinv(1.0 - 2.0 * e_ec))
         assert abs(sec.confidence_w(e_ec) - want) <= 1e-15 * want
-    # below ~5.6e-17, 1 - 2e rounds to 1 and w would be infinite
+    # at or below 2**-55 (~2.8e-17), 1 - 2e rounds to 1 and w would be infinite
     with pytest.raises(ValueError, match="too small"):
         sec.confidence_w(1e-17)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(e_ec=st.floats(-20.0, -15.0).map(lambda exponent: 10.0**exponent))
+@example(e_ec=2.0**-55)
+@example(e_ec=math.nextafter(2.0**-55, 1.0))
+def test_key_settings_take_e_ec_exactly_where_confidence_w_does(e_ec):
+    # the whole domain is checked where the settings resolve, without
+    # computing w, so a configuration w refuses never reaches a command
+    try:
+        sec.confidence_w(e_ec)
+    except ValueError:
+        with pytest.raises(ValueError, match="e_ec"):
+            sec.key_settings(16665, e_ec=e_ec, include_estimation_penalty=False)
+    else:
+        assert sec.key_settings(16665, e_ec=e_ec)["e_ec"] == e_ec
 
 
 def test_worst_case_params_widen_conservatively():
@@ -954,7 +997,7 @@ def test_the_config_defaults_are_the_key_settings_defaults():
     # the default config resolves to the library's defaults at its N, so
     # the two definitions cannot drift apart
     config = mwqkd.ExperimentConfig()
-    assert cli._report_kwargs(config) == sec.key_settings(config.n_symbols)
+    assert config.key_settings == sec.key_settings(config.n_symbols)
 
 
 @st.composite
