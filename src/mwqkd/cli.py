@@ -162,64 +162,28 @@ def cmd_sweep(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
 
 
 def _in_child(fn, *args):
-    """Start fn(*args) in a forked child and return a join callable.
+    """Start fn(*args) in a forked child; return a join() that waits for it.
 
-    join() returns the child's result or raises its exception, of the same
-    type and message. join(cancel=True) kills and reaps a child not yet
-    joined; after a join it does nothing. Where os.fork is missing or
-    fails, or the child ends without a result, join() calls fn(*args) in
-    this process, so an error surfaces where it would have without a
-    child. The child ends in os._exit: it never unwinds into the caller or
-    flushes the stdio buffers it inherited.
+    Where os.fork is missing or fails, or the child did not exit 0, join()
+    calls fn(*args) in this process, which raises the real error. fn's
+    result is not used. The child ends in os._exit: it never unwinds into
+    the caller or flushes the stdio buffers it inherited.
     """
-    import pickle  # not at module level: they would lengthen every CLI start
-    import signal
-
-    def in_process(cancel=False):
-        return None if cancel else fn(*args)
-
-    if not hasattr(os, "fork"):
-        return in_process
-    read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        return in_process
+    except (AttributeError, OSError):  # no fork on this platform, or none now
+        pid = None
     if pid == 0:
         status = 1
         try:
-            os.close(read_fd)
-            try:
-                result = True, fn(*args)
-            except Exception as exc:  # raised again by the parent's join
-                result = False, exc
-            with open(write_fd, "wb") as pipe:
-                pipe.write(pickle.dumps(result))
+            fn(*args)
             status = 0
         finally:
             os._exit(status)
-    os.close(write_fd)
 
-    def join(cancel=False):
-        nonlocal pid
-        if pid is None:
-            return None
-        if cancel:
-            os.kill(pid, signal.SIGKILL)
-        with open(read_fd, "rb") as pipe:
-            payload = b"" if cancel else pipe.read()
-        status = os.waitpid(pid, 0)[1]
-        pid = None
-        if cancel:
-            return None
-        if status != 0 or not payload:
-            return fn(*args)
-        ok, value = pickle.loads(payload)
-        if ok:
-            return value
-        raise value
+    def join():
+        if pid is None or os.waitpid(pid, 0)[1] != 0:
+            fn(*args)
 
     return join
 
@@ -243,16 +207,9 @@ def cmd_protocol(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
         announce_bases=bool(args.announce_bases),
     )
     alpha, beta = proto.sift(record)
-    # the bootstrap needs only the sifted pairs, so it runs beside the rest
-    join_mi_sigma = _in_child(stats.bootstrap_mi_sigma, alpha, beta, 200, cfg.seed + 2)
+    # key.csv needs only the record, so a child writes it beside the analysis
+    join_key = _in_child(proto.write_key_records, record, outdir / "key.csv")
     try:
-        proto.write_key_records(record, outdir / "key.csv")
-        manifest = proto.key_manifest(
-            codebook, record, cfg.chain, channel, cfg.seed + 1, bool(args.announce_bases)
-        )
-        manifest["config"] = config
-        _write_json(outdir / "manifest.json", manifest)
-
         n_ec = cfg.key_settings["n_ec"]
         estimate = proto.estimate_channel(alpha[n_ec:], beta[n_ec:], cfg.chain)
         report = security.build_report(
@@ -273,9 +230,15 @@ def cmd_protocol(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
         overlap = stats.histogram_vs_gaussian(
             hist, 0.0, slope**2 * cfg.chain.codebook_variance + variance
         )
-        mi_sigma = join_mi_sigma()
+        mi_sigma = stats.bootstrap_mi_sigma(alpha, beta, 200, cfg.seed + 2)
     finally:
-        join_mi_sigma(cancel=True)
+        # a complete key.csv, then its manifest, whatever the analysis did
+        join_key()
+        manifest = proto.key_manifest(
+            codebook, record, cfg.chain, channel, cfg.seed + 1, bool(args.announce_bases)
+        )
+        manifest["config"] = config
+        _write_json(outdir / "manifest.json", manifest)
     payload = report.to_dict()
     payload["empirical"] = {
         "n_matched": int(alpha.size),

@@ -92,14 +92,18 @@ def max_tolerable_loss(
     regenerates the benchmark's reference values.
     """
     _check_background(background_photons)
+    lower, upper = 1e-12, 1.0 - 1e-9
+    # no key beats the repeaterless (PLOB) capacity, 0 at every loss >= lower
+    # once n_th >= (1 - lower) / lower; past n_th ~1e165 chi would overflow
+    if background_photons >= (1.0 - lower) / lower:
+        return 0.0
 
     def key(eps: float) -> float:
         return asymptotic_key(
             chain, ChannelParams(eps, 0.5 * background_photons * eps)
         )
 
-    upper = 1.0 - 1e-9
-    return min(noise_crossing(key, upper, BISECTION_TOL, lower=1e-12, guess=guess), upper)
+    return min(noise_crossing(key, upper, BISECTION_TOL, lower=lower, guess=guess), upper)
 
 
 def loss_to_distance(loss: float, attenuation_db_per_m: float) -> float:
@@ -108,7 +112,8 @@ def loss_to_distance(loss: float, attenuation_db_per_m: float) -> float:
         raise ValueError("loss must be in [0, 1)")
     if not attenuation_db_per_m > 0.0:
         raise ValueError("attenuation_db_per_m must be > 0")
-    return -10.0 * math.log10(1.0 - loss) / attenuation_db_per_m
+    # + 0.0 turns the -0.0 of a zero loss into 0.0 and leaves all else
+    return -10.0 * math.log10(1.0 - loss) / attenuation_db_per_m + 0.0
 
 
 def distance_to_loss(distance_m: float, attenuation_db_per_m: float) -> float:

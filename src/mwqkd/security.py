@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, fields
 from types import SimpleNamespace
 
@@ -332,6 +333,8 @@ def key_settings(
     """
     if n_raw < 4:
         raise ValueError("n_raw must be >= 4")
+    if n_raw > sys.float_info.max:  # Delta and the prefactor take it as a float
+        raise ValueError(f"n_raw (the symbol count N) must be <= {sys.float_info.max!r}")
     if not 0.0 < beta_ec <= 1.0:
         raise ValueError("beta_ec must be in (0, 1]")
     if not 0.0 < p_ec <= 1.0:

@@ -442,90 +442,126 @@ def _recording_forks(monkeypatch) -> list:
     return pids
 
 
+def _run(argv, out) -> tuple:
+    """Exit code, stdout, stderr and output files of one CLI run into `out`."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = run_cli(*argv, "--out", str(out))
+    return code, stdout.getvalue(), stderr.getvalue(), _output_bytes(out)
+
+
 @settings(max_examples=12, deadline=None, derandomize=True)
-@given(seed=st.integers(0, 2**32), n=st.integers(400, 6000), announce=st.booleans())
+@given(seed=st.integers(0, 2**32), n=st.integers(64, 6000), announce=st.booleans())
 @example(seed=7, n=16665, announce=False)
-def test_forked_bootstrap_sigma_is_the_in_process_sigma(seed, n, announce):
+@example(seed=7, n=100, announce=False)
+def test_a_forked_run_is_the_in_process_run(seed, n, announce):
+    # a child writes key.csv; without os.fork the parent writes it at the join
     argv = ["protocol", "--preset", "run2", "--seed", str(seed), "--n-symbols", str(n)]
     argv += ["--announce-bases"] if announce else []
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
         forks = _recording_forks(patch)
-        assert run_cli(*argv, "--out", tmp) == 0
+        forked = _run(argv, Path(tmp, "forked"))
         assert len(forks) == 1
-        sigma = json.loads(Path(tmp, "report.json").read_text())["empirical"][
-            "mutual_information_sigma"
-        ]
-        alpha, beta = proto.sift(proto.read_key_records(Path(tmp, "key.csv")))
-    assert sigma == stats.bootstrap_mi_sigma(alpha, beta, 200, seed + 2)
+        patch.delattr(os, "fork")
+        assert _run(argv, Path(tmp, "in process")) == forked
+    files = {0: ["histogram.csv", "key.csv", "manifest.json", "report.json"],
+             3: ["key.csv", "manifest.json"]}
+    assert sorted(forked[3]) == files[forked[0]]
+
+
+def _recording_writes(monkeypatch, tmp_path, write) -> Path:
+    """Patch the key.csv write to log its pid to a file, then call `write`."""
+    log = tmp_path / "writes"
+
+    def logged(record, path):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        write(record, path)
+
+    monkeypatch.setattr(proto, "write_key_records", logged)
+    return log
+
+
+def test_a_write_that_raises_in_the_child_is_the_in_process_raise(tmp_path, monkeypatch):
+    def fails(record, path):
+        raise OSError("the write failed")
+
+    log = _recording_writes(monkeypatch, tmp_path, fails)
+    forks = _recording_forks(monkeypatch)
+    argv = ("protocol", "--n-symbols", "2000")
+    forked = _run(argv, tmp_path / "forked")
+    assert len(forks) == 1
+    # once in the child, then once here at the join, which raises for real
+    assert log.read_text().split() == [str(forks[0]), str(os.getpid())]
+    monkeypatch.delattr(os, "fork")
+    assert _run(argv, tmp_path / "in process") == forked
+    assert forked == (4, "", "error: the write failed\n", {})
 
 
 @pytest.mark.parametrize("error, code", [(ValueError, 2), (InsufficientDataError, 3)])
-def test_a_raise_in_the_child_is_the_in_process_raise(tmp_path, capsys, monkeypatch, error, code):
-    calls = []
+def test_a_raise_in_the_analysis_leaves_the_key_and_its_manifest(
+    tmp_path, monkeypatch, error, code
+):
+    argv = ("protocol", "--n-symbols", "2000")
+    whole = _run(argv, tmp_path / "whole")[3]
 
     def fails(*args):
-        calls.append(os.getpid())
         raise error("the bootstrap failed")
 
     monkeypatch.setattr(stats, "bootstrap_mi_sigma", fails)
-    results = {}
-    for where in ("child", "in process"):
-        if where == "in process":
-            monkeypatch.delattr(os, "fork")
-        out = tmp_path / where
-        results[where] = (
-            run_cli("protocol", "--n-symbols", "2000", "--out", str(out)),
-            capsys.readouterr(),
-            _output_bytes(out),
-        )
-    assert calls == [os.getpid()]  # once, in process; the child's call stays there
-    assert results["child"] == results["in process"]
-    exit_code, captured, outputs = results["child"]
-    assert exit_code == code
-    assert captured.err == "error: the bootstrap failed\n"
-    assert sorted(outputs) == ["key.csv", "manifest.json"]
+    forked = _run(argv, tmp_path / "forked")
+    monkeypatch.delattr(os, "fork")
+    assert _run(argv, tmp_path / "in process") == forked
+    assert forked == (
+        code, "", "error: the bootstrap failed\n",
+        {name: whole[name] for name in ("key.csv", "manifest.json")},
+    )
 
 
 @pytest.mark.parametrize("death", ["exit", "kill"])
-def test_a_child_without_a_result_leaves_the_bytes_unchanged(tmp_path, capsys, monkeypatch, death):
+def test_a_child_that_dies_mid_write_leaves_the_bytes_unchanged(tmp_path, monkeypatch, death):
     argv = ("protocol", "--preset", "run2", "--n-symbols", "3000", "--announce-bases")
-    assert run_cli(*argv, "--out", str(tmp_path / "joined")) == 0
-    joined = capsys.readouterr()
+    whole = _run(argv, tmp_path / "whole")
     parent = os.getpid()
-    bootstrap = stats.bootstrap_mi_sigma
+    write = proto.write_key_records
 
-    def dies_in_the_child(*args):
+    def dies_in_the_child(record, path):
+        write(record, path)
         if os.getpid() != parent:
+            os.truncate(path, os.path.getsize(path) // 2)
             if death == "exit":
-                os._exit(0)
+                os._exit(1)
             os.kill(os.getpid(), signal.SIGKILL)
-        return bootstrap(*args)
 
-    monkeypatch.setattr(stats, "bootstrap_mi_sigma", dies_in_the_child)
+    log = _recording_writes(monkeypatch, tmp_path, dies_in_the_child)
     forks = _recording_forks(monkeypatch)
-    assert run_cli(*argv, "--out", str(tmp_path / "died")) == 0
-    assert len(forks) == 1
-    assert capsys.readouterr() == joined
-    assert _output_bytes(tmp_path / "died") == _output_bytes(tmp_path / "joined")
+    assert _run(argv, tmp_path / "died") == whole
+    assert log.read_text().split() == [str(forks[0]), str(parent)]
 
 
-def test_the_exit_3_path_kills_and_reaps_the_child(tmp_path, capsys, monkeypatch):
+def test_the_exit_3_path_waits_for_and_reaps_the_child(tmp_path, monkeypatch):
     parent = os.getpid()
+    write = proto.write_key_records
 
-    def sleeps_in_the_child(*args):
+    def slow_in_the_child(record, path):
         if os.getpid() != parent:
-            time.sleep(60)
-        return 0.0
+            time.sleep(0.5)
+        write(record, path)
 
-    monkeypatch.setattr(stats, "bootstrap_mi_sigma", sleeps_in_the_child)
+    monkeypatch.setattr(proto, "write_key_records", slow_in_the_child)
     forks = _recording_forks(monkeypatch)
+    argv = ("protocol", "--n-symbols", "100")
     start = time.monotonic()
-    assert run_cli("protocol", "--n-symbols", "100", "--out", str(tmp_path / "x")) == 3
-    assert time.monotonic() - start < 30  # killed, not waited for
-    assert "matched pairs" in capsys.readouterr().err
+    forked = _run(argv, tmp_path / "forked")
+    assert time.monotonic() - start >= 0.5  # waited for, not left behind
     assert len(forks) == 1
     with pytest.raises(ChildProcessError):
         os.waitpid(forks[0], os.WNOHANG)
+    code, _, err, files = forked
+    assert code == 3 and "matched pairs" in err
+    assert sorted(files) == ["key.csv", "manifest.json"]
+    monkeypatch.delattr(os, "fork")
+    assert _run(argv, tmp_path / "in process") == forked  # key.csv complete
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
@@ -694,8 +730,8 @@ def test_every_command_refuses_levels_outside_the_chain_domain(
 def test_protocol_refuses_a_gain_whose_sums_of_squares_overflow(tmp_path, capsys, gain_db, code):
     # 3040 dB keeps the matched records' sums of squares finite; from 3050 dB
     # the bootstrap's and then the estimate's overflow: refused before the
-    # outcomes are drawn. A RuntimeWarning, here or in the bootstrap's child,
-    # is an error under this suite's warning filter.
+    # outcomes are drawn. A RuntimeWarning is an error under this suite's
+    # warning filter.
     cfg = tmp_path / "gain.json"
     cfg.write_text(json.dumps({"preset": "run1", "chain": {"measurement_gain_db": gain_db}}))
     out = tmp_path / "run"
@@ -708,6 +744,42 @@ def test_protocol_refuses_a_gain_whose_sums_of_squares_overflow(tmp_path, capsys
     else:
         assert f"measurement_gain_db={float(gain_db)!r} with noise_photons=0.0 at loss=0.0115" in err
         assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv", [("report", "--no-pe"), ("report",), ("sweep",), ("protocol",), ("linkbudget",)],
+    ids=lambda argv: "_".join(argv),
+)
+def test_an_n_symbols_past_the_largest_float_exits_2_naming_n(tmp_path, capsys, argv):
+    # Delta and the EC prefactor take N as a float: refused once, in key_settings
+    out = tmp_path / "out"
+    assert run_cli(*argv, "--n-symbols", str(10**400), "--out", str(out)) == 2
+    assert capsys.readouterr().err == (
+        "error: n_raw (the symbol count N) must be <= 1.7976931348623157e+308\n"
+    )
+    assert not out.exists()
+
+
+def test_linkbudget_takes_every_finite_background(tmp_path):
+    # past the PLOB zero no loss is tolerable: eps_max and distance_m are
+    # 0.0, never -0.0, up to the largest float
+    hot = (1e30, 1e200, sys.float_info.max)
+    cfg = tmp_path / "hot.json"
+    cfg.write_text(json.dumps({"preset": "run1", "linkbudget": {"occupancies": hot}}))
+    argv = ("linkbudget", "--config", str(cfg), "--out")
+    assert run_cli(*argv, str(tmp_path / "lb.json"), "--format", "json") == 0
+    assert run_cli(*argv, str(tmp_path / "lb.csv")) == 0
+    rows = json.loads((tmp_path / "lb.json").read_text())["rows"]
+    csv_rows = [
+        dict(zip(("nbar_th", "eps_max", "distance_m"), map(float, line.split(","))))
+        for line in (tmp_path / "lb.csv").read_text().splitlines()[2:]
+    ]
+    assert csv_rows == rows
+    assert [row for row in rows if row["nbar_th"] in hot] == [
+        {"nbar_th": n_th, "eps_max": 0.0, "distance_m": 0.0} for n_th in hot
+    ]
+    for row in rows:
+        assert all(math.copysign(1.0, x) == 1.0 for x in row.values()), row
 
 
 def test_unwritable_path_exits_4(tmp_path):
@@ -891,7 +963,7 @@ missing = [m for m in layers if "mwqkd." + m not in sys.modules]
 assert not missing, missing
 assert not numpy_modules(), numpy_modules()
 assert "statistics" not in sys.modules
-# the protocol's bootstrap child imports pickle when it starts
+# pickle comes in with numpy; the scalar commands load neither
 assert "pickle" not in sys.modules
 
 out = {str(tmp_path)!r}

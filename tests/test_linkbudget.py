@@ -1,8 +1,11 @@
 """Loss budgets, distances, and rate projections."""
 
 import math
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mwqkd
 from mwqkd import linkbudget as lb
@@ -53,6 +56,32 @@ def test_loss_distance_inversion():
     # dB bookkeeping: 3.01 dB of loss is half the power
     d_half = lb.loss_to_distance(0.5, gamma)
     assert d_half * gamma == pytest.approx(10 * math.log10(2.0))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(loss=st.floats(0.0, 1.0, exclude_max=True), gamma=st.floats(1e-9, 1e3))
+def test_loss_to_distance_is_never_negative_zero(loss, gamma):
+    # the value of -10 log10(1 - loss) / gamma, but 0.0 where that is -0.0
+    got = lb.loss_to_distance(loss, gamma)
+    assert got == -10.0 * math.log10(1.0 - loss) / gamma
+    assert math.copysign(1.0, got) == 1.0
+
+
+@pytest.mark.parametrize(
+    "background", [999999999999.0, 1e12, 1e30, 1.3e165, 1e200, sys.float_info.max]
+)
+def test_no_loss_is_tolerable_where_the_plob_bound_is_zero(monkeypatch, background):
+    # (1 - 1e-12) / 1e-12 = 999999999999.0 photons and up leave no capacity
+    # at any loss of the search; from ~1.3e165 chi's invariants would overflow
+    calls = []
+    monkeypatch.setattr(lb, "asymptotic_key", lambda *args: calls.append(args))
+    for guess in (None, 0.2):
+        assert lb.max_tolerable_loss(RUN1, background, guess=guess) == 0.0
+    assert calls == []
+    monkeypatch.undo()
+    row = lb.sweep_occupancy(RUN1, [1250.0, background], 1e-3)[1]
+    assert [math.copysign(1.0, x) for x in row] == [1.0, 1.0, 1.0]
+    assert row[1:] == (0.0, 0.0)
 
 
 def test_max_tolerable_loss_values():

@@ -671,6 +671,19 @@ def test_max_tolerable_loss_stays_below_the_plob_reach(chain, background):
     assert lb.max_tolerable_loss(chain, background) < 1.0 / (1.0 + background)
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(chain=_chains())
+@example(chain=RUN1)
+@example(chain=RUN2)
+def test_no_key_where_max_tolerable_loss_stops_looking(chain):
+    # from this background on, max_tolerable_loss returns 0.0 unevaluated:
+    # the PLOB bound is 0 at its lowest loss, and so is no worse a key
+    lower = 1e-12
+    channel = ChannelParams(lower, 0.5 * lower * ((1.0 - lower) / lower))
+    assert plob_bound(channel) == 0.0
+    assert sec.asymptotic_key(chain, channel) <= 0.0
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(
     chain=_chains(),
