@@ -8,6 +8,13 @@ or aggregation order. The coins' uniforms pass through one block-sized
 buffer and the normals go straight into their output arrays; both give
 the bits of one N-length draw, and working memory beyond the record
 stays at one block.
+
+The transcript, key.csv, holds the bytes ``csv.writer`` would write, each
+float as ``repr(float(x))``. Those bytes come from the numpy kernel in
+``_floatrepr`` (shortest round-trip digits by the Schubfach method, laid
+out as ``repr`` lays them out), and from ``repr`` itself for zeros,
+subnormals and non-finite values; no float is formatted one at a time
+otherwise.
 """
 
 from __future__ import annotations
@@ -17,6 +24,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from . import _floatrepr
 from .devices import (
     VACUUM_VARIANCE,
     ChannelEstimate,
@@ -51,8 +59,10 @@ _DRAW_BLOCK = 1 << 14
 _WRITE_CHUNK_ROWS = 1 << 11
 # The label fields and the matched field of a key.csv row, indexed by the
 # basis-pair code 2 * alice + bob.
-_ROW_MID = ("q,q,", "q,p,", "p,q,", "p,p,")
-_ROW_END = (",1\r\n", ",0\r\n", ",0\r\n", ",1\r\n")
+_ROW_MID = np.frombuffer(b",q,q,,q,p,,p,q,,p,p,", dtype=np.uint8).reshape(4, 5).T.copy()
+_ROW_END = np.frombuffer(b",1\r\n,0\r\n,0\r\n,1\r\n", dtype=np.uint8).reshape(4, 4).T.copy()
+_MID_COLUMNS = np.arange(-5, 0).reshape(5, 1)
+_END_COLUMNS = np.arange(-4, 0).reshape(4, 1)
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -127,13 +137,18 @@ class KeyRecord:
             if arr.size != n:
                 raise ValueError("all record columns must have equal length")
         # block-wise, so checking a record needs no N-length temporary
+        for bases in (self.alice_bases, self.bob_bases):
+            if not all(((bases[rows] == 0) | (bases[rows] == 1)).all() for rows in _blocks(n)):
+                raise ValueError(f"basis codes must be 0 or 1 ({BASIS_LABELS})")
         if not all(
             np.array_equal(self.matched[rows], self.alice_bases[rows] == self.bob_bases[rows])
             for rows in _blocks(n)
         ):
             raise ValueError("matched flags inconsistent with basis columns")
-        if not all(np.isfinite(self.outcomes[rows]).all() for rows in _blocks(n)):
-            raise ValueError("outcomes must be finite")
+        for column in ("alice_symbols", "outcomes"):
+            values = getattr(self, column)
+            if not all(np.isfinite(values[rows]).all() for rows in _blocks(n)):
+                raise ValueError(f"{column} must be finite")
 
     @property
     def n_symbols(self) -> int:
@@ -259,23 +274,45 @@ def write_key_records(record: KeyRecord, path) -> None:
     since no field can hold a comma, quote or line break. The two label
     columns and the matched column are written from one basis-pair code
     per row, ``2 * alice + bob``; ``KeyRecord`` guarantees that the
-    matched flag is ``alice == bob``. Rows are written one block per
-    fixed-size slice, so memory stays flat in the number of symbols.
+    matched flag is ``alice == bob``.
+
+    Each block of rows is laid out in one byte buffer prefilled with
+    ``'0'``: the row lengths give each row's offset by a cumulative sum,
+    and every field is placed there by whole-array writes. The floats are
+    the bytes of ``repr``, from the vectorised shortest-digit kernel in
+    ``_floatrepr`` (and ``repr`` itself for zeros, subnormals and
+    non-finite values). Memory stays flat in the number of symbols.
     """
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(KEY_CSV_COLUMNS) + "\r\n")
+    with open(path, "wb") as fh:
+        fh.write((",".join(KEY_CSV_COLUMNS) + "\r\n").encode())
         for rows in _blocks(record.n_symbols, _WRITE_CHUNK_ROWS):
-            pair = (2 * record.alice_bases[rows] + record.bob_bases[rows]).tolist()
-            alpha = record.alice_symbols[rows].tolist()
-            beta = record.outcomes[rows].tolist()
-            fh.write(
-                "".join(
-                    [
-                        f"{i},{_ROW_MID[c]}{x!r},{y!r}{_ROW_END[c]}"
-                        for i, c, x, y in zip(range(rows.start, rows.stop), pair, alpha, beta)
-                    ]
-                )
-            )
+            fh.write(_key_rows(record, rows))
+
+
+def _key_rows(record: KeyRecord, rows: slice) -> np.ndarray:
+    """The key.csv bytes of one block of rows."""
+    pair = 2 * record.alice_bases[rows] + record.bob_bases[rows]
+    index = np.arange(rows.start, rows.stop)
+    index_width = np.maximum(_floatrepr.count_digits(index), 1)
+    alpha = _floatrepr.FloatReprs(record.alice_symbols[rows])
+    beta = _floatrepr.FloatReprs(record.outcomes[rows])
+    # index, ",q,p,", alpha, ",", beta and ",0\r\n", after one spare byte
+    widths = index_width + alpha.lengths + beta.lengths + 10
+    ends = np.cumsum(widths) + 1
+    starts = ends - widths
+    alpha_at = starts + index_width + 5
+    beta_at = alpha_at + alpha.lengths + 1
+    buf = np.full(ends[-1] + 1, ord("0"), dtype=np.uint8)
+    # each field goes in before the bytes around it, in which put_digits
+    # may leave a '0'
+    alpha.place(buf, alpha_at)
+    beta.place(buf, beta_at)
+    chars = _floatrepr.digit_chars(index)[18 - index_width.max() :]
+    _floatrepr.put_digits(buf, chars, starts, 18 - index_width, index_width, starts + index_width)
+    buf[_MID_COLUMNS + alpha_at] = _ROW_MID.take(pair, axis=1)
+    buf[beta_at - 1] = ord(",")
+    buf[_END_COLUMNS + ends] = _ROW_END.take(pair, axis=1)
+    return buf[1:-1]
 
 
 def read_key_records(path) -> KeyRecord:

@@ -323,6 +323,23 @@ def test_key_csv_bytes_match_csv_writer(tmp_path, chain, announce):
     assert (tmp_path / "key.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
 
 
+def _repr_cases() -> np.ndarray:
+    """Doubles that probe every branch of the shortest-digit kernel."""
+    rng = np.random.default_rng(27)
+    # random finite bit patterns: every exponent, both signs, subnormals
+    random = rng.integers(0, 2**64, size=110_000, dtype=np.uint64).view(np.float64)
+    # k * 2**e with a small odd k: exact ties of the digit choice
+    k = np.arange(1, 64, 2, dtype=np.float64)
+    dyadic = np.ldexp(k[:, None], np.arange(-1074, 972)[None, :]).ravel()
+    dyadic[::2] *= -1.0
+    powers = np.concatenate(
+        [np.ldexp(1.0, np.arange(-1074, 1024)), [float(f"1e{e}") for e in range(-323, 309)]]
+    )
+    neighbours = np.concatenate([np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)])
+    cases = np.concatenate([random, dyadic, powers, neighbours])
+    return cases[np.isfinite(cases)]
+
+
 def test_key_csv_bytes_cross_repr_notation_switches(tmp_path):
     # repr switches to exponent notation below 1e-4 and at 1e16
     floats = np.array(
@@ -337,9 +354,20 @@ def test_key_csv_bytes_cross_repr_notation_switches(tmp_path):
             1.7976931348623157e308,
         ]
     )
-    alice = np.array([0, 0, 1, 1, 0, 1, 0, 1], dtype=np.int8)
-    bob = np.array([0, 1, 0, 1, 1, 0, 0, 1], dtype=np.int8)
-    rec = proto.KeyRecord(floats, alice, bob, floats[::-1].copy(), alice == bob)
+    # the doubles on both sides of each switch, then the digit kernel's cases
+    switches = np.array([1e-4, 1e16])
+    more = np.concatenate(
+        [np.nextafter(switches, 0.0), np.nextafter(switches, np.inf), -switches, _repr_cases()]
+    )
+    alice = np.resize(np.array([0, 0, 1, 1, 0, 1, 0, 1], dtype=np.int8), floats.size + more.size)
+    bob = np.resize(np.array([0, 1, 0, 1, 1, 0, 0, 1], dtype=np.int8), alice.size)
+    rec = proto.KeyRecord(
+        np.concatenate([floats, more]),
+        alice,
+        bob,
+        np.concatenate([floats[::-1], more[::-1]]),
+        alice == bob,
+    )
     proto.write_key_records(rec, tmp_path / "key.csv")
     _csv_writer_oracle(rec, tmp_path / "oracle.csv")
     written = (tmp_path / "key.csv").read_bytes()
@@ -351,6 +379,30 @@ def test_key_csv_bytes_cross_repr_notation_switches(tmp_path):
         b"6,q,q,9999999999999998.0,5e-324,1",
     ):
         assert row + b"\r\n" in written
+    for row in (
+        b"8,q,q,9.999999999999999e-05,",
+        b"9,q,p,9999999999999998.0,",
+        b"10,p,q,0.00010000000000000002,",
+        b"11,p,p,1.0000000000000002e+16,",
+        b"12,q,p,-0.0001,",
+        b"13,p,q,-1e+16,",
+    ):
+        assert b"\r\n" + row in written
+
+
+def test_key_record_refuses_codes_and_symbols_it_cannot_write():
+    alpha = np.array([0.5, -1.25, 2.0])
+    beta = np.array([1.0, 0.25, -3.5])
+    for code in (-1, 2):
+        bases = np.array([0, code, 1], dtype=np.int8)
+        with pytest.raises(ValueError, match="basis codes must be 0 or 1"):
+            proto.KeyRecord(alpha, bases, bases.copy(), beta, bases == bases)
+        with pytest.raises(ValueError, match="basis codes must be 0 or 1"):
+            proto.KeyRecord(alpha, np.zeros(3, np.int8), bases, beta, bases == 0)
+    bases = np.array([0, 1, 1], dtype=np.int8)
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="alice_symbols must be finite"):
+            proto.KeyRecord(np.array([0.5, bad, 2.0]), bases, bases, beta, bases == bases)
 
 
 @st.composite

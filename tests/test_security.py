@@ -311,6 +311,36 @@ def test_holevo_monotone_in_loss_and_noise():
     assert sec.holevo_dr(RUN1, ChannelParams(0.0115, 0.01)) > base
 
 
+# Both crossings bisect on a key that does not increase: noise_tolerance in
+# nbar at a fixed loss, max_tolerable_loss in the loss along nbar = n_th eps / 2.
+# The allowance is rounding of a difference of two O(1) terms.
+_KEY_ROUNDING = 1e-12
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    chain=_chains(),
+    loss=st.floats(0.0, 0.999),
+    nbars=st.tuples(*[st.floats(0.0, 1.0) | st.floats(0.0, 30.0)] * 2).map(sorted),
+)
+def test_asymptotic_key_does_not_increase_with_noise(chain, loss, nbars):
+    low, high = (sec.asymptotic_key(chain, ChannelParams(loss, nbar)) for nbar in nbars)
+    assert high <= low + _KEY_ROUNDING
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    chain=_chains(),
+    background=st.just(0.0) | st.floats(-6.0, 6.0).map(lambda exponent: 10.0**exponent),
+    losses=st.tuples(*[st.floats(1e-12, 1.0 - 1e-9)] * 2).map(sorted),
+)
+def test_asymptotic_key_does_not_increase_along_the_link_budget_path(chain, background, losses):
+    low, high = (
+        sec.asymptotic_key(chain, ChannelParams(eps, 0.5 * background * eps)) for eps in losses
+    )
+    assert high <= low + _KEY_ROUNDING
+
+
 def test_asymptotic_key_value_and_sign():
     assert sec.asymptotic_key(RUN2, QUIET) == pytest.approx(
         0.8103797032259793, rel=1e-9
