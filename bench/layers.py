@@ -42,6 +42,9 @@ os.environ.update(BLAS_ENV)
 
 PAPER_N = 16665
 LARGE_N = 10**6
+# samples per layer and command; a third as many, at least 5, at N = 10**6
+REPEAT = 15
+LARGE_REPEAT = max(5, REPEAT // 3)
 
 
 def _quartiles(samples: list[float]) -> dict:
@@ -49,12 +52,12 @@ def _quartiles(samples: list[float]) -> dict:
     return {"median_s": median, "iqr_s": q3 - q1, "samples": len(samples)}
 
 
-def _timed(fn, repeat: int) -> dict:
+def _timed(fn, repeat: int = REPEAT) -> dict:
     fn()  # tables, caches and page faults of the first call stay out
     return _quartiles(timeit.repeat(fn, number=1, repeat=repeat))
 
 
-def in_process(repeat: int, workdir: Path) -> dict:
+def in_process(workdir: Path) -> dict:
     import numpy as np
 
     import mwqkd
@@ -71,23 +74,21 @@ def in_process(repeat: int, workdir: Path) -> dict:
         return record, alpha, beta, protocol.estimate_channel(alpha, beta, chain)
 
     record, alpha, beta, estimate = run(PAPER_N)
-    rows["simulate_sift_estimate.16665"] = _timed(lambda: run(PAPER_N), repeat)
+    rows["simulate_sift_estimate.16665"] = _timed(lambda: run(PAPER_N))
     rows["bootstrap_mi_sigma.16665"] = _timed(
-        lambda: stats.bootstrap_mi_sigma(alpha, beta, 200, 3), repeat
+        lambda: stats.bootstrap_mi_sigma(alpha, beta, 200, 3)
     )
     state = gaussian.GaussianState(np.zeros(4), 0.25 * np.eye(4))
-    rows["gaussian.apply_loss"] = _timed(lambda: gaussian.apply_loss(state, 0.0115, 1.7e-6), repeat)
+    rows["gaussian.apply_loss"] = _timed(lambda: gaussian.apply_loss(state, 0.0115, 1.7e-6))
     readout = chain.readout
-    rows["readout_moments"] = _timed(lambda: readout.moments(0.0115, 1.7e-6), repeat)
-    rows["holevo_dr"] = _timed(lambda: security.holevo_dr(chain, channel), repeat)
+    rows["readout_moments"] = _timed(lambda: readout.moments(0.0115, 1.7e-6))
+    rows["holevo_dr"] = _timed(lambda: security.holevo_dr(chain, channel))
     rows["composite_key"] = _timed(
-        lambda: security.composite_key(chain, estimate=estimate, n_raw=PAPER_N), repeat
+        lambda: security.composite_key(chain, estimate=estimate, n_raw=PAPER_N)
     )
-    rows["noise_tolerance"] = _timed(lambda: security.noise_tolerance(chain, 0.0115), repeat)
-    rows["max_tolerable_loss"] = _timed(
-        lambda: linkbudget.max_tolerable_loss(chain, 1e-3), repeat
-    )
-    for n, reps in ((PAPER_N, repeat), (LARGE_N, max(5, repeat // 3))):
+    rows["noise_tolerance"] = _timed(lambda: security.noise_tolerance(chain, 0.0115))
+    rows["max_tolerable_loss"] = _timed(lambda: linkbudget.max_tolerable_loss(chain, 1e-3))
+    for n, reps in ((PAPER_N, REPEAT), (LARGE_N, LARGE_REPEAT)):
         record = run(n)[0] if n != PAPER_N else record
         path = workdir / f"key-{n}.csv"
         rows[f"write_key_records.{n}"] = _timed(
@@ -116,7 +117,7 @@ def _wall(argv: list[str], env: dict, repeat: int) -> dict:
     return row
 
 
-def fresh_processes(src: Path, repeat: int, workdir: Path) -> dict:
+def fresh_processes(src: Path, workdir: Path) -> dict:
     env = dict(os.environ, PYTHONPATH=str(src))
     base = [sys.executable, "-m", "mwqkd"]
     commands = {
@@ -129,7 +130,7 @@ def fresh_processes(src: Path, repeat: int, workdir: Path) -> dict:
                                 "--n-symbols", str(LARGE_N), "--out", str(workdir / "p2")],
     }
     return {
-        name: _wall(base + argv, env, max(5, repeat // 3) if name.endswith(str(LARGE_N)) else repeat)
+        name: _wall(base + argv, env, LARGE_REPEAT if name.endswith(str(LARGE_N)) else REPEAT)
         for name, argv in commands.items()
     }
 
@@ -162,7 +163,6 @@ def main(argv=None) -> int:
                         help="source tree that holds the mwqkd package")
     parser.add_argument("--label", required=True, help="name of this tree's entry")
     parser.add_argument("--out", type=Path, required=True, help="BENCH JSON file to update")
-    parser.add_argument("--repeat", type=int, default=15, help="samples per layer")
     args = parser.parse_args(argv)
     src = args.src.resolve()
     if not (src / "mwqkd" / "cli.py").is_file():
@@ -171,10 +171,10 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         # fresh processes first: a child's peak RSS counts the pages it was
         # forked with, so this process must not have grown yet
-        fresh = fresh_processes(src, args.repeat, Path(tmp))
+        fresh = fresh_processes(src, Path(tmp))
         entry = provenance(src)
         entry["fresh_process"] = fresh
-        entry["in_process"] = in_process(args.repeat, Path(tmp))
+        entry["in_process"] = in_process(Path(tmp))
     bench = json.loads(args.out.read_text()) if args.out.exists() else {}
     bench.setdefault("runs", {})[args.label] = entry
     args.out.write_text(json.dumps(bench, indent=2, sort_keys=True) + "\n")

@@ -1,4 +1,4 @@
-"""The bytes of ``repr(float(x))`` for a block of doubles, in numpy.
+"""The bytes of key.csv rows, each float as ``repr(float(x))``, in numpy.
 
 A finite non-zero normal double v = c * 2**q has a shortest decimal: the
 decimal with the fewest digits inside v's rounding interval, and of those
@@ -13,12 +13,11 @@ numpy operation, so a block of values costs a fixed number of calls.
 The layout is ``repr``'s: fixed notation for 1e-4 <= |x| < 1e16, with
 ``.0`` on integral values, otherwise ``d[.ddd]e+XX``. Zeros, subnormals
 and non-finite values, which are rare in a transcript, go through
-``repr`` itself.
+``repr`` itself. The module's one entry point, :func:`key_rows`, lays
+out whole key.csv rows, so the byte layout of a row is known here only.
 """
 
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 
@@ -32,9 +31,15 @@ _POW10 = 10 ** np.arange(19, dtype=np.uint64)
 # '00'..'99' as little-endian byte pairs: the tens digit first
 _PAIRS = np.array([(48 + i // 10) | (48 + i % 10) << 8 for i in range(100)], dtype="<u2")
 
+# The label fields and the matched field of a key.csv row, indexed by the
+# basis-pair code 2 * alice + bob, with the offsets they are written at.
+_ROW_MID = np.frombuffer(b",q,q,,q,p,,p,q,,p,p,", dtype=np.uint8).reshape(4, 5).T.copy()
+_ROW_END = np.frombuffer(b",1\r\n,0\r\n,0\r\n,1\r\n", dtype=np.uint8).reshape(4, 4).T.copy()
+_MID_COLUMNS = np.arange(-5, 0).reshape(5, 1)
+_END_COLUMNS = np.arange(-4, 0).reshape(4, 1)
 
-@functools.cache
-def _table() -> np.ndarray:
+
+def _g_table() -> np.ndarray:
     """g(k) = g1 * 2**63 + g0 for k = _K_MIN .. _K_MAX (617 entries), as rows g1, g0.
 
     10**-k = beta * 2**r with 2**125 <= beta < 2**126, r = floor(log2(10**-k)) - 125,
@@ -53,6 +58,11 @@ def _table() -> np.ndarray:
         table[:, i] = [g >> 63, g & _MASK63]
     table.flags.writeable = False
     return table
+
+
+# Built at import, about 1 ms: key.csv is written in a forked child, so a
+# table built on first use would be built anew in every child.
+_G = _g_table()
 
 
 def _shortest(bits: np.ndarray):
@@ -95,7 +105,7 @@ def _scaled(c, q, k, irregular) -> np.ndarray:
     product is formed once, for cb = 4c; cbr and cbl add g << (h + 1) and
     subtract it (g << h where the lower gap is half) in 128 bits.
     """
-    g = np.take(_table(), k - _K_MIN, axis=1)
+    g = np.take(_G, k - _K_MIN, axis=1)
     h = (q + (-k * 913124641741 >> 38) + 2).view(np.uint64)  # 2..5; floor(log2(10**-k))
     cp = c << (h + 2)
     # rows 0, 1, 2: cb, cbr, cbl; columns 0, 1: g1 cp and g0 cp
@@ -123,7 +133,7 @@ def _high_product(a, b) -> np.ndarray:
     return a_hi * b_hi + (cross_a >> 32) + (cross_b >> 32) + (mid >> 32)
 
 
-def digit_chars(d: np.ndarray) -> np.ndarray:
+def _digit_chars(d: np.ndarray) -> np.ndarray:
     """The last 18 decimal digits of each d < 10**18 as chars, shaped (18, n).
 
     Row 17 holds the units. Two digits per pass: 8-digit halves split into
@@ -145,13 +155,13 @@ def digit_chars(d: np.ndarray) -> np.ndarray:
     return chars.reshape(18, d.size)
 
 
-def put_digits(buf, chars, at, first, dot, stop) -> None:
+def _put_digits(buf, chars, at, first, dot, stop) -> None:
     """Write digit rows of `chars` to `buf`: row `first` of each value at
     `at`, the next rows after it, with a one-byte gap after `dot` of them.
 
-    `chars` holds the last rows of :func:`digit_chars`. Rows before `first`
-    are written to at - 1 and rows past `stop` to `stop`; those are '0'
-    chars, so the caller leaves '0' there or writes those bytes afterwards.
+    `chars` holds the last rows of :func:`_digit_chars`. Rows before
+    `first` are written to at - 1 and rows past `stop` to `stop`; those
+    are '0' chars, which the byte's own content overwrites later.
     """
     column = _COLUMN[-len(chars):]
     place = (at - first) + column
@@ -160,19 +170,14 @@ def put_digits(buf, chars, at, first, dot, stop) -> None:
     buf[place] = chars
 
 
-def count_digits(d: np.ndarray) -> np.ndarray:
-    """Number of decimal digits of each d >= 1 (d < 10**18)."""
-    return np.searchsorted(_POW10, d.view(np.uint64), side="right")
-
-
-class FloatReprs:
+class _Reprs:
     """The repr of each value of a float64 block, placed on demand.
 
     ``lengths`` holds the byte length of each repr; ``place(buf, starts)``
     writes repr i to ``buf[starts[i]:starts[i] + lengths[i]]``. The buffer
-    must be prefilled with ``'0'`` (repr's padding zeros are not written),
-    and the caller writes the byte before and the byte after each repr
-    afterwards (see :func:`put_digits`).
+    must be prefilled with ``'0'`` (repr's padding zeros are not written);
+    the byte before and the byte after each repr may be written too (see
+    :func:`key_rows`).
     """
 
     def __init__(self, x: np.ndarray) -> None:
@@ -185,7 +190,7 @@ class FloatReprs:
         bits[self.special] = 0x3FF0000000000000  # 1.0, overwritten in place()
         d, k = _shortest(bits)
         # d has 16 or 17 digits: 2**52 <= c * 2**q / 10**k < 10 * 2**53
-        self.chars = digit_chars(d)[1:]
+        self.chars = _digit_chars(d)[1:]
         self.first = (2 - (d >= 10**16)).astype(np.int16)
         last = np.max(_COLUMN[1:].astype(np.int16) * (self.chars != 48), axis=0)
         count = last - self.first + 1
@@ -208,7 +213,7 @@ class FloatReprs:
         body = starts + self.negative
         # "0." and the zeros of fixed notation below 1 come before the digits
         at = body + np.maximum(1 - self.point, 0)
-        put_digits(buf, self.chars, at, self.first, self.point, starts + self.lengths)
+        _put_digits(buf, self.chars, at, self.first, self.point, starts + self.lengths)
         buf[np.where(self.dotted, body + self.units, starts - 1)] = ord(".")
         buf[starts[self.negative]] = ord("-")
         sci = np.flatnonzero(~self.fixed)
@@ -225,3 +230,35 @@ class FloatReprs:
             buf[at + 3 + wide] = chars[:, 1]
         for i, text in zip(self.special, self.special_bytes):
             buf[starts[i] : starts[i] + len(text)] = np.frombuffer(text, dtype=np.uint8)
+
+
+def key_rows(start: int, pair: np.ndarray, alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """The key.csv bytes of rows ``i,A,B,alpha,beta,M\\r\\n``, i = start, start + 1, ...
+
+    The labels A, B and the matched flag M come from the basis-pair code
+    ``pair = 2 * alice + bob``, and each float is written as
+    ``repr(float(x))``. The rows are laid out in one buffer prefilled with
+    ``'0'``, each at its offset from a cumulative sum of the row lengths.
+    Placing a field may also write the byte before it and the byte after
+    it; those are separators, or the spare byte in front of the first
+    row, so the fields go in first and the separators last.
+    """
+    index = np.arange(start, start + pair.size)
+    index_width = np.maximum(np.searchsorted(_POW10, index.view(np.uint64), side="right"), 1)
+    alpha = _Reprs(alpha)
+    beta = _Reprs(beta)
+    # index, ",q,p,", alpha, ",", beta and ",0\r\n", after the spare byte
+    widths = index_width + alpha.lengths + beta.lengths + 10
+    ends = np.cumsum(widths) + 1
+    starts = ends - widths
+    alpha_at = starts + index_width + 5
+    beta_at = alpha_at + alpha.lengths + 1
+    buf = np.full(ends[-1], ord("0"), dtype=np.uint8)
+    alpha.place(buf, alpha_at)
+    beta.place(buf, beta_at)
+    chars = _digit_chars(index)[18 - index_width.max() :]
+    _put_digits(buf, chars, starts, 18 - index_width, index_width, starts + index_width)
+    buf[_MID_COLUMNS + alpha_at] = _ROW_MID.take(pair, axis=1)
+    buf[beta_at - 1] = ord(",")
+    buf[_END_COLUMNS + ends] = _ROW_END.take(pair, axis=1)
+    return buf[1:]

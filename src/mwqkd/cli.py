@@ -207,6 +207,14 @@ def cmd_protocol(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
         announce_bases=bool(args.announce_bases),
     )
     alpha, beta = proto.sift(record)
+    # the manifest needs only the codebook's seed and variance, so it is
+    # built now and the codebook, a copy of two record columns, is freed
+    # before the analysis and the fork
+    manifest = proto.key_manifest(
+        codebook, record, cfg.chain, channel, cfg.seed + 1, bool(args.announce_bases)
+    )
+    manifest["config"] = config
+    del codebook
     # key.csv needs only the record, so a child writes it beside the analysis
     join_key = _in_child(proto.write_key_records, record, outdir / "key.csv")
     try:
@@ -234,10 +242,6 @@ def cmd_protocol(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     finally:
         # a complete key.csv, then its manifest, whatever the analysis did
         join_key()
-        manifest = proto.key_manifest(
-            codebook, record, cfg.chain, channel, cfg.seed + 1, bool(args.announce_bases)
-        )
-        manifest["config"] = config
         _write_json(outdir / "manifest.json", manifest)
     payload = report.to_dict()
     payload["empirical"] = {

@@ -57,12 +57,6 @@ _KEY_CSV_DTYPE = np.dtype(
 _DRAW_BLOCK = 1 << 14
 # Rows formatted and written per block by write_key_records.
 _WRITE_CHUNK_ROWS = 1 << 11
-# The label fields and the matched field of a key.csv row, indexed by the
-# basis-pair code 2 * alice + bob.
-_ROW_MID = np.frombuffer(b",q,q,,q,p,,p,q,,p,p,", dtype=np.uint8).reshape(4, 5).T.copy()
-_ROW_END = np.frombuffer(b",1\r\n,0\r\n,0\r\n,1\r\n", dtype=np.uint8).reshape(4, 4).T.copy()
-_MID_COLUMNS = np.arange(-5, 0).reshape(5, 1)
-_END_COLUMNS = np.arange(-4, 0).reshape(4, 1)
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -276,43 +270,21 @@ def write_key_records(record: KeyRecord, path) -> None:
     per row, ``2 * alice + bob``; ``KeyRecord`` guarantees that the
     matched flag is ``alice == bob``.
 
-    Each block of rows is laid out in one byte buffer prefilled with
-    ``'0'``: the row lengths give each row's offset by a cumulative sum,
-    and every field is placed there by whole-array writes. The floats are
-    the bytes of ``repr``, from the vectorised shortest-digit kernel in
-    ``_floatrepr`` (and ``repr`` itself for zeros, subnormals and
-    non-finite values). Memory stays flat in the number of symbols.
+    Each block of rows is laid out as one byte buffer by
+    ``_floatrepr.key_rows``, whose floats are the bytes of ``repr`` from a
+    vectorised shortest-digit kernel (and ``repr`` itself for zeros,
+    subnormals and non-finite values). Memory stays flat in the number of
+    symbols.
     """
     with open(path, "wb") as fh:
         fh.write((",".join(KEY_CSV_COLUMNS) + "\r\n").encode())
         for rows in _blocks(record.n_symbols, _WRITE_CHUNK_ROWS):
-            fh.write(_key_rows(record, rows))
-
-
-def _key_rows(record: KeyRecord, rows: slice) -> np.ndarray:
-    """The key.csv bytes of one block of rows."""
-    pair = 2 * record.alice_bases[rows] + record.bob_bases[rows]
-    index = np.arange(rows.start, rows.stop)
-    index_width = np.maximum(_floatrepr.count_digits(index), 1)
-    alpha = _floatrepr.FloatReprs(record.alice_symbols[rows])
-    beta = _floatrepr.FloatReprs(record.outcomes[rows])
-    # index, ",q,p,", alpha, ",", beta and ",0\r\n", after one spare byte
-    widths = index_width + alpha.lengths + beta.lengths + 10
-    ends = np.cumsum(widths) + 1
-    starts = ends - widths
-    alpha_at = starts + index_width + 5
-    beta_at = alpha_at + alpha.lengths + 1
-    buf = np.full(ends[-1] + 1, ord("0"), dtype=np.uint8)
-    # each field goes in before the bytes around it, in which put_digits
-    # may leave a '0'
-    alpha.place(buf, alpha_at)
-    beta.place(buf, beta_at)
-    chars = _floatrepr.digit_chars(index)[18 - index_width.max() :]
-    _floatrepr.put_digits(buf, chars, starts, 18 - index_width, index_width, starts + index_width)
-    buf[_MID_COLUMNS + alpha_at] = _ROW_MID.take(pair, axis=1)
-    buf[beta_at - 1] = ord(",")
-    buf[_END_COLUMNS + ends] = _ROW_END.take(pair, axis=1)
-    return buf[1:-1]
+            pair = 2 * record.alice_bases[rows] + record.bob_bases[rows]
+            fh.write(
+                _floatrepr.key_rows(
+                    rows.start, pair, record.alice_symbols[rows], record.outcomes[rows]
+                )
+            )
 
 
 def read_key_records(path) -> KeyRecord:
