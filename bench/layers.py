@@ -5,7 +5,8 @@
 
 In process, each layer is timed with ``timeit`` (one call per sample) and
 reported as the median and interquartile range in seconds: the key.csv
-write and read-back at N = 16 665 and 10^6 rows, the 200-resample
+write and read-back at N = 16 665 and 10^6 rows, the write of a 16 665-row
+record whose floats all take ``repr``'s exponent notation, the 200-resample
 bootstrap, simulate/sift/estimate, one Gaussian op (``apply_loss``), the
 readout moments, ``holevo_dr``, ``composite_key``, and one crossing of
 each kind (``noise_tolerance`` and ``max_tolerable_loss``).
@@ -15,7 +16,8 @@ at both N, with the peak resident set of its largest process.
 The program is imported from --src (default: this checkout's ``src``). The
 file keeps one entry per --label, so rows from two trees measured on the
 same machine sit side by side; each entry records the machine, the Python
-and numpy versions and the tree's source lines. BLAS runs on one thread.
+and numpy versions and the tree's source lines, per module and in total.
+BLAS runs on one thread.
 """
 
 from __future__ import annotations
@@ -88,6 +90,16 @@ def in_process(workdir: Path) -> dict:
     )
     rows["noise_tolerance"] = _timed(lambda: security.noise_tolerance(chain, 0.0115))
     rows["max_tolerable_loss"] = _timed(lambda: linkbudget.max_tolerable_loss(chain, 1e-3))
+    # alpha * 1e-6 and beta * 1e-8 print in exponent notation, which the
+    # key.csv writer leaves to repr
+    exponent_record = protocol.KeyRecord(
+        record.alice_symbols * 1e-6, record.alice_bases, record.bob_bases,
+        record.outcomes * 1e-8, record.matched,
+    )
+    path = workdir / "key-exponent.csv"
+    rows[f"write_key_records.exponent.{PAPER_N}"] = _timed(
+        lambda: protocol.write_key_records(exponent_record, path)
+    )
     for n, reps in ((PAPER_N, REPEAT), (LARGE_N, LARGE_REPEAT)):
         record = run(n)[0] if n != PAPER_N else record
         path = workdir / f"key-{n}.csv"
@@ -145,14 +157,17 @@ def provenance(src: Path) -> dict:
                         if line.startswith("model name")), "")
     except OSError:
         pass
+    module_lines = {
+        str(path.relative_to(src)): len(path.read_text().splitlines())
+        for path in sorted(src.rglob("*.py"))
+    }
     return {
         "machine": {"platform": platform.platform(), "cpu": cpu, "cpus": os.cpu_count()},
         "python": platform.python_version(),
         "numpy": numpy.__version__,
         "blas_env": BLAS_ENV,
-        "src_lines": sum(
-            len(path.read_text().splitlines()) for path in sorted(src.rglob("*.py"))
-        ),
+        "module_lines": module_lines,
+        "src_lines": sum(module_lines.values()),
     }
 
 

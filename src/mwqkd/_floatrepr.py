@@ -10,19 +10,23 @@ the two ends of its interval), then a few comparisons against the
 nearest multiples of 10**k and 10**(k+1). Each step is a whole-array
 numpy operation, so a block of values costs a fixed number of calls.
 
-The layout is ``repr``'s: fixed notation for 1e-4 <= |x| < 1e16, with
-``.0`` on integral values, otherwise ``d[.ddd]e+XX``. Zeros, subnormals
-and non-finite values, which are rare in a transcript, go through
-``repr`` itself. The module's one entry point, :func:`key_rows`, lays
-out whole key.csv rows, so the byte layout of a row is known here only.
+The kernel takes the doubles that ``repr`` writes in fixed notation,
+1e-4 <= |x| < 1e16 (so 2**-14 <= |x| < 2**54), bar exact powers of two,
+whose rounding interval is irregular; it lays them out with ``.0`` on
+integral values. Every other float (zeros, subnormals, non-finite
+values, exact powers of two, exponent notation), of which a transcript
+of the presets holds at most a few, goes through ``repr`` itself. The
+module's one entry point, :func:`key_rows`, lays out whole key.csv rows,
+so the byte layout of a row is known here only.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-_K_MIN, _K_MAX = -324, 292  # floor(log10(2**q)) over the normal exponents
+_K_MIN = -20  # floor(log10(2**q)) for 2**-14 <= 2**q < 2**54 is _K_MIN .. 0
 _MASK32 = 0xFFFFFFFF
+_MASK52 = (1 << 52) - 1
 _MASK63 = (1 << 63) - 1
 _COLUMN = np.arange(18).reshape(18, 1)
 _POW10 = 10 ** np.arange(19, dtype=np.uint64)
@@ -38,47 +42,25 @@ _ROW_END = np.frombuffer(b",1\r\n,0\r\n,0\r\n,1\r\n", dtype=np.uint8).reshape(4,
 _MID_COLUMNS = np.arange(-5, 0).reshape(5, 1)
 _END_COLUMNS = np.arange(-4, 0).reshape(4, 1)
 
-
-def _g_table() -> np.ndarray:
-    """g(k) = g1 * 2**63 + g0 for k = _K_MIN .. _K_MAX (617 entries), as rows g1, g0.
-
-    10**-k = beta * 2**r with 2**125 <= beta < 2**126, r = floor(log2(10**-k)) - 125,
-    and g = floor(beta) + 1.
-    """
-    table = np.empty((2, _K_MAX - _K_MIN + 1), dtype=np.uint64)
-    for i, k in enumerate(range(_K_MIN, _K_MAX + 1)):
-        if k <= 0:
-            p = 10**-k
-            r = p.bit_length() - 126
-            g = (p >> r if r >= 0 else p << -r) + 1
-        else:
-            p = 10**k  # not a power of 2, so floor(log2(10**-k)) = -bit_length
-            r = -p.bit_length() - 125
-            g = (1 << -r) // p + 1
-        table[:, i] = [g >> 63, g & _MASK63]
-    table.flags.writeable = False
-    return table
-
-
-# Built at import, about 1 ms: key.csv is written in a forked child, so a
-# table built on first use would be built anew in every child.
-_G = _g_table()
+# g(k) for k = _K_MIN .. 0, 10**-k shifted to 2**125 <= beta < 2**126 plus 1,
+# as rows g1, g0 of g = g1 * 2**63 + g0
+_G_INTS = [(10**-k << 126 - (10**-k).bit_length()) + 1 for k in range(_K_MIN, 1)]
+_G = np.array([[g >> 63 for g in _G_INTS], [g & _MASK63 for g in _G_INTS]], dtype=np.uint64)
+_G.flags.writeable = False
 
 
 def _shortest(bits: np.ndarray):
-    """Shortest digits d and exponent k (value d * 10**k) of normal doubles.
+    """Shortest digits d and exponent k (value d * 10**k) of doubles.
 
-    `bits` are the raw bits of positive normal doubles. Names follow the
-    paper: v = c * 2**q, and vb, vbl, vbr are 4 v 10**-k and the ends of
-    v's rounding interval, scaled alike and rounded to odd.
+    `bits` are the raw bits of positive doubles in the kernel's domain:
+    each has a regular rounding interval, and k is _K_MIN .. 0. Names
+    follow the paper: v = c * 2**q, and vb, vbl, vbr are 4 v 10**-k and
+    the ends of v's rounding interval, scaled alike and rounded to odd.
     """
-    biased = (bits >> 52).view(np.int64)
-    t = bits & ((1 << 52) - 1)
-    c = t | (1 << 52)
-    q = biased - 1075
-    irregular = (t == 0) & (biased > 1)  # c = 2**52: the lower gap is half
-    k = (q * 661971961083 - np.where(irregular, 274743187321, 0)) >> 41
-    vb, vbr, vbl = _scaled(c, q, k, irregular)
+    c = bits & _MASK52 | (1 << 52)
+    q = (bits >> 52).view(np.int64) - 1075
+    k = q * 661971961083 >> 41
+    vb, vbr, vbl = _scaled(c, q, k)
 
     out = (c & 1).view(np.int64)  # an odd c excludes the interval's ends
     vbl += out
@@ -96,14 +78,14 @@ def _shortest(bits: np.ndarray):
     return d, k
 
 
-def _scaled(c, q, k, irregular) -> np.ndarray:
+def _scaled(c, q, k) -> np.ndarray:
     """vb, vbr and vbl: rop(g cp 2**-127) for cp = cb << h, cbr << h, cbl << h.
 
     As in the paper's reference code, g cp is formed from the 64-bit
     halves of g, g1 cp 2**63 + g0 cp, and rop rounds its bits from 2**127
     up to odd when those from 2**64 to 2**127 are not all zero. The
     product is formed once, for cb = 4c; cbr and cbl add g << (h + 1) and
-    subtract it (g << h where the lower gap is half) in 128 bits.
+    subtract it in 128 bits.
     """
     g = np.take(_G, k - _K_MIN, axis=1)
     h = (q + (-k * 913124641741 >> 38) + 2).view(np.uint64)  # 2..5; floor(log2(10**-k))
@@ -116,7 +98,6 @@ def _scaled(c, q, k, irregular) -> np.ndarray:
     step = h + 1
     np.add(low[0], g << step, out=low[1])
     high[1] = high[0] + (g >> (64 - step)) + (low[1] < low[0])
-    step -= irregular
     np.subtract(low[0], g << step, out=low[2])
     high[2] = high[0] - (g >> (64 - step)) - (low[2] > low[0])
     z = (low[:, 0] >> 1) + high[:, 1]
@@ -181,55 +162,42 @@ class _Reprs:
     """
 
     def __init__(self, x: np.ndarray) -> None:
-        bits = np.ascontiguousarray(x, dtype=np.float64).view(np.uint64)
+        x = np.ascontiguousarray(x, dtype=np.float64)
+        bits = x.view(np.uint64)
         self.negative = (bits >> 63).astype(bool)
         bits = bits & _MASK63
-        biased = bits >> 52
-        self.special = np.flatnonzero((biased == 0) | (biased == 0x7FF))
-        self.special_bytes = [repr(float(x[i])).encode() for i in self.special]
-        bits[self.special] = 0x3FF0000000000000  # 1.0, overwritten in place()
+        magnitude = bits.view(np.float64)
+        kernel = (magnitude >= 1e-4) & (magnitude < 1e16) & (bits & _MASK52 != 0)
+        self.other = np.flatnonzero(~kernel)
+        texts = [repr(v) for v in x[self.other].tolist()]
+        self.other_bytes = np.frombuffer("".join(texts).encode(), dtype=np.uint8)
+        self.other_lengths = np.array([len(text) for text in texts], dtype=np.int64)
+        bits[self.other] = 0x3FF8000000000000  # 1.5, overwritten in place()
         d, k = _shortest(bits)
         # d has 16 or 17 digits: 2**52 <= c * 2**q / 10**k < 10 * 2**53
         self.chars = _digit_chars(d)[1:]
         self.first = (2 - (d >= 10**16)).astype(np.int16)
         last = np.max(_COLUMN[1:].astype(np.int16) * (self.chars != 48), axis=0)
         count = last - self.first + 1
-        point = (k + 18).astype(np.int16) - self.first  # value = 0.DIGITS * 10**point
-        self.fixed = (point > -4) & (point <= 16)
-        self.exponent = point - 1
-        # exponent notation lays out its digits as fixed notation at point 1
-        self.point = np.where(self.fixed, point, np.int16(1))
-        self.dotted = self.fixed | (count > 1)
+        # value = 0.DIGITS * 10**point, and -4 < point <= 16 in fixed notation
+        self.point = (k + 18).astype(np.int16) - self.first
         self.units = np.maximum(self.point, 1)
-        self.mantissa = self.units + self.dotted + np.where(
-            self.fixed, np.maximum(count - self.point, 1), count - 1
-        )
-        lengths = self.negative + self.mantissa
-        lengths += np.where(self.fixed, 0, np.where(np.abs(self.exponent) >= 100, 5, 4))
-        lengths[self.special] = [len(b) for b in self.special_bytes]
-        self.lengths = lengths
+        # sign, the units, the point and at least one digit after it
+        self.lengths = self.negative + self.units + 1 + np.maximum(count - self.point, 1)
+        self.lengths[self.other] = self.other_lengths
 
     def place(self, buf: np.ndarray, starts: np.ndarray) -> None:
         body = starts + self.negative
         # "0." and the zeros of fixed notation below 1 come before the digits
         at = body + np.maximum(1 - self.point, 0)
         _put_digits(buf, self.chars, at, self.first, self.point, starts + self.lengths)
-        buf[np.where(self.dotted, body + self.units, starts - 1)] = ord(".")
+        buf[body + self.units] = ord(".")
         buf[starts[self.negative]] = ord("-")
-        sci = np.flatnonzero(~self.fixed)
-        if sci.size:
-            at = body[sci] + self.mantissa[sci]
-            e = self.exponent[sci]
-            buf[at] = ord("e")
-            buf[at + 1] = np.where(e < 0, ord("-"), ord("+"))
-            e = np.abs(e)
-            wide = e >= 100
-            buf[at[wide] + 2] = 48 + e[wide] // 100
-            chars = _PAIRS.take(e % 100).view(np.uint8).reshape(-1, 2)
-            buf[at + 2 + wide] = chars[:, 0]
-            buf[at + 3 + wide] = chars[:, 1]
-        for i, text in zip(self.special, self.special_bytes):
-            buf[starts[i] : starts[i] + len(text)] = np.frombuffer(text, dtype=np.uint8)
+        # the repr bytes, joined, each shifted from its place in the join to its start
+        shift = starts[self.other] - np.cumsum(self.other_lengths) + self.other_lengths
+        buf[np.repeat(shift, self.other_lengths) + np.arange(self.other_bytes.size)] = (
+            self.other_bytes
+        )
 
 
 def key_rows(start: int, pair: np.ndarray, alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:

@@ -79,17 +79,22 @@ def max_tolerable_loss(
     """Largest channel loss with a positive asymptotic key.
 
     Bisection (:func:`mwqkd.security.noise_crossing`) on [1e-12, 1 - 1e-9]
-    to BISECTION_TOL absolute on the loss, with the coupled noise tied to the
-    loss as nbar = background * eps / 2. Returns 0.0 when no loss is
-    tolerable at all and 1 - 1e-9 when every loss is. An estimate of the
-    root, `guess`, is handed to the crossing: it saves key evaluations
-    when it is close and never changes the result.
+    to BISECTION_TOL absolute on the loss, or to 0.02 / (1 + background)
+    where that is tighter (backgrounds above 2e4), with the coupled noise
+    tied to the loss as nbar = background * eps / 2. Returns 0.0 when no
+    loss is tolerable at all and 1 - 1e-9 when every loss is. An estimate
+    of the root, `guess`, is handed to the crossing: it saves key
+    evaluations when it is close and never changes the result.
 
-    The result is bisection's midpoint, up to 5e-7 from the root. On roots
-    of about 1e-4 that biases the reach: the open-air reach of the presets
-    reads 0.31-0.36 % high, and 2.5-3.4 % high at n_th = 1e4. An accurate
-    solver moves these floats, so it waits for a benchmark change that
-    regenerates the benchmark's reference values.
+    The result is bisection's midpoint, up to half the tolerance from the
+    root. The root lies below the PLOB zero 1 / (1 + background), at about
+    0.135 of it for the presets, so the tolerance shrinks with that zero:
+    a fixed 1e-6 would return bisection's first midpoint under it, 4.8e-7,
+    far above the zero at backgrounds of 1e7 and more. On roots of about
+    1e-4 the absolute tolerance still biases the reach: the open-air reach
+    of the presets reads 0.31-0.36 % high, and 2.5-3.4 % high at n_th =
+    1e4. An accurate solver moves these floats, so it waits for a
+    benchmark change that regenerates the benchmark's reference values.
     """
     _check_background(background_photons)
     lower, upper = 1e-12, 1.0 - 1e-9
@@ -103,7 +108,8 @@ def max_tolerable_loss(
             chain, ChannelParams(eps, 0.5 * background_photons * eps)
         )
 
-    return min(noise_crossing(key, upper, BISECTION_TOL, lower=lower, guess=guess), upper)
+    tol = min(BISECTION_TOL, 0.02 / (1.0 + background_photons))
+    return min(noise_crossing(key, upper, tol, lower=lower, guess=guess), upper)
 
 
 def loss_to_distance(loss: float, attenuation_db_per_m: float) -> float:

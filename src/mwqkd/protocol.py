@@ -10,11 +10,12 @@ the bits of one N-length draw, and working memory beyond the record
 stays at one block.
 
 The transcript, key.csv, holds the bytes ``csv.writer`` would write, each
-float as ``repr(float(x))``. Those bytes come from the numpy kernel in
-``_floatrepr`` (shortest round-trip digits by the Schubfach method, laid
-out as ``repr`` lays them out), and from ``repr`` itself for zeros,
-subnormals and non-finite values; no float is formatted one at a time
-otherwise.
+float as ``repr(float(x))``. The floats ``repr`` writes in fixed notation,
+1e-4 <= |x| < 1e16, bar exact powers of two, get those bytes from the
+numpy kernel in ``_floatrepr`` (shortest round-trip digits by the
+Schubfach method); every other float goes through ``repr`` itself. In
+the presets' transcripts those are a few per run, about 4e-5 of the
+floats.
 """
 
 from __future__ import annotations
@@ -167,7 +168,8 @@ def simulate_transmission(
 
     The stream holds all basis coins, then all noise draws; the coins are
     drawn even when `announce_bases` discards them, so the noise of a
-    symbol is the same in both modes.
+    symbol is the same in both modes. The record holds the codebook's
+    own symbol and basis arrays, not copies.
     """
     rng = _rng(seed)
     n = codebook.n_symbols
@@ -198,7 +200,7 @@ def simulate_transmission(
         noise = outcomes[rows]
         noise *= np.where(matched[rows], sigma_m, sigma_x)
         noise += np.where(matched[rows], slope_m, slope_x) * codebook.symbols[rows]
-    return KeyRecord(codebook.symbols.copy(), codebook.bases.copy(), bob_bases, outcomes, matched)
+    return KeyRecord(codebook.symbols, codebook.bases, bob_bases, outcomes, matched)
 
 
 def sift(record: KeyRecord) -> tuple[np.ndarray, np.ndarray]:
@@ -271,10 +273,11 @@ def write_key_records(record: KeyRecord, path) -> None:
     matched flag is ``alice == bob``.
 
     Each block of rows is laid out as one byte buffer by
-    ``_floatrepr.key_rows``, whose floats are the bytes of ``repr`` from a
-    vectorised shortest-digit kernel (and ``repr`` itself for zeros,
-    subnormals and non-finite values). Memory stays flat in the number of
-    symbols.
+    ``_floatrepr.key_rows``. Its floats are the bytes of ``repr``: from a
+    vectorised shortest-digit kernel for fixed notation, 1e-4 <= |x| <
+    1e16, bar exact powers of two, and from ``repr`` itself for every
+    other float (zeros, subnormals, exact powers of two and exponent
+    notation). Memory stays flat in the number of symbols.
     """
     with open(path, "wb") as fh:
         fh.write((",".join(KEY_CSV_COLUMNS) + "\r\n").encode())

@@ -154,10 +154,9 @@ def test_draw_memory_beyond_the_outputs_is_flat_in_n(announce):
         rec, peak = _traced_peak(
             proto.simulate_transmission, cb, RUN1, CHANNEL, seed=9, announce_bases=announce
         )
-        transmission_extra.append(
-            peak
-            - _nbytes(rec.alice_symbols, rec.alice_bases, rec.bob_bases, rec.outcomes, rec.matched)
-        )
+        # the record holds the codebook's symbols and bases, so it
+        # allocates only its other three columns
+        transmission_extra.append(peak - _nbytes(rec.bob_bases, rec.outcomes, rec.matched))
     for extra in (codebook_extra, transmission_extra):
         assert max(extra) < _CAP, extra
         assert abs(extra[1] - extra[0]) < _FLAT, extra
@@ -324,10 +323,16 @@ def test_key_csv_bytes_match_csv_writer(tmp_path, chain, announce):
 
 
 def _repr_cases() -> np.ndarray:
-    """Doubles that probe every branch of the shortest-digit kernel."""
+    """Doubles that probe every branch of the shortest-digit kernel, and
+    its routing of the floats it does not take to ``repr``."""
     rng = np.random.default_rng(27)
     # random finite bit patterns: every exponent, both signs, subnormals
     random = rng.integers(0, 2**64, size=110_000, dtype=np.uint64).view(np.float64)
+    # random mantissas over the kernel's exponents, 2**-14 <= |x| < 2**54
+    biased = rng.integers(1023 - 14, 1023 + 54, size=200_000, dtype=np.uint64)
+    sign = rng.integers(0, 2, size=biased.size, dtype=np.uint64)
+    mantissa = rng.integers(0, 2**52, size=biased.size, dtype=np.uint64)
+    kernel = (sign << np.uint64(63) | biased << np.uint64(52) | mantissa).view(np.float64)
     # k * 2**e with a small odd k: exact ties of the digit choice
     k = np.arange(1, 64, 2, dtype=np.float64)
     dyadic = np.ldexp(k[:, None], np.arange(-1074, 972)[None, :]).ravel()
@@ -335,8 +340,10 @@ def _repr_cases() -> np.ndarray:
     powers = np.concatenate(
         [np.ldexp(1.0, np.arange(-1074, 1024)), [float(f"1e{e}") for e in range(-323, 309)]]
     )
+    # with their neighbours these hold the ends of the kernel's domain,
+    # 2**-14, 1e-4, 1e16 and 2**54, and the powers of two inside it
     neighbours = np.concatenate([np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)])
-    cases = np.concatenate([random, dyadic, powers, neighbours])
+    cases = np.concatenate([random, kernel, dyadic, powers, neighbours])
     return cases[np.isfinite(cases)]
 
 

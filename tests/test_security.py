@@ -621,9 +621,11 @@ def test_noise_crossing_is_plain_bisection_on_real_keys(chain, loss, background,
     assert sec.noise_tolerance(chain, loss) == want
     upper = 1.0 - 1e-9
     guess = _place(guesses[1], 1e-12, upper)
+    # the loss tolerance of max_tolerable_loss, tightened with the PLOB zero
+    tol = min(lb.BISECTION_TOL, 0.02 / (1.0 + background))
     want = assert_plain_bisection(
         lambda eps: sec.asymptotic_key(chain, ChannelParams(eps, 0.5 * background * eps)),
-        upper, lb.BISECTION_TOL, 1e-12, guess,
+        upper, tol, 1e-12, guess,
     )
     assert lb.max_tolerable_loss(chain, background) == min(want, upper)
     assert lb.max_tolerable_loss(chain, background, guess=guess) == min(want, upper)
@@ -692,13 +694,33 @@ def test_asymptotic_key_stays_below_the_plob_bound(chain, loss, ratio):
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(chain=_chains(), background=st.floats(0.0, 1e5))
+@given(
+    chain=_chains(),
+    background=st.one_of(
+        st.floats(0.0, 1e5), st.floats(5.0, 11.0).map(lambda e: 10.0**e)
+    ),
+)
 @example(chain=RUN1, background=lb.OPEN_AIR.background_photons)
 @example(chain=RUN2, background=1e5)
+@example(chain=RUN1, background=1e7)
+@example(chain=RUN2, background=1e11)
 def test_max_tolerable_loss_stays_below_the_plob_reach(chain, background):
     # the environment of the loss key holds `background` photons at every
     # loss, and the PLOB bound is 0 from loss = 1 / (1 + background) on
     assert lb.max_tolerable_loss(chain, background) < 1.0 / (1.0 + background)
+
+
+@pytest.mark.parametrize("chain", [RUN1, RUN2], ids=["run1", "run2"])
+def test_max_tolerable_loss_is_near_the_root_at_large_backgrounds(chain):
+    # past a background of 2e4 the PLOB zero, and the root at about 0.135
+    # of it, shrink below BISECTION_TOL; the crossing's tolerance shrinks
+    # with them, so the loss stays within 10 % of the converged root
+    for background in (1e5, 1e7, 1e9, 1e11):
+        root = sec.noise_crossing(
+            lambda eps: sec.asymptotic_key(chain, ChannelParams(eps, 0.5 * background * eps)),
+            1.0 - 1e-9, 1e-15, lower=1e-12,
+        )
+        assert abs(lb.max_tolerable_loss(chain, background) - root) < 0.1 * root, background
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
