@@ -1,29 +1,41 @@
-"""Per-layer and per-command timings of one source tree, written to a BENCH file.
+"""Per-layer and per-command timings of one or more source trees, written to a BENCH file.
 
     python3 bench/layers.py --label change --out BENCH.json
-    python3 bench/layers.py --src /path/to/other/checkout/src --label parent --out BENCH.json
+    python3 bench/layers.py --src /path/to/parent/src --label parent \\
+        --src src --label change --out BENCH.json
 
-In process, each layer is timed with ``timeit`` (one call per sample) and
+Each --src is paired with the --label of the same position (default: this
+checkout's ``src``). The trees' samples alternate, and which tree goes
+first alternates from sample to sample, so a drift of the machine's speed
+lands on every tree alike instead of between them.
+
+In process, each tree runs in a worker process of its own, which imports
+it once; each layer is timed with ``timeit`` (one call per sample) and
 reported as the median and interquartile range in seconds: the key.csv
 write and read-back at N = 16 665 and 10^6 rows, the write of a 16 665-row
 record whose floats all take ``repr``'s exponent notation, the 200-resample
 bootstrap, simulate/sift/estimate, one Gaussian op (``apply_loss``), the
-readout moments, ``holevo_dr``, ``composite_key``, and one crossing of
-each kind (``noise_tolerance`` and ``max_tolerable_loss``).
-In fresh processes, each subcommand is timed by wall clock, ``protocol``
-at both N, with the peak resident set of its largest process.
+readout moments, ``holevo_dr``, ``composite_key``, one crossing of each
+kind (``noise_tolerance`` and ``max_tolerable_loss``), and the ``sweep``
+CSV write at 41, 401 and 10^4 grid points (``cmd_sweep`` with its sweep
+and crossing computed beforehand).
+In fresh processes, each subcommand is timed by wall clock, ``sweep`` at
+the default 41 points and at 401, ``protocol`` at both N, with the peak
+resident set of its largest process.
 
-The program is imported from --src (default: this checkout's ``src``). The
-file keeps one entry per --label, so rows from two trees measured on the
-same machine sit side by side; each entry records the machine, the Python
-and numpy versions and the tree's source lines, per module and in total.
-BLAS runs on one thread.
+The file keeps one entry per --label, so rows from two trees measured on
+the same machine sit side by side; each entry records the machine, the
+Python and numpy versions, the tree's source lines, per module and in
+total, and the labels it was measured with. BLAS runs on one thread.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
 import json
+import multiprocessing
 import os
 import platform
 import statistics
@@ -44,6 +56,7 @@ os.environ.update(BLAS_ENV)
 
 PAPER_N = 16665
 LARGE_N = 10**6
+SWEEP_POINTS = (41, 401, 10**4)
 # samples per layer and command; a third as many, at least 5, at N = 10**6
 REPEAT = 15
 LARGE_REPEAT = max(5, REPEAT // 3)
@@ -54,12 +67,43 @@ def _quartiles(samples: list[float]) -> dict:
     return {"median_s": median, "iqr_s": q3 - q1, "samples": len(samples)}
 
 
-def _timed(fn, repeat: int = REPEAT) -> dict:
-    fn()  # tables, caches and page faults of the first call stay out
-    return _quartiles(timeit.repeat(fn, number=1, repeat=repeat))
+def _repeat(name: str) -> int:
+    return LARGE_REPEAT if name.endswith(str(LARGE_N)) else REPEAT
 
 
-def in_process(workdir: Path) -> dict:
+def _alternating(items: list, rounds: int):
+    """`rounds` passes over `items`, every other pass in reverse order."""
+    for i in range(rounds):
+        yield from items if i % 2 == 0 else items[::-1]
+
+
+def _sweep_csv(n: int, path: Path):
+    """``cmd_sweep`` over an n-point run2 grid, its sweep and crossing
+    computed beforehand, so that a call times the CSV write."""
+    import numpy as np
+
+    from mwqkd import cli, security
+
+    args = cli.build_parser().parse_args(["sweep", "--preset", "run2", "--out", str(path)])
+    grid = tuple(np.linspace(0.0, 0.1, n).tolist())
+    cfg = dataclasses.replace(cli.resolve_config(args), noise_grid=grid)
+    sweep = security.sweep_noise(cfg.chain, cfg.channel_loss, grid, **cfg.key_settings)
+    crossing = security.noise_tolerance(cfg.chain, cfg.channel_loss)
+
+    def write():
+        saved = security.sweep_noise, security.noise_tolerance
+        security.sweep_noise = lambda *args, **kwargs: sweep
+        security.noise_tolerance = lambda *args, **kwargs: crossing
+        try:
+            cli.cmd_sweep(cfg, args)
+        finally:
+            security.sweep_noise, security.noise_tolerance = saved
+
+    return write
+
+
+def in_process_layers(workdir: Path) -> dict:
+    """The timed layers of the imported tree, by name."""
     import numpy as np
 
     import mwqkd
@@ -67,7 +111,6 @@ def in_process(workdir: Path) -> dict:
     from mwqkd.devices import ChannelParams
 
     chain, channel = mwqkd.RUN2_CHAIN, ChannelParams(0.0115, 1.7e-6)
-    rows = {}
 
     def run(n):
         codebook = protocol.generate_codebook(n, chain.codebook_variance, seed=1)
@@ -76,75 +119,138 @@ def in_process(workdir: Path) -> dict:
         return record, alpha, beta, protocol.estimate_channel(alpha, beta, chain)
 
     record, alpha, beta, estimate = run(PAPER_N)
-    rows["simulate_sift_estimate.16665"] = _timed(lambda: run(PAPER_N))
-    rows["bootstrap_mi_sigma.16665"] = _timed(
-        lambda: stats.bootstrap_mi_sigma(alpha, beta, 200, 3)
-    )
     state = gaussian.GaussianState(np.zeros(4), 0.25 * np.eye(4))
-    rows["gaussian.apply_loss"] = _timed(lambda: gaussian.apply_loss(state, 0.0115, 1.7e-6))
     readout = chain.readout
-    rows["readout_moments"] = _timed(lambda: readout.moments(0.0115, 1.7e-6))
-    rows["holevo_dr"] = _timed(lambda: security.holevo_dr(chain, channel))
-    rows["composite_key"] = _timed(
-        lambda: security.composite_key(chain, estimate=estimate, n_raw=PAPER_N)
-    )
-    rows["noise_tolerance"] = _timed(lambda: security.noise_tolerance(chain, 0.0115))
-    rows["max_tolerable_loss"] = _timed(lambda: linkbudget.max_tolerable_loss(chain, 1e-3))
+    layers = {
+        "simulate_sift_estimate.16665": lambda: run(PAPER_N),
+        "bootstrap_mi_sigma.16665": lambda: stats.bootstrap_mi_sigma(alpha, beta, 200, 3),
+        "gaussian.apply_loss": lambda: gaussian.apply_loss(state, 0.0115, 1.7e-6),
+        "readout_moments": lambda: readout.moments(0.0115, 1.7e-6),
+        "holevo_dr": lambda: security.holevo_dr(chain, channel),
+        "composite_key": lambda: security.composite_key(
+            chain, estimate=estimate, n_raw=PAPER_N
+        ),
+        "noise_tolerance": lambda: security.noise_tolerance(chain, 0.0115),
+        "max_tolerable_loss": lambda: linkbudget.max_tolerable_loss(chain, 1e-3),
+    }
     # alpha * 1e-6 and beta * 1e-8 print in exponent notation, which the
     # key.csv writer leaves to repr
     exponent_record = protocol.KeyRecord(
         record.alice_symbols * 1e-6, record.alice_bases, record.bob_bases,
         record.outcomes * 1e-8, record.matched,
     )
-    path = workdir / "key-exponent.csv"
-    rows[f"write_key_records.exponent.{PAPER_N}"] = _timed(
-        lambda: protocol.write_key_records(exponent_record, path)
+    layers[f"write_key_records.exponent.{PAPER_N}"] = lambda: protocol.write_key_records(
+        exponent_record, workdir / "key-exponent.csv"
     )
-    for n, reps in ((PAPER_N, REPEAT), (LARGE_N, LARGE_REPEAT)):
-        record = run(n)[0] if n != PAPER_N else record
+    for n, record in ((PAPER_N, record), (LARGE_N, run(LARGE_N)[0])):
         path = workdir / f"key-{n}.csv"
-        rows[f"write_key_records.{n}"] = _timed(
-            lambda: protocol.write_key_records(record, path), reps
+        layers[f"write_key_records.{n}"] = (
+            lambda record=record, path=path: protocol.write_key_records(record, path)
         )
-        rows[f"read_key_records.{n}"] = _timed(lambda: protocol.read_key_records(path), reps)
-    return rows
+        layers[f"read_key_records.{n}"] = lambda path=path: protocol.read_key_records(path)
+    for n in SWEEP_POINTS:
+        layers[f"sweep_csv.{n}"] = _sweep_csv(n, workdir / f"sweep-{n}.csv")
+    return layers
 
 
-def _wall(argv: list[str], env: dict, repeat: int) -> dict:
-    """Wall time of `argv` in fresh processes, and the median and largest of
-    the runs' peak RSS (that of the largest process of each run)."""
-    times, peaks = [], []
-    for _ in range(repeat):
-        start = time.perf_counter()
-        proc = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL)
-        _, status, usage = os.wait4(proc.pid, 0)
-        times.append(time.perf_counter() - start)
-        proc.returncode = os.waitstatus_to_exitcode(status)
-        if proc.returncode not in (0, 3):
-            raise SystemExit(f"error: {argv} exited {proc.returncode}")
-        peaks.append(usage.ru_maxrss / 1024)  # kB on Linux
-    row = _quartiles(times)
-    row["peak_rss_mb"] = statistics.median(peaks)
-    row["peak_rss_mb_max"] = max(peaks)
-    return row
+def _worker(src: str, workdir: str, conn) -> None:
+    """Serve one tree's layers: each name received is one timed call,
+    answered with its seconds; None ends the worker."""
+    sys.path.insert(0, src)
+    # the commands' messages go nowhere
+    with open(os.devnull, "w") as devnull, contextlib.redirect_stdout(devnull):
+        layers = in_process_layers(Path(workdir))
+        conn.send(list(layers))
+        while (name := conn.recv()) is not None:
+            conn.send(timeit.Timer(layers[name]).timeit(number=1))
 
 
-def fresh_processes(src: Path, workdir: Path) -> dict:
+def in_process(trees: dict, workdir: Path) -> dict:
+    """Layer timings of each tree (label -> src), one worker process per
+    tree, the trees' samples alternating."""
+    spawn = multiprocessing.get_context("spawn")
+    conns, workers = {}, []
+    try:
+        for label, src in trees.items():
+            conns[label], child = spawn.Pipe()
+            tree_dir = workdir / f"in-process-{len(workers)}"
+            tree_dir.mkdir()
+            workers.append(spawn.Process(target=_worker, args=(str(src), str(tree_dir), child)))
+            workers[-1].start()
+        names = [conn.recv() for conn in conns.values()][0]  # each worker's, once set up
+
+        def sample(label, name):
+            conns[label].send(name)
+            return conns[label].recv()
+
+        labels = list(trees)
+        rows = {label: {} for label in labels}
+        for name in names:
+            # tables, caches and page faults of the first call stay out
+            for label in labels:
+                sample(label, name)
+            samples = {label: [] for label in labels}
+            for label in _alternating(labels, _repeat(name)):
+                samples[label].append(sample(label, name))
+            for label in labels:
+                rows[label][name] = _quartiles(samples[label])
+        for conn in conns.values():
+            conn.send(None)
+        for worker in workers:
+            worker.join(timeout=60)
+        return rows
+    finally:
+        for worker in workers:
+            if worker.is_alive():
+                worker.terminate()
+                worker.join()
+
+
+def _wall(argv: list[str], src: Path) -> tuple[float, float]:
+    """Wall time of `argv` run on the tree `src` in a fresh process, and
+    the peak RSS in MB of its largest process."""
     env = dict(os.environ, PYTHONPATH=str(src))
-    base = [sys.executable, "-m", "mwqkd"]
+    start = time.perf_counter()
+    proc = subprocess.Popen([sys.executable, "-m", "mwqkd", *argv], env=env,
+                            stdout=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    wall = time.perf_counter() - start
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    if proc.returncode not in (0, 3):
+        raise SystemExit(f"error: {argv} on {src} exited {proc.returncode}")
+    return wall, usage.ru_maxrss / 1024  # kB on Linux
+
+
+def fresh_processes(trees: dict, workdir: Path) -> dict:
+    """Per-command wall time and peak RSS of each tree (label -> src), the
+    trees' launches alternating: median and largest of the runs' peaks."""
+    grid = workdir / "grid-401.json"
+    grid.write_text(json.dumps(
+        {"preset": "run2", "noise_grid": {"start": 0.0, "stop": 0.1, "num": 401}}
+    ))
     commands = {
         "report": ["report", "--preset", "run2", "--nbar", "1.7e-6"],
         "sweep": ["sweep", "--preset", "run2", "--out", str(workdir / "sweep.csv")],
+        "sweep.401": ["sweep", "--config", str(grid), "--out", str(workdir / "sweep-401.csv")],
         "linkbudget": ["linkbudget", "--preset", "run2", "--out", str(workdir / "lb.csv")],
         f"protocol.{PAPER_N}": ["protocol", "--preset", "run2", "--seed", "1",
                                 "--n-symbols", str(PAPER_N), "--out", str(workdir / "p1")],
         f"protocol.{LARGE_N}": ["protocol", "--preset", "run2", "--seed", "1",
                                 "--n-symbols", str(LARGE_N), "--out", str(workdir / "p2")],
     }
-    return {
-        name: _wall(base + argv, env, LARGE_REPEAT if name.endswith(str(LARGE_N)) else REPEAT)
-        for name, argv in commands.items()
-    }
+    labels = list(trees)
+    rows = {label: {} for label in labels}
+    for name, argv in commands.items():
+        runs = {label: [] for label in labels}
+        for label in _alternating(labels, _repeat(name)):
+            runs[label].append(_wall(argv, trees[label]))
+        for label in labels:
+            times, peaks = zip(*runs[label])
+            row = _quartiles(list(times))
+            row["peak_rss_mb"] = statistics.median(peaks)
+            row["peak_rss_mb_max"] = max(peaks)
+            rows[label][name] = row
+    return rows
 
 
 def provenance(src: Path) -> dict:
@@ -174,26 +280,36 @@ def provenance(src: Path) -> dict:
 def main(argv=None) -> int:
     root = Path(__file__).resolve().parent.parent
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--src", type=Path, default=root / "src",
-                        help="source tree that holds the mwqkd package")
-    parser.add_argument("--label", required=True, help="name of this tree's entry")
+    parser.add_argument("--src", type=Path, action="append",
+                        help="source tree that holds the mwqkd package; repeat for "
+                        "each tree (default: this checkout's src)")
+    parser.add_argument("--label", action="append", required=True,
+                        help="name of the entry of the --src at the same position")
     parser.add_argument("--out", type=Path, required=True, help="BENCH JSON file to update")
     args = parser.parse_args(argv)
-    src = args.src.resolve()
-    if not (src / "mwqkd" / "cli.py").is_file():
-        raise SystemExit(f"error: no mwqkd package under {src}")
-    sys.path.insert(0, str(src))
+    srcs = [src.resolve() for src in args.src or [root / "src"]]
+    if len(srcs) != len(args.label) or len(set(args.label)) != len(args.label):
+        raise SystemExit("error: give one distinct --label per --src")
+    for src in srcs:
+        if not (src / "mwqkd" / "cli.py").is_file():
+            raise SystemExit(f"error: no mwqkd package under {src}")
+    trees = dict(zip(args.label, srcs))
     with tempfile.TemporaryDirectory() as tmp:
         # fresh processes first: a child's peak RSS counts the pages it was
         # forked with, so this process must not have grown yet
-        fresh = fresh_processes(src, Path(tmp))
-        entry = provenance(src)
-        entry["fresh_process"] = fresh
-        entry["in_process"] = in_process(Path(tmp))
+        fresh = fresh_processes(trees, Path(tmp))
+        layers = in_process(trees, Path(tmp))
     bench = json.loads(args.out.read_text()) if args.out.exists() else {}
-    bench.setdefault("runs", {})[args.label] = entry
+    entries = {}
+    for label, src in trees.items():
+        entry = provenance(src)
+        entry["measured_with"] = sorted(trees)
+        entry["fresh_process"] = fresh[label]
+        entry["in_process"] = layers[label]
+        entries[label] = entry
+    bench.setdefault("runs", {}).update(entries)
     args.out.write_text(json.dumps(bench, indent=2, sort_keys=True) + "\n")
-    print(json.dumps({args.label: entry}, indent=2, sort_keys=True))
+    print(json.dumps(entries, indent=2, sort_keys=True))
     return 0
 
 

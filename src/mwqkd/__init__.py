@@ -8,6 +8,9 @@ it, :mod:`~mwqkd.gaussian`, :mod:`~mwqkd.protocol` and :mod:`~mwqkd.stats`,
 are registered in ``sys.modules`` at import but run their bodies on first
 attribute access (:class:`importlib.util.LazyLoader`), and the names this
 package re-exports from them resolve through the module ``__getattr__``.
+The CSV float kernel ``mwqkd._floatrepr`` needs numpy too; it is imported
+by :mod:`~mwqkd.protocol` and, inside the command, by the ``sweep`` CSV
+writer, so a ``protocol`` run loads it before it forks its key.csv writer.
 """
 
 import importlib.util

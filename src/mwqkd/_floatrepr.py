@@ -15,9 +15,13 @@ The kernel takes the doubles that ``repr`` writes in fixed notation,
 whose rounding interval is irregular; it lays them out with ``.0`` on
 integral values. Every other float (zeros, subnormals, non-finite
 values, exact powers of two, exponent notation), of which a transcript
-of the presets holds at most a few, goes through ``repr`` itself. The
-module's one entry point, :func:`key_rows`, lays out whole key.csv rows,
-so the byte layout of a row is known here only.
+of the presets holds at most a few, goes through ``repr`` itself.
+
+The module's two entry points lay out whole rows, so the byte layout of
+a row is known here only: :func:`key_rows` the rows of key.csv, and
+:func:`table_rows` the lines of a float table, such as the CSV of the
+``sweep`` command. Both place the fields at offsets from a cumulative
+sum of their lengths in one buffer, then the separators.
 """
 
 from __future__ import annotations
@@ -200,6 +204,14 @@ class _Reprs:
         )
 
 
+def _laid_out(widths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A buffer prefilled with ``'0'`` for fields of `widths` laid end to
+    end after one spare byte, and the offset of each field in it."""
+    ends = np.cumsum(widths) + 1
+    buf = np.full(ends[-1] if ends.size else 1, ord("0"), dtype=np.uint8)
+    return buf, ends - widths
+
+
 def key_rows(start: int, pair: np.ndarray, alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """The key.csv bytes of rows ``i,A,B,alpha,beta,M\\r\\n``, i = start, start + 1, ...
 
@@ -215,13 +227,12 @@ def key_rows(start: int, pair: np.ndarray, alpha: np.ndarray, beta: np.ndarray) 
     index_width = np.maximum(np.searchsorted(_POW10, index.view(np.uint64), side="right"), 1)
     alpha = _Reprs(alpha)
     beta = _Reprs(beta)
-    # index, ",q,p,", alpha, ",", beta and ",0\r\n", after the spare byte
+    # index, ",q,p,", alpha, ",", beta and ",0\r\n"
     widths = index_width + alpha.lengths + beta.lengths + 10
-    ends = np.cumsum(widths) + 1
-    starts = ends - widths
+    buf, starts = _laid_out(widths)
+    ends = starts + widths
     alpha_at = starts + index_width + 5
     beta_at = alpha_at + alpha.lengths + 1
-    buf = np.full(ends[-1], ord("0"), dtype=np.uint8)
     alpha.place(buf, alpha_at)
     beta.place(buf, beta_at)
     chars = _digit_chars(index)[18 - index_width.max() :]
@@ -229,4 +240,23 @@ def key_rows(start: int, pair: np.ndarray, alpha: np.ndarray, beta: np.ndarray) 
     buf[_MID_COLUMNS + alpha_at] = _ROW_MID.take(pair, axis=1)
     buf[beta_at - 1] = ord(",")
     buf[_END_COLUMNS + ends] = _ROW_END.take(pair, axis=1)
+    return buf[1:]
+
+
+def table_rows(table: np.ndarray) -> np.ndarray:
+    """The bytes of the lines of a 2-D float64 table of one or more
+    columns: ``,``-separated cells each written as ``repr(float(x))``,
+    every line ended by ``\\n``.
+
+    Each cell is laid out as in :func:`key_rows`, followed by its
+    separator or line end, and the separators go in last. The kernel
+    holds about 330 bytes per cell while it runs, so a large table is
+    best passed in blocks of rows.
+    """
+    cells = _Reprs(table.ravel())
+    buf, starts = _laid_out(cells.lengths + 1)
+    cells.place(buf, starts)
+    stops = (starts + cells.lengths).reshape(table.shape)
+    buf[stops[:, :-1]] = ord(",")
+    buf[stops[:, -1]] = ord("\n")
     return buf[1:]

@@ -14,6 +14,7 @@ explicit flags. Exit codes: 0 success, 2 bad configuration or arguments,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -105,19 +106,52 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     return cfg
 
 
-def _write_text(out, text: str) -> None:
+# Cells per block of a float table's CSV: the kernel holds about 330 bytes
+# per cell, so a block of 2**12 cells takes about 1.3 MB at any grid size.
+_TABLE_BLOCK_CELLS = 1 << 12
+
+
+@contextlib.contextmanager
+def _output(out):
+    """stdout, or the text file `out`, opened for writing and closed after."""
     if out is None:
-        sys.stdout.write(text)
+        yield sys.stdout
     else:
-        Path(out).write_text(text)
+        with open(out, "w") as fh:
+            yield fh
+
+
+def _write_text(out, text: str) -> None:
+    with _output(out) as fh:
+        fh.write(text)
+
+
+def _csv_head(header, config: dict) -> str:
+    return "# config: " + json.dumps(config, sort_keys=True) + "\n" + ",".join(header) + "\n"
 
 
 def _write_csv(out, header, rows, config: dict) -> None:
     # str of a Python float is its shortest round-trip repr
-    lines = ["# config: " + json.dumps(config, sort_keys=True)]
-    lines.append(",".join(header))
-    lines.extend(",".join(map(str, row)) for row in rows)
-    _write_text(out, "\n".join(lines) + "\n")
+    lines = [",".join(map(str, row)) + "\n" for row in rows]
+    _write_text(out, _csv_head(header, config) + "".join(lines))
+
+
+def _write_float_csv(out, header, columns, config: dict) -> None:
+    """The bytes of :func:`_write_csv` for equal-length float columns.
+
+    The rows go through the repr kernel ``_floatrepr.table_rows`` in
+    blocks of rows, so its memory stays flat in the column length.
+    """
+    import numpy as np
+
+    from . import _floatrepr
+
+    step = max(1, _TABLE_BLOCK_CELLS // len(columns))
+    with _output(out) as fh:
+        fh.write(_csv_head(header, config))
+        for start in range(0, len(columns[0]), step):
+            block = np.column_stack([column[start : start + step] for column in columns])
+            fh.write(_floatrepr.table_rows(block).tobytes().decode())
 
 
 def _write_json(out, payload: dict) -> None:
@@ -148,14 +182,14 @@ def cmd_sweep(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
         _write_json(args.out, payload)
     else:
         columns = (
+            cfg.noise_grid,
             sweep.snr,
             sweep.mi_bits,
             sweep.holevo_bits,
             sweep.asymptotic_key_bits,
             sweep.finite_size.bits_per_raw_symbol,
         )
-        rows = zip(cfg.noise_grid, *(column.tolist() for column in columns))
-        _write_csv(args.out, header, rows, cfg.to_dict())
+        _write_float_csv(args.out, header, columns, cfg.to_dict())
     if args.out is not None:
         print(f"asymptotic key rate crosses zero at nbar = {crossing:.6f}")
     return 0

@@ -37,6 +37,7 @@ from mwqkd.config import (
 from mwqkd.devices import ChannelParams
 from mwqkd.errors import InsufficientDataError
 
+from test_protocol import _repr_cases, _traced_peak
 from test_security import count_calls, merge_point
 
 
@@ -274,6 +275,83 @@ def test_sweep_empty_grid_gives_header_only(tmp_path):
     assert run_cli("sweep", "--config", str(cfg), "--out", str(out)) == 0
     lines = out.read_text().splitlines()
     assert len(lines) == 2  # comment + header, no rows
+
+
+SWEEP_HEADER = "nbar,snr,mi_bits,holevo_bits,asymptotic_key_bits,composite_key_bits_per_raw_symbol"
+
+
+def _sweep_columns(cfg, grid):
+    sweep = security.sweep_noise(cfg.chain, cfg.channel_loss, grid, **cfg.key_settings)
+    return (grid, sweep.snr, sweep.mi_bits, sweep.holevo_bits, sweep.asymptotic_key_bits,
+            sweep.finite_size.bits_per_raw_symbol)
+
+
+def _str_sweep_csv(cfg) -> bytes:
+    """The sweep CSV with every float written by ``str``, row by row."""
+    grid, *columns = _sweep_columns(cfg, cfg.noise_grid)
+    lines = ["# config: " + json.dumps(cfg.to_dict(), sort_keys=True), SWEEP_HEADER]
+    lines += [",".join(map(str, row)) for row in zip(grid, *(c.tolist() for c in columns))]
+    return ("\n".join(lines) + "\n").encode()
+
+
+# grids whose values cross repr's notation switches (1e-4, 1e16), with
+# zeros, subnormals and points past the largest background of any medium
+_sweep_grids = st.one_of(
+    st.lists(
+        st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1e-5, 1e-4, 0.0625, 1e16, 1e20])
+        | st.floats(0.0, 1e20),
+        max_size=12,
+    ),
+    st.fixed_dictionaries({
+        "start": st.sampled_from([0.0, 1e-300, 1e-5]),
+        "stop": st.sampled_from([1e-6, 0.1, 3.0, 1e20]) | st.floats(0.0, 1e20),
+        "num": st.integers(1, 80),
+    }),
+)
+
+
+@given(preset=st.sampled_from(["run1", "run2"]), grid=_sweep_grids)
+@example(preset="run1", grid=[0.0, -0.0, 5e-324, 1e-300])
+@example(preset="run2", grid={"start": 0.0, "stop": 1e-6, "num": 41})
+@example(preset="run2", grid={"start": 0.0, "stop": 1e20, "num": 41})
+def test_sweep_csv_is_the_str_csv(preset, grid):
+    # the kernel writes the bytes str writes, to --out and to stdout
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp, "cfg.json")
+        config.write_text(json.dumps({"preset": preset, "noise_grid": grid}))
+        want = _str_sweep_csv(load_config(config))
+        out, stdout = Path(tmp, "sweep.csv"), io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            assert run_cli("sweep", "--config", str(config), "--out", str(out)) == 0
+        assert out.read_bytes() == want
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            assert run_cli("sweep", "--config", str(config)) == 0
+        assert stdout.getvalue().encode() == want
+
+
+def test_float_csv_is_the_str_csv_across_blocks(tmp_path):
+    # every case of the digit kernel, in five columns over many blocks
+    cases = np.concatenate([_repr_cases(), [math.inf, -math.inf, math.nan]])
+    columns = cases[: cases.size // 5 * 5].reshape(5, -1)
+    header = ("a", "b", "c", "d", "e")
+    cli._write_float_csv(tmp_path / "kernel.csv", header, columns, {"n": columns.shape[1]})
+    cli._write_csv(tmp_path / "str.csv", header, zip(*columns.tolist()), {"n": columns.shape[1]})
+    assert (tmp_path / "kernel.csv").read_bytes() == (tmp_path / "str.csv").read_bytes()
+
+
+def test_sweep_table_memory_is_flat_in_the_grid(tmp_path):
+    # beyond the sweep's arrays the CSV writer holds one block of rows
+    cfg = ExperimentConfig()
+    peaks = []
+    for n in (10**4, 10**5):
+        columns = _sweep_columns(cfg, tuple(np.linspace(0.0, 0.1, n).tolist()))
+        _, peak = _traced_peak(
+            cli._write_float_csv, tmp_path / f"{n}.csv", SWEEP_HEADER.split(","), columns, {}
+        )
+        peaks.append(peak)
+    assert max(peaks) < 4 << 20, peaks
+    assert abs(peaks[1] - peaks[0]) < 128 * 1024, peaks
 
 
 def test_sweep_flag_overrides_config(tmp_path):
@@ -945,8 +1023,9 @@ assert not loaded, loaded
 
 def test_scalar_commands_run_without_numpy(tmp_path):
     # importing the CLI registers every layer module but runs none of the
-    # numpy ones; help, linkbudget and report stay on Python floats, and
-    # the array commands and the covariance oracle load numpy when used;
+    # numpy ones, the CSV float kernel included; help, linkbudget and
+    # report stay on Python floats and str, and the array commands and
+    # the covariance oracle load numpy when used;
     # `statistics` (for the confidence factor w) waits for the first w
     done = _fresh_interpreter("-c", f"""
 import contextlib
@@ -962,6 +1041,7 @@ layers = ("gaussian", "devices", "security", "linkbudget", "protocol", "stats", 
 missing = [m for m in layers if "mwqkd." + m not in sys.modules]
 assert not missing, missing
 assert not numpy_modules(), numpy_modules()
+assert "mwqkd._floatrepr" not in sys.modules
 assert "statistics" not in sys.modules
 # pickle comes in with numpy; the scalar commands load neither
 assert "pickle" not in sys.modules
@@ -978,10 +1058,12 @@ with contextlib.redirect_stdout(io.StringIO()):
     assert "statistics" not in sys.modules
     assert cli.main(["report", "--out", out + "/report.json"]) == 0
 assert not numpy_modules(), numpy_modules()
+assert "mwqkd._floatrepr" not in sys.modules
 assert "pickle" not in sys.modules
 
 assert cli.main(["sweep", "--out", out + "/sweep.csv"]) == 0
 assert "numpy" in sys.modules
+assert "mwqkd._floatrepr" in sys.modules
 assert cli.main(["protocol", "--n-symbols", "2000", "--out", out + "/run"]) == 0
 
 import mwqkd

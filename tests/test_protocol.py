@@ -7,10 +7,11 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import mwqkd
+from mwqkd import _floatrepr
 from mwqkd import protocol as proto
 from mwqkd.devices import ChannelParams, response_and_noise
 from mwqkd.errors import InsufficientDataError
@@ -395,6 +396,43 @@ def test_key_csv_bytes_cross_repr_notation_switches(tmp_path):
         b"13,p,q,-1e+16,",
     ):
         assert b"\r\n" + row in written
+
+
+def _repr_lines(table: np.ndarray) -> bytes:
+    return "".join(",".join(map(repr, row)) + "\n" for row in table.tolist()).encode()
+
+
+# Doubles inside and outside the kernel's domain: zeros, subnormals, exact
+# powers of two, the notation switches at 1e-4 and 1e16 with their
+# neighbours, large magnitudes and the non-finite values
+_TABLE_EDGES = [
+    0.0, -0.0, 5e-324, -2.225073858507201e-308, 2.0**-14, 0.5, -2.0, 2.0**53, 2.0**54,
+    1e-4, math.nextafter(1e-4, 0.0), math.nextafter(1e-4, 1.0), -1e-4,
+    1e16, math.nextafter(1e16, 0.0), math.nextafter(1e16, math.inf), -1e16,
+    1e300, -1e300, math.inf, -math.inf, math.nan,
+]
+_table_floats = st.one_of(
+    st.sampled_from(_TABLE_EDGES),
+    st.floats(),
+    st.floats(1e-4, 1e16) | st.floats(-1e16, -1e-4),
+    st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308),
+    st.builds(math.ldexp, st.sampled_from([1.0, -1.0]), st.integers(-1074, 1023)),
+)
+
+
+@st.composite
+def _float_tables(draw):
+    rows, columns = draw(st.integers(0, 40)), draw(st.integers(1, 7))
+    cells = draw(st.lists(_table_floats, min_size=rows * columns, max_size=rows * columns))
+    return np.array(cells, dtype=np.float64).reshape(rows, columns)
+
+
+@given(table=_float_tables())
+@example(table=np.empty((0, 1)))
+@example(table=np.array([[1e-4], [-0.0], [math.nan]]))
+@example(table=np.array([_TABLE_EDGES]))
+def test_table_rows_are_the_repr_lines(table):
+    assert _floatrepr.table_rows(table).tobytes() == _repr_lines(table)
 
 
 def test_key_record_refuses_codes_and_symbols_it_cannot_write():
