@@ -26,14 +26,18 @@ resident set of its largest process.
 The file keeps one entry per --label, so rows from two trees measured on
 the same machine sit side by side; each entry records the machine, the
 Python and numpy versions, the tree's source lines, per module and in
-total, and the labels it was measured with. BLAS runs on one thread.
+total, both raw and as code lines (lines that hold code, counted without
+docstrings, comments or blank lines), and the labels it was measured
+with. BLAS runs on one thread.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import contextlib
 import dataclasses
+import io
 import json
 import multiprocessing
 import os
@@ -44,6 +48,7 @@ import sys
 import tempfile
 import time
 import timeit
+import tokenize
 from pathlib import Path
 
 BLAS_ENV = {
@@ -135,9 +140,8 @@ def in_process_layers(workdir: Path) -> dict:
     }
     # alpha * 1e-6 and beta * 1e-8 print in exponent notation, which the
     # key.csv writer leaves to repr
-    exponent_record = protocol.KeyRecord(
-        record.alice_symbols * 1e-6, record.alice_bases, record.bob_bases,
-        record.outcomes * 1e-8, record.matched,
+    exponent_record = dataclasses.replace(
+        record, alice_symbols=record.alice_symbols * 1e-6, outcomes=record.outcomes * 1e-8
     )
     layers[f"write_key_records.exponent.{PAPER_N}"] = lambda: protocol.write_key_records(
         exponent_record, workdir / "key-exponent.csv"
@@ -253,6 +257,25 @@ def fresh_processes(trees: dict, workdir: Path) -> dict:
     return rows
 
 
+_NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+             tokenize.DEDENT, tokenize.ENDMARKER}
+
+
+def code_lines(text: str) -> int:
+    """Lines of Python source that hold a token of code: no blank line,
+    no comment and no docstring (of the module, a class or a function)."""
+    docstrings = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            if ast.get_docstring(node, clean=False) is not None:
+                docstrings.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+    lines = set()
+    for token in tokenize.generate_tokens(io.StringIO(text).readline):
+        if token.type not in _NOT_CODE:
+            lines.update(range(token.start[0], token.end[0] + 1))
+    return len(lines - docstrings)
+
+
 def provenance(src: Path) -> dict:
     import numpy
 
@@ -263,10 +286,9 @@ def provenance(src: Path) -> dict:
                         if line.startswith("model name")), "")
     except OSError:
         pass
-    module_lines = {
-        str(path.relative_to(src)): len(path.read_text().splitlines())
-        for path in sorted(src.rglob("*.py"))
-    }
+    texts = {str(path.relative_to(src)): path.read_text() for path in sorted(src.rglob("*.py"))}
+    module_lines = {name: len(text.splitlines()) for name, text in texts.items()}
+    module_code_lines = {name: code_lines(text) for name, text in texts.items()}
     return {
         "machine": {"platform": platform.platform(), "cpu": cpu, "cpus": os.cpu_count()},
         "python": platform.python_version(),
@@ -274,6 +296,8 @@ def provenance(src: Path) -> dict:
         "blas_env": BLAS_ENV,
         "module_lines": module_lines,
         "src_lines": sum(module_lines.values()),
+        "module_code_lines": module_code_lines,
+        "src_code_lines": sum(module_code_lines.values()),
     }
 
 

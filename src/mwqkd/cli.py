@@ -45,7 +45,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--preset", choices=sorted(CHAIN_PRESETS))
     common.add_argument("--seed", type=int)
     common.add_argument("--out", metavar="PATH", help="output file or directory")
-    common.add_argument("--format", choices=("csv", "json"), dest="out_format")
     common.add_argument(
         "--no-delta",
         dest="include_delta",
@@ -73,7 +72,9 @@ def build_parser() -> argparse.ArgumentParser:
         "continuous-variable QKD link.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("sweep", parents=[common], help="key rate vs channel noise")
+    output_format = argparse.ArgumentParser(add_help=False)
+    output_format.add_argument("--format", choices=("csv", "json"), dest="out_format")
+    sub.add_parser("sweep", parents=[common, output_format], help="key rate vs channel noise")
     p = sub.add_parser("protocol", parents=[common], help="simulate one run")
     p.add_argument(
         "--announce-bases",
@@ -82,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="the receiver measures in the sender's basis, so no symbol is "
         "lost to sifting",
     )
-    p = sub.add_parser("linkbudget", parents=[common], help="loss and range limits")
+    p = sub.add_parser("linkbudget", parents=[common, output_format], help="loss and range limits")
     p.add_argument("--medium", choices=sorted(lb.MEDIA))
     sub.add_parser("report", parents=[common], help="security report, one channel")
     return parser
@@ -104,11 +105,6 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     if overrides:
         cfg = replace(cfg, **overrides)
     return cfg
-
-
-# Cells per block of a float table's CSV: the kernel holds about 330 bytes
-# per cell, so a block of 2**12 cells takes about 1.3 MB at any grid size.
-_TABLE_BLOCK_CELLS = 1 << 12
 
 
 @contextlib.contextmanager
@@ -140,13 +136,13 @@ def _write_float_csv(out, header, columns, config: dict) -> None:
     """The bytes of :func:`_write_csv` for equal-length float columns.
 
     The rows go through the repr kernel ``_floatrepr.table_rows`` in
-    blocks of rows, so its memory stays flat in the column length.
+    blocks of ``_floatrepr.BLOCK_CELLS`` cells, so memory stays flat.
     """
     import numpy as np
 
     from . import _floatrepr
 
-    step = max(1, _TABLE_BLOCK_CELLS // len(columns))
+    step = max(1, _floatrepr.BLOCK_CELLS // len(columns))
     with _output(out) as fh:
         fh.write(_csv_head(header, config))
         for start in range(0, len(columns[0]), step):
@@ -160,14 +156,6 @@ def _write_json(out, payload: dict) -> None:
 
 
 def cmd_sweep(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
-    header = (
-        "nbar",
-        "snr",
-        "mi_bits",
-        "holevo_bits",
-        "asymptotic_key_bits",
-        "composite_key_bits_per_raw_symbol",
-    )
     sweep = security.sweep_noise(cfg.chain, cfg.channel_loss, cfg.noise_grid, **cfg.key_settings)
     crossing = security.noise_tolerance(cfg.chain, cfg.channel_loss)
 
@@ -181,13 +169,13 @@ def cmd_sweep(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
         }
         _write_json(args.out, payload)
     else:
-        columns = (
-            cfg.noise_grid,
-            sweep.snr,
-            sweep.mi_bits,
-            sweep.holevo_bits,
-            sweep.asymptotic_key_bits,
-            sweep.finite_size.bits_per_raw_symbol,
+        header, columns = zip(
+            ("nbar", cfg.noise_grid),
+            ("snr", sweep.snr),
+            ("mi_bits", sweep.mi_bits),
+            ("holevo_bits", sweep.holevo_bits),
+            ("asymptotic_key_bits", sweep.asymptotic_key_bits),
+            ("composite_key_bits_per_raw_symbol", sweep.finite_size.bits_per_raw_symbol),
         )
         _write_float_csv(args.out, header, columns, cfg.to_dict())
     if args.out is not None:

@@ -21,7 +21,7 @@ floats.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -41,9 +41,8 @@ BASIS_LABELS = ("q", "p")
 # residual-variance errors are not in their asymptotic regime.
 MIN_ESTIMATION_SAMPLES = 30
 
-KEY_CSV_COLUMNS = ("index", "alice_basis", "bob_basis", "alpha", "beta", "matched")
-# Basis labels are parsed as 2-byte strings so that a longer label
-# (``qq``, ``qp``) truncates to something that is still not a label.
+# The key.csv columns. Basis labels are parsed as 2-byte strings so that
+# a longer label (``qq``, ``qp``) truncates to something still not a label.
 _KEY_CSV_DTYPE = np.dtype(
     [
         ("index", np.int64),
@@ -54,10 +53,9 @@ _KEY_CSV_DTYPE = np.dtype(
         ("matched", np.int64),
     ]
 )
+KEY_CSV_COLUMNS = _KEY_CSV_DTYPE.names
 # Symbols per block of the draws and of the record checks.
 _DRAW_BLOCK = 1 << 14
-# Rows formatted and written per block by write_key_records.
-_WRITE_CHUNK_ROWS = 1 << 11
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -118,32 +116,29 @@ def generate_codebook(n_symbols: int, variance: float, seed: int) -> Codebook:
 
 @dataclass(frozen=True)
 class KeyRecord:
-    """Per-symbol transcript of one protocol run."""
+    """Per-symbol transcript of one protocol run; ``matched`` is derived,
+    ``alice_bases == bob_bases``, once when the record is built."""
 
     alice_symbols: np.ndarray
     alice_bases: np.ndarray
     bob_bases: np.ndarray
     outcomes: np.ndarray
-    matched: np.ndarray
+    matched: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         n = self.alice_symbols.size
-        for arr in (self.alice_bases, self.bob_bases, self.outcomes, self.matched):
+        for arr in (self.alice_bases, self.bob_bases, self.outcomes):
             if arr.size != n:
                 raise ValueError("all record columns must have equal length")
         # block-wise, so checking a record needs no N-length temporary
         for bases in (self.alice_bases, self.bob_bases):
             if not all(((bases[rows] == 0) | (bases[rows] == 1)).all() for rows in _blocks(n)):
                 raise ValueError(f"basis codes must be 0 or 1 ({BASIS_LABELS})")
-        if not all(
-            np.array_equal(self.matched[rows], self.alice_bases[rows] == self.bob_bases[rows])
-            for rows in _blocks(n)
-        ):
-            raise ValueError("matched flags inconsistent with basis columns")
         for column in ("alice_symbols", "outcomes"):
             values = getattr(self, column)
             if not all(np.isfinite(values[rows]).all() for rows in _blocks(n)):
                 raise ValueError(f"{column} must be finite")
+        object.__setattr__(self, "matched", self.alice_bases == self.bob_bases)
 
     @property
     def n_symbols(self) -> int:
@@ -169,7 +164,8 @@ def simulate_transmission(
     The stream holds all basis coins, then all noise draws; the coins are
     drawn even when `announce_bases` discards them, so the noise of a
     symbol is the same in both modes. The record holds the codebook's
-    own symbol and basis arrays, not copies.
+    own symbol and basis arrays, not copies. The mask of matched symbols
+    formed here is dropped before the record derives its own.
     """
     rng = _rng(seed)
     n = codebook.n_symbols
@@ -200,7 +196,8 @@ def simulate_transmission(
         noise = outcomes[rows]
         noise *= np.where(matched[rows], sigma_m, sigma_x)
         noise += np.where(matched[rows], slope_m, slope_x) * codebook.symbols[rows]
-    return KeyRecord(codebook.symbols, codebook.bases, bob_bases, outcomes, matched)
+    del matched
+    return KeyRecord(codebook.symbols, codebook.bases, bob_bases, outcomes)
 
 
 def sift(record: KeyRecord) -> tuple[np.ndarray, np.ndarray]:
@@ -269,19 +266,19 @@ def write_key_records(record: KeyRecord, path) -> None:
     separated, ``\\r\\n`` line ends, floats as ``repr``, and nothing quoted,
     since no field can hold a comma, quote or line break. The two label
     columns and the matched column are written from one basis-pair code
-    per row, ``2 * alice + bob``; ``KeyRecord`` guarantees that the
-    matched flag is ``alice == bob``.
+    per row, ``2 * alice + bob``; ``KeyRecord`` derives the matched flag
+    as ``alice == bob``.
 
-    Each block of rows is laid out as one byte buffer by
-    ``_floatrepr.key_rows``. Its floats are the bytes of ``repr``: from a
-    vectorised shortest-digit kernel for fixed notation, 1e-4 <= |x| <
-    1e16, bar exact powers of two, and from ``repr`` itself for every
-    other float (zeros, subnormals, exact powers of two and exponent
-    notation). Memory stays flat in the number of symbols.
+    Each block of ``_floatrepr.BLOCK_CELLS`` floats, 2 048 rows, is laid
+    out as one byte buffer by ``_floatrepr.key_rows``. Its floats are the
+    bytes of ``repr``: from a vectorised shortest-digit kernel for fixed
+    notation, 1e-4 <= |x| < 1e16, bar exact powers of two, and from
+    ``repr`` itself for every other float (zeros, subnormals, exact
+    powers of two and exponent notation). Memory stays flat in N.
     """
     with open(path, "wb") as fh:
         fh.write((",".join(KEY_CSV_COLUMNS) + "\r\n").encode())
-        for rows in _blocks(record.n_symbols, _WRITE_CHUNK_ROWS):
+        for rows in _blocks(record.n_symbols, _floatrepr.BLOCK_CELLS // 2):
             pair = 2 * record.alice_bases[rows] + record.bob_bases[rows]
             fh.write(
                 _floatrepr.key_rows(
@@ -297,8 +294,8 @@ def read_key_records(path) -> KeyRecord:
     float exactly as ``float`` does, so a written record reads back
     bit-exact. Both ``\\r\\n`` and ``\\n`` line ends are read. A short row,
     a non-numeric field, a basis label other than ``q``/``p``, an index
-    column other than 0..n-1, or a matched flag that disagrees with the
-    bases raises ValueError.
+    column other than 0..n-1, or a matched column that disagrees with the
+    record's derived ``matched`` raises ValueError.
     """
     with open(path) as fh:
         header = tuple(fh.readline().rstrip("\n").split(","))
@@ -313,18 +310,18 @@ def read_key_records(path) -> KeyRecord:
         )
     alice = _basis_codes(rows["alice_basis"], "alice_basis")
     bob = _basis_codes(rows["bob_basis"], "bob_basis")
-    matched = alice == bob
     if not np.array_equal(rows["index"], np.arange(rows.size)):
         raise ValueError("key CSV index column must run 0..n-1")
-    if not np.array_equal(rows["matched"], matched):
+    record = KeyRecord(rows["alpha"].copy(), alice, bob, rows["beta"].copy())
+    if not np.array_equal(rows["matched"], record.matched):
         raise ValueError("key CSV matched column disagrees with the basis columns")
-    return KeyRecord(rows["alpha"].copy(), alice, bob, rows["beta"].copy(), matched)
+    return record
 
 
 def _basis_codes(labels: np.ndarray, column: str) -> np.ndarray:
     """0/1 basis codes of a column of ``BASIS_LABELS`` read as bytes."""
-    is_p = labels == b"p"
-    if not np.all(is_p | (labels == b"q")):
+    is_q, is_p = (labels == label.encode() for label in BASIS_LABELS)
+    if not np.all(is_q | is_p):
         raise ValueError(f"key CSV {column} must be one of {BASIS_LABELS}")
     return is_p.astype(np.int8)
 

@@ -365,6 +365,17 @@ def test_sweep_flag_overrides_config(tmp_path):
     assert data["config"]["seed"] == 5
 
 
+@pytest.mark.parametrize("command", ["report", "protocol"])
+def test_format_is_refused_by_commands_that_do_not_read_it(tmp_path, capsys, command):
+    # only sweep and linkbudget write either CSV or JSON
+    out = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(command, "--format", "csv", "--out", str(out))
+    assert exc.value.code == 2
+    assert "--format" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_protocol_outputs_are_deterministic(tmp_path):
     args = ("protocol", "--preset", "run2", "--n-symbols", "2000")
     assert run_cli(*args, "--out", str(tmp_path / "a")) == 0

@@ -1,6 +1,7 @@
 """Protocol simulation: codebooks, transcripts, sifting, estimation."""
 
 import csv
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -88,6 +89,8 @@ def _bits(a):
 
 
 _B = proto._DRAW_BLOCK
+# rows of two floats per key.csv block
+_KEY_BLOCK = _floatrepr.BLOCK_CELLS // 2
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -137,7 +140,7 @@ _CAP = 1 << 20
 
 def test_key_csv_writer_memory_is_flat_in_n(tmp_path):
     peaks = []
-    for n in (4 * proto._WRITE_CHUNK_ROWS + 17, 16 * proto._WRITE_CHUNK_ROWS + 17):
+    for n in (4 * _KEY_BLOCK + 17, 16 * _KEY_BLOCK + 17):
         cb = proto.generate_codebook(n, RUN2.codebook_variance, seed=5)
         rec = proto.simulate_transmission(cb, RUN2, CHANNEL, seed=6)
         _, peak = _traced_peak(proto.write_key_records, rec, tmp_path / f"{n}.csv")
@@ -279,7 +282,7 @@ def test_key_csv_floats_read_back_bit_exact(tmp_path):
         [-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 0.1, 1 / 3, -2.5e-7]
     )
     bases = np.array([0, 1, 0, 1, 1, 0, 0], dtype=np.int8)
-    rec = proto.KeyRecord(extremes, bases, bases, extremes[::-1].copy(), bases == bases)
+    rec = proto.KeyRecord(extremes, bases, bases, extremes[::-1].copy())
     proto.write_key_records(rec, tmp_path / "key.csv")
     back = proto.read_key_records(tmp_path / "key.csv")
     assert back.alice_symbols.view(np.uint64).tolist() == extremes.view(np.uint64).tolist()
@@ -315,7 +318,7 @@ def _csv_writer_oracle(record, path):
 @pytest.mark.parametrize("chain", [RUN1, RUN2], ids=["run1", "run2"])
 def test_key_csv_bytes_match_csv_writer(tmp_path, chain, announce):
     # odd, and long enough for two full write chunks and a partial third
-    n = 2 * proto._WRITE_CHUNK_ROWS + 101
+    n = 2 * _KEY_BLOCK + 101
     cb = proto.generate_codebook(n, chain.codebook_variance, seed=121)
     rec = proto.simulate_transmission(cb, chain, CHANNEL, seed=122, announce_bases=announce)
     proto.write_key_records(rec, tmp_path / "key.csv")
@@ -374,7 +377,6 @@ def test_key_csv_bytes_cross_repr_notation_switches(tmp_path):
         alice,
         bob,
         np.concatenate([floats[::-1], more[::-1]]),
-        alice == bob,
     )
     proto.write_key_records(rec, tmp_path / "key.csv")
     _csv_writer_oracle(rec, tmp_path / "oracle.csv")
@@ -441,13 +443,24 @@ def test_key_record_refuses_codes_and_symbols_it_cannot_write():
     for code in (-1, 2):
         bases = np.array([0, code, 1], dtype=np.int8)
         with pytest.raises(ValueError, match="basis codes must be 0 or 1"):
-            proto.KeyRecord(alpha, bases, bases.copy(), beta, bases == bases)
+            proto.KeyRecord(alpha, bases, bases.copy(), beta)
         with pytest.raises(ValueError, match="basis codes must be 0 or 1"):
-            proto.KeyRecord(alpha, np.zeros(3, np.int8), bases, beta, bases == 0)
+            proto.KeyRecord(alpha, np.zeros(3, np.int8), bases, beta)
     bases = np.array([0, 1, 1], dtype=np.int8)
     for bad in (np.inf, -np.inf, np.nan):
         with pytest.raises(ValueError, match="alice_symbols must be finite"):
-            proto.KeyRecord(np.array([0.5, bad, 2.0]), bases, bases, beta, bases == bases)
+            proto.KeyRecord(np.array([0.5, bad, 2.0]), bases, bases, beta)
+
+
+def test_key_record_derives_matched():
+    alice = np.array([0, 0, 1, 1], dtype=np.int8)
+    bob = np.array([0, 1, 0, 1], dtype=np.int8)
+    rec = proto.KeyRecord(np.zeros(4), alice, bob, np.ones(4))
+    assert rec.matched.tolist() == [True, False, False, True]
+    # a replaced basis column gives a mask derived anew, not the old one
+    assert dataclasses.replace(rec, bob_bases=alice).matched.all()
+    with pytest.raises(TypeError):
+        proto.KeyRecord(np.zeros(4), alice, bob, np.ones(4), alice == bob)
 
 
 @st.composite
@@ -459,7 +472,7 @@ def _key_records(draw):
     bob = np.array(draw(bases), dtype=np.int8)
     alpha = np.array(draw(floats), dtype=np.float64)
     beta = np.array(draw(floats), dtype=np.float64)
-    return proto.KeyRecord(alpha, alice, bob, beta, alice == bob)
+    return proto.KeyRecord(alpha, alice, bob, beta)
 
 
 @settings(
@@ -480,11 +493,11 @@ def test_key_csv_bytes_and_read_back_property(tmp_path, rec):
     if rec.n_symbols == 0:
         assert path.read_bytes() == (",".join(proto.KEY_CSV_COLUMNS) + "\r\n").encode()
         assert back.n_symbols == 0
-    for got, want in ((back.alice_symbols, rec.alice_symbols), (back.outcomes, rec.outcomes)):
-        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
-    assert back.alice_bases.tolist() == rec.alice_bases.tolist()
-    assert back.bob_bases.tolist() == rec.bob_bases.tolist()
-    assert back.matched.tolist() == rec.matched.tolist()
+    # column for column, to the bit and the dtype, the derived matched too
+    for column in dataclasses.fields(proto.KeyRecord):
+        assert _bits(getattr(back, column.name)) == _bits(getattr(rec, column.name)), column
+    agree = [a == b for a, b in zip(rec.alice_bases.tolist(), rec.bob_bases.tolist())]
+    assert back.matched.tolist() == agree
 
 
 _KEY_ROWS = [
