@@ -62,18 +62,13 @@ os.environ.update(BLAS_ENV)
 PAPER_N = 16665
 LARGE_N = 10**6
 SWEEP_POINTS = (41, 401, 10**4)
-# samples per layer and command; a third as many, at least 5, at N = 10**6
+# samples per layer and command, at every N
 REPEAT = 15
-LARGE_REPEAT = max(5, REPEAT // 3)
 
 
 def _quartiles(samples: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(samples, n=4, method="inclusive")
     return {"median_s": median, "iqr_s": q3 - q1, "samples": len(samples)}
-
-
-def _repeat(name: str) -> int:
-    return LARGE_REPEAT if name.endswith(str(LARGE_N)) else REPEAT
 
 
 def _alternating(items: list, rounds: int):
@@ -194,7 +189,7 @@ def in_process(trees: dict, workdir: Path) -> dict:
             for label in labels:
                 sample(label, name)
             samples = {label: [] for label in labels}
-            for label in _alternating(labels, _repeat(name)):
+            for label in _alternating(labels, REPEAT):
                 samples[label].append(sample(label, name))
             for label in labels:
                 rows[label][name] = _quartiles(samples[label])
@@ -246,7 +241,7 @@ def fresh_processes(trees: dict, workdir: Path) -> dict:
     rows = {label: {} for label in labels}
     for name, argv in commands.items():
         runs = {label: [] for label in labels}
-        for label in _alternating(labels, _repeat(name)):
+        for label in _alternating(labels, REPEAT):
             runs[label].append(_wall(argv, trees[label]))
         for label in labels:
             times, peaks = zip(*runs[label])

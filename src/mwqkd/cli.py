@@ -3,10 +3,12 @@
 Subcommands:
     sweep       key rates over a grid of channel noise occupations
     protocol    simulate one protocol run end to end, write key material
-    linkbudget  maximum tolerable loss and distance versus background
+    linkbudget  asymptotic maximum tolerable loss and distance versus background
     report      single security report for a fixed channel
 
-Flag precedence is built-in defaults, then --config file values, then
+Each subcommand takes only the flags it reads (`_COMMAND_FLAGS`), but
+every field of a --config file, which it checks and echoes. Flag
+precedence is built-in defaults, then --config file values, then
 explicit flags. Exit codes: 0 success, 2 bad configuration or arguments,
 3 not enough data for channel estimation, 4 I/O failure.
 """
@@ -36,56 +38,54 @@ from .devices import ChannelParams, response_and_noise
 from .errors import InsufficientDataError
 
 
+# Every flag and its add_argument keywords. A flag whose destination is an
+# ExperimentConfig field overrides that field (see resolve_config).
+_FLAGS = {
+    "--config": dict(metavar="FILE", help="JSON configuration file"),
+    "--preset": dict(choices=sorted(CHAIN_PRESETS), help="calibrated device chain"),
+    "--out": dict(metavar="PATH", help="output file (default stdout), or protocol's directory"),
+    "--loss": dict(type=float, dest="channel_loss", metavar="EPS", help="channel loss in [0, 1)"),
+    "--nbar": dict(type=float, dest="noise_photons", metavar="N", help="channel noise photons"),
+    "--n-symbols": dict(type=int, metavar="N", help="raw symbols sent, N"),
+    "--no-delta": dict(dest="include_delta", action="store_false", default=None,
+                       help="drop the finite-size penalty term"),
+    "--no-pe": dict(dest="include_estimation_penalty", action="store_false", default=None,
+                    help="use estimated channel parameters directly, no confidence widening"),
+    "--e-ec": dict(type=float, metavar="E", help="error-correction failure probability"),
+    "--beta": dict(type=float, dest="beta_ec", metavar="B", help="reconciliation efficiency"),
+    "--n-ec-fraction": dict(type=float, metavar="F", help="key share of the sifted symbols"),
+    "--seed": dict(type=int, metavar="N", help="codebook seed; the transmission takes N + 1"),
+    "--announce-bases": dict(action="store_true", default=None, help="the receiver measures "
+                             "in the sender's basis, so no symbol is lost to sifting"),
+    "--format": dict(choices=("csv", "json"), dest="out_format", help="output format (csv)"),
+    "--medium": dict(choices=sorted(lb.MEDIA), help="link medium (cryo-15mK)"),
+}
+_SHARED = ("--config", "--preset", "--out", "--loss")
+_FINITE_SIZE = ("--n-symbols", "--no-delta", "--no-pe", "--e-ec", "--beta", "--n-ec-fraction")
+# command -> its help and the flags it reads; argparse refuses any other
+_COMMAND_FLAGS = {
+    "sweep": ("key rate vs channel noise", (*_SHARED, *_FINITE_SIZE, "--format")),
+    "protocol": ("simulate one run", (*_SHARED, "--nbar", *_FINITE_SIZE, "--seed",
+                                      "--announce-bases")),
+    "linkbudget": ("asymptotic loss and range limits", (*_SHARED, "--format", "--medium")),
+    "report": ("security report, one channel", (*_SHARED, "--nbar", *_FINITE_SIZE)),
+}
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process; parse_args leaves it
     unchanged and returns a fresh namespace per call."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", metavar="FILE", help="JSON configuration file")
-    common.add_argument("--preset", choices=sorted(CHAIN_PRESETS))
-    common.add_argument("--seed", type=int)
-    common.add_argument("--out", metavar="PATH", help="output file or directory")
-    common.add_argument(
-        "--no-delta",
-        dest="include_delta",
-        action="store_false",
-        default=None,
-        help="drop the finite-size penalty term",
-    )
-    common.add_argument(
-        "--no-pe",
-        dest="include_estimation_penalty",
-        action="store_false",
-        default=None,
-        help="use estimated channel parameters directly, no confidence widening",
-    )
-    common.add_argument("--e-ec", type=float, dest="e_ec")
-    common.add_argument("--beta", type=float, dest="beta_ec")
-    common.add_argument("--n-ec-fraction", type=float, dest="n_ec_fraction")
-    common.add_argument("--loss", type=float, dest="channel_loss")
-    common.add_argument("--nbar", type=float, dest="noise_photons")
-    common.add_argument("--n-symbols", type=int, dest="n_symbols")
-
     parser = argparse.ArgumentParser(
         prog="mwqkd",
         description="Simulator and security analyzer for a microwave "
         "continuous-variable QKD link.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    output_format = argparse.ArgumentParser(add_help=False)
-    output_format.add_argument("--format", choices=("csv", "json"), dest="out_format")
-    sub.add_parser("sweep", parents=[common, output_format], help="key rate vs channel noise")
-    p = sub.add_parser("protocol", parents=[common], help="simulate one run")
-    p.add_argument(
-        "--announce-bases",
-        action="store_true",
-        default=None,
-        help="the receiver measures in the sender's basis, so no symbol is "
-        "lost to sifting",
-    )
-    p = sub.add_parser("linkbudget", parents=[common, output_format], help="loss and range limits")
-    p.add_argument("--medium", choices=sorted(lb.MEDIA))
-    sub.add_parser("report", parents=[common], help="security report, one channel")
+    for command, (help_text, flags) in _COMMAND_FLAGS.items():
+        p = sub.add_parser(command, help=help_text)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
@@ -346,7 +346,7 @@ def main(argv=None) -> int:
     except InsufficientDataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

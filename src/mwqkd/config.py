@@ -95,6 +95,16 @@ def _check_type(name: str, value, json_type: str) -> None:
         raise ValueError(f"{name} must be a JSON {json_type}, got {value!r}")
 
 
+def _photon_counts(name: str, values) -> tuple[float, ...]:
+    """`values` as floats, each checked to be finite and >= 0."""
+    counts = []
+    for value in map(float, values):
+        if not 0.0 <= value < math.inf:
+            raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+        counts.append(value)
+    return tuple(counts)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything one run needs, resolvable from JSON and flags. Derived,
@@ -135,10 +145,13 @@ class ExperimentConfig:
         ))
         if self.medium not in MEDIA:
             raise ValueError(f"unknown medium {self.medium!r}; choose from {sorted(MEDIA)}")
-        object.__setattr__(self, "noise_grid", tuple(float(x) for x in self.noise_grid))
+        if not 0.0 < self.bandwidth_hz < math.inf:
+            raise ValueError(f"bandwidth_hz must be finite and > 0, got {self.bandwidth_hz!r}")
+        # a grid point is a channel noise, so its message is check_channel's
+        object.__setattr__(self, "noise_grid", _photon_counts("noise_photons", self.noise_grid))
         if self.occupancies is not None:
             object.__setattr__(
-                self, "occupancies", tuple(float(x) for x in self.occupancies)
+                self, "occupancies", _photon_counts("occupancies", self.occupancies)
             )
 
     def to_dict(self) -> dict:

@@ -365,15 +365,68 @@ def test_sweep_flag_overrides_config(tmp_path):
     assert data["config"]["seed"] == 5
 
 
-@pytest.mark.parametrize("command", ["report", "protocol"])
-def test_format_is_refused_by_commands_that_do_not_read_it(tmp_path, capsys, command):
-    # only sweep and linkbudget write either CSV or JSON
-    out = tmp_path / "out.csv"
+# A value off the default for each flag that takes one, None for a switch.
+# On the FLAG_BASE configuration every command runs quickly and exits 0.
+FLAG_VALUES = {
+    "--preset": "run2", "--loss": "0.02", "--nbar": "0.01", "--n-symbols": "3000",
+    "--no-delta": None, "--no-pe": None, "--e-ec": "1e-5", "--beta": "0.95",
+    "--n-ec-fraction": "0.3", "--seed": "7", "--announce-bases": None,
+    "--format": "json", "--medium": "openair-300K",
+}
+FLAG_BASE = {"preset": "run1", "n_symbols": 2000}
+TAKEN = [(command, flag) for command, (_, flags) in cli._COMMAND_FLAGS.items() for flag in flags]
+CHANGING = [pair for pair in TAKEN if pair[1] not in ("--config", "--out")]
+REFUSED = [(command, flag) for command in cli._COMMAND_FLAGS for flag in cli._FLAGS
+           if (command, flag) not in TAKEN]
+
+
+def _flag_argv(flag):
+    value = FLAG_VALUES[flag]
+    return (flag,) if value is None else (flag, value)
+
+
+def _without_config(value):
+    if isinstance(value, dict):
+        return {key: _without_config(item) for key, item in value.items() if key != "config"}
+    return value
+
+
+def _output_without_config(capsys, out, argv) -> list:
+    """stdout and every file written under `out` by one run that exits 0,
+    each without its echo of the configuration."""
+    assert run_cli(*argv, "--out", str(out)) == 0
+    output = [capsys.readouterr().out]
+    for path in sorted(out.iterdir()) if out.is_dir() else [out]:
+        text = path.read_text()
+        try:
+            output.append(_without_config(json.loads(text)))
+        except json.JSONDecodeError:
+            output.append([line for line in text.splitlines() if not line.startswith("# config:")])
+    return output
+
+
+@pytest.mark.parametrize("command, flag", REFUSED, ids=map("".join, REFUSED))
+def test_a_flag_the_command_does_not_read_exits_2_naming_it(tmp_path, capsys, command, flag):
+    # a flag the command would only echo is refused: linkbudget's reach is
+    # asymptotic, report and sweep draw nothing seeded, a sweep's noise is its grid
+    out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:
-        run_cli(command, "--format", "csv", "--out", str(out))
+        run_cli(command, *_flag_argv(flag), "--out", str(out))
     assert exc.value.code == 2
-    assert "--format" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert f"unrecognized arguments: {flag}" in captured.err
+    assert captured.out == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flag", CHANGING, ids=map("".join, CHANGING))
+def test_every_flag_a_command_takes_changes_its_output(tmp_path, capsys, command, flag):
+    cfg = tmp_path / "base.json"
+    cfg.write_text(json.dumps(FLAG_BASE))
+    argv = (command, "--config", str(cfg))
+    plain = _output_without_config(capsys, tmp_path / "plain", argv)
+    flagged = _output_without_config(capsys, tmp_path / "flagged", (*argv, *_flag_argv(flag)))
+    assert flagged != plain
 
 
 def test_protocol_outputs_are_deterministic(tmp_path):
@@ -699,8 +752,9 @@ def test_every_channel_in_the_domain_exits_0_or_3_or_names_its_value(loss, nbar)
     with tempfile.TemporaryDirectory() as tmp:
         grid = Path(tmp, "grid.json")
         grid.write_text(json.dumps({"preset": "run1", "noise_grid": [0.0, nbar]}))
+        # the grid carries the noise to sweep, so sweep takes only the loss
         for argv in (["report", *channel], ["report", *channel, "--no-pe"],
-                     ["sweep", "--config", str(grid), *channel, "--format", "json"]):
+                     ["sweep", "--config", str(grid), *channel[:2], "--format", "json"]):
             out, err = Path(tmp, "out.json"), io.StringIO()
             out.unlink(missing_ok=True)
             with contextlib.redirect_stderr(err):
@@ -767,6 +821,31 @@ def test_out_of_range_settings_exit_2_naming_the_field(tmp_path, capsys, argv, c
     assert run_cli(*argv, "--out", str(out)) == 2
     assert named in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["report", "sweep", "protocol", "linkbudget"])
+@pytest.mark.parametrize("field, named", [
+    ({"bandwidth_hz": -5}, "bandwidth_hz must be finite and > 0, got -5"),
+    ({"linkbudget": {"occupancies": [1.0, -1]}}, "occupancies must be finite and >= 0, got -1.0"),
+    ({"noise_grid": [0.0, -0.1]}, "noise_photons must be finite and >= 0, got -0.1"),
+], ids=["bandwidth", "occupancies", "noise-grid"])
+def test_every_command_refuses_a_config_outside_the_domain(tmp_path, capsys, command, field, named):
+    # the configuration is checked whole, whichever fields the command reads
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"preset": "run1", **field}))
+    out = tmp_path / "out"
+    assert run_cli(command, "--config", str(cfg), "--out", str(out)) == 2
+    assert capsys.readouterr() == ("", f"error: {named}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field", [
+    {"bandwidth_hz": 0.0}, {"bandwidth_hz": math.inf}, {"bandwidth_hz": math.nan},
+    {"occupancies": (math.inf,)}, {"noise_grid": (math.nan,)}, {"noise_grid": (-0.0, -1e-300)},
+])
+def test_config_grids_and_bandwidth_are_finite_and_in_range(field):
+    with pytest.raises(ValueError, match="must be finite"):
+        ExperimentConfig(**field)
 
 
 def test_a_chain_that_overflows_chi_alone_is_named_not_the_noise(tmp_path, capsys):
@@ -840,9 +919,16 @@ def test_protocol_refuses_a_gain_whose_sums_of_squares_overflow(tmp_path, capsys
     ids=lambda argv: "_".join(argv),
 )
 def test_an_n_symbols_past_the_largest_float_exits_2_naming_n(tmp_path, capsys, argv):
-    # Delta and the EC prefactor take N as a float: refused once, in key_settings
+    # Delta and the EC prefactor take N as a float: refused once, in key_settings.
+    # linkbudget has no --n-symbols, but checks a config file's N all the same.
+    if argv[0] == "linkbudget":
+        cfg = tmp_path / "n.json"
+        cfg.write_text(json.dumps({"preset": "run1", "n_symbols": 10**400}))
+        argv = (*argv, "--config", str(cfg))
+    else:
+        argv = (*argv, "--n-symbols", str(10**400))
     out = tmp_path / "out"
-    assert run_cli(*argv, "--n-symbols", str(10**400), "--out", str(out)) == 2
+    assert run_cli(*argv, "--out", str(out)) == 2
     assert capsys.readouterr().err == (
         "error: n_raw (the symbol count N) must be <= 1.7976931348623157e+308\n"
     )
