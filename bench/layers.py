@@ -14,8 +14,10 @@ it once; each layer is timed with ``timeit`` (one call per sample) and
 reported as the median and interquartile range in seconds: the key.csv
 write and read-back at N = 16 665 and 10^6 rows, the write of a 16 665-row
 record whose floats all take ``repr``'s exponent notation, the 200-resample
-bootstrap, simulate/sift/estimate, one Gaussian op (``apply_loss``), the
-readout moments, ``holevo_dr``, ``composite_key``, one crossing of each
+bootstrap, the 16 665-row write and the bootstrap each also in a child
+forked through ``cli._in_child`` and joined, the whole ``protocol``
+command at N = 16 665 (``cli.main``), simulate/sift/estimate, one
+Gaussian op (``apply_loss``), the readout moments, ``holevo_dr``, ``composite_key``, one crossing of each
 kind (``noise_tolerance`` and ``max_tolerable_loss``), and the ``sweep``
 CSV write at 41, 401 and 10^4 grid points (``cmd_sweep`` with its sweep
 and crossing computed beforehand).
@@ -107,7 +109,7 @@ def in_process_layers(workdir: Path) -> dict:
     import numpy as np
 
     import mwqkd
-    from mwqkd import gaussian, linkbudget, protocol, security, stats
+    from mwqkd import cli, gaussian, linkbudget, protocol, security, stats
     from mwqkd.devices import ChannelParams
 
     chain, channel = mwqkd.RUN2_CHAIN, ChannelParams(0.0115, 1.7e-6)
@@ -118,12 +120,25 @@ def in_process_layers(workdir: Path) -> dict:
         alpha, beta = protocol.sift(record)
         return record, alpha, beta, protocol.estimate_channel(alpha, beta, chain)
 
+    def forked(fn, *args):
+        """fn(*args) in a child forked through ``cli._in_child``, then
+        joined; a write's None goes back through the pipe as 0.0."""
+        return lambda: cli._in_child(lambda: fn(*args) or 0.0)()
+
     record, alpha, beta, estimate = run(PAPER_N)
     state = gaussian.GaussianState(np.zeros(4), 0.25 * np.eye(4))
     readout = chain.readout
     layers = {
         "simulate_sift_estimate.16665": lambda: run(PAPER_N),
         "bootstrap_mi_sigma.16665": lambda: stats.bootstrap_mi_sigma(alpha, beta, 200, 3),
+        "bootstrap_mi_sigma.child.16665": forked(stats.bootstrap_mi_sigma, alpha, beta, 200, 3),
+        f"write_key_records.child.{PAPER_N}": forked(
+            protocol.write_key_records, record, workdir / "key-child.csv"
+        ),
+        f"cmd_protocol.{PAPER_N}": lambda: cli.main([
+            "protocol", "--preset", "run2", "--seed", "1", "--n-symbols", str(PAPER_N),
+            "--out", str(workdir / "protocol"),
+        ]),
         "gaussian.apply_loss": lambda: gaussian.apply_loss(state, 0.0115, 1.7e-6),
         "readout_moments": lambda: readout.moments(0.0115, 1.7e-6),
         "holevo_dr": lambda: security.holevo_dr(chain, channel),

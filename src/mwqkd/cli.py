@@ -184,13 +184,19 @@ def cmd_sweep(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
 
 
 def _in_child(fn, *args):
-    """Start fn(*args) in a forked child; return a join() that waits for it.
+    """Start fn(*args), which returns a float, in a forked child; return
+    a join(redo=True) that waits for it.
 
-    Where os.fork is missing or fails, or the child did not exit 0, join()
-    calls fn(*args) in this process, which raises the real error. fn's
-    result is not used. The child ends in os._exit: it never unwinds into
-    the caller or flushes the stdio buffers it inherited.
+    The child sends ``repr`` of the float through a pipe, which reads back
+    to the same value, and ends in os._exit: it never unwinds into the
+    caller or flushes the stdio buffers it inherited. join() returns the
+    child's float. Where os.fork is missing or fails, or the child did not
+    exit 0 (fn raised, or the child was killed), join() calls fn(*args) in
+    this process, which raises the real error. join(redo=False), for a
+    caller that leaves without the result, only waits for and reaps a child
+    not yet joined, and never calls fn.
     """
+    read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
     except (AttributeError, OSError):  # no fork on this platform, or none now
@@ -198,14 +204,25 @@ def _in_child(fn, *args):
     if pid == 0:
         status = 1
         try:
-            fn(*args)
+            # a float's repr is far below PIPE_BUF, so this write never blocks
+            os.write(write_fd, repr(float(fn(*args))).encode())
             status = 0
         finally:
             os._exit(status)
+    os.close(write_fd)
+    if pid is None:
+        os.close(read_fd)
 
-    def join():
-        if pid is None or os.waitpid(pid, 0)[1] != 0:
-            fn(*args)
+    def join(redo=True):
+        nonlocal pid
+        if pid is not None:
+            status = os.waitpid(pid, 0)[1]
+            pid = None
+            with open(read_fd, "rb") as pipe:
+                payload = pipe.read()
+            if status == 0:
+                return float(payload)
+        return fn(*args) if redo else None
 
     return join
 
@@ -233,9 +250,13 @@ def cmd_protocol(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
         codebook, record, cfg.chain, channel, cfg.seed + 1, bool(args.announce_bases)
     )
     manifest["config"] = config
-    # key.csv needs only the record, so a child writes it beside the analysis
-    join_key = _in_child(proto.write_key_records, record, outdir / "key.csv")
+    # the bootstrap needs only the sifted pairs, so a child runs it beside the rest
+    join_mi_sigma = _in_child(stats.bootstrap_mi_sigma, alpha, beta, 200, cfg.seed + 2)
     try:
+        # key.csv, then its manifest, whatever the analysis does
+        proto.write_key_records(record, outdir / "key.csv")
+        _write_json(outdir / "manifest.json", manifest)
+
         n_ec = cfg.key_settings["n_ec"]
         estimate = proto.estimate_channel(alpha[n_ec:], beta[n_ec:], cfg.chain)
         report = security.build_report(
@@ -256,11 +277,9 @@ def cmd_protocol(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
         overlap = stats.histogram_vs_gaussian(
             hist, 0.0, slope**2 * cfg.chain.codebook_variance + variance
         )
-        mi_sigma = stats.bootstrap_mi_sigma(alpha, beta, 200, cfg.seed + 2)
+        mi_sigma = join_mi_sigma()
     finally:
-        # a complete key.csv, then its manifest, whatever the analysis did
-        join_key()
-        _write_json(outdir / "manifest.json", manifest)
+        join_mi_sigma(redo=False)
     payload = report.to_dict()
     payload["empirical"] = {
         "n_matched": int(alpha.size),

@@ -72,12 +72,14 @@ CONFIG_SCHEMA = {
 
 
 def _is_number(value) -> bool:
-    # Python's json module also parses NaN and Infinity, which JSON lacks
-    return (
-        isinstance(value, (int, float))
-        and not isinstance(value, bool)
-        and math.isfinite(value)
-    )
+    # Python's json module also parses NaN and Infinity, which JSON lacks,
+    # and integers of any size; one past the largest float overflows isfinite
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 _JSON_TYPES = {

@@ -6,7 +6,7 @@ import pytest
 @pytest.fixture(autouse=True)
 def no_child_left_behind():
     """Fail a test that leaves a child process running or unreaped, such as
-    a `protocol` key.csv writer its run did not join."""
+    a `protocol` bootstrap child its run did not join."""
     yield
     if not hasattr(os, "WNOHANG"):
         return

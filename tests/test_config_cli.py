@@ -597,7 +597,7 @@ def _run(argv, out) -> tuple:
 @example(seed=7, n=16665, announce=False)
 @example(seed=7, n=100, announce=False)
 def test_a_forked_run_is_the_in_process_run(seed, n, announce):
-    # a child writes key.csv; without os.fork the parent writes it at the join
+    # a child runs the bootstrap; without os.fork the parent runs it at the join
     argv = ["protocol", "--preset", "run2", "--seed", str(seed), "--n-symbols", str(n)]
     argv += ["--announce-bases"] if announce else []
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
@@ -611,33 +611,38 @@ def test_a_forked_run_is_the_in_process_run(seed, n, announce):
     assert sorted(forked[3]) == files[forked[0]]
 
 
-def _recording_writes(monkeypatch, tmp_path, write) -> Path:
-    """Patch the key.csv write to log its pid to a file, then call `write`."""
-    log = tmp_path / "writes"
+def _recording_bootstraps(monkeypatch, tmp_path, bootstrap) -> Path:
+    """Patch the bootstrap to log its pid to a file, then call `bootstrap`."""
+    log = tmp_path / "bootstraps"
 
-    def logged(record, path):
+    def logged(*args):
         with open(log, "a") as fh:
             fh.write(f"{os.getpid()}\n")
-        write(record, path)
+        return bootstrap(*args)
 
-    monkeypatch.setattr(proto, "write_key_records", logged)
+    monkeypatch.setattr(stats, "bootstrap_mi_sigma", logged)
     return log
 
 
-def test_a_write_that_raises_in_the_child_is_the_in_process_raise(tmp_path, monkeypatch):
-    def fails(record, path):
-        raise OSError("the write failed")
-
-    log = _recording_writes(monkeypatch, tmp_path, fails)
-    forks = _recording_forks(monkeypatch)
+def test_a_bootstrap_that_raises_in_the_child_is_the_in_process_raise(tmp_path, monkeypatch):
     argv = ("protocol", "--n-symbols", "2000")
+    whole = _run(argv, tmp_path / "whole")[3]
+
+    def fails(*args):
+        raise OSError("the bootstrap failed")
+
+    log = _recording_bootstraps(monkeypatch, tmp_path, fails)
+    forks = _recording_forks(monkeypatch)
     forked = _run(argv, tmp_path / "forked")
     assert len(forks) == 1
     # once in the child, then once here at the join, which raises for real
     assert log.read_text().split() == [str(forks[0]), str(os.getpid())]
     monkeypatch.delattr(os, "fork")
     assert _run(argv, tmp_path / "in process") == forked
-    assert forked == (4, "", "error: the write failed\n", {})
+    assert forked == (
+        4, "", "error: the bootstrap failed\n",
+        {name: whole[name] for name in ("key.csv", "manifest.json")},
+    )
 
 
 @pytest.mark.parametrize("error, code", [(ValueError, 2), (InsufficientDataError, 3)])
@@ -661,21 +666,22 @@ def test_a_raise_in_the_analysis_leaves_the_key_and_its_manifest(
 
 
 @pytest.mark.parametrize("death", ["exit", "kill"])
-def test_a_child_that_dies_mid_write_leaves_the_bytes_unchanged(tmp_path, monkeypatch, death):
+def test_a_child_that_dies_mid_send_leaves_the_bytes_unchanged(tmp_path, monkeypatch, death):
     argv = ("protocol", "--preset", "run2", "--n-symbols", "3000", "--announce-bases")
     whole = _run(argv, tmp_path / "whole")
     parent = os.getpid()
-    write = proto.write_key_records
+    write = os.write
 
-    def dies_in_the_child(record, path):
-        write(record, path)
-        if os.getpid() != parent:
-            os.truncate(path, os.path.getsize(path) // 2)
-            if death == "exit":
-                os._exit(1)
-            os.kill(os.getpid(), signal.SIGKILL)
+    def dies_in_the_child(fd, data):
+        if os.getpid() == parent:
+            return write(fd, data)
+        write(fd, data[: len(data) // 2])  # part of sigma's repr
+        if death == "exit":
+            os._exit(1)
+        os.kill(os.getpid(), signal.SIGKILL)
 
-    log = _recording_writes(monkeypatch, tmp_path, dies_in_the_child)
+    log = _recording_bootstraps(monkeypatch, tmp_path, stats.bootstrap_mi_sigma)
+    monkeypatch.setattr(os, "write", dies_in_the_child)
     forks = _recording_forks(monkeypatch)
     assert _run(argv, tmp_path / "died") == whole
     assert log.read_text().split() == [str(forks[0]), str(parent)]
@@ -683,14 +689,14 @@ def test_a_child_that_dies_mid_write_leaves_the_bytes_unchanged(tmp_path, monkey
 
 def test_the_exit_3_path_waits_for_and_reaps_the_child(tmp_path, monkeypatch):
     parent = os.getpid()
-    write = proto.write_key_records
+    bootstrap = stats.bootstrap_mi_sigma
 
-    def slow_in_the_child(record, path):
+    def slow_in_the_child(*args):
         if os.getpid() != parent:
             time.sleep(0.5)
-        write(record, path)
+        return bootstrap(*args)
 
-    monkeypatch.setattr(proto, "write_key_records", slow_in_the_child)
+    log = _recording_bootstraps(monkeypatch, tmp_path, slow_in_the_child)
     forks = _recording_forks(monkeypatch)
     argv = ("protocol", "--n-symbols", "100")
     start = time.monotonic()
@@ -699,11 +705,31 @@ def test_the_exit_3_path_waits_for_and_reaps_the_child(tmp_path, monkeypatch):
     assert len(forks) == 1
     with pytest.raises(ChildProcessError):
         os.waitpid(forks[0], os.WNOHANG)
+    assert log.read_text().split() == [str(forks[0])]  # never run again here
     code, _, err, files = forked
     assert code == 3 and "matched pairs" in err
     assert sorted(files) == ["key.csv", "manifest.json"]
     monkeypatch.delattr(os, "fork")
-    assert _run(argv, tmp_path / "in process") == forked  # key.csv complete
+    assert _run(argv, tmp_path / "in process") == forked
+
+
+def test_the_exit_4_path_reaps_the_child_and_never_reruns_the_bootstrap(tmp_path, monkeypatch):
+    def fails(record, path):
+        raise OSError("the write failed")
+
+    monkeypatch.setattr(proto, "write_key_records", fails)
+    log = _recording_bootstraps(monkeypatch, tmp_path, stats.bootstrap_mi_sigma)
+    forks = _recording_forks(monkeypatch)
+    argv = ("protocol", "--n-symbols", "2000")
+    forked = _run(argv, tmp_path / "forked")
+    assert len(forks) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(forks[0], os.WNOHANG)
+    assert log.read_text().split() == [str(forks[0])]
+    assert forked == (4, "", "error: the write failed\n", {})
+    monkeypatch.delattr(os, "fork")
+    assert _run(argv, tmp_path / "in process") == forked
+    assert log.read_text().split() == [str(forks[0])]
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
@@ -836,6 +862,27 @@ def test_every_command_refuses_a_config_outside_the_domain(tmp_path, capsys, com
     out = tmp_path / "out"
     assert run_cli(command, "--config", str(cfg), "--out", str(out)) == 2
     assert capsys.readouterr() == ("", f"error: {named}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["report", "sweep", "protocol", "linkbudget"])
+@pytest.mark.parametrize("field, named", [
+    ({"channel": {"loss": 10**400}}, "channel.loss"),
+    ({"channel": {"noise_photons": -(10**400)}}, "channel.noise_photons"),
+    ({"linkbudget": {"occupancies": [1.0, 10**400]}}, "linkbudget.occupancies"),
+    ({"noise_grid": [0.0, 10**400]}, "noise_grid"),
+], ids=["loss", "noise", "occupancies", "noise-grid"])
+def test_an_integer_past_the_largest_float_exits_2_naming_the_field(
+    tmp_path, capsys, command, field, named
+):
+    # json.dump writes the int whole, and json.load reads it back as one
+    cfg = tmp_path / "huge.json"
+    with open(cfg, "w") as fh:
+        json.dump({"preset": "run1", **field}, fh)
+    out = tmp_path / "out"
+    assert run_cli(command, "--config", str(cfg), "--out", str(out)) == 2
+    stdout, stderr = capsys.readouterr()
+    assert stdout == "" and stderr.startswith(f"error: {named} must be a JSON number")
     assert not out.exists()
 
 
