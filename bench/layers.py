@@ -12,8 +12,9 @@ lands on every tree alike instead of between them.
 In process, each tree runs in a worker process of its own, which imports
 it once; each layer is timed with ``timeit`` (one call per sample) and
 reported as the median and interquartile range in seconds: the key.csv
-write and read-back at N = 16 665 and 10^6 rows, the write of a 16 665-row
-record whose floats all take ``repr``'s exponent notation, the 200-resample
+write and read-back at N = 16 665 and 10^6 rows, the write and read-back
+of a 16 665-row record whose floats all take ``repr``'s exponent notation
+(which the reader's kernel leaves to ``float``), the 200-resample
 bootstrap, the 16 665-row write and the bootstrap each also in a child
 forked through ``cli._in_child`` and joined, the whole ``protocol``
 command at N = 16 665 (``cli.main``), simulate/sift/estimate, one
@@ -153,8 +154,14 @@ def in_process_layers(workdir: Path) -> dict:
     exponent_record = dataclasses.replace(
         record, alice_symbols=record.alice_symbols * 1e-6, outcomes=record.outcomes * 1e-8
     )
+    exponent_path = workdir / "key-exponent.csv"
     layers[f"write_key_records.exponent.{PAPER_N}"] = lambda: protocol.write_key_records(
-        exponent_record, workdir / "key-exponent.csv"
+        exponent_record, exponent_path
+    )
+    # the reader's worst case: every float goes through float()
+    protocol.write_key_records(exponent_record, exponent_path)
+    layers[f"read_key_records.exponent.{PAPER_N}"] = lambda: protocol.read_key_records(
+        exponent_path
     )
     for n, record in ((PAPER_N, record), (LARGE_N, run(LARGE_N)[0])):
         path = workdir / f"key-{n}.csv"

@@ -10,8 +10,10 @@ attribute access (:class:`importlib.util.LazyLoader`), and the names this
 package re-exports from them resolve through the module ``__getattr__``.
 The CSV float kernel ``mwqkd._floatrepr`` needs numpy too; it is imported
 by :mod:`~mwqkd.protocol` and, inside the command, by the ``sweep`` CSV
-writer. A ``protocol`` run loads :mod:`~mwqkd.protocol`, ``_floatrepr``
-and :mod:`~mwqkd.stats` before it forks its bootstrap child: reading
+writer. Its inverse, the key.csv reader ``mwqkd._floatparse``, is
+imported by :mod:`~mwqkd.protocol` only. A ``protocol`` run loads
+:mod:`~mwqkd.protocol`, ``_floatrepr``, ``_floatparse`` and
+:mod:`~mwqkd.stats` before it forks its bootstrap child: reading
 ``stats.bootstrap_mi_sigma`` to hand it to the fork runs that lazy body
 in the parent, so no child runs it again.
 """

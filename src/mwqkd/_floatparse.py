@@ -1,0 +1,301 @@
+"""key.csv rows read back, in numpy: the inverse of ``_floatrepr.key_rows``.
+
+:func:`key_columns` parses a block of key.csv rows in one byte buffer.
+It finds the separators with one ``flatnonzero`` and checks the row
+shape, the index, the labels and the matched flag with whole-array
+compares. A float ``[-]I.F`` of fewer than 20 significant digits is read
+as 8-byte words of digits, each checked and turned into its value with
+three multiplies, and its value w * 10**-f rounds to the nearest double
+by one Eisel-Lemire step, a 64 x 64-bit product with the top 64 bits of
+10**-f (Lemire, "Number parsing at a gigabyte per second", Software:
+Practice and Experience 51(8), 2021). As the writer leaves the floats
+outside its domain to ``repr``, the reader leaves to ``float`` every
+other float text, zeros, and the about 1 in 256 values whose rounding
+that product cannot tell.
+
+The reader is a module of its own, apart from the writer's, because a
+process that imports a module compiles it when no bytecode cache is
+written: the ``sweep`` command, which writes through ``_floatrepr`` and
+never reads key.csv, would pay for compiling the reader too.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from ._floatrepr import _MASK52, _POW10, _high_product
+
+# Bytes in front of a block's first row, which the words of its index
+# may read; a word's bytes before its digit run are masked out.
+PAD = 16
+_ZEROS = np.uint64(0x3030303030303030)
+_HIGH_BITS = np.uint64(0x8080808080808080)
+# a word's bytes below byte k, k = 0..8; its last n bytes, n = 0..8, and
+# '0' in its other bytes
+_BELOW = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
+_KEEP = ~_BELOW[::-1]
+_FILL = _ZEROS & _BELOW[::-1]
+# the separators of a row: five commas, then its line end
+_ROW_SEPARATORS = np.frombuffer(b",,,,,\n", dtype=np.uint8)
+
+# The floats the kernel reads: w * 10**-f, w < 10**19 and f = 1 .. _PLACES.
+# _M_HIGH holds the top 64 bits of 10**-f, floor(2**(63 + L) / 10**f) with
+# L the bit length of 10**f, and _EXP2 the biased exponent of w * m /
+# 2**127 for w in [2**63, 2**64) (-217706 f >> 16 is floor(-f log2(10))).
+# Entry 0 is unused.
+_PLACES = 24
+_M_HIGH = np.array(
+    [0] + [(1 << 63 + (10**f).bit_length()) // 10**f for f in range(1, _PLACES + 1)],
+    dtype=np.uint64,
+)
+_EXP2 = np.array([(-217706 * f >> 16) + 64 + 1023 for f in range(_PLACES + 1)])
+# A run of digits ends a field: the index, or a float's last digits. It is
+# read as two words from its end, so up to 16 digits. The digits of a
+# float before its last 16 stay below _HIGH_LIMIT[k], k the digits after
+# them, so that w < 10**19.
+_RUN = 16
+_HIGH_LIMIT = np.array([10 ** (19 - k) for k in range(_RUN + 1)], dtype=np.uint64)
+
+
+def _words(buf: np.ndarray, at: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``buf[at:at + 8]`` for each offset `at`, as little-endian words.
+
+    Each word is funnel-shifted from the two aligned words it spans, so
+    `buf` must start 8-byte aligned and hold whole words.
+    """
+    aligned = buf.view(np.uint64)
+    q = at >> 3
+    aligned.take(q, out=out)
+    q += 1
+    high = aligned.take(q, mode="clip")
+    shift = (at & 7).view(np.uint64)
+    shift <<= 3
+    out >>= shift
+    np.subtract(64, shift, out=shift)
+    high <<= shift  # a shift of 64 gives 0
+    out |= high
+    return out
+
+
+def _eight_digits(w: np.ndarray):
+    """The value of each word of 8 ASCII digits, the first in its low
+    byte, and whether it is 8 digits. `w` is overwritten.
+
+    A byte is a digit where its high bit stays clear in itself, in itself
+    plus 0x46 (bytes from ':' up) and in itself less 0x30 (bytes below
+    '0'); a carry or borrow out of a byte sets that byte's bit first. The
+    value takes three multiplies (Lemire, as in the module docstring).
+    """
+    check = w + 0x4646464646464646
+    check |= w
+    w -= _ZEROS
+    check |= w
+    ok = (check & _HIGH_BITS) == 0
+    del check
+    w &= 0x0F0F0F0F0F0F0F0F
+    w *= 2561
+    w >>= 8
+    w &= 0x00FF00FF00FF00FF
+    w *= 6553601
+    w >>= 16
+    w &= 0x0000FFFF0000FFFF
+    w *= 42949672960001
+    w >>= 32
+    return w, ok
+
+
+def _first_point(w: np.ndarray) -> np.ndarray:
+    """The offset of the first ``'.'`` in each word, 0 where there is none."""
+    x = w ^ 0x2E2E2E2E2E2E2E2E
+    z = x - 0x0101010101010101
+    z &= ~x
+    z &= _HIGH_BITS  # 0x80 in the first '.' byte, and maybe in bytes after it
+    z &= ~z + 1  # the first alone: 0x80 << 8 j
+    z >>= 7
+    z *= 0x0001020304050607  # brings byte 7 - j of the constant, j, to the top
+    z >>= 56
+    return z.view(np.int64)
+
+
+def _nearest(w: np.ndarray, f: np.ndarray):
+    """Bits of the double nearest w * 10**-f for 0 < w < 10**19 and
+    f = 1 .. 24, and whether they are certain.
+
+    One Eisel-Lemire step: w, shifted to 64 bits, times the top 64 bits
+    of 10**-f; the top 54 bits of the product's high word round to the
+    double's mantissa. Where its next 9 bits are all ones, the rest of
+    10**-f may carry into them, and where they are all zeros the product
+    may be a halfway case; there, about 1 in 256 values, the bits are
+    not certain, and the caller parses the text.
+    """
+    # the double nearest w has w's exponent, or one more where it rounds up
+    shift = 1086 - (w.astype(np.float64).view(np.uint64) >> 52)
+    man = w << shift
+    up = ~man >> 63
+    man <<= up
+    shift += up
+    product = _high_product(man, _M_HIGH.take(f))
+    certain = (product + 1 & 0x1FF) > 1
+    top = product >> 63
+    mantissa = product >> top + 9
+    mantissa += mantissa & 1
+    mantissa >>= 1
+    top += mantissa >> 53
+    mantissa >>= mantissa >> 53
+    exp2 = _EXP2.take(f) - shift.view(np.int64) + top.view(np.int64) - 1
+    return exp2.view(np.uint64) << 52 | mantissa & _MASK52, certain
+
+
+def _as_float(text: bytes) -> float:
+    """A float field as ``np.loadtxt`` reads it: ``float`` of the text less
+    its surrounding whitespace, which must be ASCII with no ``_``; a ``\\r``
+    is a line break to ``np.loadtxt``."""
+    core = text.decode().strip()
+    if not core.isascii() or "_" in core or b"\r" in text:
+        raise ValueError(f"could not convert {text!r} to float")
+    return float(core)
+
+
+def _as_floats(text: bytes, starts: list, ends: list) -> list:
+    """:func:`_as_float` of each field ``text[start:end]``, in one pass over
+    them joined where they are ASCII with no ``_`` or ``\\r``."""
+    fields = [text[a:b] for a, b in zip(starts, ends)]
+    joined = b",".join(fields)
+    if joined.isascii() and b"_" not in joined and b"\r" not in joined:
+        return list(map(float, map(str.strip, joined.decode().split(","))))
+    return list(map(_as_float, fields))
+
+
+def _row_separators(buf: np.ndarray, end: int, start: int):
+    """The five commas and the line end of each whole row in
+    ``buf[PAD:end]``, as a (6, n) array, and the offset after the last
+    row; n is 0 where there is no line end. A row without five commas
+    before its line end raises ValueError naming it."""
+    data = buf[:end]
+    separators = np.equal(data, 44)
+    separators |= data == 10
+    separators = np.flatnonzero(separators)
+    kinds = buf[separators]
+    last = kinds.size - np.argmax(kinds[::-1] == 10) if kinds.size else 0
+    if not last or kinds[last - 1] != 10:
+        return np.empty((6, 0), dtype=np.int64), PAD
+    n = last // 6
+    stop = separators[last - 1] + 1
+    if last != 6 * n or not (kinds[:last].reshape(n, 6) == _ROW_SEPARATORS).all():
+        rows = data[:stop]
+        counts = np.searchsorted(np.flatnonzero(rows == 44), np.flatnonzero(rows == 10))
+        bad = np.argmax(np.diff(counts, prepend=0) != 5)
+        raise ValueError(f"key CSV row {start + bad} does not have 6 fields")
+    return separators[:last].reshape(n, 6).T.copy(), stop
+
+
+def key_columns(buf: np.ndarray, end: int, start: int):
+    """The inverse of ``_floatrepr.key_rows``: ``(pair, alpha, beta, stop)``
+    of the whole rows in ``buf[PAD:stop]``, numbered from `start`, where
+    `stop` follows the last line end before `end` (PAD, and no rows,
+    where there is none).
+
+    A row is ``i,A,B,alpha,beta,M`` ended by ``\\n`` or ``\\r\\n``. `buf`
+    starts 8-byte aligned, holds whole words, and has at least 8 bytes
+    after `end`. A row has six fields: i in 1 to 16 decimal digits, the
+    labels A and B one byte ``q`` or ``p`` each, and M one byte, ``1``
+    where A == B and ``0`` elsewhere. ``pair`` is ``2 * alice + bob`` as
+    int8.
+
+    A float written ``[-]I.F`` is read by the kernel where I has 1 to 7
+    digits, F has 1 to 24, and I and F less F's last 16 digits come to at
+    most 7 digits. Those are one word from I's start with the point taken
+    out, F's last digits two words from its end, and their value
+    w < 10**19 rounds in :func:`_nearest`. Any other float text, a zero,
+    or a rounding the kernel cannot certify goes through
+    :func:`_as_floats`. Anything else raises ValueError naming the row.
+    """
+    c, stop = _row_separators(buf, end, start)
+    n = c.shape[1]
+    labels = buf[c[:2] + 1]
+    bad = (c[1:3] - c[:2] != 2) | (labels - np.uint8(ord("p")) > 1)
+    for column, wrong in zip(("alice_basis", "bob_basis"), bad):
+        if wrong.any():
+            raise ValueError(
+                f"key CSV {column} must be one of ('q', 'p') (row {start + np.argmax(wrong)})"
+            )
+    codes = np.uint8(ord("q")) - labels  # 0 for q, 1 for p
+    row_end = c[5] - (buf[c[5] - 1] == 13)
+    if not ((row_end - c[4] == 2) & (buf[c[4] + 1] == (codes[0] == codes[1]) + ord("0"))).all():
+        raise ValueError("key CSV matched column disagrees with the basis columns")
+
+    # The floats, alpha then beta, are [-]I.F; the word at I's start finds
+    # the point. A digit run ends the index and each float: its last 8
+    # digits and the 8 before them are two words from its end. The digits
+    # of a float before its run, less the point, are a third word.
+    field_start = c[2:4].ravel() + 1
+    negative = buf[field_start] == ord("-")
+    body = field_start + negative
+    words = np.empty(8 * n, dtype=np.uint64)
+    head = _words(buf, body, out=words[6 * n :])
+    point = _first_point(head)
+    runs_end = c[[0, 3, 4]].ravel()
+    field_end = runs_end[n:]
+    places = field_end - body
+    places -= point
+    places -= 1
+    lengths = np.empty(3 * n, dtype=np.int64)
+    lengths[:1] = c[0, :1] - PAD
+    np.subtract(c[0, 1:], c[5, :-1] + 1, out=lengths[1:n])
+    np.minimum(np.maximum(places, 0), _RUN, out=lengths[n:])
+    # the work arrays below peak the reader's memory: free what is done
+    del c, body
+    _words(buf, runs_end - 8, out=words[: 3 * n])
+    _words(buf, runs_end - 16, out=words[3 * n : 6 * n])
+    for k, run in enumerate((words[: 3 * n], words[3 * n : 6 * n])):
+        taken = np.minimum(np.maximum(lengths - 8 * k, 0), 8)
+        run &= _KEEP.take(taken)
+        run |= _FILL.take(taken)
+    high = point + places
+    high -= lengths[n:]
+    moved = head & _BELOW.take(point)
+    moved <<= 8
+    head &= ~_BELOW.take(point + 1)
+    head |= moved
+    del moved
+    # a shift of 64 or more gives 0, which is not digits: more than 7 of
+    # them do not fit
+    head <<= (56 - 8 * high).view(np.uint64)
+    head |= _FILL.take(np.minimum(np.maximum(high, 0), 8))
+    values, ok = _eight_digits(words)
+    run = values[3 * n : 6 * n] * 10**8
+    run += values[: 3 * n]
+    run_ok = ok[: 3 * n] & ok[3 * n : 6 * n]
+    run_ok &= lengths >= 1
+    index_ok = run_ok[:n].all() and (lengths[:n] <= _RUN).all()
+    if not (index_ok and (run[:n] == np.arange(start, start + n)).all()):
+        raise ValueError("key CSV index column must run 0..n-1")
+    low = lengths[n:]
+    kernel = run_ok[n:] & ok[6 * n :]
+    kernel &= (point > 0) & (places >= 1) & (places <= _PLACES)
+    head = values[6 * n :]
+    kernel &= head < _HIGH_LIMIT.take(low)
+    w = head * _POW10.take(low)
+    w += run[n:]
+    del words, values, ok, run, run_ok, head, lengths, low, high, point
+    kernel &= w != 0
+    bits, certain = _nearest(w, np.minimum(np.maximum(places, 0), _PLACES))
+    kernel &= certain
+    bits |= negative.astype(np.uint64) << 63
+    floats = bits.view(np.float64)
+    other = np.flatnonzero(~kernel)
+    if other.size:
+        starts, ends = field_start[other].tolist(), field_end[other].tolist()
+        try:
+            floats[other] = _as_floats(buf[:stop].tobytes(), starts, ends)
+        except ValueError:
+            for i, a, b in zip(other.tolist(), starts, ends):
+                try:
+                    _as_float(buf[a:b].tobytes())
+                except ValueError:
+                    raise ValueError(
+                        f"key CSV {('alpha', 'beta')[i // n]} is not a float: "
+                        f"{buf[a:b].tobytes()!r} (row {start + i % n})"
+                    ) from None
+            raise
+    return (2 * codes[0] + codes[1]).view(np.int8), floats[:n], floats[n:], stop

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass, fields, replace
 
 from .devices import DeviceChainParams, check_channel
@@ -203,8 +204,12 @@ def _grid_from_shorthand(grid: dict) -> tuple[float, ...]:
     start, stop, num = float(grid["start"]), float(grid["stop"]), grid["num"]
     if num < 1:
         raise ValueError("noise_grid num must be >= 1")
-    step = (stop - start) / (num - 1) if num > 1 else 0.0
-    return tuple(start + step * i for i in range(num))
+    if num == 1:
+        return (start,)
+    # the last point is stop itself: start + step * (num - 1) may round past
+    # it, below 0.0 for a grid that falls to 0.0
+    step = (stop - start) / (num - 1)
+    return tuple(start + step * i for i in range(num - 1)) + (stop,)
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
@@ -240,8 +245,16 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 def load_config(path) -> ExperimentConfig:
     """Read a JSON configuration file."""
     with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"invalid JSON in {path}: {exc}") from exc
+        text = fh.read()
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"invalid JSON in {path}: {exc}") from exc
+    except ValueError as exc:
+        # the only other ValueError of json.loads: int() of a literal longer
+        # than the interpreter's digit limit
+        raise ValueError(
+            f"invalid JSON in {path}: an integer has more than "
+            f"{sys.get_int_max_str_digits()} digits"
+        ) from exc
     return config_from_dict(data)

@@ -15,7 +15,10 @@ float as ``repr(float(x))``. The floats ``repr`` writes in fixed notation,
 numpy kernel in ``_floatrepr`` (shortest round-trip digits by the
 Schubfach method); every other float goes through ``repr`` itself. In
 the presets' transcripts those are a few per run, about 4e-5 of the
-floats.
+floats. The reader, ``_floatparse``, is that kernel's inverse: a float
+``[-]I.F`` of fewer than 20 significant digits rounds to its double by
+one Eisel-Lemire step; any other float text, and about 1 in 256 of those
+whose rounding the step leaves open, goes through ``float``.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import _floatrepr
+from . import _floatparse, _floatrepr
 from .devices import (
     VACUUM_VARIANCE,
     ChannelEstimate,
@@ -41,21 +44,14 @@ BASIS_LABELS = ("q", "p")
 # residual-variance errors are not in their asymptotic regime.
 MIN_ESTIMATION_SAMPLES = 30
 
-# The key.csv columns. Basis labels are parsed as 2-byte strings so that
-# a longer label (``qq``, ``qp``) truncates to something still not a label.
-_KEY_CSV_DTYPE = np.dtype(
-    [
-        ("index", np.int64),
-        ("alice_basis", "S2"),
-        ("bob_basis", "S2"),
-        ("alpha", np.float64),
-        ("beta", np.float64),
-        ("matched", np.int64),
-    ]
-)
-KEY_CSV_COLUMNS = _KEY_CSV_DTYPE.names
+# The key.csv columns.
+KEY_CSV_COLUMNS = ("index", "alice_basis", "bob_basis", "alpha", "beta", "matched")
 # Symbols per block of the draws and of the record checks.
 _DRAW_BLOCK = 1 << 14
+# Bytes per block of the key.csv reader: about 1 300 of the presets'
+# 51-byte rows. With its work arrays the reader peaks about 0.55 MB above
+# the record it returns, at any N (np.loadtxt: 0.70 MB at N = 16 665).
+_READ_BLOCK = 1 << 16
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -290,40 +286,54 @@ def write_key_records(record: KeyRecord, path) -> None:
 def read_key_records(path) -> KeyRecord:
     """Read a transcript written by :func:`write_key_records`.
 
-    The rows are parsed in one ``np.loadtxt`` call, which rounds every
-    float exactly as ``float`` does, so a written record reads back
-    bit-exact. Both ``\\r\\n`` and ``\\n`` line ends are read. A short row,
-    a non-numeric field, a basis label other than ``q``/``p``, an index
-    column other than 0..n-1, or a matched column that disagrees with the
-    record's derived ``matched`` raises ValueError.
+    A first pass counts the rows. The second reads the file into one
+    buffer, ``_READ_BLOCK`` bytes at a time, and ``_floatparse.key_columns``
+    parses the whole rows of each block; the partial row after them moves
+    to the front of the next. Each float reads back as ``float`` rounds
+    its text, so a written record reads back bit-exact. Both ``\\r\\n``
+    and ``\\n`` line ends are read, and the last row may have none. A row
+    without six fields, an index other than 0..n-1 in up to 16 digits, a
+    basis label other than ``q``/``p``, a matched flag other than the
+    ``0``/``1`` the basis columns give, or a float that ``np.loadtxt``
+    would not read raises ValueError. Memory beyond the record is the
+    buffer and one block's arrays, whatever N.
     """
-    with open(path) as fh:
-        header = tuple(fh.readline().rstrip("\n").split(","))
-        header_only = not fh.read(1)
-    if header != KEY_CSV_COLUMNS:
-        raise ValueError(f"unexpected key CSV header: {header!r}")
-    if header_only:  # loadtxt would warn about empty input
-        rows = np.empty(0, dtype=_KEY_CSV_DTYPE)
-    else:
-        rows = np.loadtxt(
-            path, dtype=_KEY_CSV_DTYPE, delimiter=",", comments=None, skiprows=1, ndmin=1
-        )
-    alice = _basis_codes(rows["alice_basis"], "alice_basis")
-    bob = _basis_codes(rows["bob_basis"], "bob_basis")
-    if not np.array_equal(rows["index"], np.arange(rows.size)):
-        raise ValueError("key CSV index column must run 0..n-1")
-    record = KeyRecord(rows["alpha"].copy(), alice, bob, rows["beta"].copy())
-    if not np.array_equal(rows["matched"], record.matched):
-        raise ValueError("key CSV matched column disagrees with the basis columns")
-    return record
-
-
-def _basis_codes(labels: np.ndarray, column: str) -> np.ndarray:
-    """0/1 basis codes of a column of ``BASIS_LABELS`` read as bytes."""
-    is_q, is_p = (labels == label.encode() for label in BASIS_LABELS)
-    if not np.all(is_q | is_p):
-        raise ValueError(f"key CSV {column} must be one of {BASIS_LABELS}")
-    return is_p.astype(np.int8)
+    with open(path, "rb") as fh:
+        header = fh.readline().removesuffix(b"\n").removesuffix(b"\r")
+        if header != ",".join(KEY_CSV_COLUMNS).encode():
+            raise ValueError(f"unexpected key CSV header: {header!r}")
+        data_start = fh.tell()
+        pad = _floatparse.PAD
+        # whole aligned words, with room after the block for the kernel's
+        # last word and for a line end after a last row that has none
+        buf = np.zeros((pad + _READ_BLOCK) // 8 + 1, dtype=np.uint64).view(np.uint8)
+        view = memoryview(buf)[pad : pad + _READ_BLOCK]
+        n, last = 0, ord("\n")
+        while got := fh.readinto(view):
+            n += np.count_nonzero(buf[pad : pad + got] == ord("\n"))
+            last = buf[pad + got - 1]
+        n += last != ord("\n")
+        alpha, beta = np.empty(n), np.empty(n)
+        alice, bob = np.empty(n, dtype=np.int8), np.empty(n, dtype=np.int8)
+        fh.seek(data_start)
+        row = tail = 0
+        while row < n:
+            got = fh.readinto(view[tail:])
+            end = pad + tail + got
+            if not got:  # the last row has no line end
+                buf[end] = ord("\n")
+                end += 1
+            pair, block_alpha, block_beta, stop = _floatparse.key_columns(buf, end, row)
+            if end == pad + _READ_BLOCK and stop == pad:
+                raise ValueError(f"key CSV row {row} is longer than {_READ_BLOCK} bytes")
+            rows = slice(row, row + pair.size)
+            np.right_shift(pair, 1, out=alice[rows])
+            np.bitwise_and(pair, 1, out=bob[rows])
+            alpha[rows], beta[rows] = block_alpha, block_beta
+            row = rows.stop
+            tail = end - stop
+            buf[pad : pad + tail] = buf[stop:end]
+    return KeyRecord(alpha, alice, bob, beta)
 
 
 def key_manifest(

@@ -140,7 +140,8 @@ def bootstrap_mi_sigma(x, y, n_boot: int = 200, seed: int = 0) -> float:
     the full-sample means and weighted by how often each pair was drawn,
     so no resampled copy of the data is built. The five moment rows are
     filled in place, and each resample's sums are one ``terms @ counts``
-    product, whose summation order fixes the bits of the result. A
+    product, the counts turned into float64 in place; the product's
+    summation order fixes the bits of the result. A
     resample with zero variance in either variable has no correlation and
     gives nan, as ``np.corrcoef`` does.
     """
@@ -158,7 +159,12 @@ def bootstrap_mi_sigma(x, y, n_boot: int = 200, seed: int = 0) -> float:
     np.multiply(xc, yc, out=xy)
     sums = np.empty((n_boot, terms.shape[0]))
     for b in range(n_boot):
-        sums[b] = terms @ np.bincount(rng.integers(0, n, size=n), minlength=n)
+        counts = np.bincount(rng.integers(0, n, size=n), minlength=n)
+        # the counts as float64 in their own memory, element by element,
+        # where the product would cast them into a fresh array
+        weights = counts.view(np.float64)
+        np.copyto(weights, counts, casting="unsafe")
+        np.matmul(terms, weights, out=sums[b])
     mx, my, mxx, myy, mxy = (sums / n).T
     cov = mxy - mx * my
     with np.errstate(divide="ignore", invalid="ignore"):

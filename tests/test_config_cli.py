@@ -314,6 +314,7 @@ _sweep_grids = st.one_of(
 @example(preset="run1", grid=[0.0, -0.0, 5e-324, 1e-300])
 @example(preset="run2", grid={"start": 0.0, "stop": 1e-6, "num": 41})
 @example(preset="run2", grid={"start": 0.0, "stop": 1e20, "num": 41})
+@example(preset="run1", grid={"start": 1e-05, "stop": 0.0, "num": 21})
 def test_sweep_csv_is_the_str_csv(preset, grid):
     # the kernel writes the bytes str writes, to --out and to stdout
     with tempfile.TemporaryDirectory() as tmp:
@@ -886,6 +887,22 @@ def test_an_integer_past_the_largest_float_exits_2_naming_the_field(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["report", "sweep", "protocol", "linkbudget"])
+def test_an_integer_past_the_digit_limit_exits_2_naming_the_file(tmp_path, capsys, command):
+    # json.loads refuses it with a plain ValueError, not a JSONDecodeError
+    cfg = tmp_path / "digits.json"
+    cfg.write_text('{"preset": "run1", "channel": {"loss": 1' + "0" * 5000 + "}}")
+    out = tmp_path / "out"
+    assert run_cli(command, "--config", str(cfg), "--out", str(out)) == 2
+    stdout, stderr = capsys.readouterr()
+    assert stdout == ""
+    assert stderr == (
+        f"error: invalid JSON in {cfg}: an integer has more than "
+        f"{sys.get_int_max_str_digits()} digits\n"
+    )
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("field", [
     {"bandwidth_hz": 0.0}, {"bandwidth_hz": math.inf}, {"bandwidth_hz": math.nan},
     {"occupancies": (math.inf,)}, {"noise_grid": (math.nan,)}, {"noise_grid": (-0.0, -1e-300)},
@@ -1208,6 +1225,8 @@ assert "pickle" not in sys.modules
 assert cli.main(["sweep", "--out", out + "/sweep.csv"]) == 0
 assert "numpy" in sys.modules
 assert "mwqkd._floatrepr" in sys.modules
+# the key.csv reader is compiled only where a transcript is read
+assert "mwqkd._floatparse" not in sys.modules
 assert cli.main(["protocol", "--n-symbols", "2000", "--out", out + "/run"]) == 0
 
 import mwqkd

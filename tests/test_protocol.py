@@ -5,6 +5,7 @@ import dataclasses
 import math
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -147,6 +148,28 @@ def test_key_csv_writer_memory_is_flat_in_n(tmp_path):
         peaks.append(peak)
     assert max(peaks) < _CAP, peaks
     assert abs(peaks[1] - peaks[0]) < _FLAT, peaks
+
+
+def _record_bytes(rec):
+    return _nbytes(*(getattr(rec, column.name) for column in dataclasses.fields(proto.KeyRecord)))
+
+
+def test_key_csv_reader_memory_is_flat_in_n(tmp_path):
+    # The paper's N and four times it: the reader's peak above the record
+    # it returns is its buffer and one block's arrays, whatever N. The
+    # record's matched mask is formed after the last block, so the peak
+    # is taken above the other columns. A first read fills numpy's caches.
+    extra = {}
+    for n in (100, 16665, 4 * 16665):
+        cb = proto.generate_codebook(n, RUN2.codebook_variance, seed=5)
+        rec = proto.simulate_transmission(cb, RUN2, CHANNEL, seed=6)
+        proto.write_key_records(rec, tmp_path / f"{n}.csv")
+        back, peak = _traced_peak(proto.read_key_records, tmp_path / f"{n}.csv")
+        extra[n] = peak - _record_bytes(back) + back.matched.nbytes
+    assert abs(extra[4 * 16665] - extra[16665]) < _FLAT, extra
+    # no more than the np.loadtxt reader's peak above its whole record
+    oracle, peak = _traced_peak(_loadtxt_reader_oracle, tmp_path / "16665.csv")
+    assert extra[16665] <= peak - _record_bytes(oracle), (extra, peak)
 
 
 @pytest.mark.parametrize("announce", [False, True])
@@ -314,6 +337,47 @@ def _csv_writer_oracle(record, path):
             )
 
 
+# The key.csv columns as ``np.loadtxt`` parsed them. Basis labels are
+# 2-byte strings, so that a longer label truncates to a non-label.
+_LOADTXT_DTYPE = np.dtype(
+    [
+        ("index", np.int64),
+        ("alice_basis", "S2"),
+        ("bob_basis", "S2"),
+        ("alpha", np.float64),
+        ("beta", np.float64),
+        ("matched", np.int64),
+    ]
+)
+
+
+def _loadtxt_reader_oracle(path):
+    """The ``np.loadtxt`` transcript reader: the parsing reference."""
+    with open(path) as fh:
+        header = tuple(fh.readline().rstrip("\n").split(","))
+        header_only = not fh.read(1)
+    if header != proto.KEY_CSV_COLUMNS:
+        raise ValueError(f"unexpected key CSV header: {header!r}")
+    if header_only:  # loadtxt would warn about empty input
+        rows = np.empty(0, dtype=_LOADTXT_DTYPE)
+    else:
+        rows = np.loadtxt(
+            path, dtype=_LOADTXT_DTYPE, delimiter=",", comments=None, skiprows=1, ndmin=1
+        )
+    codes = []
+    for column in ("alice_basis", "bob_basis"):
+        is_q, is_p = (rows[column] == label.encode() for label in proto.BASIS_LABELS)
+        if not np.all(is_q | is_p):
+            raise ValueError(f"key CSV {column} must be one of {proto.BASIS_LABELS}")
+        codes.append(is_p.astype(np.int8))
+    if not np.array_equal(rows["index"], np.arange(rows.size)):
+        raise ValueError("key CSV index column must run 0..n-1")
+    record = proto.KeyRecord(rows["alpha"].copy(), *codes, rows["beta"].copy())
+    if not np.array_equal(rows["matched"], record.matched):
+        raise ValueError("key CSV matched column disagrees with the basis columns")
+    return record
+
+
 @pytest.mark.parametrize("announce", [False, True])
 @pytest.mark.parametrize("chain", [RUN1, RUN2], ids=["run1", "run2"])
 def test_key_csv_bytes_match_csv_writer(tmp_path, chain, announce):
@@ -464,10 +528,10 @@ def test_key_record_derives_matched():
 
 
 @st.composite
-def _key_records(draw):
-    n = draw(st.integers(0, 300))
+def _key_records(draw, floats=st.floats(allow_nan=False, allow_infinity=False), max_size=300):
+    n = draw(st.integers(0, max_size))
     bases = st.lists(st.integers(0, 1), min_size=n, max_size=n)
-    floats = st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=n, max_size=n)
+    floats = st.lists(floats, min_size=n, max_size=n)
     alice = np.array(draw(bases), dtype=np.int8)
     bob = np.array(draw(bases), dtype=np.int8)
     alpha = np.array(draw(floats), dtype=np.float64)
@@ -500,6 +564,170 @@ def test_key_csv_bytes_and_read_back_property(tmp_path, rec):
     assert back.matched.tolist() == agree
 
 
+def _same_records(got, want):
+    # column for column, to the bit and the dtype, the derived matched too
+    for column in dataclasses.fields(proto.KeyRecord):
+        assert _bits(getattr(got, column.name)) == _bits(getattr(want, column.name)), column
+
+
+# finite doubles of every kind the writer lays out: fixed and exponent
+# notation, zeros, subnormals, exact powers of two
+_record_floats = _table_floats.filter(math.isfinite)
+
+
+@settings(
+    max_examples=80,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(rec=_key_records(_record_floats), newline=st.sampled_from([b"\r\n", b"\n"]))
+def test_key_csv_reader_is_the_loadtxt_reader_on_written_transcripts(tmp_path, rec, newline):
+    path = tmp_path / "key.csv"
+    proto.write_key_records(rec, path)
+    path.write_bytes(path.read_bytes().replace(b"\r\n", newline))
+    _same_records(proto.read_key_records(path), _loadtxt_reader_oracle(path))
+
+
+@pytest.mark.parametrize("last_line_end", [True, False])
+@pytest.mark.parametrize("newline", [b"\r\n", b"\n"])
+def test_key_csv_reader_is_the_loadtxt_reader_across_blocks(tmp_path, newline, last_line_end):
+    # every kind of float, in rows over several read blocks, which cut
+    # rows at their ends wherever they fall; the last row may have no end
+    floats = _repr_cases()[::20]
+    n = floats.size // 2
+    bases = np.resize(np.array([0, 1, 1, 0, 1], dtype=np.int8), n)
+    rec = proto.KeyRecord(floats[:n], bases, bases[::-1].copy(), floats[n : 2 * n])
+    path = tmp_path / "key.csv"
+    proto.write_key_records(rec, path)
+    data = path.read_bytes().replace(b"\r\n", newline)
+    path.write_bytes(data if last_line_end else data.removesuffix(newline))
+    assert path.stat().st_size > 4 * proto._READ_BLOCK
+    back = proto.read_key_records(path)
+    _same_records(back, _loadtxt_reader_oracle(path))
+    _same_records(back, rec)
+
+
+# Float texts the writer does not write: blanks, signs, a point at either
+# end, exponents, extra zeros, more digits than the kernel reads, and
+# texts that np.loadtxt refuses
+_FLOAT_TEXTS = [
+    " 0.5", "0.5\t", "\xa00.5", "0.5\x1c", "+0.5", "-.5", "5.", "1e5", "1E-5", "00.50",
+    "0.0", "-0.0", "1.00000000000000000000001", "1234567.12345678901234567", "12345678.5",
+    "0." + "0" * 23 + "1", "9" * 19 + ".0", "0." + "9" * 24, "99999.99999999999999999",
+    "1_0.5", "0.5\r", "0x1p-1",
+    "\u0661.5", "0.5\x00", "inf", "nan", "", "-", ".",
+]
+
+
+@pytest.mark.parametrize("column", [3, 4], ids=["alpha", "beta"])
+@pytest.mark.parametrize("text", _FLOAT_TEXTS)
+def test_key_csv_float_texts_read_as_loadtxt_reads_them(tmp_path, text, column):
+    fields = ["0", "q", "p", "0.25", "-0.5", "0"]
+    fields[column] = text
+    path = tmp_path / "key.csv"
+    path.write_bytes(("\r\n".join([_KEY_ROWS[0], ",".join(fields)]) + "\r\n").encode())
+    try:
+        want = _loadtxt_reader_oracle(path)
+    except ValueError:
+        with pytest.raises(ValueError):
+            proto.read_key_records(path)
+    else:
+        _same_records(proto.read_key_records(path), want)
+
+
+def _near_midpoint_texts():
+    """Decimals of 19 significant digits either side of the midpoint of
+    two neighbouring doubles, 1e-4 <= x < 1e6, in fixed notation: where a
+    64-bit power of ten cannot tell the rounding, the kernel must leave
+    the text to float()."""
+    texts = []
+    for x in np.random.default_rng(33).uniform(1e-4, 1e6, size=400).tolist():
+        mid = (Fraction(x) + Fraction(math.nextafter(x, math.inf))) / 2
+        places = 18 - math.floor(math.log10(mid))
+        for digits in (math.floor(mid * 10**places), math.ceil(mid * 10**places)):
+            text = str(digits).rjust(places + 1, "0")
+            texts.append(f"{text[:-places]}.{text[-places:]}")
+    return texts
+
+
+def test_key_csv_reads_decimals_next_to_a_rounding_midpoint(tmp_path):
+    texts = _near_midpoint_texts()
+    n = len(texts) // 2
+    rows = [f"{i},q,q,{texts[i]},{texts[n + i]},1" for i in range(n)]
+    path = tmp_path / "key.csv"
+    path.write_bytes(("\r\n".join([_KEY_ROWS[0], *rows]) + "\r\n").encode())
+    back = proto.read_key_records(path)
+    want = np.array([float(text) for text in texts])
+    assert back.alice_symbols.tobytes() + back.outcomes.tobytes() == want.tobytes()
+    _same_records(back, _loadtxt_reader_oracle(path))
+
+
+def _fixed_field_takes(column, text):
+    """Whether the reader takes `text` in a field other than a float: the
+    index as 1 to 16 ASCII digits, a label or the matched flag as its one
+    byte. ``np.loadtxt`` took more (CHANGES.md lists it): blanks and a
+    sign around an integer, more digits, leading zeros on the matched
+    flag, NUL bytes after a label."""
+    if column == "index":
+        return text.isascii() and text.isdigit() and len(text) <= 16
+    if column == "matched":
+        return text in ("0", "1")
+    if column in ("alice_basis", "bob_basis"):
+        return text in proto.BASIS_LABELS
+    return True
+
+
+# Texts for one field: digits, signs, points, exponents, labels, blanks,
+# control bytes and non-ASCII; no comma or line feed, which would change
+# the shape of the row rather than the field.
+_FIELD_CHARS = "0123456789.-+eEqpx_ \t\r\x00\x0b\x0c\x1c\xa0\xe9"
+_field_texts = st.one_of(
+    st.text(_FIELD_CHARS, max_size=5),
+    st.sampled_from([
+        "inf", "nan", "1e400", "0x1", "5.", ".5", "-0.0", "1234567.5", "12345678.5",
+        "0.000123456789012345678", "9" * 20, "0" * 17 + "1", "1" * 25 + ".5",
+    ]),
+)
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(rec=_key_records(_record_floats, max_size=4).filter(lambda r: r.n_symbols), data=st.data())
+def test_key_csv_reader_is_the_loadtxt_reader_on_one_changed_field(tmp_path, rec, data):
+    path = tmp_path / "key.csv"
+    proto.write_key_records(rec, path)
+    lines = path.read_bytes().decode().split("\r\n")
+    row = data.draw(st.integers(1, rec.n_symbols), label="row")
+    column = data.draw(st.integers(0, 5), label="column")
+    fields = lines[row].split(",")
+    old = fields[column]
+    at = data.draw(st.integers(0, len(old)), label="at")
+    fields[column] = data.draw(
+        st.one_of(
+            _field_texts,
+            st.builds(lambda a, b: a + old + b, _field_texts, _field_texts),
+            st.builds(lambda c: old[:at] + c + old[at + 1 :], st.sampled_from(_FIELD_CHARS)),
+        ),
+        label="text",
+    )
+    lines[row] = ",".join(fields)
+    path.write_bytes(data.draw(st.sampled_from(["\r\n", "\n"])).join(lines).encode())
+    try:
+        want = _loadtxt_reader_oracle(path)
+    except ValueError:
+        want = None
+    if want is None or not _fixed_field_takes(proto.KEY_CSV_COLUMNS[column], fields[column]):
+        with pytest.raises(ValueError):
+            proto.read_key_records(path)
+    else:
+        _same_records(proto.read_key_records(path), want)
+
+
 _KEY_ROWS = [
     "index,alice_basis,bob_basis,alpha,beta,matched",
     "0,q,q,0.5,1.25,1",
@@ -512,6 +740,33 @@ def _with_row(i, row):
     lines = list(_KEY_ROWS)
     lines[i] = row
     return lines
+
+
+# Rows np.loadtxt read that the reader refuses (CHANGES.md lists them)
+@pytest.mark.parametrize(
+    "lines",
+    [
+        _with_row(1, " 0,q,q,0.5,1.25,1"),
+        _with_row(1, "+0,q,q,0.5,1.25,1"),
+        _with_row(1, "0" * 17 + ",q,q,0.5,1.25,1"),
+        _with_row(1, "0,q,q,0.5,1.25, 1"),
+        _with_row(1, "0,q,q,0.5,1.25,01"),
+        _with_row(1, "0,q\x00,q,0.5,1.25,1"),
+        [*_KEY_ROWS, ""],
+        _with_row(1, "0,q,q,0.5,1.25,1\r"),
+        _with_row(1, "0,q,q,0.5" + " " * proto._READ_BLOCK + ",1.25,1"),
+    ],
+    ids=[
+        "index-blank", "index-sign", "index-17-digits", "matched-blank", "matched-zero",
+        "label-nul", "blank-line", "lone-cr", "row-past-block",
+    ],
+)
+def test_key_csv_rows_loadtxt_took_are_refused(tmp_path, lines):
+    path = tmp_path / "key.csv"
+    path.write_bytes(("\r\n".join(lines) + "\r\n").encode())
+    assert _loadtxt_reader_oracle(path).n_symbols == 3
+    with pytest.raises(ValueError):
+        proto.read_key_records(path)
 
 
 @pytest.mark.parametrize(

@@ -189,3 +189,31 @@ def test_bootstrap_validation():
         stats.bootstrap_mi_sigma(np.zeros(1), np.zeros(1))
     with pytest.raises(ValueError):
         stats.bootstrap_mi_sigma(np.arange(5.0), np.arange(5.0), n_boot=1)
+
+
+def _bootstrap_int_counts(x, y, n_boot=200, seed=0):
+    """The bootstrap with each resample's int64 counts straight in
+    ``terms @ counts``, which casts them into a fresh float64 array."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    n = x.size
+    centred = np.stack([x - x.mean(), y - y.mean()])
+    terms = np.concatenate([centred, centred**2, centred[:1] * centred[1:]])
+    sums = np.empty((n_boot, 5))
+    for b in range(n_boot):
+        sums[b] = terms @ np.bincount(rng.integers(0, n, size=n), minlength=n)
+    mx, my, mxx, myy, mxy = (sums / n).T
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rho = np.clip((mxy - mx * my) / np.sqrt((mxx - mx * mx) * (myy - my * my)), -1.0, 1.0)
+    values = np.array([-0.5 * math.log2(max(1.0 - r * r, 1e-300)) for r in rho.tolist()])
+    return float(values.std(ddof=1))
+
+
+@pytest.mark.parametrize("n", [2, 31, 1000, 16665])
+@pytest.mark.parametrize("seed", [0, 3, 2**40 + 7])
+def test_bootstrap_float_counts_keep_the_bits(n, seed):
+    rng = _rng(n + seed)
+    x = rng.normal(size=n)
+    y = 0.8 * x + 0.6 * rng.normal(size=n)
+    sig = stats.bootstrap_mi_sigma(x, y, seed=seed)
+    want = _bootstrap_int_counts(x, y, seed=seed)
+    assert np.float64(sig).view(np.uint64) == np.float64(want).view(np.uint64)
