@@ -24,7 +24,11 @@ CSV write at 41, 401 and 10^4 grid points (``cmd_sweep`` with its sweep
 and crossing computed beforehand).
 In fresh processes, each subcommand is timed by wall clock, ``sweep`` at
 the default 41 points and at 401, ``protocol`` at both N, with the peak
-resident set of its largest process.
+resident set of its largest process. One more fresh process per command
+(``report``, ``linkbudget``, ``sweep`` and ``protocol`` at N = 16 665)
+lists the ``mwqkd`` modules whose bodies ran, with their summed raw and
+code lines: a module registered lazily whose body never ran, still a
+``LazyLoader`` module, does not count.
 
 The file keeps one entry per --label, so rows from two trees measured on
 the same machine sit side by side; each entry records the machine, the
@@ -242,14 +246,13 @@ def _wall(argv: list[str], src: Path) -> tuple[float, float]:
     return wall, usage.ru_maxrss / 1024  # kB on Linux
 
 
-def fresh_processes(trees: dict, workdir: Path) -> dict:
-    """Per-command wall time and peak RSS of each tree (label -> src), the
-    trees' launches alternating: median and largest of the runs' peaks."""
+def _commands(workdir: Path) -> dict:
+    """The argv of each fresh-process command, by name."""
     grid = workdir / "grid-401.json"
     grid.write_text(json.dumps(
         {"preset": "run2", "noise_grid": {"start": 0.0, "stop": 0.1, "num": 401}}
     ))
-    commands = {
+    return {
         "report": ["report", "--preset", "run2", "--nbar", "1.7e-6"],
         "sweep": ["sweep", "--preset", "run2", "--out", str(workdir / "sweep.csv")],
         "sweep.401": ["sweep", "--config", str(grid), "--out", str(workdir / "sweep-401.csv")],
@@ -259,6 +262,12 @@ def fresh_processes(trees: dict, workdir: Path) -> dict:
         f"protocol.{LARGE_N}": ["protocol", "--preset", "run2", "--seed", "1",
                                 "--n-symbols", str(LARGE_N), "--out", str(workdir / "p2")],
     }
+
+
+def fresh_processes(trees: dict, workdir: Path) -> dict:
+    """Per-command wall time and peak RSS of each tree (label -> src), the
+    trees' launches alternating: median and largest of the runs' peaks."""
+    commands = _commands(workdir)
     labels = list(trees)
     rows = {label: {} for label in labels}
     for name, argv in commands.items():
@@ -271,6 +280,41 @@ def fresh_processes(trees: dict, workdir: Path) -> dict:
             row["peak_rss_mb"] = statistics.median(peaks)
             row["peak_rss_mb_max"] = max(peaks)
             rows[label][name] = row
+    return rows
+
+
+# Runs one command, then prints the mwqkd modules whose bodies ran; the
+# protocol command's forked child ends in os._exit and prints nothing.
+_LOADED = """
+import contextlib, json, os, sys, types
+from mwqkd import cli
+with open(os.devnull, "w") as devnull, contextlib.redirect_stdout(devnull):
+    code = cli.main(sys.argv[1:])
+assert code in (0, 3), code
+print(json.dumps(sorted(
+    (name, module.__file__) for name, module in sys.modules.items()
+    if (name == "mwqkd" or name.startswith("mwqkd.")) and type(module) is types.ModuleType
+)))
+"""
+LOADED_COMMANDS = ("report", "linkbudget", "sweep", f"protocol.{PAPER_N}")
+
+
+def loaded_modules(src: Path, workdir: Path) -> dict:
+    """Per command, the ``mwqkd`` modules whose bodies ran in a fresh
+    process on the tree `src`, and their summed raw and code lines."""
+    commands = _commands(workdir)
+    env = dict(os.environ, PYTHONPATH=str(src))
+    rows = {}
+    for name in LOADED_COMMANDS:
+        out = subprocess.run([sys.executable, "-c", _LOADED, *commands[name]], env=env,
+                             check=True, capture_output=True, text=True).stdout
+        modules = dict(json.loads(out))
+        texts = [Path(path).read_text() for path in modules.values()]
+        rows[name] = {
+            "modules": sorted(modules),
+            "raw_lines": sum(len(text.splitlines()) for text in texts),
+            "code_lines": sum(code_lines(text) for text in texts),
+        }
     return rows
 
 
@@ -339,6 +383,7 @@ def main(argv=None) -> int:
         # fresh processes first: a child's peak RSS counts the pages it was
         # forked with, so this process must not have grown yet
         fresh = fresh_processes(trees, Path(tmp))
+        loaded = {label: loaded_modules(src, Path(tmp)) for label, src in trees.items()}
         layers = in_process(trees, Path(tmp))
     bench = json.loads(args.out.read_text()) if args.out.exists() else {}
     entries = {}
@@ -346,6 +391,7 @@ def main(argv=None) -> int:
         entry = provenance(src)
         entry["measured_with"] = sorted(trees)
         entry["fresh_process"] = fresh[label]
+        entry["loaded_modules"] = loaded[label]
         entry["in_process"] = layers[label]
         entries[label] = entry
     bench.setdefault("runs", {}).update(entries)

@@ -11,11 +11,14 @@ package re-exports from them resolve through the module ``__getattr__``.
 The CSV float kernel ``mwqkd._floatrepr`` needs numpy too; it is imported
 by :mod:`~mwqkd.protocol` and, inside the command, by the ``sweep`` CSV
 writer. Its inverse, the key.csv reader ``mwqkd._floatparse``, is
-imported by :mod:`~mwqkd.protocol` only. A ``protocol`` run loads
-:mod:`~mwqkd.protocol`, ``_floatrepr``, ``_floatparse`` and
-:mod:`~mwqkd.stats` before it forks its bootstrap child: reading
-``stats.bootstrap_mi_sigma`` to hand it to the fork runs that lazy body
-in the parent, so no child runs it again.
+imported inside :func:`~mwqkd.protocol.read_key_records` only, so no
+command loads it. No command runs :mod:`~mwqkd.gaussian` either: it is
+the covariance oracle, the device chain step by step included, that
+tests check the closed forms against. A ``protocol`` run loads
+:mod:`~mwqkd.protocol`, ``_floatrepr`` and :mod:`~mwqkd.stats` before it
+forks its bootstrap child: reading ``stats.bootstrap_mi_sigma`` to hand
+it to the fork runs that lazy body in the parent, so no child runs it
+again.
 """
 
 import importlib.util
@@ -55,7 +58,6 @@ from .devices import (
     ChannelParams,
     DeviceChainParams,
     ReadoutModel,
-    bob_output_distribution,
     codebook_variance,
     efficiency_to_noise,
     level_to_variance,
@@ -102,6 +104,7 @@ _LAZY_EXPORTS = {
         "apply_loss",
         "apply_phase_sensitive_amp",
         "apply_squeeze",
+        "bob_output_distribution",
         "condition_on_classical_gaussian",
         "displace",
         "make_thermal",

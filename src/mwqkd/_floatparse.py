@@ -16,7 +16,10 @@ that product cannot tell.
 The reader is a module of its own, apart from the writer's, because a
 process that imports a module compiles it when no bytecode cache is
 written: the ``sweep`` command, which writes through ``_floatrepr`` and
-never reads key.csv, would pay for compiling the reader too.
+never reads key.csv, would pay for compiling the reader too. For the
+same reason ``protocol.read_key_records`` imports it when called, so the
+``protocol`` command, which writes key.csv but does not read it back,
+does not compile it either.
 """
 
 from __future__ import annotations
@@ -158,7 +161,9 @@ def _as_float(text: bytes) -> float:
 
 def _as_floats(text: bytes, starts: list, ends: list) -> list:
     """:func:`_as_float` of each field ``text[start:end]``, in one pass over
-    them joined where they are ASCII with no ``_`` or ``\\r``."""
+    them joined where they are ASCII with no ``_`` or ``\\r``. Fields with
+    other bytes go one by one: ``np.loadtxt`` reads a float padded with
+    Unicode whitespace, such as U+00A0, as its ASCII core."""
     fields = [text[a:b] for a, b in zip(starts, ends)]
     joined = b",".join(fields)
     if joined.isascii() and b"_" not in joined and b"\r" not in joined:

@@ -5,18 +5,15 @@ loss, the displacement encoding one symbol, the displacement coupler tap,
 a second path loss, the untrusted channel (loss against a thermal
 environment), a third path loss, phase-sensitive amplification with
 trusted amplifier noise, a fourth path loss, and a unit-gain back end
-adding lumped noise. The runtime path reads the receiver's record from
-one closed-form model, :func:`trusted_readout_constants`, computed once
-per chain (:attr:`DeviceChainParams.readout`);
-:func:`bob_output_distribution` builds the same chain from covariance
-operations in :mod:`mwqkd.gaussian` and is the oracle tests check it by.
+adding lumped noise. The commands read the receiver's record from one
+closed-form model, :func:`trusted_readout_constants`, computed once per
+chain (:attr:`DeviceChainParams.readout`).
+:func:`mwqkd.gaussian.bob_output_distribution` builds the same chain
+from covariance operations and is the oracle tests check it by.
 
-This module does not import numpy: the runtime path is Python floats, and
-the three oracle functions (:func:`prepared_state`,
-:func:`channel_input_state`, :func:`bob_output_distribution`) import
-:mod:`mwqkd.gaussian` and numpy when they are called. It also holds the
-pieces the numpy modules share with the numpy-free ones: the vacuum
-variance and :class:`ChannelEstimate`.
+This module holds only that runtime chain; no command's use of it
+imports numpy or :mod:`mwqkd.gaussian`. It also holds the pieces the numpy modules share
+with the numpy-free ones: the vacuum variance and :class:`ChannelEstimate`.
 
 Preparation and detection noise are trusted: they shape the measured
 statistics but are not attributed to an eavesdropper. Only the channel
@@ -29,12 +26,6 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    from .gaussian import GaussianState
-
-QUADRATURES = ("q", "p")
 
 # Vacuum quadrature variance: the unit convention of the whole package.
 VACUUM_VARIANCE = 0.25
@@ -84,10 +75,6 @@ def codebook_variance(squeezing_db: float, antisqueezing_db: float) -> float:
     )
 
 
-# The covariance oracle treats a channel loss below this, the smallest
-# normal float, as lossless: the loss -> 0+ limit at fixed coupled noise
-# nbar, where the environment's 2 nbar / loss photons can overflow.
-LOSSLESS_BELOW = sys.float_info.min
 # A level in dB has a finite linear ratio 10 ** (level / 10) below this.
 MAX_LEVEL_DB = 10.0 * math.log10(sys.float_info.max)
 
@@ -272,105 +259,11 @@ class ChannelEstimate:
                 raise ValueError("estimates must be finite")
 
 
-def prepared_state(chain: DeviceChainParams, basis: str = "q") -> GaussianState:
-    """Conditional (unmodulated) state leaving the source.
-
-    An impure squeezed state with the squeezed variance along `basis` and
-    the anti-squeezed variance along the orthogonal quadrature, built as a
-    thermal state squeezed along the encoding axis.
-    """
-    from . import gaussian
-
-    if basis not in QUADRATURES:
-        raise ValueError("basis must be 'q' or 'p'")
-    ss = chain.squeezed_variance
-    aa = chain.antisqueezed_variance
-    # thermal occupation whose symmetric variance is the geometric mean;
-    # a pure state (equal levels) can round a few ulp below zero
-    n0 = max(0.5 * (4.0 * math.sqrt(ss * aa) - 1.0), 0.0)
-    r = 0.25 * math.log(aa / ss)
-    angle = 0.0 if basis == "q" else 0.5 * math.pi
-    return gaussian.apply_squeeze(gaussian.make_thermal(n0), r, angle)
-
-
-def channel_input_state(
-    chain: DeviceChainParams, basis: str = "q", symbol: float = 0.0
-) -> GaussianState:
-    """State entering the untrusted channel for one encoded symbol."""
-    from . import gaussian
-
-    state = prepared_state(chain, basis)
-    state = gaussian.apply_loss(
-        state, chain.path_losses[0], chain.path_environment_photons[0]
-    )
-    state = gaussian.displace(state, float(symbol), basis)
-    tap = 1.0 - chain.displacement_coupler_transmissivity
-    if tap > 0.0:
-        state = gaussian.apply_loss(state, tap)
-    return gaussian.apply_loss(
-        state, chain.path_losses[1], chain.path_environment_photons[1]
-    )
-
-
 def channel_input_response(chain: DeviceChainParams) -> float:
     """Mean shift at the channel input per unit symbol amplitude."""
     return math.sqrt(
         chain.displacement_coupler_transmissivity * (1.0 - chain.path_losses[1])
     )
-
-
-def bob_output_distribution(
-    chain: DeviceChainParams,
-    channel: ChannelParams,
-    symbol: float,
-    basis: str = "q",
-    bob_basis: str = "q",
-) -> tuple[float, float]:
-    """Mean and variance of the receiver's record of one symbol.
-
-    The receiver amplifies `bob_basis`; the returned marginal follows the
-    symbol's encoding quadrature `basis`. When the bases match that is
-    the amplified axis (mean scaled by sqrt(G * transmissivities)); when
-    they differ it is the deamplified axis, whose mean is suppressed by
-    1/sqrt(G), which is what makes mismatched records carry almost no
-    information at high gain. The variance is independent of `symbol`.
-    This step-by-step covariance pipeline is the test oracle of
-    :func:`response_and_noise`.
-    """
-    import numpy as np
-
-    from . import gaussian
-
-    if bob_basis not in QUADRATURES:
-        raise ValueError("bob_basis must be 'q' or 'p'")
-    state = channel_input_state(chain, basis, symbol)
-    if channel.loss < LOSSLESS_BELOW:  # the limit adds nbar to each quadrature
-        state = gaussian.apply_phase_sensitive_amp(
-            state, 1.0, bob_basis, added_noise=channel.noise_photons * np.eye(2)
-        )
-    else:
-        state = gaussian.apply_loss(state, channel.loss, channel.environment_photons)
-    state = gaussian.apply_loss(
-        state, chain.path_losses[2], chain.path_environment_photons[2]
-    )
-    nj = chain.amp_noise_photons
-    if nj > 0.0:
-        state = gaussian.apply_phase_sensitive_amp(
-            state, 1.0, bob_basis, added_noise=0.5 * nj * np.eye(2)
-        )
-    state = gaussian.apply_phase_sensitive_amp(
-        state, chain.measurement_gain, bob_basis
-    )
-    state = gaussian.apply_loss(
-        state, chain.path_losses[3], chain.path_environment_photons[3]
-    )
-    nh = chain.hemt_noise_photons
-    if nh > 0.0:
-        state = gaussian.apply_phase_sensitive_amp(
-            state, 1.0, "q", added_noise=0.5 * nh * np.eye(2)
-        )
-    idx = 0 if basis == "q" else 1
-    return float(state.mean[idx]), float(state.cov[idx, idx])
 
 
 def response_and_noise(
@@ -458,3 +351,13 @@ def trusted_readout_constants(
     v_q = in_gain * chain.squeezed_variance + in_offset
     v_p = in_gain * chain.antisqueezed_variance + in_offset
     return ReadoutModel(slope_gain, variance_gain, variance_offset, v_q, v_p)
+
+
+def __getattr__(name: str):
+    # The benchmark tracer binds devices.bob_output_distribution, now the
+    # oracle's in gaussian; delete this once that binding is optional.
+    if name == "bob_output_distribution":
+        from .gaussian import bob_output_distribution
+
+        return bob_output_distribution
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -16,16 +16,22 @@ The vacuum variance, g(nu) (:func:`entropy_of_nu`) and the absolute
 physicality tolerance are shared with the numpy-free runtime modules and
 defined there (:mod:`mwqkd.devices`, :mod:`mwqkd.security`); they are
 re-exported here.
+
+This module is the oracle the closed forms are tested against, and no
+command runs it. :func:`prepared_state`, :func:`channel_input_state` and
+:func:`bob_output_distribution` build the trusted device chain of
+:mod:`mwqkd.devices` step by step from the operations above.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .devices import VACUUM_VARIANCE
+from .devices import VACUUM_VARIANCE, ChannelParams, DeviceChainParams
 from .errors import PhysicalityError
 from .security import PHYSICALITY_TOL, entropy_of_nu
 
@@ -34,6 +40,13 @@ from .security import PHYSICALITY_TOL, entropy_of_nu
 # so its floor loosens with scale rather than rejecting physical states.
 # chi's closed form in `security` needs no such slack.
 PHYSICALITY_TOL_REL = 1e-11
+
+QUADRATURES = ("q", "p")
+
+# The device-chain oracle treats a channel loss below this, the smallest
+# normal float, as lossless: the loss -> 0+ limit at fixed coupled noise
+# nbar, where the environment's 2 nbar / loss photons can overflow.
+LOSSLESS_BELOW = sys.float_info.min
 
 
 def _symmetrize(matrix: np.ndarray) -> np.ndarray:
@@ -233,7 +246,7 @@ def apply_phase_sensitive_amp(
     g = float(gain)
     if not g >= 1.0:
         raise ValueError("gain must be >= 1 (use apply_loss to attenuate)")
-    if quadrature not in ("q", "p"):
+    if quadrature not in QUADRATURES:
         raise ValueError("quadrature must be 'q' or 'p'")
     if not 0 <= mode < state.modes:
         raise ValueError("mode index out of range")
@@ -312,7 +325,7 @@ def displace(
     """Shift the mean of one quadrature; the covariance is unchanged."""
     if not math.isfinite(amplitude):
         raise ValueError("amplitude must be finite")
-    if quadrature not in ("q", "p"):
+    if quadrature not in QUADRATURES:
         raise ValueError("quadrature must be 'q' or 'p'")
     if not 0 <= mode < state.modes:
         raise ValueError("mode index out of range")
@@ -378,3 +391,79 @@ def condition_on_classical_gaussian(
     t = response[idx]
     unconditional = conditional + sigma2 * np.outer(t, t)
     return conditional, _symmetrize(unconditional)
+
+
+def prepared_state(chain: DeviceChainParams, basis: str = "q") -> GaussianState:
+    """Conditional (unmodulated) state leaving the source.
+
+    An impure squeezed state with the squeezed variance along `basis` and
+    the anti-squeezed variance along the orthogonal quadrature, built as a
+    thermal state squeezed along the encoding axis.
+    """
+    if basis not in QUADRATURES:
+        raise ValueError("basis must be 'q' or 'p'")
+    ss = chain.squeezed_variance
+    aa = chain.antisqueezed_variance
+    # thermal occupation whose symmetric variance is the geometric mean;
+    # a pure state (equal levels) can round a few ulp below zero
+    n0 = max(0.5 * (4.0 * math.sqrt(ss * aa) - 1.0), 0.0)
+    r = 0.25 * math.log(aa / ss)
+    angle = 0.0 if basis == "q" else 0.5 * math.pi
+    return apply_squeeze(make_thermal(n0), r, angle)
+
+
+def channel_input_state(
+    chain: DeviceChainParams, basis: str = "q", symbol: float = 0.0
+) -> GaussianState:
+    """State entering the untrusted channel for one encoded symbol."""
+    state = prepared_state(chain, basis)
+    state = apply_loss(state, chain.path_losses[0], chain.path_environment_photons[0])
+    state = displace(state, float(symbol), basis)
+    tap = 1.0 - chain.displacement_coupler_transmissivity
+    if tap > 0.0:
+        state = apply_loss(state, tap)
+    return apply_loss(state, chain.path_losses[1], chain.path_environment_photons[1])
+
+
+def bob_output_distribution(
+    chain: DeviceChainParams,
+    channel: ChannelParams,
+    symbol: float,
+    basis: str = "q",
+    bob_basis: str = "q",
+) -> tuple[float, float]:
+    """Mean and variance of the receiver's record of one symbol.
+
+    The receiver amplifies `bob_basis`; the returned marginal follows the
+    symbol's encoding quadrature `basis`. When the bases match that is
+    the amplified axis (mean scaled by sqrt(G * transmissivities)); when
+    they differ it is the deamplified axis, whose mean is suppressed by
+    1/sqrt(G), which is what makes mismatched records carry almost no
+    information at high gain. The variance is independent of `symbol`.
+    This step-by-step covariance pipeline is the test oracle of
+    :func:`mwqkd.devices.response_and_noise`.
+    """
+    if bob_basis not in QUADRATURES:
+        raise ValueError("bob_basis must be 'q' or 'p'")
+    state = channel_input_state(chain, basis, symbol)
+    if channel.loss < LOSSLESS_BELOW:  # the limit adds nbar to each quadrature
+        state = apply_phase_sensitive_amp(
+            state, 1.0, bob_basis, added_noise=channel.noise_photons * np.eye(2)
+        )
+    else:
+        state = apply_loss(state, channel.loss, channel.environment_photons)
+    state = apply_loss(state, chain.path_losses[2], chain.path_environment_photons[2])
+    nj = chain.amp_noise_photons
+    if nj > 0.0:
+        state = apply_phase_sensitive_amp(
+            state, 1.0, bob_basis, added_noise=0.5 * nj * np.eye(2)
+        )
+    state = apply_phase_sensitive_amp(state, chain.measurement_gain, bob_basis)
+    state = apply_loss(state, chain.path_losses[3], chain.path_environment_photons[3])
+    nh = chain.hemt_noise_photons
+    if nh > 0.0:
+        state = apply_phase_sensitive_amp(
+            state, 1.0, "q", added_noise=0.5 * nh * np.eye(2)
+        )
+    idx = 0 if basis == "q" else 1
+    return float(state.mean[idx]), float(state.cov[idx, idx])

@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import _floatparse, _floatrepr
+from . import _floatrepr
 from .devices import (
     VACUUM_VARIANCE,
     ChannelEstimate,
@@ -160,15 +160,13 @@ def simulate_transmission(
     The stream holds all basis coins, then all noise draws; the coins are
     drawn even when `announce_bases` discards them, so the noise of a
     symbol is the same in both modes. The record holds the codebook's
-    own symbol and basis arrays, not copies. The mask of matched symbols
-    formed here is dropped before the record derives its own.
+    own symbol and basis arrays, not copies.
     """
     rng = _rng(seed)
     n = codebook.n_symbols
     bob_bases = _fair_coins(rng, n)
     if announce_bases:
         np.copyto(bob_bases, codebook.bases)
-    matched = codebook.bases == bob_bases
 
     # The chain is symmetric under swapping q and p, so only matched-ness
     # matters for the affine decomposition of the record.
@@ -178,7 +176,7 @@ def simulate_transmission(
     # E[beta^2] times a chi-square of m degrees of freedom (or a resample of
     # it): bounded 8 sd, 8 sqrt(2m), above its mean. The gain is >= 1, so
     # var_x <= var_m.
-    m = int(np.count_nonzero(matched))
+    m = sum(int(np.count_nonzero(codebook.bases[r] == bob_bases[r])) for r in _blocks(n))
     if not (m + 8.0 * math.sqrt(2.0 * m)) * (slope_m * slope_m * codebook.variance + var_m) < math.inf:
         raise ValueError(
             f"measurement_gain_db={float(chain.measurement_gain_db)!r} with noise_photons="
@@ -187,12 +185,16 @@ def simulate_transmission(
         )
     sigma_m, sigma_x = math.sqrt(var_m), math.sqrt(var_x)
     # outcome = slope * symbol + sigma * noise, formed in place on the noise
+    # from each block's agreement, with one block of float64 live at a time
     outcomes = rng.standard_normal(n)
     for rows in _blocks(n):
+        matched = codebook.bases[rows] == bob_bases[rows]
         noise = outcomes[rows]
-        noise *= np.where(matched[rows], sigma_m, sigma_x)
-        noise += np.where(matched[rows], slope_m, slope_x) * codebook.symbols[rows]
-    del matched
+        noise *= np.where(matched, sigma_m, sigma_x)
+        shift = np.where(matched, slope_m, slope_x)
+        shift *= codebook.symbols[rows]
+        noise += shift
+        del shift
     return KeyRecord(codebook.symbols, codebook.bases, bob_bases, outcomes)
 
 
@@ -298,6 +300,8 @@ def read_key_records(path) -> KeyRecord:
     would not read raises ValueError. Memory beyond the record is the
     buffer and one block's arrays, whatever N.
     """
+    from . import _floatparse  # here: a run that only writes key.csv never compiles it
+
     with open(path, "rb") as fh:
         header = fh.readline().removesuffix(b"\n").removesuffix(b"\r")
         if header != ",".join(KEY_CSV_COLUMNS).encode():

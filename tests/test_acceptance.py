@@ -16,12 +16,8 @@ from mwqkd import gaussian as g
 from mwqkd import protocol as proto
 from mwqkd import security as sec
 from mwqkd import stats
-from mwqkd.devices import (
-    ChannelParams,
-    channel_input_response,
-    channel_input_state,
-    response_and_noise,
-)
+from mwqkd.devices import ChannelParams, channel_input_response, response_and_noise
+from mwqkd.gaussian import channel_input_state
 
 RUN1 = mwqkd.RUN1_CHAIN
 RUN2 = mwqkd.RUN2_CHAIN

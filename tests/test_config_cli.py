@@ -1185,18 +1185,24 @@ assert not loaded, loaded
 def test_scalar_commands_run_without_numpy(tmp_path):
     # importing the CLI registers every layer module but runs none of the
     # numpy ones, the CSV float kernel included; help, linkbudget and
-    # report stay on Python floats and str, and the array commands and
-    # the covariance oracle load numpy when used;
+    # report stay on Python floats and str, and the array commands load
+    # numpy when used; no command runs the covariance oracle, and only a
+    # read-back loads the key.csv reader;
     # `statistics` (for the confidence factor w) waits for the first w
     done = _fresh_interpreter("-c", f"""
 import contextlib
 import io
 import sys
+import types
 
 from mwqkd import cli
 
 def numpy_modules():
     return sorted(m for m in sys.modules if m == "numpy" or m.startswith("numpy."))
+
+def oracle_idle():
+    # a lazily registered module turns into a plain module when its body runs
+    return type(sys.modules["mwqkd.gaussian"]) is not types.ModuleType
 
 layers = ("gaussian", "devices", "security", "linkbudget", "protocol", "stats", "cli", "config")
 missing = [m for m in layers if "mwqkd." + m not in sys.modules]
@@ -1216,18 +1222,23 @@ with contextlib.redirect_stdout(io.StringIO()):
     assert cli.main(["linkbudget", "--out", out + "/lb.csv"]) == 0
     assert cli.main(["linkbudget", "--medium", "openair-300K", "--format", "json",
                      "--out", out + "/lb.json"]) == 0
+    assert oracle_idle()
     assert "statistics" not in sys.modules
     assert cli.main(["report", "--out", out + "/report.json"]) == 0
+    assert oracle_idle()
 assert not numpy_modules(), numpy_modules()
 assert "mwqkd._floatrepr" not in sys.modules
 assert "pickle" not in sys.modules
 
 assert cli.main(["sweep", "--out", out + "/sweep.csv"]) == 0
+assert oracle_idle()
 assert "numpy" in sys.modules
 assert "mwqkd._floatrepr" in sys.modules
 # the key.csv reader is compiled only where a transcript is read
 assert "mwqkd._floatparse" not in sys.modules
 assert cli.main(["protocol", "--n-symbols", "2000", "--out", out + "/run"]) == 0
+assert oracle_idle()
+assert "mwqkd._floatparse" not in sys.modules
 
 import mwqkd
 channel = mwqkd.ChannelParams(0.0115, 1e-3)
@@ -1318,6 +1329,13 @@ def test_benchmark_tracer_targets_exist():
     for layer, attr in tables["TRACED"]:
         assert hasattr(importlib.import_module(f"mwqkd.{layer}"), attr), f"{layer}.{attr}"
     assert "__post_init__" in mwqkd.GaussianState.__dict__
+    # the oracle's chain lives in gaussian; devices binds its entry point
+    # for the tracer, and only that name
+    from mwqkd import devices, gaussian
+
+    assert ("devices", "bob_output_distribution") in tables["TRACED"]
+    assert devices.bob_output_distribution is gaussian.bob_output_distribution
+    assert not hasattr(devices, "channel_input_state")
     for layer in tables["LAYERS"]:
         assert Path(mwqkd.__file__).with_name(f"{layer}.py").is_file(), layer
 

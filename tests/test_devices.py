@@ -9,6 +9,7 @@ import pytest
 
 import mwqkd
 from mwqkd import devices as d
+from mwqkd import gaussian as g
 
 RUN1 = mwqkd.RUN1_CHAIN
 RUN2 = mwqkd.RUN2_CHAIN
@@ -90,10 +91,10 @@ def test_channel_rejects_negative_or_non_finite_noise(nbar):
 
 
 def test_prepared_state_variances():
-    st = d.prepared_state(RUN1, basis="q")
+    st = g.prepared_state(RUN1, basis="q")
     assert st.cov[0, 0] == pytest.approx(RUN1.squeezed_variance)
     assert st.cov[1, 1] == pytest.approx(RUN1.antisqueezed_variance)
-    st = d.prepared_state(RUN1, basis="p")
+    st = g.prepared_state(RUN1, basis="p")
     assert st.cov[1, 1] == pytest.approx(RUN1.squeezed_variance)
     assert st.cov[0, 0] == pytest.approx(RUN1.antisqueezed_variance)
 
@@ -101,29 +102,29 @@ def test_prepared_state_variances():
 def test_prepared_state_is_physical_mixed():
     from mwqkd.gaussian import symplectic_eigenvalues
 
-    nus = symplectic_eigenvalues(d.prepared_state(RUN1))
+    nus = symplectic_eigenvalues(g.prepared_state(RUN1))
     assert nus.min() >= 1.0  # finite squeezing with excess antisqueezing noise
 
 
 def test_modulated_ensemble_covers_thermal():
     # symbol variance plus squeezed variance equals the anti-squeezed one,
     # so the average output looks isotropic to an eavesdropper
-    st = d.channel_input_state(RUN1, basis="q", symbol=0.0)
+    st = g.channel_input_state(RUN1, basis="q", symbol=0.0)
     total_q = st.cov[0, 0] + RUN1.codebook_variance
     assert total_q == pytest.approx(st.cov[1, 1], rel=1e-12)
 
 
 def test_channel_input_symbol_displaces_encoding_axis():
-    st_q = d.channel_input_state(RUN1, basis="q", symbol=1.3)
+    st_q = g.channel_input_state(RUN1, basis="q", symbol=1.3)
     assert st_q.mean[0] == pytest.approx(1.3)
     assert st_q.mean[1] == 0.0
-    st_p = d.channel_input_state(RUN1, basis="p", symbol=-0.4)
+    st_p = g.channel_input_state(RUN1, basis="p", symbol=-0.4)
     assert st_p.mean[1] == pytest.approx(-0.4)
 
 
 def test_bob_output_matched_moments():
     ch = d.ChannelParams(0.0115, 1.7e-6)
-    mean, var = d.bob_output_distribution(RUN1, ch, symbol=1.0)
+    mean, var = g.bob_output_distribution(RUN1, ch, symbol=1.0)
     assert mean == pytest.approx(8.963721131473314, rel=1e-12)
     assert var == pytest.approx(42.94410209207484, rel=1e-12)
     # slope is sqrt(G (1 - eps)) for the lossless-path presets
@@ -132,7 +133,7 @@ def test_bob_output_matched_moments():
 
 def test_bob_output_mismatched_moments():
     ch = d.ChannelParams(0.0115, 1.7e-6)
-    mean, var = d.bob_output_distribution(RUN1, ch, symbol=1.0, bob_basis="p")
+    mean, var = g.bob_output_distribution(RUN1, ch, symbol=1.0, bob_basis="p")
     assert mean == pytest.approx(0.1102778617832264, rel=1e-12)
     assert var == pytest.approx(23.00301866200614, rel=1e-12)
     # deamplified axis: slope collapses by the gain
@@ -141,8 +142,8 @@ def test_bob_output_mismatched_moments():
 
 def test_bob_output_scales_linearly_in_symbol():
     ch = d.ChannelParams(0.0115, 1.7e-6)
-    m1, v1 = d.bob_output_distribution(RUN2, ch, symbol=0.5)
-    m2, v2 = d.bob_output_distribution(RUN2, ch, symbol=-1.5)
+    m1, v1 = g.bob_output_distribution(RUN2, ch, symbol=0.5)
+    m2, v2 = g.bob_output_distribution(RUN2, ch, symbol=-1.5)
     assert m2 == pytest.approx(-3.0 * m1)
     assert v2 == pytest.approx(v1)
 
@@ -150,8 +151,8 @@ def test_bob_output_scales_linearly_in_symbol():
 def test_basis_symmetry_of_readout():
     # p-encoded symbols read along p behave like q-encoded along q
     ch = d.ChannelParams(0.0115, 0.01)
-    mq, vq = d.bob_output_distribution(RUN2, ch, symbol=0.8, basis="q", bob_basis="q")
-    mp, vp = d.bob_output_distribution(RUN2, ch, symbol=0.8, basis="p", bob_basis="p")
+    mq, vq = g.bob_output_distribution(RUN2, ch, symbol=0.8, basis="q", bob_basis="q")
+    mp, vp = g.bob_output_distribution(RUN2, ch, symbol=0.8, basis="p", bob_basis="p")
     assert mp == pytest.approx(mq)
     assert vp == pytest.approx(vq)
 
@@ -160,7 +161,7 @@ def test_response_and_noise_agrees_with_distribution():
     ch = d.ChannelParams(0.0115, 0.004)
     for matched, bob_basis in ((True, "q"), (False, "p")):
         k, v = d.response_and_noise(RUN2, ch, matched=matched)
-        mean, var = d.bob_output_distribution(RUN2, ch, symbol=1.0, bob_basis=bob_basis)
+        mean, var = g.bob_output_distribution(RUN2, ch, symbol=1.0, bob_basis=bob_basis)
         assert k == pytest.approx(mean, rel=1e-12)
         assert v == pytest.approx(var, rel=1e-12)
 
@@ -172,7 +173,7 @@ def test_lossless_channel_still_adds_its_noise():
         lossless = d.ChannelParams(0.0, nbar)
         for matched, bob_basis in ((True, "q"), (False, "p")):
             k, v = d.response_and_noise(RUN2, lossless, matched=matched)
-            mean, var = d.bob_output_distribution(RUN2, lossless, 1.0, "q", bob_basis)
+            mean, var = g.bob_output_distribution(RUN2, lossless, 1.0, "q", bob_basis)
             assert k == pytest.approx(mean, rel=1e-12)
             assert v == pytest.approx(var, rel=1e-12)
             near = d.response_and_noise(RUN2, d.ChannelParams(1e-12, nbar), matched=matched)
@@ -217,7 +218,7 @@ def test_trusted_readout_constants_match_op_chain():
         model = d.trusted_readout_constants(chain, matched)
         for eps, nbar in ((0.0115, 0.002), (0.15, 0.03)):
             ch = d.ChannelParams(eps, nbar)
-            mean, var = d.bob_output_distribution(chain, ch, 1.0, "q", bob_basis)
+            mean, var = g.bob_output_distribution(chain, ch, 1.0, "q", bob_basis)
             assert model.slope_gain * (1 - eps) == pytest.approx(mean * mean, rel=1e-10)
             v_channel_out = (1 - eps) * model.channel_input_variance + eps * (
                 1 + 2 * ch.environment_photons
@@ -227,7 +228,7 @@ def test_trusted_readout_constants_match_op_chain():
             )
     # the orthogonal quadrature enters the channel anti-squeezed
     model = d.trusted_readout_constants(chain)
-    state = d.channel_input_state(chain, "q")
+    state = g.channel_input_state(chain, "q")
     assert model.channel_input_variance == pytest.approx(state.cov[0, 0], rel=1e-12)
     assert model.orthogonal_input_variance == pytest.approx(state.cov[1, 1], rel=1e-12)
 

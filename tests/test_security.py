@@ -50,7 +50,7 @@ def test_holevo_pinned_values():
 
 def _oracle_holevo(chain, channel):
     """chi_E from the covariance pipeline, built as the acceptance suite does."""
-    signal = devices.channel_input_state(chain, basis="q")
+    signal = g.channel_input_state(chain, basis="q")
     env = g.two_mode_squeezed_thermal(channel.environment_photons)
     joint = g.apply_beamsplitter(g.tensor(signal, env), channel.transmissivity,
                                  modes=(0, 1))
@@ -96,7 +96,7 @@ def test_runtime_chain_model_matches_covariance_oracle(chain, loss, nbar):
     )
     for matched, bob_basis in ((True, "q"), (False, "p")):
         slope, var = devices.response_and_noise(chain, channel, matched)
-        mean, want = devices.bob_output_distribution(chain, channel, 1.0, "q", bob_basis)
+        mean, want = g.bob_output_distribution(chain, channel, 1.0, "q", bob_basis)
         assert slope == pytest.approx(mean, rel=1e-12)
         assert var == pytest.approx(want, rel=1e-12)
 
@@ -108,10 +108,10 @@ def test_modulated_input_variance_matches_covariance_oracle(chain):
     # symbol's mean shift, from the covariance pipeline
     for case in (RUN1, RUN2, chain):
         (mean0, _), (mean1, _) = (
-            devices.channel_input_state(case, "q", symbol).mean for symbol in (0.0, 1.0)
+            g.channel_input_state(case, "q", symbol).mean for symbol in (0.0, 1.0)
         )
         want = (
-            devices.channel_input_state(case, "q", 0.0).cov[0, 0]
+            g.channel_input_state(case, "q", 0.0).cov[0, 0]
             + case.codebook_variance * (mean1 - mean0) ** 2
         )
         assert case.modulated_input_variance == pytest.approx(want, rel=1e-12)
@@ -204,7 +204,7 @@ def test_holevo_matches_mpmath_at_every_loss(chain, loss, nbar):
     # _mp_holevo divides by the loss; at loss 0 and below the smallest
     # normal float chi is its loss -> 0+ limit, which loss 1e-40 gives to
     # far below 1e-12 bits
-    reference = _mp_holevo(chain, 1e-40 if loss < devices.LOSSLESS_BELOW else loss, nbar)
+    reference = _mp_holevo(chain, 1e-40 if loss < g.LOSSLESS_BELOW else loss, nbar)
     assert abs(sec.holevo_dr(chain, ChannelParams(loss, nbar)) - reference) <= 1e-12
 
 
