@@ -1,8 +1,9 @@
-"""key.csv rows read back, in numpy: the inverse of ``_floatrepr.key_rows``.
+"""key.csv read back, in numpy: the inverse of ``_floatrepr.write_key_csv``.
 
-:func:`key_columns` parses a block of key.csv rows in one byte buffer.
-It finds the separators with one ``flatnonzero`` and checks the row
-shape, the index, the labels and the matched flag with whole-array
+:func:`read_key_csv` reads the file in blocks of ``READ_BLOCK`` bytes,
+and :func:`key_columns` parses the whole rows of each block in one byte
+buffer. It finds the separators with one ``flatnonzero`` and checks the
+row shape, the index, the labels and the matched flag with whole-array
 compares. A float ``[-]I.F`` of fewer than 20 significant digits is read
 as 8-byte words of digits, each checked and turned into its value with
 three multiplies, and its value w * 10**-f rounds to the nearest double
@@ -26,11 +27,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._floatrepr import _MASK52, _POW10, _high_product
+from ._floatrepr import _MASK52, _POW10, BASIS_LABELS, KEY_CSV_COLUMNS, _high_product
 
+# Bytes per block of the reader: about 1 300 of the presets' 51-byte rows.
+# With its work arrays the reader peaks about 0.55 MB above the columns
+# it returns, at any N (np.loadtxt: 0.70 MB at N = 16 665).
+READ_BLOCK = 1 << 16
 # Bytes in front of a block's first row, which the words of its index
 # may read; a word's bytes before its digit run are masked out.
-PAD = 16
+_PAD = 16
+_Q, _P = (ord(label) for label in BASIS_LABELS)
 _ZEROS = np.uint64(0x3030303030303030)
 _HIGH_BITS = np.uint64(0x8080808080808080)
 # a word's bytes below byte k, k = 0..8; its last n bytes, n = 0..8, and
@@ -173,7 +179,7 @@ def _as_floats(text: bytes, starts: list, ends: list) -> list:
 
 def _row_separators(buf: np.ndarray, end: int, start: int):
     """The five commas and the line end of each whole row in
-    ``buf[PAD:end]``, as a (6, n) array, and the offset after the last
+    ``buf[_PAD:end]``, as a (6, n) array, and the offset after the last
     row; n is 0 where there is no line end. A row without five commas
     before its line end raises ValueError naming it."""
     data = buf[:end]
@@ -183,7 +189,7 @@ def _row_separators(buf: np.ndarray, end: int, start: int):
     kinds = buf[separators]
     last = kinds.size - np.argmax(kinds[::-1] == 10) if kinds.size else 0
     if not last or kinds[last - 1] != 10:
-        return np.empty((6, 0), dtype=np.int64), PAD
+        return np.empty((6, 0), dtype=np.int64), _PAD
     n = last // 6
     stop = separators[last - 1] + 1
     if last != 6 * n or not (kinds[:last].reshape(n, 6) == _ROW_SEPARATORS).all():
@@ -195,17 +201,17 @@ def _row_separators(buf: np.ndarray, end: int, start: int):
 
 
 def key_columns(buf: np.ndarray, end: int, start: int):
-    """The inverse of ``_floatrepr.key_rows``: ``(pair, alpha, beta, stop)``
-    of the whole rows in ``buf[PAD:stop]``, numbered from `start`, where
-    `stop` follows the last line end before `end` (PAD, and no rows,
-    where there is none).
+    """The inverse of ``_floatrepr.key_rows``: ``(codes, floats, stop)``
+    of the whole rows in ``buf[_PAD:stop]``, numbered from `start`, where
+    `stop` follows the last line end before `end` (_PAD, and no rows,
+    where there is none). ``codes`` holds the alice and bob basis codes,
+    True for ``p``, and ``floats`` alpha and beta, each shaped (2, rows).
 
     A row is ``i,A,B,alpha,beta,M`` ended by ``\\n`` or ``\\r\\n``. `buf`
     starts 8-byte aligned, holds whole words, and has at least 8 bytes
     after `end`. A row has six fields: i in 1 to 16 decimal digits, the
     labels A and B one byte ``q`` or ``p`` each, and M one byte, ``1``
-    where A == B and ``0`` elsewhere. ``pair`` is ``2 * alice + bob`` as
-    int8.
+    where A == B and ``0`` elsewhere.
 
     A float written ``[-]I.F`` is read by the kernel where I has 1 to 7
     digits, F has 1 to 24, and I and F less F's last 16 digits come to at
@@ -218,13 +224,13 @@ def key_columns(buf: np.ndarray, end: int, start: int):
     c, stop = _row_separators(buf, end, start)
     n = c.shape[1]
     labels = buf[c[:2] + 1]
-    bad = (c[1:3] - c[:2] != 2) | (labels - np.uint8(ord("p")) > 1)
-    for column, wrong in zip(("alice_basis", "bob_basis"), bad):
+    codes = labels == _P
+    bad = (c[1:3] - c[:2] != 2) | ~codes & (labels != _Q)
+    for column, wrong in zip(KEY_CSV_COLUMNS[1:3], bad):
         if wrong.any():
             raise ValueError(
-                f"key CSV {column} must be one of ('q', 'p') (row {start + np.argmax(wrong)})"
+                f"key CSV {column} must be one of {BASIS_LABELS} (row {start + np.argmax(wrong)})"
             )
-    codes = np.uint8(ord("q")) - labels  # 0 for q, 1 for p
     row_end = c[5] - (buf[c[5] - 1] == 13)
     if not ((row_end - c[4] == 2) & (buf[c[4] + 1] == (codes[0] == codes[1]) + ord("0"))).all():
         raise ValueError("key CSV matched column disagrees with the basis columns")
@@ -245,7 +251,7 @@ def key_columns(buf: np.ndarray, end: int, start: int):
     places -= point
     places -= 1
     lengths = np.empty(3 * n, dtype=np.int64)
-    lengths[:1] = c[0, :1] - PAD
+    lengths[:1] = c[0, :1] - _PAD
     np.subtract(c[0, 1:], c[5, :-1] + 1, out=lengths[1:n])
     np.minimum(np.maximum(places, 0), _RUN, out=lengths[n:])
     # the work arrays below peak the reader's memory: free what is done
@@ -299,8 +305,61 @@ def key_columns(buf: np.ndarray, end: int, start: int):
                     _as_float(buf[a:b].tobytes())
                 except ValueError:
                     raise ValueError(
-                        f"key CSV {('alpha', 'beta')[i // n]} is not a float: "
+                        f"key CSV {KEY_CSV_COLUMNS[3 + i // n]} is not a float: "
                         f"{buf[a:b].tobytes()!r} (row {start + i % n})"
                     ) from None
             raise
-    return (2 * codes[0] + codes[1]).view(np.int8), floats[:n], floats[n:], stop
+    return codes, floats.reshape(2, n), stop
+
+
+def read_key_csv(path):
+    """The columns ``(alice, bob, alpha, beta)`` of a key.csv written by
+    ``_floatrepr.write_key_csv``: the basis codes as int8, 0 for ``q``
+    and 1 for ``p``, and the floats, each bit-exact as ``float`` rounds
+    its text.
+
+    The header must be ``KEY_CSV_COLUMNS``. One pass counts the rows. The
+    second reads the file into one buffer, ``READ_BLOCK`` bytes at a
+    time, and :func:`key_columns` parses the whole rows of each block;
+    the partial row after them moves to the front of the next. Both
+    ``\\r\\n`` and ``\\n`` line ends are read, and the last row may have
+    none. A row longer than a block, a row without six fields, an index
+    other than 0..n-1 in up to 16 digits, a basis label other than
+    ``q``/``p``, a matched flag other than the ``0``/``1`` the basis
+    columns give, or a float that ``np.loadtxt`` would not read raises
+    ValueError. Memory beyond the columns is the buffer and one block's
+    arrays, whatever N.
+    """
+    with open(path, "rb") as fh:
+        header = fh.readline().removesuffix(b"\n").removesuffix(b"\r")
+        if header != ",".join(KEY_CSV_COLUMNS).encode():
+            raise ValueError(f"unexpected key CSV header: {header!r}")
+        data_start = fh.tell()
+        # whole aligned words, with room after the block for the kernel's
+        # last word and for a line end after a last row that has none
+        buf = np.zeros((_PAD + READ_BLOCK) // 8 + 1, dtype=np.uint64).view(np.uint8)
+        view = memoryview(buf)[_PAD : _PAD + READ_BLOCK]
+        # one numpy compare per block: bytes.count of a 64 KB block is a
+        # byte loop, 3-4x slower over a file
+        n, last = 0, ord("\n")
+        while got := fh.readinto(view):
+            n += np.count_nonzero(buf[_PAD : _PAD + got] == ord("\n"))
+            last = buf[_PAD + got - 1]
+        n += last != ord("\n")
+        codes, floats = np.empty((2, n), dtype=np.int8), np.empty((2, n))
+        fh.seek(data_start)
+        row = tail = 0
+        while row < n:
+            got = fh.readinto(view[tail:])
+            end = _PAD + tail + got
+            if not got:  # the last row has no line end
+                buf[end] = ord("\n")
+                end += 1
+            block_codes, block_floats, stop = key_columns(buf, end, row)
+            if end == _PAD + READ_BLOCK and stop == _PAD:
+                raise ValueError(f"key CSV row {row} is longer than {READ_BLOCK} bytes")
+            rows = slice(row, row + block_floats.shape[1])
+            codes[:, rows], floats[:, rows] = block_codes, block_floats
+            row, tail = rows.stop, end - stop
+            buf[_PAD : _PAD + tail] = buf[stop:end]
+    return (*codes, *floats)

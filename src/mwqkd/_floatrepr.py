@@ -17,11 +17,12 @@ integral values. Every other float (zeros, subnormals, non-finite
 values, exact powers of two, exponent notation), of which a transcript
 of the presets holds at most a few, goes through ``repr`` itself.
 
-The module's two entry points lay out whole rows, so the byte layout of
-a row is known here only: :func:`key_rows` the rows of key.csv, and
-:func:`table_rows` the lines of a float table, such as the CSV of the
-``sweep`` command. Both place the fields at offsets from a cumulative
-sum of their lengths in one buffer, then the separators.
+The module's two entry points write in blocks of ``BLOCK_CELLS`` floats,
+so the byte layout of a row is known here only: :func:`write_key_csv`
+writes key.csv whole, header and basis labels included, and
+:func:`write_table` the lines of a float table, such as the CSV of the
+``sweep`` command. Each block places the fields at offsets from a
+cumulative sum of their lengths in one buffer, then the separators.
 """
 
 from __future__ import annotations
@@ -35,9 +36,13 @@ _MASK63 = (1 << 63) - 1
 _COLUMN = np.arange(18).reshape(18, 1)
 _POW10 = 10 ** np.arange(19, dtype=np.uint64)
 
-# Floats per call of either writer: one call's work arrays take about
+# Floats per block of either writer: one block's work arrays take about
 # 0.9 MB (key.csv rows) to 1.3 MB (table cells).
 BLOCK_CELLS = 1 << 12
+
+# The key.csv columns, and the labels of basis codes 0 and 1.
+KEY_CSV_COLUMNS = ("index", "alice_basis", "bob_basis", "alpha", "beta", "matched")
+BASIS_LABELS = ("q", "p")
 
 
 # '00'..'99' as little-endian byte pairs: the tens digit first
@@ -45,7 +50,8 @@ _PAIRS = np.array([(48 + i // 10) | (48 + i % 10) << 8 for i in range(100)], dty
 
 # The label fields and the matched field of a key.csv row, indexed by the
 # basis-pair code 2 * alice + bob, with the offsets they are written at.
-_ROW_MID = np.frombuffer(b",q,q,,q,p,,p,q,,p,p,", dtype=np.uint8).reshape(4, 5).T.copy()
+_MIDS = "".join(f",{a},{b}," for a in BASIS_LABELS for b in BASIS_LABELS).encode()
+_ROW_MID = np.frombuffer(_MIDS, dtype=np.uint8).reshape(4, 5).T.copy()
 _ROW_END = np.frombuffer(b",1\r\n,0\r\n,0\r\n,1\r\n", dtype=np.uint8).reshape(4, 4).T.copy()
 _MID_COLUMNS = np.arange(-5, 0).reshape(5, 1)
 _END_COLUMNS = np.arange(-4, 0).reshape(4, 1)
@@ -216,17 +222,18 @@ def _laid_out(widths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return buf, ends - widths
 
 
-def key_rows(start: int, pair: np.ndarray, alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
+def key_rows(start: int, alice, bob, alpha, beta) -> np.ndarray:
     """The key.csv bytes of rows ``i,A,B,alpha,beta,M\\r\\n``, i = start, start + 1, ...
 
     The labels A, B and the matched flag M come from the basis-pair code
-    ``pair = 2 * alice + bob``, and each float is written as
-    ``repr(float(x))``. The rows are laid out in one buffer prefilled with
-    ``'0'``, each at its offset from a cumulative sum of the row lengths.
-    Placing a field may also write the byte before it and the byte after
-    it; those are separators, or the spare byte in front of the first
-    row, so the fields go in first and the separators last.
+    ``2 * alice + bob``, and each float is written as ``repr(float(x))``.
+    The rows are laid out in one buffer prefilled with ``'0'``, each at
+    its offset from a cumulative sum of the row lengths. Placing a field
+    may also write the byte before it and the byte after it; those are
+    separators, or the spare byte in front of the first row, so the
+    fields go in first and the separators last.
     """
+    pair = 2 * alice + bob
     index = np.arange(start, start + pair.size)
     index_width = np.maximum(np.searchsorted(_POW10, index.view(np.uint64), side="right"), 1)
     alpha = _Reprs(alpha)
@@ -247,14 +254,29 @@ def key_rows(start: int, pair: np.ndarray, alpha: np.ndarray, beta: np.ndarray) 
     return buf[1:]
 
 
+def write_key_csv(path, alice, bob, alpha, beta) -> None:
+    """Write key.csv: the header, then row i of the basis codes `alice`,
+    `bob` (0 for ``q``, 1 for ``p``) and the floats `alpha`, `beta`, in
+    blocks of ``BLOCK_CELLS`` floats (2 048 rows), so memory stays flat.
+
+    The bytes are those of ``csv.writer`` in its default dialect: comma
+    separated, ``\\r\\n`` line ends, and nothing quoted, since no field
+    can hold a comma, quote or line break.
+    """
+    with open(path, "wb") as fh:
+        fh.write((",".join(KEY_CSV_COLUMNS) + "\r\n").encode())
+        for start in range(0, alpha.size, BLOCK_CELLS // 2):
+            rows = slice(start, start + BLOCK_CELLS // 2)
+            fh.write(key_rows(start, alice[rows], bob[rows], alpha[rows], beta[rows]))
+
+
 def table_rows(table: np.ndarray) -> np.ndarray:
     """The bytes of the lines of a 2-D float64 table of one or more
     columns: ``,``-separated cells each written as ``repr(float(x))``,
     every line ended by ``\\n``.
 
     Each cell is laid out as in :func:`key_rows`, followed by its
-    separator or line end, and the separators go in last. A large table
-    is best passed in blocks of ``BLOCK_CELLS`` cells.
+    separator or line end, and the separators go in last.
     """
     cells = _Reprs(table.ravel())
     buf, starts = _laid_out(cells.lengths + 1)
@@ -263,3 +285,13 @@ def table_rows(table: np.ndarray) -> np.ndarray:
     buf[stops[:, :-1]] = ord(",")
     buf[stops[:, -1]] = ord("\n")
     return buf[1:]
+
+
+def write_table(fh, columns) -> None:
+    """Write the lines of :func:`table_rows` for equal-length float
+    `columns` to the text file `fh`, in blocks of ``BLOCK_CELLS`` cells,
+    so memory stays flat."""
+    step = max(1, BLOCK_CELLS // len(columns))
+    for start in range(0, len(columns[0]), step):
+        block = np.column_stack([column[start : start + step] for column in columns])
+        fh.write(table_rows(block).tobytes().decode())

@@ -10,7 +10,9 @@ Each subcommand takes only the flags it reads (`_COMMAND_FLAGS`), but
 every field of a --config file, which it checks and echoes. Flag
 precedence is built-in defaults, then --config file values, then
 explicit flags. Exit codes: 0 success, 2 bad configuration or arguments,
-3 not enough data for channel estimation, 4 I/O failure.
+3 not enough data for channel estimation, 4 I/O failure. The `sweep` CSV
+rows come from the numpy kernel `_floatrepr.write_table`, imported on
+that branch only; the other tables are written with `str`.
 """
 
 from __future__ import annotations
@@ -132,24 +134,6 @@ def _write_csv(out, header, rows, config: dict) -> None:
     _write_text(out, _csv_head(header, config) + "".join(lines))
 
 
-def _write_float_csv(out, header, columns, config: dict) -> None:
-    """The bytes of :func:`_write_csv` for equal-length float columns.
-
-    The rows go through the repr kernel ``_floatrepr.table_rows`` in
-    blocks of ``_floatrepr.BLOCK_CELLS`` cells, so memory stays flat.
-    """
-    import numpy as np
-
-    from . import _floatrepr
-
-    step = max(1, _floatrepr.BLOCK_CELLS // len(columns))
-    with _output(out) as fh:
-        fh.write(_csv_head(header, config))
-        for start in range(0, len(columns[0]), step):
-            block = np.column_stack([column[start : start + step] for column in columns])
-            fh.write(_floatrepr.table_rows(block).tobytes().decode())
-
-
 def _write_json(out, payload: dict) -> None:
     # compact, so json uses its C encoder; strict, so no NaN or Infinity
     _write_text(out, json.dumps(payload, sort_keys=True, allow_nan=False) + "\n")
@@ -177,7 +161,11 @@ def cmd_sweep(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
             ("asymptotic_key_bits", sweep.asymptotic_key_bits),
             ("composite_key_bits_per_raw_symbol", sweep.finite_size.bits_per_raw_symbol),
         )
-        _write_float_csv(args.out, header, columns, cfg.to_dict())
+        from . import _floatrepr  # here: only the CSV branch needs the numpy kernel
+
+        with _output(args.out) as fh:
+            fh.write(_csv_head(header, cfg.to_dict()))
+            _floatrepr.write_table(fh, columns)
     if args.out is not None:
         print(f"asymptotic key rate crosses zero at nbar = {crossing:.6f}")
     return 0

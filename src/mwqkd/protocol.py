@@ -10,15 +10,9 @@ the bits of one N-length draw, and working memory beyond the record
 stays at one block.
 
 The transcript, key.csv, holds the bytes ``csv.writer`` would write, each
-float as ``repr(float(x))``. The floats ``repr`` writes in fixed notation,
-1e-4 <= |x| < 1e16, bar exact powers of two, get those bytes from the
-numpy kernel in ``_floatrepr`` (shortest round-trip digits by the
-Schubfach method); every other float goes through ``repr`` itself. In
-the presets' transcripts those are a few per run, about 4e-5 of the
-floats. The reader, ``_floatparse``, is that kernel's inverse: a float
-``[-]I.F`` of fewer than 20 significant digits rounds to its double by
-one Eisel-Lemire step; any other float text, and about 1 in 256 of those
-whose rounding the step leaves open, goes through ``float``.
+float as ``repr(float(x))``. The numpy kernel ``_floatrepr`` writes it
+and its inverse ``_floatparse`` reads it back bit-exact; both own the
+file's layout, blocks and checks.
 """
 
 from __future__ import annotations
@@ -28,7 +22,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import _floatrepr
+from ._floatrepr import BASIS_LABELS, KEY_CSV_COLUMNS, write_key_csv
 from .devices import (
     VACUUM_VARIANCE,
     ChannelEstimate,
@@ -38,29 +32,21 @@ from .devices import (
 )
 from .errors import InsufficientDataError
 
-BASIS_LABELS = ("q", "p")
-
 # Minimum matched pairs for the moment estimator; below this the slope and
 # residual-variance errors are not in their asymptotic regime.
 MIN_ESTIMATION_SAMPLES = 30
 
-# The key.csv columns.
-KEY_CSV_COLUMNS = ("index", "alice_basis", "bob_basis", "alpha", "beta", "matched")
 # Symbols per block of the draws and of the record checks.
 _DRAW_BLOCK = 1 << 14
-# Bytes per block of the key.csv reader: about 1 300 of the presets'
-# 51-byte rows. With its work arrays the reader peaks about 0.55 MB above
-# the record it returns, at any N (np.loadtxt: 0.70 MB at N = 16 665).
-_READ_BLOCK = 1 << 16
 
 
 def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed))
 
 
-def _blocks(n: int, size: int = _DRAW_BLOCK):
-    """Consecutive slices of at most `size` covering 0..n-1."""
-    return (slice(start, min(start + size, n)) for start in range(0, n, size))
+def _blocks(n: int):
+    """Consecutive slices of at most _DRAW_BLOCK covering 0..n-1."""
+    return (slice(start, min(start + _DRAW_BLOCK, n)) for start in range(0, n, _DRAW_BLOCK))
 
 
 def _fair_coins(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -258,85 +244,17 @@ def estimate_channel(
 
 
 def write_key_records(record: KeyRecord, path) -> None:
-    """Write a transcript as CSV with the frozen column schema.
-
-    The bytes are those of ``csv.writer`` in its default dialect: comma
-    separated, ``\\r\\n`` line ends, floats as ``repr``, and nothing quoted,
-    since no field can hold a comma, quote or line break. The two label
-    columns and the matched column are written from one basis-pair code
-    per row, ``2 * alice + bob``; ``KeyRecord`` derives the matched flag
-    as ``alice == bob``.
-
-    Each block of ``_floatrepr.BLOCK_CELLS`` floats, 2 048 rows, is laid
-    out as one byte buffer by ``_floatrepr.key_rows``. Its floats are the
-    bytes of ``repr``: from a vectorised shortest-digit kernel for fixed
-    notation, 1e-4 <= |x| < 1e16, bar exact powers of two, and from
-    ``repr`` itself for every other float (zeros, subnormals, exact
-    powers of two and exponent notation). Memory stays flat in N.
-    """
-    with open(path, "wb") as fh:
-        fh.write((",".join(KEY_CSV_COLUMNS) + "\r\n").encode())
-        for rows in _blocks(record.n_symbols, _floatrepr.BLOCK_CELLS // 2):
-            pair = 2 * record.alice_bases[rows] + record.bob_bases[rows]
-            fh.write(
-                _floatrepr.key_rows(
-                    rows.start, pair, record.alice_symbols[rows], record.outcomes[rows]
-                )
-            )
+    """Write a transcript as key.csv, the bytes of ``csv.writer`` in its
+    default dialect with each float as ``repr``."""
+    write_key_csv(path, record.alice_bases, record.bob_bases, record.alice_symbols, record.outcomes)
 
 
 def read_key_records(path) -> KeyRecord:
-    """Read a transcript written by :func:`write_key_records`.
-
-    A first pass counts the rows. The second reads the file into one
-    buffer, ``_READ_BLOCK`` bytes at a time, and ``_floatparse.key_columns``
-    parses the whole rows of each block; the partial row after them moves
-    to the front of the next. Each float reads back as ``float`` rounds
-    its text, so a written record reads back bit-exact. Both ``\\r\\n``
-    and ``\\n`` line ends are read, and the last row may have none. A row
-    without six fields, an index other than 0..n-1 in up to 16 digits, a
-    basis label other than ``q``/``p``, a matched flag other than the
-    ``0``/``1`` the basis columns give, or a float that ``np.loadtxt``
-    would not read raises ValueError. Memory beyond the record is the
-    buffer and one block's arrays, whatever N.
-    """
+    """Read a transcript written by :func:`write_key_records`, bit-exact.
+    A malformed file raises ValueError (``_floatparse.read_key_csv``)."""
     from . import _floatparse  # here: a run that only writes key.csv never compiles it
 
-    with open(path, "rb") as fh:
-        header = fh.readline().removesuffix(b"\n").removesuffix(b"\r")
-        if header != ",".join(KEY_CSV_COLUMNS).encode():
-            raise ValueError(f"unexpected key CSV header: {header!r}")
-        data_start = fh.tell()
-        pad = _floatparse.PAD
-        # whole aligned words, with room after the block for the kernel's
-        # last word and for a line end after a last row that has none
-        buf = np.zeros((pad + _READ_BLOCK) // 8 + 1, dtype=np.uint64).view(np.uint8)
-        view = memoryview(buf)[pad : pad + _READ_BLOCK]
-        n, last = 0, ord("\n")
-        while got := fh.readinto(view):
-            n += np.count_nonzero(buf[pad : pad + got] == ord("\n"))
-            last = buf[pad + got - 1]
-        n += last != ord("\n")
-        alpha, beta = np.empty(n), np.empty(n)
-        alice, bob = np.empty(n, dtype=np.int8), np.empty(n, dtype=np.int8)
-        fh.seek(data_start)
-        row = tail = 0
-        while row < n:
-            got = fh.readinto(view[tail:])
-            end = pad + tail + got
-            if not got:  # the last row has no line end
-                buf[end] = ord("\n")
-                end += 1
-            pair, block_alpha, block_beta, stop = _floatparse.key_columns(buf, end, row)
-            if end == pad + _READ_BLOCK and stop == pad:
-                raise ValueError(f"key CSV row {row} is longer than {_READ_BLOCK} bytes")
-            rows = slice(row, row + pair.size)
-            np.right_shift(pair, 1, out=alice[rows])
-            np.bitwise_and(pair, 1, out=bob[rows])
-            alpha[rows], beta[rows] = block_alpha, block_beta
-            row = rows.stop
-            tail = end - stop
-            buf[pad : pad + tail] = buf[stop:end]
+    alice, bob, alpha, beta = _floatparse.read_key_csv(path)
     return KeyRecord(alpha, alice, bob, beta)
 
 

@@ -22,7 +22,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mwqkd
-from mwqkd import cli, security, stats
+from mwqkd import _floatrepr, cli, security, stats
 from mwqkd import protocol as proto
 from mwqkd.config import (
     CONFIG_SCHEMA,
@@ -331,14 +331,18 @@ def test_sweep_csv_is_the_str_csv(preset, grid):
         assert stdout.getvalue().encode() == want
 
 
+def _write_table(path, columns):
+    with open(path, "w") as fh:
+        _floatrepr.write_table(fh, columns)
+
+
 def test_float_csv_is_the_str_csv_across_blocks(tmp_path):
     # every case of the digit kernel, in five columns over many blocks
     cases = np.concatenate([_repr_cases(), [math.inf, -math.inf, math.nan]])
     columns = cases[: cases.size // 5 * 5].reshape(5, -1)
-    header = ("a", "b", "c", "d", "e")
-    cli._write_float_csv(tmp_path / "kernel.csv", header, columns, {"n": columns.shape[1]})
-    cli._write_csv(tmp_path / "str.csv", header, zip(*columns.tolist()), {"n": columns.shape[1]})
-    assert (tmp_path / "kernel.csv").read_bytes() == (tmp_path / "str.csv").read_bytes()
+    _write_table(tmp_path / "kernel.csv", columns)
+    want = "".join(",".join(map(str, row)) + "\n" for row in zip(*columns.tolist()))
+    assert (tmp_path / "kernel.csv").read_bytes() == want.encode()
 
 
 def test_sweep_table_memory_is_flat_in_the_grid(tmp_path):
@@ -347,9 +351,7 @@ def test_sweep_table_memory_is_flat_in_the_grid(tmp_path):
     peaks = []
     for n in (10**4, 10**5):
         columns = _sweep_columns(cfg, tuple(np.linspace(0.0, 0.1, n).tolist()))
-        _, peak = _traced_peak(
-            cli._write_float_csv, tmp_path / f"{n}.csv", SWEEP_HEADER.split(","), columns, {}
-        )
+        _, peak = _traced_peak(_write_table, tmp_path / f"{n}.csv", columns)
         peaks.append(peak)
     assert max(peaks) < 4 << 20, peaks
     assert abs(peaks[1] - peaks[0]) < 128 * 1024, peaks
@@ -1338,6 +1340,48 @@ def test_benchmark_tracer_targets_exist():
     assert not hasattr(devices, "channel_input_state")
     for layer in tables["LAYERS"]:
         assert Path(mwqkd.__file__).with_name(f"{layer}.py").is_file(), layer
+
+
+# What only the key.csv and float-table kernels know: their block sizes,
+# the reader's pad before a block, and the functions of one block.
+_KERNELS = {"_floatrepr", "_floatparse"}
+_KERNEL_PRIVATE = {
+    "BLOCK_CELLS", "PAD", "_PAD", "READ_BLOCK", "_READ_BLOCK", "key_rows", "key_columns",
+    "table_rows",
+}
+
+
+def _kernel_names_read(source: str) -> set:
+    """The names a module's source reads from either kernel: as attributes
+    of the kernel module, under any alias, or by ``from ... import``."""
+    tree = ast.parse(source)
+    modules, read = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                if alias.name in _KERNELS:  # from . import _floatrepr
+                    modules.add(alias.asname or alias.name)
+                elif (node.module or "").split(".")[-1] in _KERNELS:
+                    read.add(alias.name)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in modules:
+            read.add(node.attr)
+    return read
+
+
+def test_key_csv_layout_is_known_to_the_kernels_only():
+    # key.csv's blocks, read buffer and basis-pair code live in _floatrepr
+    # and _floatparse; every other module calls their whole-file entry points
+    package = Path(mwqkd.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        if path.stem not in _KERNELS:
+            read = _kernel_names_read(path.read_text())
+            assert not read & _KERNEL_PRIVATE, (path.name, sorted(read & _KERNEL_PRIVATE))
+    assert _kernel_names_read("from . import _floatrepr as f\nf.BLOCK_CELLS") == {"BLOCK_CELLS"}
+    assert _kernel_names_read("from ._floatparse import PAD") == {"PAD"}
+    # the column names and labels have one definition
+    assert proto.KEY_CSV_COLUMNS is _floatrepr.KEY_CSV_COLUMNS
+    assert proto.BASIS_LABELS is _floatrepr.BASIS_LABELS
 
 
 def test_seed_outside_the_philox_key_range_exits_2_before_writing(tmp_path, capsys):
