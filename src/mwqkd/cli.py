@@ -13,6 +13,10 @@ explicit flags. Exit codes: 0 success, 2 bad configuration or arguments,
 3 not enough data for channel estimation, 4 I/O failure. The `sweep` CSV
 rows come from the numpy kernel `_floatrepr.write_table`, imported on
 that branch only; the other tables are written with `str`.
+
+This module computes no model quantity: the run's channel and seeds come
+from :class:`~mwqkd.config.ExperimentConfig`, the record's variance and
+the background coupling from :mod:`mwqkd.devices`.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from .config import (
     ExperimentConfig,
     load_config,
 )
-from .devices import ChannelParams, response_and_noise
+from .devices import ChannelParams, record_variance
 from .errors import InsufficientDataError
 
 
@@ -222,28 +226,27 @@ def cmd_protocol(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
 
     config = cfg.to_dict()
-    channel = ChannelParams(loss=cfg.channel_loss, noise_photons=cfg.noise_photons)
     codebook = proto.generate_codebook(
         cfg.n_symbols, cfg.chain.codebook_variance, seed=cfg.seed
     )
     record = proto.simulate_transmission(
         codebook,
         cfg.chain,
-        channel,
-        seed=cfg.seed + 1,
+        cfg.channel,
+        seed=cfg.transmission_seed,
         announce_bases=bool(args.announce_bases),
     )
     alpha, beta = proto.sift(record)
     manifest = proto.key_manifest(
-        codebook, record, cfg.chain, channel, cfg.seed + 1, bool(args.announce_bases)
+        codebook, record, cfg.chain, cfg.channel, cfg.transmission_seed, bool(args.announce_bases)
     )
     manifest["config"] = config
     # the bootstrap needs only the sifted pairs, so a child runs it beside the rest
-    join_mi_sigma = _in_child(stats.bootstrap_mi_sigma, alpha, beta, 200, cfg.seed + 2)
+    join_mi_sigma = _in_child(stats.bootstrap_mi_sigma, alpha, beta, 200, cfg.bootstrap_seed)
     try:
         # key.csv, then its manifest, whatever the analysis does
-        proto.write_key_records(record, outdir / "key.csv")
-        _write_json(outdir / "manifest.json", manifest)
+        proto.write_key_records(record, outdir.joinpath("key.csv"))
+        _write_json(outdir.joinpath("manifest.json"), manifest)
 
         n_ec = cfg.key_settings["n_ec"]
         estimate = proto.estimate_channel(alpha[n_ec:], beta[n_ec:], cfg.chain)
@@ -252,19 +255,17 @@ def cmd_protocol(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
             estimate=estimate,
             extra_inputs={
                 "codebook_seed": cfg.seed,
-                "transmission_seed": cfg.seed + 1,
+                "transmission_seed": cfg.transmission_seed,
                 "n_matched": int(alpha.size),
                 "config": config,
             },
             **cfg.key_settings,
         )
 
-        slope, variance = response_and_noise(cfg.chain, channel, matched=True)
         mi_emp = stats.empirical_mutual_information(alpha, beta)
         hist = stats.build_histogram(beta)
-        overlap = stats.histogram_vs_gaussian(
-            hist, 0.0, slope**2 * cfg.chain.codebook_variance + variance
-        )
+        model_variance = record_variance(cfg.chain, cfg.channel, cfg.chain.codebook_variance)
+        overlap = stats.histogram_vs_gaussian(hist, 0.0, model_variance)
         mi_sigma = join_mi_sigma()
     finally:
         join_mi_sigma(redo=False)
@@ -276,12 +277,12 @@ def cmd_protocol(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
         "bhattacharyya_vs_model": overlap,
         "hellinger_vs_model": stats.hellinger_from_coefficient(overlap),
     }
-    _write_json(outdir / "report.json", payload)
+    _write_json(outdir.joinpath("report.json"), payload)
 
     edges = hist.bin_edges.tolist()
     rows = zip(edges[:-1], edges[1:], hist.counts.tolist(), hist.densities().tolist())
     _write_csv(
-        outdir / "histogram.csv", ("bin_lo", "bin_hi", "count", "density"), rows, config
+        outdir.joinpath("histogram.csv"), ("bin_lo", "bin_hi", "count", "density"), rows, config
     )
 
     print(f"matched symbols: {alpha.size} of {cfg.n_symbols}")
@@ -301,9 +302,7 @@ def cmd_linkbudget(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     occupancies = sorted(set(grid) | {medium.background_photons})
     table = lb.sweep_occupancy(cfg.chain, occupancies, medium.attenuation_db_per_m)
     _, eps_max, distance = table[occupancies.index(medium.background_photons)]
-    channel = ChannelParams(
-        loss=cfg.channel_loss, noise_photons=cfg.channel_loss * medium.background_photons / 2.0
-    )
+    channel = ChannelParams.from_environment(cfg.channel_loss, medium.background_photons)
     rate = lb.raw_key_rate(cfg.chain, channel, cfg.bandwidth_hz)
 
     if (args.out_format or "csv") == "json":
@@ -329,9 +328,8 @@ def cmd_linkbudget(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_report(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
-    channel = ChannelParams(loss=cfg.channel_loss, noise_photons=cfg.noise_photons)
     report = security.build_report(
-        cfg.chain, channel, extra_inputs={"config": cfg.to_dict()}, **cfg.key_settings
+        cfg.chain, cfg.channel, extra_inputs={"config": cfg.to_dict()}, **cfg.key_settings
     )
     _write_json(args.out, report.to_dict())
     return 0

@@ -13,7 +13,7 @@ import math
 import sys
 from dataclasses import asdict, dataclass, fields, replace
 
-from .devices import DeviceChainParams, check_channel
+from .devices import ChannelParams, DeviceChainParams
 from .linkbudget import MEDIA
 from .security import DEFAULT_CORRECTNESS_EPSILON, ec_block, key_settings
 
@@ -40,8 +40,8 @@ CHAIN_PRESETS = {"run1": RUN1_CHAIN, "run2": RUN2_CHAIN}
 DEFAULT_CHANNEL_LOSS = 0.0115
 DEFAULT_N_RAW = 16665
 DEFAULT_SEED = 20230817
-# A protocol run keys Philox streams, whose keys are 128-bit, with seed,
-# seed + 1 (transmission) and seed + 2 (bootstrap).
+# A protocol run keys Philox streams, whose keys are 128-bit, with seed
+# (codebook), ExperimentConfig.transmission_seed and .bootstrap_seed.
 MAX_SEED = 2**128 - 3
 DEFAULT_BANDWIDTH_HZ = 400e3
 DEFAULT_NOISE_GRID = tuple(0.0025 * i for i in range(41))  # 0 .. 0.1
@@ -111,7 +111,9 @@ def _photon_counts(name: str, values) -> tuple[float, ...]:
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything one run needs, resolvable from JSON and flags. Derived,
-    not a field: `key_settings`, the run's resolved finite-size settings."""
+    not fields: `channel`, the run's :class:`ChannelParams`; `key_settings`,
+    its resolved finite-size settings; and the seeds of its transmission
+    and bootstrap streams."""
 
     chain: DeviceChainParams = RUN1_CHAIN
     preset: str | None = "run1"
@@ -133,11 +135,13 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.preset is not None and self.preset not in CHAIN_PRESETS:
             raise ValueError(f"unknown preset {self.preset!r}")
-        check_channel(self.channel_loss, self.noise_photons)
+        object.__setattr__(self, "channel", ChannelParams(self.channel_loss, self.noise_photons))
         if self.n_symbols < 4:
             raise ValueError("n_symbols must be >= 4")
         if not 0 <= self.seed <= MAX_SEED:
             raise ValueError(f"seed must be in [0, 2**128 - 3], got {self.seed}")
+        object.__setattr__(self, "transmission_seed", self.seed + 1)
+        object.__setattr__(self, "bootstrap_seed", self.seed + 2)
         if not 0.0 < self.n_ec_fraction < 1.0:
             raise ValueError("n_ec_fraction must be in (0, 1)")
         # resolved once, so a bad value exits 2 before any command writes output

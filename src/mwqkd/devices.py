@@ -14,6 +14,13 @@ from covariance operations and is the oracle tests check it by.
 This module holds only that runtime chain; no command's use of it
 imports numpy or :mod:`mwqkd.gaussian`. It also holds the pieces the numpy modules share
 with the numpy-free ones: the vacuum variance and :class:`ChannelEstimate`.
+Each model rule has one owner here, beside its inverse or its other half:
+the record's moments and the estimate's inverse of them
+(:meth:`ReadoutModel.moments`, :meth:`ReadoutModel.invert`), the matched
+record's marginal variance (:func:`record_variance`), and the background
+coupling through the loss tap and its inverse
+(:meth:`ChannelParams.from_environment`,
+:attr:`ChannelParams.environment_photons`).
 
 Preparation and detection noise are trusted: they shape the measured
 statistics but are not attributed to an eavesdropper. Only the channel
@@ -214,6 +221,13 @@ class ChannelParams:
     def __post_init__(self) -> None:
         check_channel(self.loss, self.noise_photons)
 
+    @classmethod
+    def from_environment(cls, loss: float, environment_photons: float) -> ChannelParams:
+        """The channel whose loss tap couples in a thermal environment of
+        occupation n_th = `environment_photons`: nbar = n_th * loss / 2,
+        the inverse of :attr:`environment_photons`."""
+        return cls(loss, 0.5 * environment_photons * loss)
+
     @property
     def transmissivity(self) -> float:
         return 1.0 - self.loss
@@ -279,6 +293,15 @@ def response_and_noise(
     return model.moments(channel.loss, channel.noise_photons)
 
 
+def record_variance(
+    chain: DeviceChainParams, channel: ChannelParams, symbol_variance: float
+) -> float:
+    """Marginal variance of the matched record over symbols of variance
+    `symbol_variance`: slope^2 * symbol_variance + the noise variance."""
+    slope, variance = chain.readout.moments(channel.loss, channel.noise_photons)
+    return slope * slope * symbol_variance + variance
+
+
 @dataclass(frozen=True)
 class ReadoutModel:
     """Trusted-side constants of one readout.
@@ -289,7 +312,8 @@ class ReadoutModel:
     conditional variance of the encoding quadrature at the channel
     output. orthogonal_input_variance is the channel-input variance of
     the other (anti-squeezed) quadrature, which the eavesdropper's state
-    also depends on. Channel estimation inverts these relations.
+    also depends on. Channel estimation inverts these relations
+    (:meth:`invert`).
     """
 
     slope_gain: float
@@ -308,6 +332,16 @@ class ReadoutModel:
         v_out = (1.0 - loss) * self.channel_input_variance + loss * VACUUM_VARIANCE + nbar
         slope = math.sqrt(self.slope_gain) * math.sqrt(1.0 - loss)
         return slope, self.variance_gain * v_out + self.variance_offset
+
+    def invert(self, slope: float, variance: float) -> tuple[float, float]:
+        """(loss, raw nbar) whose :meth:`moments` are (slope, variance):
+        the method-of-moments channel estimate. The raw nbar is not
+        clamped, so it is negative where the variance falls below the
+        model's at zero noise."""
+        transmissivity = slope * slope / self.slope_gain
+        loss = 1.0 - transmissivity
+        v_out = (variance - self.variance_offset) / self.variance_gain
+        return loss, v_out - transmissivity * self.channel_input_variance - loss * VACUUM_VARIANCE
 
     def standard_errors(
         self, slope: float, slope_sigma, s2, samples: int, hypot=math.hypot

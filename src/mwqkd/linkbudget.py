@@ -4,7 +4,8 @@ raw secret key rate over a measurement bandwidth.
 
 The background couples in through the channel loss tap itself, so a
 channel of loss eps against an environment of occupation n_th carries
-nbar = n_th * eps / 2 coupled noise photons.
+nbar = n_th * eps / 2 coupled noise photons
+(:meth:`mwqkd.devices.ChannelParams.from_environment`).
 """
 
 from __future__ import annotations
@@ -104,9 +105,7 @@ def max_tolerable_loss(
         return 0.0
 
     def key(eps: float) -> float:
-        return asymptotic_key(
-            chain, ChannelParams(eps, 0.5 * background_photons * eps)
-        )
+        return asymptotic_key(chain, ChannelParams.from_environment(eps, background_photons))
 
     tol = min(BISECTION_TOL, 0.02 / (1.0 + background_photons))
     return min(noise_crossing(key, upper, tol, lower=lower, guess=guess), upper)

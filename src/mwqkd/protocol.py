@@ -24,10 +24,10 @@ import numpy as np
 
 from ._floatrepr import BASIS_LABELS, KEY_CSV_COLUMNS, write_key_csv
 from .devices import (
-    VACUUM_VARIANCE,
     ChannelEstimate,
     ChannelParams,
     DeviceChainParams,
+    record_variance,
     response_and_noise,
 )
 from .errors import InsufficientDataError
@@ -163,7 +163,7 @@ def simulate_transmission(
     # it): bounded 8 sd, 8 sqrt(2m), above its mean. The gain is >= 1, so
     # var_x <= var_m.
     m = sum(int(np.count_nonzero(codebook.bases[r] == bob_bases[r])) for r in _blocks(n))
-    if not (m + 8.0 * math.sqrt(2.0 * m)) * (slope_m * slope_m * codebook.variance + var_m) < math.inf:
+    if not (m + 8.0 * math.sqrt(2.0 * m)) * record_variance(chain, channel, codebook.variance) < math.inf:
         raise ValueError(
             f"measurement_gain_db={float(chain.measurement_gain_db)!r} with noise_photons="
             f"{channel.noise_photons!r} at loss={channel.loss!r} overflows the record variance"
@@ -196,13 +196,13 @@ def estimate_channel(
 ) -> ChannelEstimate:
     """Estimate channel loss and coupled noise from matched pairs.
 
-    Regression of beta on alpha through the origin gives the slope, which
-    the known trusted-chain gain converts to a loss estimate; the
-    residual variance minus the trusted noise contributions gives the
-    coupled-noise estimate. Standard errors are the asymptotic
-    slope-error and chi-square variance-error formulas propagated through
-    the same referral. Fewer than MIN_ESTIMATION_SAMPLES pairs, or pairs
-    whose alpha are all 0, raise InsufficientDataError.
+    Regression of beta on alpha through the origin gives the slope and
+    the residual variance; the chain's readout model inverts them
+    (:meth:`~mwqkd.devices.ReadoutModel.invert`) to the loss and the
+    coupled-noise estimate, clamped at 0. Standard errors are the
+    asymptotic slope-error and chi-square variance-error formulas
+    propagated through the same model. Fewer than MIN_ESTIMATION_SAMPLES
+    pairs, or pairs whose alpha are all 0, raise InsufficientDataError.
     """
     alpha = np.asarray(alpha, dtype=float)
     beta = np.asarray(beta, dtype=float)
@@ -224,15 +224,8 @@ def estimate_channel(
     resid = beta - slope * alpha
     s2 = float(resid @ resid) / (m - 1)
 
-    transmissivity = slope * slope / model.slope_gain
-    loss = 1.0 - transmissivity
+    loss, noise_raw = model.invert(slope, s2)
     loss_sigma, noise_sigma = model.standard_errors(slope, math.sqrt(s2 / sxx), s2, m)
-    v_out = (s2 - model.variance_offset) / model.variance_gain
-    noise_raw = (
-        v_out
-        - transmissivity * model.channel_input_variance
-        - loss * VACUUM_VARIANCE
-    )
     return ChannelEstimate(
         loss=loss,
         loss_sigma=loss_sigma,

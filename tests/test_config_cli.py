@@ -8,6 +8,7 @@ import io
 import json
 import math
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -34,7 +35,7 @@ from mwqkd.config import (
     config_from_dict,
     load_config,
 )
-from mwqkd.devices import ChannelParams
+from mwqkd.devices import ChannelEstimate, ChannelParams, DeviceChainParams
 from mwqkd.errors import InsufficientDataError
 
 from test_protocol import _repr_cases, _traced_peak
@@ -1384,6 +1385,105 @@ def test_key_csv_layout_is_known_to_the_kernels_only():
     assert proto.BASIS_LABELS is _floatrepr.BASIS_LABELS
 
 
+_ARITHMETIC = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.FloorDiv, ast.Mod, ast.Pow)
+
+
+def test_each_model_rule_has_one_owner():
+    # a command wires the config's channel and seeds to the devices' record
+    # variance and coupling; it computes no model quantity itself
+    tree = ast.parse(Path(cli.__file__).read_text())
+    commands = [node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name.startswith("cmd_")]
+    assert {node.name for node in commands} == {f"cmd_{name}" for name in cli._COMMANDS}
+    for command in commands:
+        arithmetic = [ast.unparse(node) for node in ast.walk(command)
+                      if isinstance(node, ast.BinOp) and isinstance(node.op, _ARITHMETIC)]
+        assert not arithmetic, (command.name, arithmetic)
+    # the estimate's inverse of the readout is the readout model's, and
+    # the streams' seeds are the config's
+    package = Path(mwqkd.__file__).parent
+    assert "VACUUM_VARIANCE" not in (package / "protocol.py").read_text()
+    for path in sorted(package.glob("*.py")):
+        if path.stem != "config":
+            assert not re.search(r"seed \+ [12]\b", path.read_text()), path.name
+
+
+_ESTIMATE = dict(loss=0.01, loss_sigma=1e-3, noise_photons=0.0, noise_sigma=1e-3, samples=100)
+_UNMODULATED = DeviceChainParams(0.0, 0.0, 0.65, 19.1)
+
+# Refusals no other test reaches: call -> its ValueError's message.
+_REFUSALS = {
+    "security.worst_case_params-w<0": (
+        lambda: security.worst_case_params(ChannelEstimate(**_ESTIMATE), -1.0),
+        "w must be >= 0"),
+    "security.predicted_estimate-unmodulated": (
+        lambda: security.predicted_estimate(_UNMODULATED, ChannelParams(0.01), 100),
+        "an unmodulated chain (zero codebook variance) cannot estimate the channel"),
+    "security.predicted_estimate-samples<2": (
+        lambda: security.predicted_estimate(mwqkd.RUN1_CHAIN, ChannelParams(0.01), 1),
+        "samples must be >= 2"),
+    "security.key_settings-n_raw<4": (lambda: security.key_settings(3), "n_raw must be >= 4"),
+    "security.key_settings-n_ec=0": (
+        lambda: security.key_settings(100, 0), "n_ec must be in 1..sifted length"),
+    "security.key_settings-n_ec>sifted": (
+        lambda: security.key_settings(100, 51), "n_ec must be in 1..sifted length"),
+    "security.sweep_noise-2d": (
+        lambda: security.sweep_noise(mwqkd.RUN1_CHAIN, 0.01, [[0.0]]),
+        "nbars must be a 1-D grid"),
+    "devices.level_to_variance-inf": (
+        lambda: mwqkd.level_to_variance(math.inf, "squeezed"), "level_db must be finite"),
+    "devices.path_loss=1": (
+        lambda: replace(mwqkd.RUN1_CHAIN, path_losses=(0.0, 1.0, 0.0, 0.0)),
+        "path loss must be in [0, 1)"),
+    "devices.ChannelEstimate-sigma<0": (
+        lambda: ChannelEstimate(**{**_ESTIMATE, "noise_sigma": -1e-3}),
+        "standard errors must be >= 0"),
+    "devices.ChannelEstimate-nan": (
+        lambda: ChannelEstimate(**{**_ESTIMATE, "loss": math.nan}), "estimates must be finite"),
+    "linkbudget.MediumSpec-attenuation=0": (
+        lambda: mwqkd.MediumSpec(0.0, 1.0, "lossless"), "attenuation_db_per_m must be > 0"),
+    "linkbudget.loss_to_distance-attenuation=0": (
+        lambda: mwqkd.loss_to_distance(0.1, 0.0), "attenuation_db_per_m must be > 0"),
+    "linkbudget.distance_to_loss-attenuation=0": (
+        lambda: mwqkd.distance_to_loss(1.0, 0.0), "attenuation_db_per_m must be > 0"),
+    "linkbudget.loss_to_distance-loss=1": (
+        lambda: mwqkd.loss_to_distance(1.0, 1e-3), "loss must be in [0, 1)"),
+    "linkbudget.distance_to_loss-distance<0": (
+        lambda: mwqkd.distance_to_loss(-1.0, 1e-3), "distance_m must be >= 0"),
+    "protocol.Codebook-unequal": (
+        lambda: proto.Codebook(np.zeros(2), np.zeros(3, np.int8), 1.0, 0),
+        "symbols and bases must have equal length"),
+    "protocol.KeyRecord-unequal": (
+        lambda: proto.KeyRecord(np.zeros(2), np.zeros(3, np.int8), np.zeros(2, np.int8),
+                                np.zeros(2)),
+        "all record columns must have equal length"),
+    "protocol.estimate_channel-2d": (
+        lambda: proto.estimate_channel(np.ones((40, 2)), np.ones((40, 2)), mwqkd.RUN1_CHAIN),
+        "alpha and beta must be 1-D arrays of equal length"),
+    "stats.Histogram-count<0": (
+        lambda: stats.Histogram(np.array([0.0, 1.0]), np.array([-1])), "counts must be >= 0"),
+    "stats.build_histogram-empty": (
+        lambda: stats.build_histogram([]), "need at least one sample"),
+    "stats.bhattacharyya-bins": (
+        lambda: stats.bhattacharyya([1.0, 2.0], [1.0, 2.0, 3.0]),
+        "p and q must be 1-D with matching bins"),
+    "stats.bhattacharyya_gaussian-variance=0": (
+        lambda: stats.bhattacharyya_gaussian(0.0, 0.0, 0.0, 1.0), "variances must be > 0"),
+    "stats.hellinger_from_coefficient-1.5": (
+        lambda: stats.hellinger_from_coefficient(1.5), "coefficient must be in [0, 1]"),
+    "config.ExperimentConfig-preset": (
+        lambda: ExperimentConfig(preset="nope"), "unknown preset 'nope'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REFUSALS))
+def test_refusals_name_what_they_refuse(case):
+    call, message = _REFUSALS[case]
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
 def test_seed_outside_the_philox_key_range_exits_2_before_writing(tmp_path, capsys):
     # the run keys Philox with seed, seed + 1 and seed + 2, all below 2**128
     for seed in (-1, MAX_SEED + 1):
@@ -1400,6 +1500,8 @@ def test_seed_outside_the_philox_key_range_exits_2_before_writing(tmp_path, caps
     manifest = json.loads((tmp_path / "max" / "manifest.json").read_text())
     assert manifest["codebook_seed"] == MAX_SEED
     assert manifest["transmission_seed"] == MAX_SEED + 1
+    top = ExperimentConfig(seed=MAX_SEED)
+    assert (top.transmission_seed, top.bootstrap_seed) == (2**128 - 2, 2**128 - 1)
     assert ExperimentConfig(seed=0).seed == 0
 
 

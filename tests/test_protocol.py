@@ -533,15 +533,22 @@ def test_key_record_derives_matched():
         proto.KeyRecord(np.zeros(4), alice, bob, np.ones(4), alice == bob)
 
 
+def _mask_bits(mask: int, n: int) -> np.ndarray:
+    """The n low bits of `mask`, least significant first, as int8 0/1."""
+    packed = np.frombuffer(mask.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(packed, count=n, bitorder="little").astype(np.int8)
+
+
 @st.composite
 def _key_records(
     draw, floats=st.floats(allow_nan=False, allow_infinity=False), min_size=0, max_size=300
 ):
     n = draw(st.integers(min_size, max_size))
-    bases = st.lists(st.integers(0, 1), min_size=n, max_size=n)
+    # each basis column is one draw: a bitmask of n bits, one per row
+    bases = st.integers(0, 2**n - 1)
     floats = st.lists(floats, min_size=n, max_size=n)
-    alice = np.array(draw(bases), dtype=np.int8)
-    bob = np.array(draw(bases), dtype=np.int8)
+    alice = _mask_bits(draw(bases), n)
+    bob = _mask_bits(draw(bases), n)
     alpha = np.array(draw(floats), dtype=np.float64)
     beta = np.array(draw(floats), dtype=np.float64)
     return proto.KeyRecord(alpha, alice, bob, beta)
