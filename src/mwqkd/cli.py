@@ -9,10 +9,13 @@ Subcommands:
 Each subcommand takes only the flags it reads (`_COMMAND_FLAGS`), but
 every field of a --config file, which it checks and echoes. Flag
 precedence is built-in defaults, then --config file values, then
-explicit flags. Exit codes: 0 success, 2 bad configuration or arguments,
-3 not enough data for channel estimation, 4 I/O failure. The `sweep` CSV
-rows come from the numpy kernel `_floatrepr.write_table`, imported on
-that branch only; the other tables are written with `str`.
+explicit flags. Every flag but --config, --out and --format sets the
+config field its destination names (--preset also sets the chain), so a
+command body reads only the resolved config, args.out and
+args.out_format. Exit codes: 0 success, 2 bad configuration or
+arguments, 3 not enough data for channel estimation, 4 I/O failure. The
+`sweep` CSV rows come from the numpy kernel `_floatrepr.write_table`,
+imported on that branch only; the other tables are written with `str`.
 
 This module computes no model quantity: the run's channel and seeds come
 from :class:`~mwqkd.config.ExperimentConfig`, the record's variance and
@@ -36,7 +39,6 @@ from . import security, stats
 from .config import (
     CHAIN_PRESETS,
     CONFIG_SCHEMA,
-    DEFAULT_OCCUPANCY_GRID,
     ExperimentConfig,
     load_config,
 )
@@ -63,7 +65,8 @@ _FLAGS = {
     "--seed": dict(type=int, metavar="N", help="codebook seed; the transmission takes N + 1"),
     "--announce-bases": dict(action="store_true", default=None, help="the receiver measures "
                              "in the sender's basis, so no symbol is lost to sifting"),
-    "--format": dict(choices=("csv", "json"), dest="out_format", help="output format (csv)"),
+    "--format": dict(choices=("csv", "json"), dest="out_format", default="csv",
+                     help="output format (csv)"),
     "--medium": dict(choices=sorted(lb.MEDIA), help="link medium (cryo-15mK)"),
 }
 _SHARED = ("--config", "--preset", "--out", "--loss")
@@ -147,7 +150,7 @@ def cmd_sweep(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     sweep = security.sweep_noise(cfg.chain, cfg.channel_loss, cfg.noise_grid, **cfg.key_settings)
     crossing = security.noise_tolerance(cfg.chain, cfg.channel_loss)
 
-    if (args.out_format or "csv") == "json":
+    if args.out_format == "json":
         settings, points = sweep.split_grid()
         payload = {
             "config": cfg.to_dict(),
@@ -234,11 +237,11 @@ def cmd_protocol(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
         cfg.chain,
         cfg.channel,
         seed=cfg.transmission_seed,
-        announce_bases=bool(args.announce_bases),
+        announce_bases=cfg.announce_bases,
     )
     alpha, beta = proto.sift(record)
     manifest = proto.key_manifest(
-        codebook, record, cfg.chain, cfg.channel, cfg.transmission_seed, bool(args.announce_bases)
+        codebook, record, cfg.chain, cfg.channel, cfg.transmission_seed, cfg.announce_bases
     )
     manifest["config"] = config
     # the bootstrap needs only the sifted pairs, so a child runs it beside the rest
@@ -298,14 +301,13 @@ def cmd_protocol(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
 
 def cmd_linkbudget(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     medium = lb.MEDIA[cfg.medium]
-    grid = cfg.occupancies if cfg.occupancies is not None else DEFAULT_OCCUPANCY_GRID
-    occupancies = sorted(set(grid) | {medium.background_photons})
+    occupancies = sorted(set(cfg.occupancies) | {medium.background_photons})
     table = lb.sweep_occupancy(cfg.chain, occupancies, medium.attenuation_db_per_m)
     _, eps_max, distance = table[occupancies.index(medium.background_photons)]
     channel = ChannelParams.from_environment(cfg.channel_loss, medium.background_photons)
     rate = lb.raw_key_rate(cfg.chain, channel, cfg.bandwidth_hz)
 
-    if (args.out_format or "csv") == "json":
+    if args.out_format == "json":
         payload = {
             "config": cfg.to_dict(),
             "medium": asdict(medium),

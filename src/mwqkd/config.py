@@ -60,6 +60,7 @@ CONFIG_SCHEMA = {
     "noise_grid": (None, "noise_grid", "number array"),
     "n_symbols": (None, "n_symbols", "integer"),
     "seed": (None, "seed", "integer"),
+    "announce_bases": (None, "announce_bases", "boolean"),
     "e_ec": ("security", "e_ec", "number"),
     "beta_ec": ("security", "beta_ec", "number"),
     "p_ec": ("security", "p_ec", "number"),
@@ -110,7 +111,8 @@ def _photon_counts(name: str, values) -> tuple[float, ...]:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything one run needs, resolvable from JSON and flags. Derived,
+    """Everything one run needs, resolvable from JSON and flags, and echoed
+    whole into its outputs, so the echo reproduces the run. Derived,
     not fields: `channel`, the run's :class:`ChannelParams`; `key_settings`,
     its resolved finite-size settings; and the seeds of its transmission
     and bootstrap streams."""
@@ -130,7 +132,8 @@ class ExperimentConfig:
     include_estimation_penalty: bool = True
     bandwidth_hz: float = DEFAULT_BANDWIDTH_HZ
     medium: str = "cryo-15mK"
-    occupancies: tuple[float, ...] | None = None
+    occupancies: tuple[float, ...] = DEFAULT_OCCUPANCY_GRID
+    announce_bases: bool = False
 
     def __post_init__(self) -> None:
         if self.preset is not None and self.preset not in CHAIN_PRESETS:
@@ -156,10 +159,7 @@ class ExperimentConfig:
             raise ValueError(f"bandwidth_hz must be finite and > 0, got {self.bandwidth_hz!r}")
         # a grid point is a channel noise, so its message is check_channel's
         object.__setattr__(self, "noise_grid", _photon_counts("noise_photons", self.noise_grid))
-        if self.occupancies is not None:
-            object.__setattr__(
-                self, "occupancies", _photon_counts("occupancies", self.occupancies)
-            )
+        object.__setattr__(self, "occupancies", _photon_counts("occupancies", self.occupancies))
 
     def to_dict(self) -> dict:
         data: dict = {}

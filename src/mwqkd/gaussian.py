@@ -122,8 +122,8 @@ def make_thermal(n_photons: float) -> GaussianState:
 
     Both quadrature variances equal (1 + 2n) * 0.25.
     """
-    if not (n_photons >= 0.0):
-        raise ValueError("n_photons must be >= 0")
+    if not 0.0 <= n_photons < math.inf:
+        raise ValueError("n_photons must be finite and >= 0")
     var = (1.0 + 2.0 * n_photons) * VACUUM_VARIANCE
     return GaussianState(np.zeros(2), var * np.eye(2))
 
@@ -133,10 +133,10 @@ def two_mode_squeezed_thermal(n_thermal: float) -> GaussianState:
 
     Block form 0.25 * [[v*I, c*Z], [c*Z, v*I]] with v = 1 + 2n,
     c = sqrt(v^2 - 1) and Z = diag(1, -1). The joint state is pure
-    (both symplectic eigenvalues 1) for every n_thermal >= 0.
+    (both symplectic eigenvalues 1) for every finite n_thermal >= 0.
     """
-    if not (n_thermal >= 0.0):
-        raise ValueError("n_thermal must be >= 0")
+    if not 0.0 <= n_thermal < math.inf:
+        raise ValueError("n_thermal must be finite and >= 0")
     v = 1.0 + 2.0 * n_thermal
     c = math.sqrt(v * v - 1.0)
     cov = VACUUM_VARIANCE * np.array(
@@ -300,8 +300,8 @@ def apply_loss(
     eps = float(loss)
     if not 0.0 <= eps <= 1.0:
         raise ValueError("loss must be in [0, 1]")
-    if not (environment_photons >= 0.0):
-        raise ValueError("environment_photons must be >= 0")
+    if not 0.0 <= environment_photons < math.inf:
+        raise ValueError("environment_photons must be finite and >= 0")
     if not 0 <= mode < state.modes:
         raise ValueError("mode index out of range")
     t = math.sqrt(1.0 - eps)

@@ -488,6 +488,46 @@ def test_protocol_manifest_regenerates_announced_transcript(tmp_path):
     assert written.matched.all()
 
 
+def test_a_run_reproduces_from_its_config_echo(tmp_path, capsys):
+    # the echo holds every input of the run: fed back as --config, it
+    # writes the same bytes, announced bases included
+    first, second, echo = tmp_path / "first", tmp_path / "second", tmp_path / "echo.json"
+    assert run_cli("protocol", "--preset", "run2", "--seed", "7", "--announce-bases",
+                   "--n-symbols", "2000", "--out", str(first)) == 0
+    config = json.loads((first / "report.json").read_text())["inputs"]["config"]
+    assert config["announce_bases"] is True
+    echo.write_text(json.dumps(config))
+    assert run_cli("protocol", "--config", str(echo), "--out", str(second)) == 0
+    capsys.readouterr()
+    for name in ("key.csv", "manifest.json", "histogram.csv"):
+        assert (second / name).read_bytes() == (first / name).read_bytes(), name
+
+
+def test_announce_bases_and_the_occupancy_grid_are_config_fields(tmp_path, capsys):
+    # the key, and the flag over a config's false, give the flag's bytes
+    flagged = tmp_path / "flagged"
+    assert run_cli("protocol", "--preset", "run2", "--announce-bases", "--out", str(flagged)) == 0
+    config = tmp_path / "announce.json"
+    for value, flag in ((True, ()), (False, ("--announce-bases",))):
+        config.write_text(json.dumps({"preset": "run2", "announce_bases": value}))
+        out = tmp_path / f"keyed-{value}"
+        assert run_cli("protocol", "--config", str(config), *flag, "--out", str(out)) == 0
+        assert sorted(os.listdir(out)) == sorted(os.listdir(flagged))
+        for name in os.listdir(flagged):
+            assert (out / name).read_bytes() == (flagged / name).read_bytes(), (value, name)
+    # a key that is not a JSON boolean exits 2 naming it, before writing
+    config.write_text(json.dumps({"preset": "run2", "announce_bases": "yes"}))
+    capsys.readouterr()
+    assert run_cli("protocol", "--config", str(config), "--out", str(tmp_path / "bad")) == 2
+    assert capsys.readouterr().err == "error: announce_bases must be a JSON boolean, got 'yes'\n"
+    assert not (tmp_path / "bad").exists()
+    # the echo holds the grid a linkbudget run used; null keeps it
+    assert ExperimentConfig().to_dict()["linkbudget"]["occupancies"] == list(
+        DEFAULT_OCCUPANCY_GRID)
+    null = config_from_dict({"preset": "run1", "linkbudget": {"occupancies": None}})
+    assert null.occupancies == DEFAULT_OCCUPANCY_GRID and not null.announce_bases
+
+
 def test_protocol_without_enough_data_exits_3(tmp_path, capsys):
     code = run_cli("protocol", "--preset", "run1", "--n-symbols", "100",
                    "--out", str(tmp_path / "x"))
@@ -1089,16 +1129,18 @@ def test_linkbudget_key_evaluations_are_pinned(monkeypatch, tmp_path, preset, me
 # sha256 of the linkbudget outputs, recorded before the reach sweep was
 # warm-started. A root estimate may only save key evaluations. The two
 # cryo JSON files were re-recorded when g(nu) became one cancellation-free
-# form: only `raw_key_rate_bits_per_s` moved, in its last digit.
+# form: only `raw_key_rate_bits_per_s` moved, in its last digit. All eight
+# were re-recorded when the config echo gained `announce_bases` and the
+# resolved `linkbudget.occupancies` grid (null before): only the echo moved.
 GOLDEN_LINKBUDGETS = {
-    ("run1", "cryo-15mK", "csv"): "8b1c89c9a03f88a80a9724ab7aab28b1226b1296434dd2e1f1381d3e96509fe1",
-    ("run1", "cryo-15mK", "json"): "170de8f4c196d0f8449ee045cac8a82849594b2cfdada50951c8adbcace701b5",
-    ("run1", "openair-300K", "csv"): "c8ecc87659e059b3f8dcbb932271a4d22054ca30886cef6ef8b8a8dc0c39a232",
-    ("run1", "openair-300K", "json"): "e939c919545034f9d2900c1e9e9228a3e3d1248dc232e25e69cbee70a50cfdef",
-    ("run2", "cryo-15mK", "csv"): "76e9a93316c05897d65a487759c4126fd301313cc0b8930963c5e3042829dca4",
-    ("run2", "cryo-15mK", "json"): "e6c9d8fd6e513fe7498f66c753e5d26c63d73a54a02d8ffea06f391f29c3c740",
-    ("run2", "openair-300K", "csv"): "b5d1cf20b3e83d16005fafd4fae6e50632f8607b92286de15ed60d7f61e9f4f6",
-    ("run2", "openair-300K", "json"): "a60d5a7cc615de032fc54f581f4c5ecf96f722a6a69ce78eacd4dafeff4aa37d",
+    ("run1", "cryo-15mK", "csv"): "4f73c06eee3c162da7a8b5fe3fd7719ba3f9ea07739d620be0da06eb554773c8",
+    ("run1", "cryo-15mK", "json"): "eb4c0336b242a6575afb2230fa02197b00a5784aa4f4eb95985640ed9c7fd0ac",
+    ("run1", "openair-300K", "csv"): "583592dd2fc938c150ca7f703d952362490c4cc5fd5da1f26e86b15d5ffee056",
+    ("run1", "openair-300K", "json"): "86114b19bd1e8075e474b879b00f0a3feefce249c2e086cc85cd3796a591f203",
+    ("run2", "cryo-15mK", "csv"): "ab099d5086a6301c6ccd4a6bdbe2035279d586fc839bb81bfc4886dd45d9eb07",
+    ("run2", "cryo-15mK", "json"): "d6e7402695238b561aa5c7e842da0e4db6e3cf9bd5400634fc130f913ea904d9",
+    ("run2", "openair-300K", "csv"): "607abbe6b218708e6a57be61dc0842896e26d17b0ceb9a27d3a0aa8753e1118c",
+    ("run2", "openair-300K", "json"): "53d14c9079e49cbc4a9dac573ea507d1d72253dc1404794260ba9532678c46d6",
 }
 
 
@@ -1118,17 +1160,19 @@ def test_linkbudget_bytes_are_pinned(tmp_path, capsys, preset, medium, fmt):
 # a lossless channel with noise. The run1 sweeps were re-recorded when
 # chi's split-branch gap lost its cancellation near full loss: chi at one
 # grid point and the worst-case chi at three moved by at most 4.4e-16 bits.
+# All eight were re-recorded when the config echo gained `announce_bases`
+# and the resolved occupancy grid: only the echo moved.
 GOLDEN_REPORTS = {
-    ("run1", "0.0115", "1.7e-06"): "ede7ed36ce3f5f20adf7f07105f1d3ac0c95d5478688117103a7379cfbc10ce1",
-    ("run1", "0", "0.01"): "2003ca377c46b7e95e7991f2bd0957f4e1a0960632455a930f6523ddfb6c0ebc",
-    ("run2", "0.0115", "1.7e-06"): "3acab236816477f86c592c5b713b180f99112c1a5994c9b3bc4cdcfd0f87eb12",
-    ("run2", "0", "0.01"): "e7b02be30fa6e4da11959513be775ee48c783d57acb2b5dd824bd59afe96a84b",
+    ("run1", "0.0115", "1.7e-06"): "6308f6c6d117b1165cdfc422b0e0d237efb9238c59f9fd7b87255981268c6273",
+    ("run1", "0", "0.01"): "362ce8074ae7a4027d0efba78c781261c0c76e3e5e8e89ca340edeab79ea0338",
+    ("run2", "0.0115", "1.7e-06"): "49a03a2c1485253d1e1e6160275b7979a2e1ea6e1bfd355fe56cf9445e20f6aa",
+    ("run2", "0", "0.01"): "fee4a66048d493bc227aacf5b5e2e284d15b0f8b874f5abd4d84ed057222182f",
 }
 GOLDEN_SWEEPS = {
-    ("run1", "csv"): "a46be873158d38d287851664f94af21ed3714100184275f95eb2bf3a1f701bc6",
-    ("run1", "json"): "9e16943a35fc56df090b6f3b595ccfd0f0388b72d3fc4955505f810ca7cd0089",
-    ("run2", "csv"): "ba9f5708d8f7557e0a7b3a3af3cf3bae2f7906bc0339158fa89038562ba43311",
-    ("run2", "json"): "781cbaf032a506820d3ed0a1f984f2b4a78f6af7292357b94f48654474c76bd9",
+    ("run1", "csv"): "334e16d38c38466615cb568663f798f25194dec3dbe15520b6c26199667544c2",
+    ("run1", "json"): "8e198a9ec8b73dc33972abbbdb966c90275ec6e50030b98f404d46764e5e7b0e",
+    ("run2", "csv"): "c119efd90e177e3f9c0452f0c2f3c564779adf1605518771901f53d47a8c3e57",
+    ("run2", "json"): "72193f824a3416ec10dca6b9dcd6b079708a914fc6f2687db9dc4f03a594c704",
 }
 
 
@@ -1408,6 +1452,27 @@ def test_each_model_rule_has_one_owner():
             assert not re.search(r"seed \+ [12]\b", path.read_text()), path.name
 
 
+def test_commands_read_only_the_config_and_their_output_flags():
+    # every setting reaches a command through ExperimentConfig: a flag's
+    # destination is a config field or one of the flags below
+    outputs = {"out", "out_format"}
+    for flag, keywords in cli._FLAGS.items():
+        dest = keywords.get("dest", flag[2:].replace("-", "_"))
+        assert dest in {*CONFIG_SCHEMA, *outputs, "config", "preset"}, flag
+    tree = ast.parse(Path(cli.__file__).read_text())
+    commands = [node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name.startswith("cmd_")]
+    assert {node.name for node in commands} == {f"cmd_{name}" for name in cli._COMMANDS}
+    for command in commands:
+        args = command.args.args[1].arg
+        names = [node for node in ast.walk(command)
+                 if isinstance(node, ast.Name) and node.id == args]
+        read = [node.attr for node in ast.walk(command)
+                if isinstance(node, ast.Attribute) and node.value in names]
+        # args is only ever read as args.out or args.out_format, never passed on
+        assert len(read) == len(names) and set(read) <= outputs, (command.name, read)
+
+
 _ESTIMATE = dict(loss=0.01, loss_sigma=1e-3, noise_photons=0.0, noise_sigma=1e-3, samples=100)
 _UNMODULATED = DeviceChainParams(0.0, 0.0, 0.65, 19.1)
 
@@ -1612,23 +1677,25 @@ def test_an_e_ec_that_rounds_1_minus_2e_to_1_exits_2_before_writing(tmp_path, ca
 
 # sha256 of key.csv and manifest.json of `protocol --seed 7 --nbar 1.7e-06`
 # at the default N = 16 665, recorded before the draws and the key.csv
-# writer went block-wise. A speed-up must keep these bytes.
+# writer went block-wise. A speed-up must keep these bytes. The manifest
+# hashes were re-recorded when its config echo gained `announce_bases` and
+# the resolved occupancy grid; no key.csv hash moved.
 GOLDEN_TRANSCRIPTS = {
     ("run1", False): (
         "a26fe9fd4fbe5f06a8fd92ff8da0ad199cc2b418fd5e2a0f1d632f706ef553d3",
-        "ac5af54e2d09051bc56ff7f07aadafe696d1b216e2bda485e512a37a471260ee",
+        "a2fdbe5aa1f4d081ed0b4b9da91296161bc2aaaaa58fea5bca946e9a386be5f2",
     ),
     ("run1", True): (
         "57e35eefc69d8d2c72a7f9899d1346e4ba00c61faeebad62e64602aa645d01cc",
-        "a53b4ab6bb337515117cd2298a582ff174e9feca8eea623797f89339b5618ef0",
+        "2e02d2e411ef5a8cf424015f60557d71825b27813c475aeceb8be2b0bb84f933",
     ),
     ("run2", False): (
         "ff4315f99ca4eb2d92a76bbda44469ed9c6d1dd09bc9f8b7828826f852f419d1",
-        "c76a03c856c17dd2b9cae708c76620a9da99af7f2786014f5e2f182f6d134bb5",
+        "8e78dded65ad8db97859459933a8d1c255dc1c3d0c35862db3e9bb00264f4c80",
     ),
     ("run2", True): (
         "02a78ef55ea2d46e146f75c30948651c85913490edfd00809f5017aa5c6766dd",
-        "0c271e9491b5e10f92e1f67f09a3da51a4fdae22032f38d3fc646dc63cb20dd5",
+        "14b61b062f8c15e85b08e0844b1c8970e7d55762d7c16c26a1ea35de758dd53f",
     ),
 }
 

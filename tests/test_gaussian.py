@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from mwqkd import gaussian as g
+from mwqkd.config import RUN1_CHAIN
+from mwqkd.devices import ChannelParams
 from mwqkd.errors import PhysicalityError
 
 
@@ -234,3 +236,57 @@ def test_entropy_invariant_under_symplectic_unitaries():
         st = g.apply_beamsplitter(st, float(rng.uniform(0.05, 0.95)))
         st = g.displace(st, float(rng.uniform(-2, 2)), "q", mode=1)
         assert g.von_neumann_entropy(st) == pytest.approx(before, abs=1e-9)
+
+
+_VACUUM, _PAIR = g.make_vacuum(1), g.make_vacuum(2)
+_ANY_QUADRATURE = "quadrature must be 'q' or 'p'"
+_OUT_OF_RANGE = "mode index out of range"
+
+# The oracle's refusals: call -> its ValueError's message. An infinite
+# photon number is refused before numpy turns it into inf - inf.
+_ORACLE_REFUSALS = {
+    "make_vacuum-0": (lambda: g.make_vacuum(0), "modes must be >= 1"),
+    "make_thermal-inf": (lambda: g.make_thermal(math.inf), "n_photons must be finite and >= 0"),
+    "two_mode_squeezed_thermal-negative": (
+        lambda: g.two_mode_squeezed_thermal(-1.0), "n_thermal must be finite and >= 0"),
+    "two_mode_squeezed_thermal-inf": (
+        lambda: g.two_mode_squeezed_thermal(math.inf), "n_thermal must be finite and >= 0"),
+    "tensor-empty": (lambda: g.tensor(), "tensor needs at least one state"),
+    "partial_trace-empty": (
+        lambda: g.partial_trace(_PAIR, ()), "keep must list at least one mode"),
+    "partial_trace-repeated": (
+        lambda: g.partial_trace(_PAIR, (1, 1)), "invalid mode selection (1, 1)"),
+    "apply_squeeze-inf": (lambda: g.apply_squeeze(_VACUUM, math.inf), "r and angle must be finite"),
+    "apply_squeeze-mode": (lambda: g.apply_squeeze(_VACUUM, 0.1, mode=1), _OUT_OF_RANGE),
+    "apply_beamsplitter-repeated": (
+        lambda: g.apply_beamsplitter(_PAIR, 0.5, (0, 0)), "invalid mode pair (0, 0)"),
+    "apply_phase_sensitive_amp-x": (
+        lambda: g.apply_phase_sensitive_amp(_VACUUM, 2.0, "x"), _ANY_QUADRATURE),
+    "apply_phase_sensitive_amp-mode": (
+        lambda: g.apply_phase_sensitive_amp(_VACUUM, 2.0, mode=1), _OUT_OF_RANGE),
+    "apply_phase_sensitive_amp-asymmetric": (
+        lambda: g.apply_phase_sensitive_amp(_VACUUM, 2.0, added_noise=[[1.0, 0.5], [0.0, 1.0]]),
+        "added_noise must be a symmetric 2x2 matrix"),
+    "apply_loss-1.5": (lambda: g.apply_loss(_VACUUM, 1.5), "loss must be in [0, 1]"),
+    "apply_loss-negative": (
+        lambda: g.apply_loss(_VACUUM, 0.5, -1.0), "environment_photons must be finite and >= 0"),
+    "apply_loss-inf": (
+        lambda: g.apply_loss(_VACUUM, 0.5, environment_photons=math.inf),
+        "environment_photons must be finite and >= 0"),
+    "apply_loss-mode": (lambda: g.apply_loss(_VACUUM, 0.5, mode=1), _OUT_OF_RANGE),
+    "displace-inf": (lambda: g.displace(_VACUUM, math.inf), "amplitude must be finite"),
+    "displace-x": (lambda: g.displace(_VACUUM, 1.0, "x"), _ANY_QUADRATURE),
+    "displace-mode": (lambda: g.displace(_VACUUM, 1.0, mode=1), _OUT_OF_RANGE),
+    "prepared_state-x": (lambda: g.prepared_state(RUN1_CHAIN, "x"), "basis must be 'q' or 'p'"),
+    "bob_output_distribution-x": (
+        lambda: g.bob_output_distribution(RUN1_CHAIN, ChannelParams(0.01), 0.0, bob_basis="x"),
+        "bob_basis must be 'q' or 'p'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ORACLE_REFUSALS))
+def test_oracle_refusals_name_what_they_refuse(case):
+    call, message = _ORACLE_REFUSALS[case]
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
