@@ -3,13 +3,21 @@ continuous-variable QKD link built from displaced squeezed states.
 
 Quadrature variances are dimensionless with the vacuum at 0.25.
 
-Importing the package does not import numpy. The three modules that need
-it, :mod:`~mwqkd.gaussian`, :mod:`~mwqkd.protocol` and :mod:`~mwqkd.stats`,
-are registered in ``sys.modules`` at import but run their bodies on first
-attribute access (:class:`importlib.util.LazyLoader`), and the names this
-package re-exports from them resolve through the module ``__getattr__``.
-The CSV float kernel ``mwqkd._floatrepr`` needs numpy too; it is imported
-by :mod:`~mwqkd.protocol` and, inside the command, by the ``sweep`` CSV
+Every name this package exports resolves through its owner on every
+read: the module ``__getattr__`` looks the name up in ``_EXPORTS`` and
+reads it from the owning module, importing that module on first use, so
+a later rebinding there (a test's monkeypatch, a profiler's wrapper)
+shows through the package name too. Each of the eight layer modules
+resolves the same way, from ``sys.modules``, until the import system
+binds it on the package. Importing the package imports no layer and no
+numpy. The
+three modules that need numpy, :mod:`~mwqkd.gaussian`,
+:mod:`~mwqkd.protocol` and :mod:`~mwqkd.stats`, are registered in
+``sys.modules`` at import but run their bodies on first attribute
+access (:class:`importlib.util.LazyLoader`), so ``from . import stats``
+binds the module without running it. The CSV float kernel
+``mwqkd._floatrepr`` needs numpy too; it is imported by
+:mod:`~mwqkd.protocol` and, inside the command, by the ``sweep`` CSV
 writer. Its inverse, the key.csv reader ``mwqkd._floatparse``, is
 imported inside :func:`~mwqkd.protocol.read_key_records` only, so no
 command loads it. No command runs :mod:`~mwqkd.gaussian` either: it is
@@ -24,80 +32,31 @@ again.
 import importlib.util
 import sys
 
-
-def _lazy_submodule(name: str):
-    """Register ``mwqkd.<name>`` with its body deferred to first use."""
-    spec = importlib.util.find_spec(f"{__name__}.{name}")
-    loader = importlib.util.LazyLoader(spec.loader)
-    spec.loader = loader
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module
-    loader.exec_module(module)
-    return module
-
-
-# Registered before any other submodule runs, so that every
-# ``from . import gaussian`` binds the lazy module instead of loading it.
-gaussian = _lazy_submodule("gaussian")
-protocol = _lazy_submodule("protocol")
-stats = _lazy_submodule("stats")
-
-from .config import (
-    CHAIN_PRESETS,
-    DEFAULT_CHANNEL_LOSS,
-    DEFAULT_N_RAW,
-    RUN1_CHAIN,
-    RUN2_CHAIN,
-    ExperimentConfig,
-    config_from_dict,
-    load_config,
-)
-from .devices import (
-    VACUUM_VARIANCE,
-    ChannelEstimate,
-    ChannelParams,
-    DeviceChainParams,
-    ReadoutModel,
-    codebook_variance,
-    efficiency_to_noise,
-    level_to_variance,
-    response_and_noise,
-    trusted_readout_constants,
-)
-from .errors import InsufficientDataError, PhysicalityError
-from .linkbudget import (
-    CRYO_LINK,
-    MEDIA,
-    OPEN_AIR,
-    MediumSpec,
-    distance_limit,
-    distance_to_loss,
-    loss_to_distance,
-    max_tolerable_loss,
-    raw_key_rate,
-    sweep_occupancy,
-    thermal_occupancy,
-)
-from .security import (
-    CompositeKeyBound,
-    SecurityReport,
-    asymptotic_key,
-    build_report,
-    composite_key,
-    confidence_w,
-    finite_size_delta,
-    holevo_dr,
-    mutual_information,
-    noise_crossing,
-    noise_tolerance,
-    predicted_estimate,
-    snr,
-    sweep_noise,
-    worst_case_params,
-)
-
-# Names re-exported from the lazily loaded modules, by module.
-_LAZY_EXPORTS = {
+# The exported names, by owning module.
+_EXPORTS = {
+    "config": (
+        "CHAIN_PRESETS",
+        "DEFAULT_CHANNEL_LOSS",
+        "DEFAULT_N_RAW",
+        "RUN1_CHAIN",
+        "RUN2_CHAIN",
+        "ExperimentConfig",
+        "config_from_dict",
+        "load_config",
+    ),
+    "devices": (
+        "VACUUM_VARIANCE",
+        "ChannelEstimate",
+        "ChannelParams",
+        "DeviceChainParams",
+        "ReadoutModel",
+        "codebook_variance",
+        "efficiency_to_noise",
+        "level_to_variance",
+        "response_and_noise",
+        "trusted_readout_constants",
+    ),
+    "errors": ("InsufficientDataError", "PhysicalityError"),
     "gaussian": (
         "GaussianState",
         "apply_beamsplitter",
@@ -115,6 +74,19 @@ _LAZY_EXPORTS = {
         "two_mode_squeezed_thermal",
         "von_neumann_entropy",
     ),
+    "linkbudget": (
+        "CRYO_LINK",
+        "MEDIA",
+        "OPEN_AIR",
+        "MediumSpec",
+        "distance_limit",
+        "distance_to_loss",
+        "loss_to_distance",
+        "max_tolerable_loss",
+        "raw_key_rate",
+        "sweep_occupancy",
+        "thermal_occupancy",
+    ),
     "protocol": (
         "Codebook",
         "KeyRecord",
@@ -126,40 +98,72 @@ _LAZY_EXPORTS = {
         "simulate_transmission",
         "write_key_records",
     ),
+    "security": (
+        "CompositeKeyBound",
+        "SecurityReport",
+        "asymptotic_key",
+        "build_report",
+        "composite_key",
+        "confidence_w",
+        "finite_size_delta",
+        "holevo_dr",
+        "mutual_information",
+        "noise_crossing",
+        "noise_tolerance",
+        "predicted_estimate",
+        "snr",
+        "sweep_noise",
+    ),
     "stats": (
         "Histogram",
-        "bhattacharyya",
-        "bhattacharyya_gaussian",
         "bootstrap_mi_sigma",
         "build_histogram",
         "empirical_mutual_information",
         "gaussian_bin_probabilities",
-        "hellinger",
         "hellinger_from_coefficient",
         "histogram_vs_gaussian",
     ),
 }
-_LAZY_OWNER = {name: module for module, names in _LAZY_EXPORTS.items() for name in names}
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__version__ = "0.1.0"
+__all__ = sorted(_OWNER)
+
+
+def _submodule(name: str):
+    """``mwqkd.<name>``, imported if it is not yet registered. A registered
+    module is taken from ``sys.modules`` as it is: the import machinery
+    would read its ``__spec__`` and so run a lazy body."""
+    module = sys.modules.get(f"{__name__}.{name}")
+    if module is None:
+        module = importlib.import_module(f".{name}", __name__)
+    return module
 
 
 def __getattr__(name: str):
-    # not cached: a later rebinding in the module (a test's monkeypatch, a
-    # profiler's wrapper) must show through the package name too
-    owner = _LAZY_OWNER.get(name)
+    # not cached: a later rebinding in the owner must show through here too
+    if name in _EXPORTS:
+        return _submodule(name)
+    owner = _OWNER.get(name)
     if owner is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(globals()[owner], name)
+    return getattr(_submodule(owner), name)
 
 
 def __dir__():
-    return sorted(set(globals()) | set(_LAZY_OWNER))
+    return sorted(set(globals()) | set(_EXPORTS) | set(_OWNER))
 
 
-__version__ = "0.1.0"
+def _lazy_submodule(name: str) -> None:
+    """Register ``mwqkd.<name>`` with its body deferred to first use."""
+    spec = importlib.util.find_spec(f"{__name__}.{name}")
+    loader = importlib.util.LazyLoader(spec.loader)
+    spec.loader = loader
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    loader.exec_module(module)
 
-# The public names: every non-module global above and the lazy re-exports.
-__all__ = sorted(
-    {name for name, value in globals().items()
-     if not name.startswith("_") and not isinstance(value, type(sys))}
-    | set(_LAZY_OWNER)
-)
+
+_lazy_submodule("gaussian")
+_lazy_submodule("protocol")
+_lazy_submodule("stats")

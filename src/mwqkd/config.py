@@ -247,12 +247,12 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
-    """Read a JSON configuration file."""
-    with open(path) as fh:
-        text = fh.read()
+    """Read a JSON configuration file, in UTF-8 (RFC 8259)."""
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
+        with open(path, encoding="utf-8") as fh:
+            data = json.loads(fh.read())
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        # RecursionError: nesting deeper than the interpreter's stack
         raise ValueError(f"invalid JSON in {path}: {exc}") from exc
     except ValueError as exc:
         # the only other ValueError of json.loads: int() of a literal longer

@@ -243,23 +243,6 @@ def _clamp(ops, loss, nbar):
     return ops.minimum(ops.maximum(loss, 0.0), 1.0 - 1e-12), ops.maximum(nbar, 0.0)
 
 
-def worst_case_params(
-    estimate: ChannelEstimate, w: float
-) -> tuple[float, float]:
-    """Confidence-shifted channel parameters for the composite bound.
-
-    Both parameters are shifted in the pessimistic direction: leakage
-    grows with channel loss and with coupled noise, so the worst case
-    inside the w-sigma confidence interval is loss + w*sigma and
-    noise + w*sigma. The loss is clamped into [0, 1); the noise is
-    clamped at 0.
-    """
-    if w < 0.0:
-        raise ValueError("w must be >= 0")
-    loss = estimate.loss + w * estimate.loss_sigma
-    return _clamp(_FLOAT, loss, estimate.noise_photons + w * estimate.noise_sigma)
-
-
 def finite_size_delta(n_exp: float) -> float:
     """Composable finite-size penalty in bits per symbol.
 

@@ -1,6 +1,7 @@
-"""Distribution diagnostics: histograms, Bhattacharyya overlap, Hellinger
-distance, and a Gaussian mutual-information estimator with bootstrap
-errors. These validate sampled protocol data against the analytic model.
+"""Distribution diagnostics: histograms, the Bhattacharyya overlap of a
+histogram with the model's Gaussian and its Hellinger distance, and a
+Gaussian mutual-information estimator with bootstrap errors. These
+validate sampled protocol data against the analytic model.
 """
 
 from __future__ import annotations
@@ -65,41 +66,6 @@ def gaussian_bin_probabilities(bin_edges, mean: float, variance: float) -> np.nd
     z = (edges - mean) / math.sqrt(2.0 * variance)
     cdf = 0.5 * (1.0 + np.array([math.erf(x) for x in z.tolist()]))
     return np.diff(cdf)
-
-
-def bhattacharyya(p, q) -> float:
-    """Bhattacharyya coefficient of two discrete distributions.
-
-    Inputs are nonnegative mass vectors over the same bins; each is
-    normalized to unit total before the overlap sum. 1 for identical
-    distributions, 0 for disjoint support.
-    """
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if p.shape != q.shape or p.ndim != 1:
-        raise ValueError("p and q must be 1-D with matching bins")
-    if np.any(p < 0.0) or np.any(q < 0.0):
-        raise ValueError("masses must be >= 0")
-    tp, tq = p.sum(), q.sum()
-    if tp <= 0.0 or tq <= 0.0:
-        raise ValueError("distributions must have positive total mass")
-    return float(np.sqrt(p / tp * (q / tq)).sum())
-
-
-def bhattacharyya_gaussian(
-    mean1: float, variance1: float, mean2: float, variance2: float
-) -> float:
-    """Closed-form Bhattacharyya coefficient of two normal densities."""
-    if not (variance1 > 0.0 and variance2 > 0.0):
-        raise ValueError("variances must be > 0")
-    vsum = variance1 + variance2
-    prefactor = math.sqrt(2.0 * math.sqrt(variance1 * variance2) / vsum)
-    return prefactor * math.exp(-((mean1 - mean2) ** 2) / (4.0 * vsum))
-
-
-def hellinger(p, q) -> float:
-    """Hellinger distance sqrt(1 - B) between two discrete distributions."""
-    return hellinger_from_coefficient(bhattacharyya(p, q))
 
 
 def hellinger_from_coefficient(coefficient: float) -> float:

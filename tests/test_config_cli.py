@@ -116,9 +116,10 @@ def test_config_grid_shorthand():
 
 def test_load_config_bad_json(tmp_path):
     path = tmp_path / "cfg.json"
-    path.write_text("{nope")
-    with pytest.raises(ValueError, match="invalid JSON"):
-        load_config(path)
+    for text in (b"{nope", *(text for text, _ in _UNREADABLE_JSON.values())):
+        path.write_bytes(text)
+        with pytest.raises(ValueError, match=f"^invalid JSON in {re.escape(str(path))}: "):
+            load_config(path)
 
 
 def run_cli(*argv):
@@ -930,19 +931,31 @@ def test_an_integer_past_the_largest_float_exits_2_naming_the_field(
     assert not out.exists()
 
 
+# JSON that json.loads cannot read: text -> the start of the reason given.
+# None of these raise a JSONDecodeError: the digit limit is a plain
+# ValueError, the nesting a RecursionError, the byte a UnicodeDecodeError.
+_UNREADABLE_JSON = {
+    "digit-limit": (
+        b'{"preset": "run1", "channel": {"loss": 1' + b"0" * 5000 + b"}}",
+        f"an integer has more than {sys.get_int_max_str_digits()} digits\n",
+    ),
+    "nesting": (b"[" * 100_000, "maximum recursion depth exceeded"),
+    "not-utf-8": (b'{"preset": "run\xff1"}', "'utf-8' codec can't decode byte 0xff"),
+}
+
+
 @pytest.mark.parametrize("command", ["report", "sweep", "protocol", "linkbudget"])
-def test_an_integer_past_the_digit_limit_exits_2_naming_the_file(tmp_path, capsys, command):
-    # json.loads refuses it with a plain ValueError, not a JSONDecodeError
-    cfg = tmp_path / "digits.json"
-    cfg.write_text('{"preset": "run1", "channel": {"loss": 1' + "0" * 5000 + "}}")
+@pytest.mark.parametrize("case", sorted(_UNREADABLE_JSON))
+def test_json_the_parser_cannot_read_exits_2_naming_the_file(tmp_path, capsys, command, case):
+    text, reason = _UNREADABLE_JSON[case]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(text)
     out = tmp_path / "out"
     assert run_cli(command, "--config", str(cfg), "--out", str(out)) == 2
     stdout, stderr = capsys.readouterr()
     assert stdout == ""
-    assert stderr == (
-        f"error: invalid JSON in {cfg}: an integer has more than "
-        f"{sys.get_int_max_str_digits()} digits\n"
-    )
+    assert stderr.startswith(f"error: invalid JSON in {cfg}: {reason}")
+    assert stderr.count("\n") == 1
     assert not out.exists()
 
 
@@ -1317,24 +1330,24 @@ _PUBLIC_NAMES = set("""
     RUN2_CHAIN VACUUM_VARIANCE ChannelEstimate ChannelParams Codebook CompositeKeyBound
     DeviceChainParams ExperimentConfig GaussianState Histogram InsufficientDataError
     KeyRecord MediumSpec PhysicalityError ReadoutModel SecurityReport apply_beamsplitter
-    apply_loss apply_phase_sensitive_amp apply_squeeze asymptotic_key bhattacharyya
-    bhattacharyya_gaussian bob_output_distribution bootstrap_mi_sigma build_histogram
-    build_report codebook_variance composite_key condition_on_classical_gaussian
-    confidence_w config_from_dict displace distance_limit distance_to_loss
-    efficiency_to_noise empirical_mutual_information estimate_channel finite_size_delta
-    gaussian_bin_probabilities generate_codebook hellinger hellinger_from_coefficient
+    apply_loss apply_phase_sensitive_amp apply_squeeze asymptotic_key
+    bob_output_distribution bootstrap_mi_sigma build_histogram build_report
+    codebook_variance composite_key condition_on_classical_gaussian confidence_w
+    config_from_dict displace distance_limit distance_to_loss efficiency_to_noise
+    empirical_mutual_information estimate_channel finite_size_delta
+    gaussian_bin_probabilities generate_codebook hellinger_from_coefficient
     histogram_vs_gaussian holevo_dr key_manifest level_to_variance load_config
     loss_to_distance make_thermal make_vacuum max_tolerable_loss mutual_information
     noise_crossing noise_tolerance partial_trace predicted_estimate raw_key_rate
     read_key_records response_and_noise sift simulate_transmission snr sweep_noise
     sweep_occupancy symplectic_eigenvalues tensor thermal_occupancy
     trusted_readout_constants two_mode_squeezed_thermal von_neumann_entropy
-    worst_case_params write_key_records
+    write_key_records
 """.split())
 
 
 def test_package_namespace_is_whole():
-    assert len(_PUBLIC_NAMES) == 80
+    assert len(_PUBLIC_NAMES) == 76
     assert set(mwqkd.__all__) == _PUBLIC_NAMES
     assert len(mwqkd.__all__) == len(_PUBLIC_NAMES)
     for name in mwqkd.__all__:
@@ -1359,6 +1372,50 @@ def test_package_namespace_is_whole():
     assert security._FLOAT.entropy is gaussian.entropy_of_nu
     assert gaussian.VACUUM_VARIANCE is devices.VACUUM_VARIANCE
     assert gaussian.PHYSICALITY_TOL is security.PHYSICALITY_TOL
+
+
+def test_every_export_resolves_through_its_owner(monkeypatch):
+    from mwqkd import config
+
+    asymptotic_key, run1 = object(), object()
+    monkeypatch.setattr(security, "asymptotic_key", asymptotic_key)
+    monkeypatch.setattr(config, "RUN1_CHAIN", run1)
+    assert mwqkd.asymptotic_key is asymptotic_key
+    assert mwqkd.RUN1_CHAIN is run1
+    # a layer module too: a lazy one always, an imported one once the
+    # binding the import system left on the package is gone
+    assert mwqkd.stats is stats
+    monkeypatch.delattr(mwqkd, "security")
+    assert mwqkd.security is security
+    assert set(mwqkd._EXPORTS) <= set(dir(mwqkd))
+    # a bare import loads no layer; each resolves on first read, and the
+    # numpy ones stay unrun
+    done = _fresh_interpreter("-c", """
+import sys
+import types
+
+import mwqkd
+
+layers = ("config", "devices", "errors", "linkbudget", "security")
+assert not [m for m in layers if "mwqkd." + m in sys.modules]
+for layer in layers:
+    assert getattr(mwqkd, layer) is sys.modules["mwqkd." + layer], layer
+assert mwqkd.security.key_settings(n_raw=16665)["n_raw"] == 16665
+for layer in ("gaussian", "protocol", "stats"):
+    assert getattr(mwqkd, layer) is sys.modules["mwqkd." + layer], layer
+    assert type(sys.modules["mwqkd." + layer]) is not types.ModuleType, layer
+assert "numpy" not in sys.modules
+""")
+    assert done.returncode == 0, done.stderr.decode()
+
+
+def test_readme_library_example_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    library = readme.split("\n## Library\n", 1)[1]
+    example = re.search(r"```python\n(.*?)```", library, re.S).group(1)
+    assert "mwqkd.security.key_settings(" in example
+    done = _fresh_interpreter("-c", example)
+    assert done.returncode == 0, done.stderr.decode()
 
 
 def test_benchmark_tracer_targets_exist():
@@ -1478,9 +1535,6 @@ _UNMODULATED = DeviceChainParams(0.0, 0.0, 0.65, 19.1)
 
 # Refusals no other test reaches: call -> its ValueError's message.
 _REFUSALS = {
-    "security.worst_case_params-w<0": (
-        lambda: security.worst_case_params(ChannelEstimate(**_ESTIMATE), -1.0),
-        "w must be >= 0"),
     "security.predicted_estimate-unmodulated": (
         lambda: security.predicted_estimate(_UNMODULATED, ChannelParams(0.01), 100),
         "an unmodulated chain (zero codebook variance) cannot estimate the channel"),
@@ -1529,11 +1583,6 @@ _REFUSALS = {
         lambda: stats.Histogram(np.array([0.0, 1.0]), np.array([-1])), "counts must be >= 0"),
     "stats.build_histogram-empty": (
         lambda: stats.build_histogram([]), "need at least one sample"),
-    "stats.bhattacharyya-bins": (
-        lambda: stats.bhattacharyya([1.0, 2.0], [1.0, 2.0, 3.0]),
-        "p and q must be 1-D with matching bins"),
-    "stats.bhattacharyya_gaussian-variance=0": (
-        lambda: stats.bhattacharyya_gaussian(0.0, 0.0, 0.0, 1.0), "variances must be > 0"),
     "stats.hellinger_from_coefficient-1.5": (
         lambda: stats.hellinger_from_coefficient(1.5), "coefficient must be in [0, 1]"),
     "config.ExperimentConfig-preset": (

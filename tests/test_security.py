@@ -821,32 +821,18 @@ def test_key_settings_take_e_ec_exactly_where_confidence_w_does(e_ec):
         assert sec.key_settings(16665, e_ec=e_ec)["e_ec"] == e_ec
 
 
-def test_worst_case_params_widen_conservatively():
-    est = ChannelEstimate(
-        loss=0.0115, loss_sigma=0.002, noise_photons=0.003, noise_sigma=0.001,
-        samples=5000,
-    )
-    w = 6.36
-    eps_star, nbar_star = sec.worst_case_params(est, w)
-    assert eps_star == pytest.approx(0.0115 + w * 0.002)
-    assert nbar_star == pytest.approx(0.003 + w * 0.001)
-    # widening can only hurt the key
-    k_hat = sec.asymptotic_key(RUN1, ChannelParams(est.loss, est.noise_photons))
-    k_star = sec.asymptotic_key(RUN1, ChannelParams(eps_star, nbar_star))
-    assert k_star < k_hat
-
-
-def test_worst_case_params_stay_in_range():
+def test_composite_key_worst_case_stays_in_range():
+    # the widened loss is clamped below 1 and the noise at 0
     est = ChannelEstimate(
         loss=0.99, loss_sigma=0.3, noise_photons=0.0, noise_sigma=0.0, samples=100
     )
-    eps_star, nbar_star = sec.worst_case_params(est, 6.0)
-    assert eps_star < 1.0
-    assert nbar_star == 0.0
+    bound = sec.composite_key(RUN1, estimate=est, n_raw=16665)
+    assert bound.worst_case_loss < 1.0
+    assert bound.worst_case_noise == 0.0
     est = ChannelEstimate(
         loss=-0.001, loss_sigma=0.0, noise_photons=0.0, noise_sigma=0.0, samples=100
     )
-    assert sec.worst_case_params(est, 6.0)[0] == 0.0
+    assert sec.composite_key(RUN1, estimate=est, n_raw=16665).worst_case_loss == 0.0
 
 
 def test_finite_size_delta_values():

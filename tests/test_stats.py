@@ -54,43 +54,12 @@ def test_gaussian_bin_probabilities_match_scipy_erf_oracle():
         assert np.max(np.abs(got - want)) <= 4e-16
 
 
-def test_bhattacharyya_perfect_and_disjoint():
-    p = np.array([0.25, 0.25, 0.5])
-    assert stats.bhattacharyya(p, p) == pytest.approx(1.0)
-    assert stats.bhattacharyya(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
-    # unnormalized inputs are normalized internally
-    assert stats.bhattacharyya(10 * p, 3 * p) == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        stats.bhattacharyya(np.array([0.5, -0.5]), p[:2])
-    with pytest.raises(ValueError):
-        stats.bhattacharyya(np.array([0.0, 0.0]), np.array([1.0, 0.0]))
-
-
-def test_bhattacharyya_gaussian_closed_form():
-    # unit-variance Gaussians one sigma apart: B = exp(-1/8)
-    assert stats.bhattacharyya_gaussian(0.0, 1.0, 1.0, 1.0) == pytest.approx(
-        math.exp(-0.125), rel=1e-12
-    )
-    assert stats.bhattacharyya_gaussian(0.0, 1.0, 0.0, 1.0) == 1.0
-    # variance mismatch alone also costs overlap
-    assert stats.bhattacharyya_gaussian(0.0, 1.0, 0.0, 4.0) == pytest.approx(
-        math.sqrt(2 * 2.0 / 5.0), rel=1e-12
-    )
-
-
 def test_hellinger_relations():
     b = 0.9997
     assert stats.hellinger_from_coefficient(b) == pytest.approx(0.0173205, abs=1e-6)
     assert stats.hellinger_from_coefficient(0.9992) == pytest.approx(
         0.0282843, abs=1e-6
     )
-    p = np.array([0.7, 0.3])
-    q = np.array([0.6, 0.4])
-    d = stats.hellinger(p, q)
-    assert d == pytest.approx(
-        stats.hellinger_from_coefficient(stats.bhattacharyya(p, q)), rel=1e-12
-    )
-    assert stats.hellinger(p, p) == 0.0
 
 
 def test_histogram_matches_its_own_gaussian():
