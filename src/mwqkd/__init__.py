@@ -90,6 +90,7 @@ _EXPORTS = {
     "protocol": (
         "Codebook",
         "KeyRecord",
+        "analyze",
         "estimate_channel",
         "generate_codebook",
         "key_manifest",

@@ -13,13 +13,15 @@ explicit flags. Every flag but --config, --out and --format sets the
 config field its destination names (--preset also sets the chain), so a
 command body reads only the resolved config, args.out and
 args.out_format. Exit codes: 0 success, 2 bad configuration or
-arguments, 3 not enough data for channel estimation, 4 I/O failure. The
-`sweep` CSV rows come from the numpy kernel `_floatrepr.write_table`,
-imported on that branch only; the other tables are written with `str`.
+arguments, 3 not enough data for channel estimation, 4 I/O or memory
+failure. The `sweep` CSV rows come from the numpy kernel
+`_floatrepr.write_table`, imported on that branch only; the other tables
+are written with `str`.
 
-This module computes no model quantity: the run's channel and seeds come
-from :class:`~mwqkd.config.ExperimentConfig`, the record's variance and
-the background coupling from :mod:`mwqkd.devices`.
+This module computes no model quantity and no analysis: the run's channel
+and seeds come from :class:`~mwqkd.config.ExperimentConfig`, the
+background coupling from :mod:`mwqkd.devices`, and a protocol run's
+report and histogram from :func:`mwqkd.protocol.analyze`.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from .config import (
     ExperimentConfig,
     load_config,
 )
-from .devices import ChannelParams, record_variance
+from .devices import ChannelParams
 from .errors import InsufficientDataError
 
 
@@ -228,7 +230,6 @@ def cmd_protocol(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    config = cfg.to_dict()
     codebook = proto.generate_codebook(
         cfg.n_symbols, cfg.chain.codebook_variance, seed=cfg.seed
     )
@@ -240,62 +241,26 @@ def cmd_protocol(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
         announce_bases=cfg.announce_bases,
     )
     alpha, beta = proto.sift(record)
-    manifest = proto.key_manifest(
-        codebook, record, cfg.chain, cfg.channel, cfg.transmission_seed, cfg.announce_bases
-    )
-    manifest["config"] = config
     # the bootstrap needs only the sifted pairs, so a child runs it beside the rest
     join_mi_sigma = _in_child(stats.bootstrap_mi_sigma, alpha, beta, 200, cfg.bootstrap_seed)
     try:
         # key.csv, then its manifest, whatever the analysis does
         proto.write_key_records(record, outdir.joinpath("key.csv"))
-        _write_json(outdir.joinpath("manifest.json"), manifest)
-
-        n_ec = cfg.key_settings["n_ec"]
-        estimate = proto.estimate_channel(alpha[n_ec:], beta[n_ec:], cfg.chain)
-        report = security.build_report(
-            cfg.chain,
-            estimate=estimate,
-            extra_inputs={
-                "codebook_seed": cfg.seed,
-                "transmission_seed": cfg.transmission_seed,
-                "n_matched": int(alpha.size),
-                "config": config,
-            },
-            **cfg.key_settings,
-        )
-
-        mi_emp = stats.empirical_mutual_information(alpha, beta)
-        hist = stats.build_histogram(beta)
-        model_variance = record_variance(cfg.chain, cfg.channel, cfg.chain.codebook_variance)
-        overlap = stats.histogram_vs_gaussian(hist, 0.0, model_variance)
-        mi_sigma = join_mi_sigma()
+        _write_json(outdir.joinpath("manifest.json"), proto.key_manifest(record, cfg))
+        payload, rows = proto.analyze(alpha, beta, cfg, join_mi_sigma)
     finally:
         join_mi_sigma(redo=False)
-    payload = report.to_dict()
-    payload["empirical"] = {
-        "n_matched": int(alpha.size),
-        "mutual_information_bits": mi_emp,
-        "mutual_information_sigma": mi_sigma,
-        "bhattacharyya_vs_model": overlap,
-        "hellinger_vs_model": stats.hellinger_from_coefficient(overlap),
-    }
     _write_json(outdir.joinpath("report.json"), payload)
+    header = ("bin_lo", "bin_hi", "count", "density")
+    _write_csv(outdir.joinpath("histogram.csv"), header, rows, cfg.to_dict())
 
-    edges = hist.bin_edges.tolist()
-    rows = zip(edges[:-1], edges[1:], hist.counts.tolist(), hist.densities().tolist())
-    _write_csv(
-        outdir.joinpath("histogram.csv"), ("bin_lo", "bin_hi", "count", "density"), rows, config
-    )
-
-    print(f"matched symbols: {alpha.size} of {cfg.n_symbols}")
-    print(f"estimated loss: {estimate.loss:.6f} +- {estimate.loss_sigma:.6f}")
-    print(
-        f"estimated noise: {estimate.noise_photons:.6f}"
-        f" +- {estimate.noise_sigma:.6f} photons"
-    )
-    print(f"empirical mutual information: {mi_emp:.4f} bits (sigma {mi_sigma:.4f})")
-    print(f"composite key: {report.finite_size.bits_per_raw_symbol:.6f} bits/raw symbol")
+    empirical, est = payload["empirical"], payload["inputs"]["estimate"]
+    print(f"matched symbols: {empirical['n_matched']} of {cfg.n_symbols}")
+    print(f"estimated loss: {est['loss']:.6f} +- {est['loss_sigma']:.6f}")
+    print(f"estimated noise: {est['noise_photons']:.6f} +- {est['noise_sigma']:.6f} photons")
+    print(f"empirical mutual information: {empirical['mutual_information_bits']:.4f} bits"
+          f" (sigma {empirical['mutual_information_sigma']:.4f})")
+    print(f"composite key: {payload['finite_size']['bits_per_raw_symbol']:.6f} bits/raw symbol")
     return 0
 
 
@@ -356,8 +321,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (OSError, MemoryError) as exc:
+        # a MemoryError raised by the interpreter itself has no message
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 4
 
 

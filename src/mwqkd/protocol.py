@@ -1,5 +1,5 @@
 """Prepare-and-measure protocol: codebook sampling, single-shot records,
-sifting, and channel estimation from the sifted data.
+sifting, channel estimation, and the analysis of a run's sifted pairs.
 
 Randomness comes from numpy's counter-based Philox generator. A run draws
 each random quantity for all symbols in a fixed order (all basis coins,
@@ -18,10 +18,12 @@ file's layout, blocks and checks.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from . import stats
 from ._floatrepr import BASIS_LABELS, KEY_CSV_COLUMNS, write_key_csv
 from .devices import (
     ChannelEstimate,
@@ -31,6 +33,7 @@ from .devices import (
     response_and_noise,
 )
 from .errors import InsufficientDataError
+from .security import build_report
 
 # Minimum matched pairs for the moment estimator; below this the slope and
 # residual-variance errors are not in their asymptotic regime.
@@ -68,7 +71,6 @@ class Codebook:
     symbols: np.ndarray
     bases: np.ndarray  # 0 = q, 1 = p
     variance: float
-    seed: int
 
     def __post_init__(self) -> None:
         if self.symbols.shape != self.bases.shape:
@@ -87,13 +89,15 @@ def generate_codebook(n_symbols: int, variance: float, seed: int) -> Codebook:
     """
     if n_symbols < 1:
         raise ValueError("n_symbols must be >= 1")
+    if n_symbols > sys.maxsize:
+        raise ValueError(f"n_symbols must be <= sys.maxsize ({sys.maxsize}), got {n_symbols}")
     if not (variance >= 0.0):
         raise ValueError("variance must be >= 0")
     rng = _rng(seed)
     bases = _fair_coins(rng, n_symbols)
     symbols = rng.standard_normal(n_symbols)
     symbols *= math.sqrt(variance)
-    return Codebook(symbols, bases, float(variance), int(seed))
+    return Codebook(symbols, bases, float(variance))
 
 
 @dataclass(frozen=True)
@@ -251,27 +255,47 @@ def read_key_records(path) -> KeyRecord:
     return KeyRecord(alpha, alice, bob, beta)
 
 
-def key_manifest(
-    codebook: Codebook,
-    record: KeyRecord,
-    chain: DeviceChainParams,
-    channel: ChannelParams,
-    transmission_seed: int,
-    announce_bases: bool = False,
-) -> dict:
-    """JSON-ready manifest describing how a transcript was produced.
-
-    It holds every input of :func:`generate_codebook` and
-    :func:`simulate_transmission`, so it alone regenerates the transcript.
-    """
+def key_manifest(record: KeyRecord, cfg) -> dict:
+    """JSON-ready manifest of the transcript of a run of `cfg`: every input
+    of :func:`generate_codebook` and :func:`simulate_transmission` and the
+    config echo, so it alone regenerates the transcript."""
     return {
         "n_symbols": int(record.n_symbols),
         "n_matched": int(record.matched.sum()),
-        "codebook_seed": int(codebook.seed),
-        "codebook_variance": float(codebook.variance),
-        "transmission_seed": int(transmission_seed),
-        "announce_bases": bool(announce_bases),
-        "chain": asdict(chain),
-        "channel": asdict(channel),
+        "codebook_seed": cfg.seed,
+        "codebook_variance": cfg.chain.codebook_variance,
+        "transmission_seed": cfg.transmission_seed,
+        "announce_bases": cfg.announce_bases,
+        "chain": asdict(cfg.chain),
+        "channel": asdict(cfg.channel),
         "csv_columns": list(KEY_CSV_COLUMNS),
+        "config": cfg.to_dict(),
     }
+
+
+def analyze(alpha: np.ndarray, beta: np.ndarray, cfg, mi_sigma) -> tuple[dict, list]:
+    """report.json's payload and histogram.csv's rows for the sifted pairs
+    of a run of `cfg`. The pairs after the first n_ec estimate the channel;
+    the histogram is compared with the configured channel's record variance.
+    ``mi_sigma()``, the mutual information's error bar, is called last, so a
+    bootstrap started before this call runs beside the rest."""
+    n_ec = cfg.key_settings["n_ec"]
+    estimate = estimate_channel(alpha[n_ec:], beta[n_ec:], cfg.chain)
+    echo = {"codebook_seed": cfg.seed, "transmission_seed": cfg.transmission_seed,
+            "n_matched": int(alpha.size), "config": cfg.to_dict()}
+    report = build_report(cfg.chain, estimate=estimate, extra_inputs=echo, **cfg.key_settings)
+    mi_emp = stats.empirical_mutual_information(alpha, beta)
+    hist = stats.build_histogram(beta)
+    model_variance = record_variance(cfg.chain, cfg.channel, cfg.chain.codebook_variance)
+    overlap = stats.histogram_vs_gaussian(hist, 0.0, model_variance)
+    edges = hist.bin_edges.tolist()
+    rows = list(zip(edges[:-1], edges[1:], hist.counts.tolist(), hist.densities().tolist()))
+    payload = report.to_dict()
+    payload["empirical"] = {
+        "n_matched": int(alpha.size),
+        "mutual_information_bits": mi_emp,
+        "bhattacharyya_vs_model": overlap,
+        "hellinger_vs_model": stats.hellinger_from_coefficient(overlap),
+        "mutual_information_sigma": mi_sigma(),
+    }
+    return payload, rows

@@ -710,6 +710,30 @@ def test_a_raise_in_the_analysis_leaves_the_key_and_its_manifest(
     )
 
 
+@settings(max_examples=6, deadline=None, derandomize=True)
+@given(preset=st.sampled_from(["run1", "run2"]), seed=st.integers(0, 2**32),
+       announce=st.booleans(), n=st.sampled_from([2000, 3001, 4166]))
+def test_a_transcript_replays_to_its_report(preset, seed, announce, n):
+    # key.csv and the config its manifest echoes give report.json and
+    # histogram.csv back, byte for byte, through protocol.analyze
+    argv = ["protocol", "--preset", preset, "--seed", str(seed), "--n-symbols", str(n)]
+    argv += ["--announce-bases"] if announce else []
+    with tempfile.TemporaryDirectory() as tmp:
+        run, replay = Path(tmp, "run"), Path(tmp, "replay")
+        assert run_cli(*argv, "--out", str(run)) == 0
+        alpha, beta = proto.sift(proto.read_key_records(run / "key.csv"))
+        cfg = config_from_dict(json.loads((run / "manifest.json").read_text())["config"])
+        payload, rows = proto.analyze(
+            alpha, beta, cfg, lambda: stats.bootstrap_mi_sigma(alpha, beta, 200, cfg.bootstrap_seed)
+        )
+        replay.mkdir()
+        cli._write_json(replay / "report.json", payload)
+        header = ("bin_lo", "bin_hi", "count", "density")
+        cli._write_csv(replay / "histogram.csv", header, rows, cfg.to_dict())
+        for name in ("report.json", "histogram.csv"):
+            assert (replay / name).read_bytes() == (run / name).read_bytes(), name
+
+
 @pytest.mark.parametrize("death", ["exit", "kill"])
 def test_a_child_that_dies_mid_send_leaves_the_bytes_unchanged(tmp_path, monkeypatch, death):
     argv = ("protocol", "--preset", "run2", "--n-symbols", "3000", "--announce-bases")
@@ -1055,6 +1079,36 @@ def test_an_n_symbols_past_the_largest_float_exits_2_naming_n(tmp_path, capsys, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("n", [sys.maxsize + 1, 10**20])
+def test_a_protocol_n_symbols_past_sys_maxsize_exits_2_naming_n_symbols(tmp_path, capsys, n):
+    # the bound takes such an N, as a float; a run cannot index its symbols
+    out = tmp_path / "run"
+    assert run_cli("protocol", "--n-symbols", str(n), "--out", str(out)) == 2
+    assert capsys.readouterr().err == (
+        f"error: n_symbols must be <= sys.maxsize ({sys.maxsize}), got {n}\n"
+    )
+    assert list(out.iterdir()) == []
+    assert run_cli("report", "--n-symbols", str(n), "--out", str(tmp_path / "n.json")) == 0
+
+
+@pytest.mark.parametrize("message, line", [
+    ("Unable to allocate 2.73 TiB for an array with shape (3000000000000,) and data type int8",
+     "Unable to allocate 2.73 TiB for an array with shape (3000000000000,) and data type int8"),
+    ("", "out of memory"),
+])
+def test_a_memory_error_exits_4_in_one_line(tmp_path, capsys, monkeypatch, message, line):
+    # raised here, not allocated: on an overcommitting machine an allocation
+    # that large can succeed and then be filled block by block
+    def fails(rng, n):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(proto, "_fair_coins", fails)
+    out = tmp_path / "run"
+    assert run_cli("protocol", "--n-symbols", "3000000000000", "--out", str(out)) == 4
+    assert capsys.readouterr().err == f"error: {line}\n"
+    assert list(out.iterdir()) == []
+
+
 def test_linkbudget_takes_every_finite_background(tmp_path):
     # past the PLOB zero no loss is tolerable: eps_max and distance_m are
     # 0.0, never -0.0, up to the largest float
@@ -1329,8 +1383,8 @@ _PUBLIC_NAMES = set("""
     CHAIN_PRESETS CRYO_LINK DEFAULT_CHANNEL_LOSS DEFAULT_N_RAW MEDIA OPEN_AIR RUN1_CHAIN
     RUN2_CHAIN VACUUM_VARIANCE ChannelEstimate ChannelParams Codebook CompositeKeyBound
     DeviceChainParams ExperimentConfig GaussianState Histogram InsufficientDataError
-    KeyRecord MediumSpec PhysicalityError ReadoutModel SecurityReport apply_beamsplitter
-    apply_loss apply_phase_sensitive_amp apply_squeeze asymptotic_key
+    KeyRecord MediumSpec PhysicalityError ReadoutModel SecurityReport analyze
+    apply_beamsplitter apply_loss apply_phase_sensitive_amp apply_squeeze asymptotic_key
     bob_output_distribution bootstrap_mi_sigma build_histogram build_report
     codebook_variance composite_key condition_on_classical_gaussian confidence_w
     config_from_dict displace distance_limit distance_to_loss efficiency_to_noise
@@ -1347,7 +1401,7 @@ _PUBLIC_NAMES = set("""
 
 
 def test_package_namespace_is_whole():
-    assert len(_PUBLIC_NAMES) == 76
+    assert len(_PUBLIC_NAMES) == 77
     assert set(mwqkd.__all__) == _PUBLIC_NAMES
     assert len(mwqkd.__all__) == len(_PUBLIC_NAMES)
     for name in mwqkd.__all__:
@@ -1500,6 +1554,11 @@ def test_each_model_rule_has_one_owner():
         arithmetic = [ast.unparse(node) for node in ast.walk(command)
                       if isinstance(node, ast.BinOp) and isinstance(node.op, _ARITHMETIC)]
         assert not arithmetic, (command.name, arithmetic)
+    # a run's analysis is protocol.analyze's: the commands name none of its steps
+    source = Path(cli.__file__).read_text()
+    for name in ("estimate_channel", "empirical_mutual_information", "build_histogram",
+                 "histogram_vs_gaussian", "hellinger_from_coefficient", "record_variance"):
+        assert not re.search(rf"\b{name}\b", source), name
     # the estimate's inverse of the readout is the readout model's, and
     # the streams' seeds are the config's
     package = Path(mwqkd.__file__).parent
@@ -1570,7 +1629,7 @@ _REFUSALS = {
     "linkbudget.distance_to_loss-distance<0": (
         lambda: mwqkd.distance_to_loss(-1.0, 1e-3), "distance_m must be >= 0"),
     "protocol.Codebook-unequal": (
-        lambda: proto.Codebook(np.zeros(2), np.zeros(3, np.int8), 1.0, 0),
+        lambda: proto.Codebook(np.zeros(2), np.zeros(3, np.int8), 1.0),
         "symbols and bases must have equal length"),
     "protocol.KeyRecord-unequal": (
         lambda: proto.KeyRecord(np.zeros(2), np.zeros(3, np.int8), np.zeros(2, np.int8),

@@ -856,9 +856,11 @@ def test_key_csv_header_only_is_an_empty_record(tmp_path):
 
 
 def test_manifest_reproduces_run(tmp_path):
+    cfg = mwqkd.ExperimentConfig(chain=RUN1, n_symbols=64, seed=111,
+                                 channel_loss=CHANNEL.loss, noise_photons=CHANNEL.noise_photons)
     cb = proto.generate_codebook(64, RUN1.codebook_variance, seed=111)
     rec = proto.simulate_transmission(cb, RUN1, CHANNEL, seed=112)
-    man = proto.key_manifest(cb, rec, RUN1, CHANNEL, transmission_seed=112)
+    man = proto.key_manifest(rec, cfg)
     assert man["codebook_seed"] == 111
     assert man["transmission_seed"] == 112
     assert man["n_symbols"] == 64
