@@ -21,7 +21,9 @@ command at N = 16 665 (``cli.main``), simulate/sift/estimate, one
 Gaussian op (``apply_loss``), the readout moments, ``holevo_dr``, ``composite_key``, one crossing of each
 kind (``noise_tolerance`` and ``max_tolerable_loss``), and the ``sweep``
 CSV write at 41, 401 and 10^4 grid points (``cmd_sweep`` with its sweep
-and crossing computed beforehand).
+and crossing computed beforehand), and ``cli.resolve_config`` of
+``protocol``'s flags and of a ``--config`` file that fills every section
+(``FULL_CONFIG``).
 In fresh processes, each subcommand is timed by wall clock, ``sweep`` at
 the default 41 points and at 401, ``protocol`` at both N, with the peak
 resident set of its largest process. One more fresh process per command
@@ -71,6 +73,22 @@ LARGE_N = 10**6
 SWEEP_POINTS = (41, 401, 10**4)
 # samples per layer and command, at every N
 REPEAT = 15
+# A --config file that fills every section: chain keys over a preset,
+# the channel, the finite-size settings and the link budget.
+FULL_CONFIG = {
+    "preset": "run2",
+    "chain": {"antisqueezing_db": 7.8, "hemt_noise_photons": 48.0,
+              "path_losses": [0.0, 0.01, 0.0, 0.0]},
+    "channel": {"loss": 0.02, "noise_photons": 1.7e-6},
+    "noise_grid": {"start": 0.0, "stop": 0.1, "num": 41},
+    "n_symbols": PAPER_N,
+    "seed": 1,
+    "announce_bases": True,
+    "security": {"e_ec": 1e-9, "beta_ec": 0.95, "p_ec": 0.99, "n_ec_fraction": 0.4,
+                 "include_delta": True, "include_estimation_penalty": False},
+    "bandwidth_hz": 5e5,
+    "linkbudget": {"medium": "openair-300K", "occupancies": [1e-4, 1.0, 1250.0]},
+}
 
 
 def _quartiles(samples: list[float]) -> dict:
@@ -175,6 +193,16 @@ def in_process_layers(workdir: Path) -> dict:
         layers[f"read_key_records.{n}"] = lambda path=path: protocol.read_key_records(path)
     for n in SWEEP_POINTS:
         layers[f"sweep_csv.{n}"] = _sweep_csv(n, workdir / f"sweep-{n}.csv")
+    parser, full = cli.build_parser(), workdir / "config-full.json"
+    full.write_text(json.dumps(FULL_CONFIG))
+    flags = parser.parse_args([
+        "protocol", "--preset", "run2", "--loss", "0.02", "--nbar", "1.7e-6", "--n-symbols",
+        str(PAPER_N), "--no-delta", "--no-pe", "--e-ec", "1e-9", "--beta", "0.95",
+        "--n-ec-fraction", "0.4", "--seed", "1", "--announce-bases", "--out", str(workdir),
+    ])
+    from_file = parser.parse_args(["report", "--config", str(full)])
+    layers["resolve_config.flags"] = lambda: cli.resolve_config(flags)
+    layers["resolve_config.file"] = lambda: cli.resolve_config(from_file)
     return layers
 
 

@@ -10,11 +10,11 @@ Each subcommand takes only the flags it reads (`_COMMAND_FLAGS`), but
 every field of a --config file, which it checks and echoes. Flag
 precedence is built-in defaults, then --config file values, then
 explicit flags. Every flag but --config, --out and --format sets the
-config field its destination names (--preset also sets the chain), so a
-command body reads only the resolved config, args.out and
-args.out_format. Exit codes: 0 success, 2 bad configuration or
-arguments, 3 not enough data for channel estimation, 4 I/O or memory
-failure. The `sweep` CSV rows come from the numpy kernel
+config field its destination names (--preset also clears the chain,
+which the config resolves to the preset's), so a command body reads
+only the resolved config, args.out and args.out_format. Exit codes: 0
+success, 2 bad configuration or arguments, 3 not enough data for
+channel estimation, 4 I/O or memory failure. The `sweep` CSV rows come from the numpy kernel
 `_floatrepr.write_table`, imported on that branch only; the other tables
 are written with `str`.
 
@@ -112,7 +112,7 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
         if getattr(args, name, None) is not None
     }
     if args.preset is not None:
-        overrides["chain"] = CHAIN_PRESETS[args.preset]
+        overrides["chain"] = None  # the config takes the preset's chain
     if overrides:
         cfg = replace(cfg, **overrides)
     return cfg

@@ -1,9 +1,17 @@
 """Named device presets and the declarative experiment configuration.
 
 A configuration round-trips through JSON: parse -> serialize -> parse is
-the identity. Command-line flags override file values field by field.
+the identity, and so is parse -> ``to_dict`` -> parse in memory.
+Command-line flags override file values field by field.
 :data:`CONFIG_SCHEMA` is the one place that says where each field lives
 in the JSON document.
+
+The config restates no layer's rule. A finite-size setting left None
+takes :func:`~mwqkd.security.key_settings`' default; a chain left None
+takes the preset's. The EC fraction's domain is
+:func:`~mwqkd.security.ec_block`'s and the bandwidth's is
+:mod:`~mwqkd.linkbudget`'s. A new setting is one ``key_settings``
+keyword, one :data:`CONFIG_SCHEMA` row and one None-default field.
 """
 
 from __future__ import annotations
@@ -14,8 +22,8 @@ import sys
 from dataclasses import asdict, dataclass, fields, replace
 
 from .devices import ChannelParams, DeviceChainParams
-from .linkbudget import MEDIA
-from .security import DEFAULT_CORRECTNESS_EPSILON, ec_block, key_settings
+from .linkbudget import MEDIA, _check_bandwidth
+from .security import ec_block, key_settings
 
 # Calibrated chains of the two reference runs. The lumped back-end noise
 # values reproduce the measured signal-to-noise ratios and key figures of
@@ -115,29 +123,38 @@ class ExperimentConfig:
     whole into its outputs, so the echo reproduces the run. Derived,
     not fields: `channel`, the run's :class:`ChannelParams`; `key_settings`,
     its resolved finite-size settings; and the seeds of its transmission
-    and bootstrap streams."""
+    and bootstrap streams.
 
-    chain: DeviceChainParams = RUN1_CHAIN
+    A field that defaults to None takes the value its owner resolves: the
+    `chain` is the preset's, and each :func:`~mwqkd.security.key_settings`
+    setting the library default. After construction every field holds its
+    resolved value, so a config equals the one its echo parses to."""
+
+    chain: DeviceChainParams | None = None
     preset: str | None = "run1"
     channel_loss: float = DEFAULT_CHANNEL_LOSS
     noise_photons: float = 0.0
     noise_grid: tuple[float, ...] = DEFAULT_NOISE_GRID
     n_symbols: int = DEFAULT_N_RAW
     seed: int = DEFAULT_SEED
-    e_ec: float = DEFAULT_CORRECTNESS_EPSILON
-    beta_ec: float = 1.0
-    p_ec: float = 1.0
+    e_ec: float | None = None
+    beta_ec: float | None = None
+    p_ec: float | None = None
     n_ec_fraction: float = 0.5
-    include_delta: bool = True
-    include_estimation_penalty: bool = True
+    include_delta: bool | None = None
+    include_estimation_penalty: bool | None = None
     bandwidth_hz: float = DEFAULT_BANDWIDTH_HZ
     medium: str = "cryo-15mK"
     occupancies: tuple[float, ...] = DEFAULT_OCCUPANCY_GRID
     announce_bases: bool = False
 
     def __post_init__(self) -> None:
-        if self.preset is not None and self.preset not in CHAIN_PRESETS:
+        if self.preset not in (None, *CHAIN_PRESETS):  # by ==, so a JSON array too
             raise ValueError(f"unknown preset {self.preset!r}")
+        if self.chain is None:
+            if self.preset is None:
+                raise ValueError("config needs a preset or explicit chain parameters")
+            object.__setattr__(self, "chain", CHAIN_PRESETS[self.preset])
         object.__setattr__(self, "channel", ChannelParams(self.channel_loss, self.noise_photons))
         if self.n_symbols < 4:
             raise ValueError("n_symbols must be >= 4")
@@ -145,18 +162,17 @@ class ExperimentConfig:
             raise ValueError(f"seed must be in [0, 2**128 - 3], got {self.seed}")
         object.__setattr__(self, "transmission_seed", self.seed + 1)
         object.__setattr__(self, "bootstrap_seed", self.seed + 2)
-        if not 0.0 < self.n_ec_fraction < 1.0:
-            raise ValueError("n_ec_fraction must be in (0, 1)")
-        # resolved once, so a bad value exits 2 before any command writes output
-        object.__setattr__(self, "key_settings", key_settings(
-            self.n_symbols, ec_block(self.n_symbols, self.n_ec_fraction),
-            self.beta_ec, self.p_ec, self.e_ec,
-            self.include_delta, self.include_estimation_penalty,
-        ))
+        # resolved once, so a bad value exits 2 before any command writes output;
+        # the settings are key_settings' keyword-only parameters, passed when set
+        names = key_settings.__kwdefaults__
+        settings = key_settings(self.n_symbols, ec_block(self.n_symbols, self.n_ec_fraction), **{
+            name: getattr(self, name) for name in names if getattr(self, name) is not None})
+        for name in names:
+            object.__setattr__(self, name, settings[name])
+        object.__setattr__(self, "key_settings", settings)
         if self.medium not in MEDIA:
             raise ValueError(f"unknown medium {self.medium!r}; choose from {sorted(MEDIA)}")
-        if not 0.0 < self.bandwidth_hz < math.inf:
-            raise ValueError(f"bandwidth_hz must be finite and > 0, got {self.bandwidth_hz!r}")
+        _check_bandwidth(self.bandwidth_hz)
         # a grid point is a channel noise, so its message is check_channel's
         object.__setattr__(self, "noise_grid", _photon_counts("noise_photons", self.noise_grid))
         object.__setattr__(self, "occupancies", _photon_counts("occupancies", self.occupancies))
@@ -166,11 +182,14 @@ class ExperimentConfig:
         for name, (section, key, _) in CONFIG_SCHEMA.items():
             value = getattr(self, name)
             if name == "chain":
-                value = asdict(value)
-            elif isinstance(value, tuple):
-                value = list(value)
-            (data if section is None else data.setdefault(section, {}))[key] = value
+                value = {field: _json_value(item) for field, item in asdict(value).items()}
+            (data if section is None else data.setdefault(section, {}))[key] = _json_value(value)
         return data
+
+
+def _json_value(value):
+    """A tuple as the array JSON writes it; any other value as it is."""
+    return list(value) if isinstance(value, tuple) else value
 
 
 def _json_object(value, name: str, known) -> dict:
@@ -185,18 +204,13 @@ def _json_object(value, name: str, known) -> dict:
     return value
 
 
-def _chain_from_dict(preset, overrides) -> DeviceChainParams:
-    if preset is not None and not (isinstance(preset, str) and preset in CHAIN_PRESETS):
-        raise ValueError(f"unknown preset {preset!r}")
-    overrides = _json_object(overrides, "chain", {f.name for f in fields(DeviceChainParams)})
-    for key, value in overrides.items():
+def _chain_overrides(value) -> dict:
+    """The chain object's parameters, each checked for its JSON type."""
+    overrides = _json_object(value, "chain", {f.name for f in fields(DeviceChainParams)})
+    for key, item in overrides.items():
         json_type = "number array" if key.startswith("path_") else "number"
-        _check_type(f"chain.{key}", value, json_type)
-    if preset is not None:
-        return replace(CHAIN_PRESETS[preset], **overrides)
-    if not overrides:
-        raise ValueError("config needs a preset or explicit chain parameters")
-    return DeviceChainParams(**overrides)
+        _check_type(f"chain.{key}", item, json_type)
+    return overrides
 
 
 def _grid_from_shorthand(grid: dict) -> tuple[float, ...]:
@@ -232,8 +246,11 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     for section, known in sections.items():
         objects[section] = _json_object(data.get(section), section, known)
 
-    preset = data.get("preset")
-    kwargs: dict = {"preset": preset, "chain": _chain_from_dict(preset, data.get("chain"))}
+    # without a preset the chain object is the whole chain; with one, it
+    # overrides the preset's chain (the config's) field by field, below
+    preset, chain = data.get("preset"), _chain_overrides(data.get("chain"))
+    explicit = DeviceChainParams(**chain) if preset is None and chain else None
+    kwargs: dict = {"preset": preset, "chain": explicit}
     for name, (section, key, json_type) in CONFIG_SCHEMA.items():
         value = objects[section].get(key)
         if name in kwargs or value is None:
@@ -243,7 +260,8 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         else:
             _check_type(key if section is None else f"{section}.{key}", value, json_type)
         kwargs[name] = value
-    return ExperimentConfig(**kwargs)
+    cfg = ExperimentConfig(**kwargs)
+    return replace(cfg, chain=replace(cfg.chain, **chain)) if preset is not None and chain else cfg
 
 
 def load_config(path) -> ExperimentConfig:

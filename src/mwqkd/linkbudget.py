@@ -45,6 +45,12 @@ def _check_background(background_photons: float) -> None:
         raise ValueError("background_photons must be finite and >= 0")
 
 
+def _check_bandwidth(bandwidth_hz: float) -> None:
+    """The measurement bandwidth's domain: finite and > 0."""
+    if not 0.0 < bandwidth_hz < math.inf:
+        raise ValueError(f"bandwidth_hz must be finite and > 0, got {bandwidth_hz!r}")
+
+
 def thermal_occupancy(temperature_k: float, frequency_hz: float) -> float:
     """Bose-Einstein occupation of a mode at the given temperature.
 
@@ -141,8 +147,7 @@ def raw_key_rate(
 ) -> float:
     """Secret key rate in bits/s over a measurement bandwidth, from the
     asymptotic key per symbol; a non-positive key gives rate 0."""
-    if not bandwidth_hz > 0.0:
-        raise ValueError("bandwidth_hz must be > 0")
+    _check_bandwidth(bandwidth_hz)
     return bandwidth_hz * max(asymptotic_key(chain, channel), 0.0)
 
 

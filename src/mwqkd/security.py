@@ -25,7 +25,10 @@ bound at a point or over a grid, inputs echoed. :func:`build_report` (one
 point), :func:`sweep_noise` (a noise grid) and :func:`composite_key` (the
 report's ``finite_size``) check their arguments and call it; the
 finite-size settings, their defaults and their domains are those of
-:func:`key_settings`.
+:func:`key_settings`, whose keyword-only parameters are the settings a
+configuration may leave unset. The EC block's fraction is checked by
+:func:`ec_block` alone, and e_ec by one check that :func:`key_settings`
+and :func:`confidence_w` share.
 """
 
 from __future__ import annotations
@@ -224,18 +227,25 @@ def confidence_w(correctness_epsilon: float) -> float:
 
     w standard deviations cover a Gaussian estimate up to failure
     probability e per tail. Computed as -Phi^-1((1 - fl(1 - 2 e)) / 2)
-    with the standard-library normal quantile; e at or below 2^-55
-    (~2.8e-17) rounds 1 - 2 e to 1 and is rejected.
+    with the standard-library normal quantile, over the domain of
+    :func:`_e_ec_tail`.
     """
-    if not 0.0 < correctness_epsilon < 0.5:
-        raise ValueError("correctness_epsilon must be in (0, 0.5)")
-    # round 1 - 2e first, as sqrt(2) * erfinv(1 - 2e) does, so w keeps its value
-    tail = (1.0 - (1.0 - 2.0 * correctness_epsilon)) / 2.0
-    if tail == 0.0:
-        raise ValueError("correctness_epsilon is too small: 1 - 2e rounds to 1")
     import statistics  # with random, fractions and decimal: only w needs it
 
-    return -statistics.NormalDist().inv_cdf(tail)
+    return -statistics.NormalDist().inv_cdf(_e_ec_tail(correctness_epsilon))
+
+
+def _e_ec_tail(e_ec: float) -> float:
+    """The tail (1 - fl(1 - 2 e_ec)) / 2 of w, checked: e_ec in (0, 0.5),
+    and not at or below 2^-55 (~2.8e-17), which rounds 1 - 2 e_ec to 1.
+    The one check of the e_ec domain, for w and :func:`key_settings`."""
+    if not 0.0 < e_ec < 0.5:
+        raise ValueError("e_ec must be in (0, 0.5)")
+    # round 1 - 2e first, as sqrt(2) * erfinv(1 - 2e) does, so w keeps its value
+    tail = (1.0 - (1.0 - 2.0 * e_ec)) / 2.0
+    if tail == 0.0:
+        raise ValueError(f"e_ec={e_ec!r} is too small: 1 - 2 e_ec rounds to 1")
+    return tail
 
 
 def _clamp(ops, loss, nbar):
@@ -289,15 +299,19 @@ def predicted_estimate(
     )
 
 
-def ec_block(n_raw: int, fraction: float = 0.5) -> int:
-    """The EC (key) block: floor(fraction * (n_raw // 2)), exactly, and >= 1."""
-    num, den = fraction.as_integer_ratio()
+def ec_block(n_raw: int, n_ec_fraction: float = 0.5) -> int:
+    """The EC (key) block: floor(n_ec_fraction * (n_raw // 2)), exactly,
+    and >= 1, for a fraction in (0, 1): the estimation block keeps the rest."""
+    if not 0.0 < n_ec_fraction < 1.0:
+        raise ValueError("n_ec_fraction must be in (0, 1)")
+    num, den = n_ec_fraction.as_integer_ratio()
     return max(1, num * (n_raw // 2) // den)
 
 
 def key_settings(
     n_raw: int,
     n_ec: int | None = None,
+    *,
     beta_ec: float = 1.0,
     p_ec: float = 1.0,
     e_ec: float = DEFAULT_CORRECTNESS_EPSILON,
@@ -322,10 +336,7 @@ def key_settings(
         raise ValueError("beta_ec must be in (0, 1]")
     if not 0.0 < p_ec <= 1.0:
         raise ValueError("p_ec must be in (0, 1]")
-    if not 0.0 < e_ec < 0.5:
-        raise ValueError("e_ec must be in (0, 0.5)")
-    if not 1.0 - 2.0 * e_ec < 1.0:
-        raise ValueError(f"e_ec={e_ec!r} is too small: 1 - 2 e_ec rounds to 1")
+    _e_ec_tail(e_ec)
     if n_ec is None:
         n_ec = ec_block(n_raw)
     elif not 0 < n_ec <= n_raw // 2:

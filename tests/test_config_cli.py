@@ -4,6 +4,7 @@ import ast
 import contextlib
 import hashlib
 import importlib.util
+import inspect
 import io
 import json
 import math
@@ -39,7 +40,7 @@ from mwqkd.devices import ChannelEstimate, ChannelParams, DeviceChainParams
 from mwqkd.errors import InsufficientDataError
 
 from test_protocol import _repr_cases, _traced_peak
-from test_security import count_calls, merge_point
+from test_security import _chains, count_calls, merge_point
 
 
 def test_default_config_uses_run1():
@@ -1568,6 +1569,62 @@ def test_each_model_rule_has_one_owner():
             assert not re.search(r"seed \+ [12]\b", path.read_text()), path.name
 
 
+def _raisers(module, word: str) -> set:
+    """The functions of `module` that raise a message naming `word`."""
+    tree = ast.parse(Path(module.__file__).read_text())
+    return {function.name for function in ast.walk(tree) if isinstance(function, ast.FunctionDef)
+            for node in ast.walk(function)
+            if isinstance(node, ast.Raise) and re.search(rf"\b{word}\b", ast.unparse(node))}
+
+
+def test_each_setting_rule_has_one_owner():
+    from mwqkd import config, linkbudget
+
+    # a finite-size setting's default is key_settings' alone: the config's
+    # field defaults to None and resolves through it
+    parameters = inspect.signature(security.key_settings).parameters.values()
+    names = [p.name for p in parameters if p.kind is p.KEYWORD_ONLY]
+    assert sorted(names) == sorted(
+        {"e_ec", "beta_ec", "p_ec", "include_delta", "include_estimation_penalty"})
+    tree = ast.parse(Path(config.__file__).read_text())
+    [klass] = [node for node in tree.body
+               if isinstance(node, ast.ClassDef) and node.name == "ExperimentConfig"]
+    defaults = {node.target.id: ast.unparse(node.value) for node in klass.body
+                if isinstance(node, ast.AnnAssign)}
+    assert {name: defaults[name] for name in names} == dict.fromkeys(names, "None")
+    assert defaults["chain"] == "None"
+    assert "DEFAULT_CORRECTNESS_EPSILON" not in Path(config.__file__).read_text()
+    resolved = ExperimentConfig()
+    assert {name: getattr(resolved, name) for name in names} == {
+        name: security.key_settings(16665)[name] for name in names}
+    # each domain is checked by its layer once: e_ec for key_settings and w
+    # alike, the EC fraction by ec_block, the bandwidth by linkbudget
+    assert _raisers(security, "e_ec") == {"_e_ec_tail"}
+    assert not _raisers(security, "correctness_epsilon")
+    assert _raisers(security, "n_ec_fraction") == {"ec_block"}
+    assert _raisers(linkbudget, "bandwidth_hz") == {"_check_bandwidth"}
+    for word in (*names, "n_ec_fraction", "bandwidth_hz"):
+        assert not _raisers(config, word), word
+    # the preset's chain is the config's: the CLI names CHAIN_PRESETS only
+    # for --preset's choices
+    tree = ast.parse(Path(cli.__file__).read_text())
+    [flags] = [node.value for node in tree.body
+               if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "_FLAGS"]
+    [preset_flag] = [value for key, value in zip(flags.keys, flags.values)
+                     if ast.literal_eval(key) == "--preset"]
+    [choices] = [keyword.value for keyword in preset_flag.keywords if keyword.arg == "choices"]
+    named = [node for node in ast.walk(tree)
+             if "CHAIN_PRESETS" in (getattr(node, "id", None), getattr(node, "attr", None))]
+    in_choices = [node for node in ast.walk(choices)
+                  if getattr(node, "id", None) == "CHAIN_PRESETS"]
+    assert len(in_choices) == 1 and named == in_choices
+    assert not re.search(r"\bRUN[12]_CHAIN\b", Path(cli.__file__).read_text())
+    for preset, chain in mwqkd.CHAIN_PRESETS.items():
+        assert ExperimentConfig(preset=preset).chain == chain
+        args = cli.build_parser().parse_args(["report", "--preset", preset])
+        assert cli.resolve_config(args) == ExperimentConfig(preset=preset)
+
+
 def test_commands_read_only_the_config_and_their_output_flags():
     # every setting reaches a command through ExperimentConfig: a flag's
     # destination is a config field or one of the flags below
@@ -1646,6 +1703,21 @@ _REFUSALS = {
         lambda: stats.hellinger_from_coefficient(1.5), "coefficient must be in [0, 1]"),
     "config.ExperimentConfig-preset": (
         lambda: ExperimentConfig(preset="nope"), "unknown preset 'nope'"),
+    "config.ExperimentConfig-no-chain": (
+        lambda: ExperimentConfig(preset=None),
+        "config needs a preset or explicit chain parameters"),
+    "security.ec_block-0": (
+        lambda: security.ec_block(16665, 0.0), "n_ec_fraction must be in (0, 1)"),
+    "security.ec_block-negative": (
+        lambda: security.ec_block(16665, -0.1), "n_ec_fraction must be in (0, 1)"),
+    "security.ec_block-1": (
+        lambda: security.ec_block(16665, 1.0), "n_ec_fraction must be in (0, 1)"),
+    "linkbudget.raw_key_rate-inf": (
+        lambda: mwqkd.raw_key_rate(mwqkd.RUN1_CHAIN, ChannelParams(0.9), math.inf),
+        "bandwidth_hz must be finite and > 0, got inf"),
+    "linkbudget.raw_key_rate-nan": (
+        lambda: mwqkd.raw_key_rate(mwqkd.RUN1_CHAIN, ChannelParams(0.9), math.nan),
+        "bandwidth_hz must be finite and > 0, got nan"),
 }
 
 
@@ -1725,6 +1797,67 @@ def test_key_settings_are_derived_not_a_field():
     # equality sees only the fields; a replaced config resolves again
     assert cfg == config_from_dict(json.loads(json.dumps(cfg.to_dict())))
     assert replace(cfg, n_ec_fraction=0.5).key_settings == security.key_settings(16670)
+
+
+_SECURITY = {
+    "e_ec": st.floats(1e-16, 0.5, exclude_max=True),
+    "beta_ec": st.floats(0.0, 1.0, exclude_min=True),
+    "p_ec": st.floats(0.0, 1.0, exclude_min=True),
+    "n_ec_fraction": st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    "include_delta": st.booleans(),
+    "include_estimation_penalty": st.booleans(),
+}
+_LEVELS = {"squeezing_db", "antisqueezing_db"}
+_REQUIRED_CHAIN = {*_LEVELS, "quantum_efficiency", "measurement_gain_db"}
+
+
+@st.composite
+def _documents(draw):
+    """A config document: a preset or none, chain keys (the whole chain
+    without a preset), N and any subset of the security settings."""
+    preset = draw(st.sampled_from(["run1", "run2", None]))
+    chain = {key: list(value) if isinstance(value, tuple) else value
+             for key, value in asdict(draw(_chains())).items()}
+    keys = draw(st.sets(st.sampled_from(sorted(chain))))
+    if preset is None:
+        keys |= _REQUIRED_CHAIN
+    if keys & _LEVELS:  # anti-squeezing at or above squeezing
+        keys |= _LEVELS
+    return {
+        "preset": preset,
+        "chain": {key: chain[key] for key in keys},
+        "n_symbols": draw(st.integers(4, 10**7)),
+        "security": draw(st.fixed_dictionaries({}, optional=_SECURITY)),
+    }
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(doc=_documents())
+@example(doc={"preset": "run2", "chain": {}, "n_symbols": 16665, "security": {}})
+@example(doc={"preset": "run1", "chain": {"path_losses": [0.0, 0.1, 0.0, 0.0]},
+              "n_symbols": 4, "security": {"n_ec_fraction": 1e-300, "e_ec": 1e-16}})
+def test_a_config_round_trips_and_resolves_through_the_owners(doc):
+    cfg = config_from_dict(doc)
+    # the echo parses back to the config, in memory and through JSON text
+    assert config_from_dict(cfg.to_dict()) == cfg
+    assert config_from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+    # the chain is the preset's with the chain keys over it, or those keys
+    preset, chain = doc["preset"], doc["chain"]
+    want = (DeviceChainParams(**chain) if preset is None
+            else replace(mwqkd.CHAIN_PRESETS[preset], **chain))
+    assert cfg.chain == want
+    # the settings are the library's, given only the ones the document set
+    n, given = doc["n_symbols"], dict(doc["security"])
+    fraction = [given.pop("n_ec_fraction")] if "n_ec_fraction" in given else []
+    library = security.key_settings(n, security.ec_block(n, *fraction), **given)
+    assert cfg.key_settings == library
+    # each field holds its resolved value
+    fields_set = library.keys() - {"n_raw", "n_ec"}
+    assert {name: getattr(cfg, name) for name in fields_set} == {
+        name: library[name] for name in fields_set}
+    # and the constructor resolves the same config from the same inputs
+    assert cfg == ExperimentConfig(preset=preset, chain=want if chain else None,
+                                   n_symbols=n, **doc["security"])
 
 
 def _booked_report(*argv) -> dict:
