@@ -10,8 +10,11 @@ first alternates from sample to sample, so a drift of the machine's speed
 lands on every tree alike instead of between them.
 
 In process, each tree runs in a worker process of its own, which imports
-it once; each layer is timed with ``timeit`` (one call per sample) and
-reported as the median and interquartile range in seconds: the key.csv
+it once. Each layer is timed with ``timeit`` over a call count fixed at
+warm-up, the same for every tree: enough calls that the slowest tree's
+sample lasts about SAMPLE_S, and at least one. It is reported in seconds
+per call, as the median and interquartile range of the samples, with the
+count (``calls_per_sample``). The layers: the key.csv
 write and read-back at N = 16 665 and 10^6 rows, the write and read-back
 of a 16 665-row record whose floats all take ``repr``'s exponent notation
 (which the reader's kernel leaves to ``float``), the 200-resample
@@ -73,6 +76,9 @@ LARGE_N = 10**6
 SWEEP_POINTS = (41, 401, 10**4)
 # samples per layer and command, at every N
 REPEAT = 15
+# seconds an in-process sample lasts at least, unless one call takes longer:
+# a row of a few microseconds timed one call at a time reads timer noise
+SAMPLE_S = 0.05
 # A --config file that fills every section: chain keys over a preset,
 # the channel, the finite-size settings and the link budget.
 FULL_CONFIG = {
@@ -207,15 +213,16 @@ def in_process_layers(workdir: Path) -> dict:
 
 
 def _worker(src: str, workdir: str, conn) -> None:
-    """Serve one tree's layers: each name received is one timed call,
-    answered with its seconds; None ends the worker."""
+    """Serve one tree's layers: each (name, calls) received is one sample,
+    answered with its seconds per call; None ends the worker."""
     sys.path.insert(0, src)
     # the commands' messages go nowhere
     with open(os.devnull, "w") as devnull, contextlib.redirect_stdout(devnull):
         layers = in_process_layers(Path(workdir))
         conn.send(list(layers))
-        while (name := conn.recv()) is not None:
-            conn.send(timeit.Timer(layers[name]).timeit(number=1))
+        while (request := conn.recv()) is not None:
+            name, calls = request
+            conn.send(timeit.Timer(layers[name]).timeit(number=calls) / calls)
 
 
 def in_process(trees: dict, workdir: Path) -> dict:
@@ -232,21 +239,23 @@ def in_process(trees: dict, workdir: Path) -> dict:
             workers[-1].start()
         names = [conn.recv() for conn in conns.values()][0]  # each worker's, once set up
 
-        def sample(label, name):
-            conns[label].send(name)
+        def sample(label, name, calls=1):
+            conns[label].send((name, calls))
             return conns[label].recv()
 
         labels = list(trees)
         rows = {label: {} for label in labels}
         for name in names:
-            # tables, caches and page faults of the first call stay out
+            # tables, caches and page faults of the first call stay out; the
+            # second sets the call count of every tree's samples
             for label in labels:
                 sample(label, name)
+            calls = max(1, int(SAMPLE_S / max(sample(label, name) for label in labels)))
             samples = {label: [] for label in labels}
             for label in _alternating(labels, REPEAT):
-                samples[label].append(sample(label, name))
+                samples[label].append(sample(label, name, calls))
             for label in labels:
-                rows[label][name] = _quartiles(samples[label])
+                rows[label][name] = {**_quartiles(samples[label]), "calls_per_sample": calls}
         for conn in conns.values():
             conn.send(None)
         for worker in workers:

@@ -2,16 +2,18 @@
 
 A configuration round-trips through JSON: parse -> serialize -> parse is
 the identity, and so is parse -> ``to_dict`` -> parse in memory.
-Command-line flags override file values field by field.
-:data:`CONFIG_SCHEMA` is the one place that says where each field lives
-in the JSON document.
+Command-line flags override file values field by field. Each
+:class:`ExperimentConfig` field declares its place in the JSON document
+(section, key and JSON type) on the line that gives its default;
+:data:`CONFIG_SCHEMA` collects them. The chain object's keys and types
+are :class:`~mwqkd.devices.DeviceChainParams`' fields.
 
 The config restates no layer's rule. A finite-size setting left None
-takes :func:`~mwqkd.security.key_settings`' default; a chain left None
-takes the preset's. The EC fraction's domain is
-:func:`~mwqkd.security.ec_block`'s and the bandwidth's is
+takes :func:`~mwqkd.security.key_settings`' default, the EC fraction
+:func:`~mwqkd.security.ec_block`'s, and a chain left None the preset's.
+The EC fraction's domain is ``ec_block``'s and the bandwidth's is
 :mod:`~mwqkd.linkbudget`'s. A new setting is one ``key_settings``
-keyword, one :data:`CONFIG_SCHEMA` row and one None-default field.
+keyword and one None-default field that names its JSON key.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 
 from .devices import ChannelParams, DeviceChainParams
 from .linkbudget import MEDIA, _check_bandwidth
@@ -54,31 +56,6 @@ MAX_SEED = 2**128 - 3
 DEFAULT_BANDWIDTH_HZ = 400e3
 DEFAULT_NOISE_GRID = tuple(0.0025 * i for i in range(41))  # 0 .. 0.1
 DEFAULT_OCCUPANCY_GRID = tuple(10.0**k for k in range(-8, 5))
-
-
-# ExperimentConfig field -> (JSON section, key, JSON type); section None
-# is the top level. Serialization, parsing with its type checks, and the
-# command-line overrides (a flag whose destination is a field name) all
-# derive from this table.
-CONFIG_SCHEMA = {
-    "preset": (None, "preset", "string"),
-    "chain": (None, "chain", "object"),
-    "channel_loss": ("channel", "loss", "number"),
-    "noise_photons": ("channel", "noise_photons", "number"),
-    "noise_grid": (None, "noise_grid", "number array"),
-    "n_symbols": (None, "n_symbols", "integer"),
-    "seed": (None, "seed", "integer"),
-    "announce_bases": (None, "announce_bases", "boolean"),
-    "e_ec": ("security", "e_ec", "number"),
-    "beta_ec": ("security", "beta_ec", "number"),
-    "p_ec": ("security", "p_ec", "number"),
-    "n_ec_fraction": ("security", "n_ec_fraction", "number"),
-    "include_delta": ("security", "include_delta", "boolean"),
-    "include_estimation_penalty": ("security", "include_estimation_penalty", "boolean"),
-    "bandwidth_hz": (None, "bandwidth_hz", "number"),
-    "medium": ("linkbudget", "medium", "string"),
-    "occupancies": ("linkbudget", "occupancies", "number array"),
-}
 
 
 def _is_number(value) -> bool:
@@ -117,6 +94,12 @@ def _photon_counts(name: str, values) -> tuple[float, ...]:
     return tuple(counts)
 
 
+def _at(section: str | None, key: str, json_type: str, default=None):
+    """A field's default and its place in the JSON document: `key` of the
+    object `section` (None: the top level), holding a JSON `json_type`."""
+    return field(default=default, metadata={"json": (section, key, json_type)})
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything one run needs, resolvable from JSON and flags, and echoed
@@ -126,27 +109,28 @@ class ExperimentConfig:
     and bootstrap streams.
 
     A field that defaults to None takes the value its owner resolves: the
-    `chain` is the preset's, and each :func:`~mwqkd.security.key_settings`
-    setting the library default. After construction every field holds its
-    resolved value, so a config equals the one its echo parses to."""
+    `chain` is the preset's, the EC fraction :func:`~mwqkd.security.ec_block`'s
+    default, and each :func:`~mwqkd.security.key_settings` setting the
+    library default. After construction every field holds its resolved
+    value, so a config equals the one its echo parses to."""
 
-    chain: DeviceChainParams | None = None
-    preset: str | None = "run1"
-    channel_loss: float = DEFAULT_CHANNEL_LOSS
-    noise_photons: float = 0.0
-    noise_grid: tuple[float, ...] = DEFAULT_NOISE_GRID
-    n_symbols: int = DEFAULT_N_RAW
-    seed: int = DEFAULT_SEED
-    e_ec: float | None = None
-    beta_ec: float | None = None
-    p_ec: float | None = None
-    n_ec_fraction: float = 0.5
-    include_delta: bool | None = None
-    include_estimation_penalty: bool | None = None
-    bandwidth_hz: float = DEFAULT_BANDWIDTH_HZ
-    medium: str = "cryo-15mK"
-    occupancies: tuple[float, ...] = DEFAULT_OCCUPANCY_GRID
-    announce_bases: bool = False
+    chain: DeviceChainParams | None = _at(None, "chain", "object")
+    preset: str | None = _at(None, "preset", "string", "run1")
+    channel_loss: float = _at("channel", "loss", "number", DEFAULT_CHANNEL_LOSS)
+    noise_photons: float = _at("channel", "noise_photons", "number", 0.0)
+    noise_grid: tuple[float, ...] = _at(None, "noise_grid", "number array", DEFAULT_NOISE_GRID)
+    n_symbols: int = _at(None, "n_symbols", "integer", DEFAULT_N_RAW)
+    seed: int = _at(None, "seed", "integer", DEFAULT_SEED)
+    announce_bases: bool = _at(None, "announce_bases", "boolean", False)
+    e_ec: float | None = _at("security", "e_ec", "number")
+    beta_ec: float | None = _at("security", "beta_ec", "number")
+    p_ec: float | None = _at("security", "p_ec", "number")
+    n_ec_fraction: float | None = _at("security", "n_ec_fraction", "number")
+    include_delta: bool | None = _at("security", "include_delta", "boolean")
+    include_estimation_penalty: bool | None = _at("security", "include_estimation_penalty", "boolean")
+    bandwidth_hz: float = _at(None, "bandwidth_hz", "number", DEFAULT_BANDWIDTH_HZ)
+    medium: str = _at("linkbudget", "medium", "string", "cryo-15mK")
+    occupancies: tuple[float, ...] = _at("linkbudget", "occupancies", "number array", DEFAULT_OCCUPANCY_GRID)
 
     def __post_init__(self) -> None:
         if self.preset not in (None, *CHAIN_PRESETS):  # by ==, so a JSON array too
@@ -162,6 +146,8 @@ class ExperimentConfig:
             raise ValueError(f"seed must be in [0, 2**128 - 3], got {self.seed}")
         object.__setattr__(self, "transmission_seed", self.seed + 1)
         object.__setattr__(self, "bootstrap_seed", self.seed + 2)
+        if self.n_ec_fraction is None:
+            object.__setattr__(self, "n_ec_fraction", *ec_block.__defaults__)
         # resolved once, so a bad value exits 2 before any command writes output;
         # the settings are key_settings' keyword-only parameters, passed when set
         names = key_settings.__kwdefaults__
@@ -182,9 +168,16 @@ class ExperimentConfig:
         for name, (section, key, _) in CONFIG_SCHEMA.items():
             value = getattr(self, name)
             if name == "chain":
-                value = {field: _json_value(item) for field, item in asdict(value).items()}
+                value = {param: _json_value(item) for param, item in asdict(value).items()}
             (data if section is None else data.setdefault(section, {}))[key] = _json_value(value)
         return data
+
+
+# ExperimentConfig field -> (JSON section, key, JSON type), as the field
+# declares it. Serialization, parsing with its type checks, and the
+# command-line overrides (a flag whose destination is a field name) all
+# derive from this table.
+CONFIG_SCHEMA = {f.name: f.metadata["json"] for f in fields(ExperimentConfig)}
 
 
 def _json_value(value):
@@ -205,12 +198,26 @@ def _json_object(value, name: str, known) -> dict:
 
 
 def _chain_overrides(value) -> dict:
-    """The chain object's parameters, each checked for its JSON type."""
-    overrides = _json_object(value, "chain", {f.name for f in fields(DeviceChainParams)})
+    """The chain object's parameters but those given as null, each checked
+    for its :class:`DeviceChainParams` field's JSON type: a number array
+    where the default is a tuple, else a number."""
+    params = {f.name: f for f in fields(DeviceChainParams)}
+    overrides = {key: item for key, item in _json_object(value, "chain", params).items()
+                 if item is not None}
     for key, item in overrides.items():
-        json_type = "number array" if key.startswith("path_") else "number"
+        json_type = "number array" if isinstance(params[key].default, tuple) else "number"
         _check_type(f"chain.{key}", item, json_type)
     return overrides
+
+
+def _explicit_chain(params: dict) -> DeviceChainParams:
+    """The chain of a config without a preset, which names every
+    :class:`DeviceChainParams` field that has no default."""
+    missing = [f.name for f in fields(DeviceChainParams)
+               if f.default is MISSING and f.name not in params]
+    if missing:
+        raise ValueError(f"a chain without a preset needs {', '.join(missing)}")
+    return DeviceChainParams(**params)
 
 
 def _grid_from_shorthand(grid: dict) -> tuple[float, ...]:
@@ -234,22 +241,21 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     """Build a configuration from parsed JSON, rejecting unknown keys.
 
     A missing key or a JSON null keeps the field's default, except
-    `preset`, where a missing or null preset means an explicit chain.
+    `preset`, where a missing or null preset means an explicit chain; a
+    null chain key keeps the preset's value.
     """
-    sections: dict[str, set[str]] = {}
+    known: dict[str | None, set[str]] = {}  # section -> its keys
     for section, key, _ in CONFIG_SCHEMA.values():
-        if section is not None:
-            sections.setdefault(section, set()).add(key)
-    top_level = {section or key for section, key, _ in CONFIG_SCHEMA.values()}
-    data = _json_object(data, "config", top_level)
+        known.setdefault(section, set()).add(key)
+    data = _json_object(data, "config", known.pop(None) | set(known))
     objects = {None: data}
-    for section, known in sections.items():
-        objects[section] = _json_object(data.get(section), section, known)
+    for section, keys in known.items():
+        objects[section] = _json_object(data.get(section), section, keys)
 
     # without a preset the chain object is the whole chain; with one, it
     # overrides the preset's chain (the config's) field by field, below
     preset, chain = data.get("preset"), _chain_overrides(data.get("chain"))
-    explicit = DeviceChainParams(**chain) if preset is None and chain else None
+    explicit = _explicit_chain(chain) if preset is None and chain else None
     kwargs: dict = {"preset": preset, "chain": explicit}
     for name, (section, key, json_type) in CONFIG_SCHEMA.items():
         value = objects[section].get(key)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .devices import ChannelParams, DeviceChainParams
+from .devices import ChannelParams, DeviceChainParams, check_channel
 from .security import asymptotic_key, noise_crossing
 
 # Exact SI values (2019 redefinition).
@@ -35,9 +35,13 @@ class MediumSpec:
     label: str
 
     def __post_init__(self) -> None:
-        if not self.attenuation_db_per_m > 0.0:
-            raise ValueError("attenuation_db_per_m must be > 0")
+        _check_attenuation(self.attenuation_db_per_m)
         _check_background(self.background_photons)
+
+
+def _check_attenuation(attenuation_db_per_m: float) -> None:
+    if not attenuation_db_per_m > 0.0:
+        raise ValueError("attenuation_db_per_m must be > 0")
 
 
 def _check_background(background_photons: float) -> None:
@@ -119,10 +123,8 @@ def max_tolerable_loss(
 
 def loss_to_distance(loss: float, attenuation_db_per_m: float) -> float:
     """Distance in meters over which a medium accumulates the given loss."""
-    if not 0.0 <= loss < 1.0:
-        raise ValueError("loss must be in [0, 1)")
-    if not attenuation_db_per_m > 0.0:
-        raise ValueError("attenuation_db_per_m must be > 0")
+    check_channel(loss, 0.0)
+    _check_attenuation(attenuation_db_per_m)
     # + 0.0 turns the -0.0 of a zero loss into 0.0 and leaves all else
     return -10.0 * math.log10(1.0 - loss) / attenuation_db_per_m + 0.0
 
@@ -131,8 +133,7 @@ def distance_to_loss(distance_m: float, attenuation_db_per_m: float) -> float:
     """Inverse of :func:`loss_to_distance`."""
     if distance_m < 0.0:
         raise ValueError("distance_m must be >= 0")
-    if not attenuation_db_per_m > 0.0:
-        raise ValueError("attenuation_db_per_m must be > 0")
+    _check_attenuation(attenuation_db_per_m)
     return 1.0 - 10.0 ** (-attenuation_db_per_m * distance_m / 10.0)
 
 

@@ -108,6 +108,50 @@ def test_config_explicit_chain_without_preset():
         config_from_dict({"n_symbols": 100})
 
 
+def test_every_field_declares_its_json_place():
+    # the schema is the fields' own declarations, one JSON place per field
+    from mwqkd import config
+
+    places = {f.name: f.metadata["json"] for f in fields(ExperimentConfig)}
+    assert CONFIG_SCHEMA == places
+    located = [(section, key) for section, key, _ in places.values()]
+    assert len(set(located)) == len(located)
+    # a section is no top-level key, and every declared type has a check
+    sections = {section for section, _ in located} - {None}
+    assert not sections & {key for section, key in located if section is None}
+    assert {json_type for _, _, json_type in places.values()} <= set(config._JSON_TYPES)
+
+
+def test_the_chain_keys_follow_device_chain_params():
+    # a key's JSON type is its field's: a number array where the default
+    # is a tuple, else a number
+    for f in fields(DeviceChainParams):
+        json_type = "number array" if isinstance(f.default, tuple) else "number"
+        wrong = 1.0 if json_type == "number array" else [1.0]
+        with pytest.raises(ValueError, match=re.escape(f"chain.{f.name} must be a JSON "
+                                                       f"{json_type}, got {wrong!r}")):
+            config_from_dict({"preset": "run1", "chain": {f.name: wrong}})
+    # a null key keeps the preset's value, or the field's default without one
+    chain = {"squeezing_db": 2.0, "antisqueezing_db": 5.0, "quantum_efficiency": 0.7,
+             "measurement_gain_db": 15.0}
+    assert config_from_dict({"chain": {**chain, "hemt_noise_photons": None}}).chain == (
+        DeviceChainParams(**chain))
+
+
+def test_a_null_chain_key_keeps_the_presets_value(tmp_path):
+    cfg = tmp_path / "null.json"
+    cfg.write_text(json.dumps({"preset": "run1", "chain": {"squeezing_db": None}}))
+    assert load_config(cfg) == ExperimentConfig(preset="run1")
+    reports = []
+    for argv in (("--config", str(cfg)), ("--preset", "run1")):
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            assert run_cli("report", *argv) == 0
+        reports.append(json.loads(stdout.getvalue()))
+    # run1's chain, and the echo is --preset run1's
+    assert reports[0] == reports[1]
+
+
 def test_config_grid_shorthand():
     cfg = config_from_dict(
         {"preset": "run1", "noise_grid": {"start": 0.0, "stop": 0.1, "num": 5}}
@@ -936,6 +980,23 @@ def test_every_command_refuses_a_config_outside_the_domain(tmp_path, capsys, com
 
 
 @pytest.mark.parametrize("command", ["report", "sweep", "protocol", "linkbudget"])
+@pytest.mark.parametrize("preset", [{}, {"preset": None}], ids=["no-preset", "null-preset"])
+def test_an_explicit_chain_missing_parameters_exits_2_naming_them(
+    tmp_path, capsys, command, preset
+):
+    # without a preset, the chain names every DeviceChainParams field that
+    # has no default (S, A, eta and G); a null counts as missing
+    cfg = tmp_path / "chain.json"
+    cfg.write_text(json.dumps({**preset, "chain": {"squeezing_db": 2.0,
+                                                   "quantum_efficiency": None}}))
+    out = tmp_path / "out"
+    assert run_cli(command, "--config", str(cfg), "--out", str(out)) == 2
+    assert capsys.readouterr() == ("", "error: a chain without a preset needs antisqueezing_db, "
+                                       "quantum_efficiency, measurement_gain_db\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["report", "sweep", "protocol", "linkbudget"])
 @pytest.mark.parametrize("field, named", [
     ({"channel": {"loss": 10**400}}, "channel.loss"),
     ({"channel": {"noise_photons": -(10**400)}}, "channel.noise_photons"),
@@ -1499,6 +1560,25 @@ def test_benchmark_tracer_targets_exist():
         assert Path(mwqkd.__file__).with_name(f"{layer}.py").is_file(), layer
 
 
+def test_the_public_surface_is_what_the_program_runs():
+    # `bench/unreached.py --names` lists the public names that no code in
+    # src/, bench/ or perfbench/ names; these six are kept for a stated use
+    # (ROADMAP Housekeeping), and any other is dead or needs its reason there
+    script = Path(__file__).resolve().parents[1] / "bench" / "unreached.py"
+    done = subprocess.run([sys.executable, str(script), "--names"], capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    *lines, summary = done.stdout.splitlines()
+    listed = {re.fullmatch(r"src/mwqkd/(\w+)\.py:\d+: (\w+)( \(oracle\))?", line).group(1, 2)
+              for line in lines}
+    assert listed == {
+        ("gaussian", "make_vacuum"), ("gaussian", "two_mode_squeezed_thermal"),
+        ("gaussian", "partial_trace"), ("linkbudget", "distance_to_loss"),
+        ("linkbudget", "distance_limit"), ("security", "predicted_estimate"),
+    }
+    assert summary.startswith(f"{len(lines)} public names")
+
+
 # What only the key.csv and float-table kernels know: their block sizes,
 # the reader's pad before a block, and the functions of one block.
 _KERNELS = {"_floatrepr", "_floatparse"}
@@ -1580,29 +1660,33 @@ def _raisers(module, word: str) -> set:
 def test_each_setting_rule_has_one_owner():
     from mwqkd import config, linkbudget
 
-    # a finite-size setting's default is key_settings' alone: the config's
-    # field defaults to None and resolves through it
+    # a finite-size setting's default is key_settings' alone, and the EC
+    # fraction's ec_block's: the config's field defaults to None and
+    # resolves through its owner
     parameters = inspect.signature(security.key_settings).parameters.values()
     names = [p.name for p in parameters if p.kind is p.KEYWORD_ONLY]
     assert sorted(names) == sorted(
         {"e_ec", "beta_ec", "p_ec", "include_delta", "include_estimation_penalty"})
-    tree = ast.parse(Path(config.__file__).read_text())
-    [klass] = [node for node in tree.body
-               if isinstance(node, ast.ClassDef) and node.name == "ExperimentConfig"]
-    defaults = {node.target.id: ast.unparse(node.value) for node in klass.body
-                if isinstance(node, ast.AnnAssign)}
-    assert {name: defaults[name] for name in names} == dict.fromkeys(names, "None")
-    assert defaults["chain"] == "None"
-    assert "DEFAULT_CORRECTNESS_EPSILON" not in Path(config.__file__).read_text()
+    defaults = {f.name: f.default for f in fields(ExperimentConfig)}
+    unset = (*names, "n_ec_fraction", "chain")
+    assert {name: defaults[name] for name in unset} == dict.fromkeys(unset)
+    source = Path(config.__file__).read_text()
+    assert "DEFAULT_CORRECTNESS_EPSILON" not in source
+    assert not re.search(r"\b0\.5\b", source)
     resolved = ExperimentConfig()
     assert {name: getattr(resolved, name) for name in names} == {
         name: security.key_settings(16665)[name] for name in names}
+    fraction = inspect.signature(security.ec_block).parameters["n_ec_fraction"].default
+    assert resolved.n_ec_fraction == fraction
+    assert resolved.key_settings["n_ec"] == security.ec_block(16665)
     # each domain is checked by its layer once: e_ec for key_settings and w
-    # alike, the EC fraction by ec_block, the bandwidth by linkbudget
+    # alike, the EC fraction by ec_block, the bandwidth and the attenuation
+    # by linkbudget
     assert _raisers(security, "e_ec") == {"_e_ec_tail"}
     assert not _raisers(security, "correctness_epsilon")
     assert _raisers(security, "n_ec_fraction") == {"ec_block"}
     assert _raisers(linkbudget, "bandwidth_hz") == {"_check_bandwidth"}
+    assert _raisers(linkbudget, "attenuation_db_per_m") == {"_check_attenuation"}
     for word in (*names, "n_ec_fraction", "bandwidth_hz"):
         assert not _raisers(config, word), word
     # the preset's chain is the config's: the CLI names CHAIN_PRESETS only
@@ -1682,7 +1766,7 @@ _REFUSALS = {
     "linkbudget.distance_to_loss-attenuation=0": (
         lambda: mwqkd.distance_to_loss(1.0, 0.0), "attenuation_db_per_m must be > 0"),
     "linkbudget.loss_to_distance-loss=1": (
-        lambda: mwqkd.loss_to_distance(1.0, 1e-3), "loss must be in [0, 1)"),
+        lambda: mwqkd.loss_to_distance(1.0, 1e-3), "loss must be in [0, 1), got 1.0"),
     "linkbudget.distance_to_loss-distance<0": (
         lambda: mwqkd.distance_to_loss(-1.0, 1e-3), "distance_m must be >= 0"),
     "protocol.Codebook-unequal": (
