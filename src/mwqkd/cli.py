@@ -241,8 +241,10 @@ def cmd_protocol(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
         announce_bases=cfg.announce_bases,
     )
     alpha, beta = proto.sift(record)
-    # the bootstrap needs only the sifted pairs, so a child runs it beside the rest
-    join_mi_sigma = _in_child(stats.bootstrap_mi_sigma, alpha, beta, 200, cfg.bootstrap_seed)
+    # the bootstrap needs only the sifted pairs, so a child runs it beside the
+    # rest; reading it here runs stats' lazy body in this process, not the child
+    mi_sigma = functools.partial(stats.bootstrap_mi_sigma, seed=cfg.bootstrap_seed)
+    join_mi_sigma = _in_child(mi_sigma, alpha, beta)
     try:
         # key.csv, then its manifest, whatever the analysis does
         proto.write_key_records(record, outdir.joinpath("key.csv"))
@@ -251,8 +253,7 @@ def cmd_protocol(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     finally:
         join_mi_sigma(redo=False)
     _write_json(outdir.joinpath("report.json"), payload)
-    header = ("bin_lo", "bin_hi", "count", "density")
-    _write_csv(outdir.joinpath("histogram.csv"), header, rows, cfg.to_dict())
+    _write_csv(outdir.joinpath("histogram.csv"), proto.HISTOGRAM_COLUMNS, rows, cfg.to_dict())
 
     empirical, est = payload["empirical"], payload["inputs"]["estimate"]
     print(f"matched symbols: {empirical['n_matched']} of {cfg.n_symbols}")

@@ -273,12 +273,17 @@ def key_manifest(record: KeyRecord, cfg) -> dict:
     }
 
 
+# histogram.csv's columns, one row per bin of analyze's rows
+HISTOGRAM_COLUMNS = ("bin_lo", "bin_hi", "count", "density")
+
+
 def analyze(alpha: np.ndarray, beta: np.ndarray, cfg, mi_sigma) -> tuple[dict, list]:
-    """report.json's payload and histogram.csv's rows for the sifted pairs
-    of a run of `cfg`. The pairs after the first n_ec estimate the channel;
-    the histogram is compared with the configured channel's record variance.
-    ``mi_sigma()``, the mutual information's error bar, is called last, so a
-    bootstrap started before this call runs beside the rest."""
+    """report.json's payload and histogram.csv's rows (under
+    :data:`HISTOGRAM_COLUMNS`) for the sifted pairs of a run of `cfg`. The
+    pairs after the first n_ec estimate the channel; the histogram is
+    compared with the configured channel's record variance. ``mi_sigma()``,
+    the mutual information's error bar, is called last, so a bootstrap
+    started before this call runs beside the rest."""
     n_ec = cfg.key_settings["n_ec"]
     estimate = estimate_channel(alpha[n_ec:], beta[n_ec:], cfg.chain)
     echo = {"codebook_seed": cfg.seed, "transmission_seed": cfg.transmission_seed,

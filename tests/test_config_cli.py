@@ -705,10 +705,10 @@ def _recording_bootstraps(monkeypatch, tmp_path, bootstrap) -> Path:
     """Patch the bootstrap to log its pid to a file, then call `bootstrap`."""
     log = tmp_path / "bootstraps"
 
-    def logged(*args):
+    def logged(*args, **kwargs):
         with open(log, "a") as fh:
             fh.write(f"{os.getpid()}\n")
-        return bootstrap(*args)
+        return bootstrap(*args, **kwargs)
 
     monkeypatch.setattr(stats, "bootstrap_mi_sigma", logged)
     return log
@@ -718,7 +718,7 @@ def test_a_bootstrap_that_raises_in_the_child_is_the_in_process_raise(tmp_path, 
     argv = ("protocol", "--n-symbols", "2000")
     whole = _run(argv, tmp_path / "whole")[3]
 
-    def fails(*args):
+    def fails(*args, **kwargs):
         raise OSError("the bootstrap failed")
 
     log = _recording_bootstraps(monkeypatch, tmp_path, fails)
@@ -742,7 +742,7 @@ def test_a_raise_in_the_analysis_leaves_the_key_and_its_manifest(
     argv = ("protocol", "--n-symbols", "2000")
     whole = _run(argv, tmp_path / "whole")[3]
 
-    def fails(*args):
+    def fails(*args, **kwargs):
         raise error("the bootstrap failed")
 
     monkeypatch.setattr(stats, "bootstrap_mi_sigma", fails)
@@ -769,12 +769,11 @@ def test_a_transcript_replays_to_its_report(preset, seed, announce, n):
         alpha, beta = proto.sift(proto.read_key_records(run / "key.csv"))
         cfg = config_from_dict(json.loads((run / "manifest.json").read_text())["config"])
         payload, rows = proto.analyze(
-            alpha, beta, cfg, lambda: stats.bootstrap_mi_sigma(alpha, beta, 200, cfg.bootstrap_seed)
+            alpha, beta, cfg, lambda: stats.bootstrap_mi_sigma(alpha, beta, seed=cfg.bootstrap_seed)
         )
         replay.mkdir()
         cli._write_json(replay / "report.json", payload)
-        header = ("bin_lo", "bin_hi", "count", "density")
-        cli._write_csv(replay / "histogram.csv", header, rows, cfg.to_dict())
+        cli._write_csv(replay / "histogram.csv", proto.HISTOGRAM_COLUMNS, rows, cfg.to_dict())
         for name in ("report.json", "histogram.csv"):
             assert (replay / name).read_bytes() == (run / name).read_bytes(), name
 
@@ -805,10 +804,10 @@ def test_the_exit_3_path_waits_for_and_reaps_the_child(tmp_path, monkeypatch):
     parent = os.getpid()
     bootstrap = stats.bootstrap_mi_sigma
 
-    def slow_in_the_child(*args):
+    def slow_in_the_child(*args, **kwargs):
         if os.getpid() != parent:
             time.sleep(0.5)
-        return bootstrap(*args)
+        return bootstrap(*args, **kwargs)
 
     log = _recording_bootstraps(monkeypatch, tmp_path, slow_in_the_child)
     forks = _recording_forks(monkeypatch)
@@ -1255,72 +1254,129 @@ def test_linkbudget_key_evaluations_are_pinned(monkeypatch, tmp_path, preset, me
     assert len(calls) == evals
 
 
-# sha256 of the linkbudget outputs, recorded before the reach sweep was
-# warm-started. A root estimate may only save key evaluations. The two
-# cryo JSON files were re-recorded when g(nu) became one cancellation-free
-# form: only `raw_key_rate_bits_per_s` moved, in its last digit. All eight
-# were re-recorded when the config echo gained `announce_bases` and the
-# resolved `linkbudget.occupancies` grid (null before): only the echo moved.
-GOLDEN_LINKBUDGETS = {
-    ("run1", "cryo-15mK", "csv"): "4f73c06eee3c162da7a8b5fe3fd7719ba3f9ea07739d620be0da06eb554773c8",
-    ("run1", "cryo-15mK", "json"): "eb4c0336b242a6575afb2230fa02197b00a5784aa4f4eb95985640ed9c7fd0ac",
-    ("run1", "openair-300K", "csv"): "583592dd2fc938c150ca7f703d952362490c4cc5fd5da1f26e86b15d5ffee056",
-    ("run1", "openair-300K", "json"): "86114b19bd1e8075e474b879b00f0a3feefce249c2e086cc85cd3796a591f203",
-    ("run2", "cryo-15mK", "csv"): "ab099d5086a6301c6ccd4a6bdbe2035279d586fc839bb81bfc4886dd45d9eb07",
-    ("run2", "cryo-15mK", "json"): "d6e7402695238b561aa5c7e842da0e4db6e3cf9bd5400634fc130f913ea904d9",
-    ("run2", "openair-300K", "csv"): "607abbe6b218708e6a57be61dc0842896e26d17b0ceb9a27d3a0aa8753e1118c",
-    ("run2", "openair-300K", "json"): "53d14c9079e49cbc4a9dac573ea507d1d72253dc1404794260ba9532678c46d6",
+# sha256 of each output of each command line, its config echo masked.
+# Every output but key.csv holds the echo, json.dumps(cfg.to_dict(),
+# sort_keys=True), exactly once; it is hashed as ECHO_MASK, so a new config
+# key or default moves PRESET_ECHOES and none of these. A speed-up, a root
+# estimate among them, must keep these bytes. The reports are at the
+# paper's point (loss 0.0115, nbar 1.7e-6) and on a lossless channel with
+# noise. protocol's report.json is not pinned: its bootstrap sigma and the
+# estimate's dot products go through BLAS.
+GOLDEN_OUTPUTS = {
+    "linkbudget --preset run1 --medium cryo-15mK --format csv":
+        "b7681142727319c2fce9e1c9c6ed0ce4a8fe1d6a6e7e6f1ae815729e309e4015",
+    "linkbudget --preset run1 --medium cryo-15mK --format json":
+        "167fea28447416b78b0b0dbf91b486e6e49b79f92445e81df8b9c49c17838eef",
+    "linkbudget --preset run1 --medium openair-300K --format csv":
+        "e39b026afe76939ee00c23eef00903874f247a58b73665d18b39bdc883f72e94",
+    "linkbudget --preset run1 --medium openair-300K --format json":
+        "0ba42de5b24ae5cf5a692acacfd48ca19219d74a817a6ff962c569173a1b9ecc",
+    "linkbudget --preset run2 --medium cryo-15mK --format csv":
+        "345dab199d7f388626efd88aa7112e350f4d375d95fa814b9a938341baf54307",
+    "linkbudget --preset run2 --medium cryo-15mK --format json":
+        "1b263ad86c3b3678457370d86b208a234d40fd340c3ff3cef500800ef8f78727",
+    "linkbudget --preset run2 --medium openair-300K --format csv":
+        "63ccb074fa2afde15de591891dfdbf3807ab61afa01b53dbc56d6f8b40765e4a",
+    "linkbudget --preset run2 --medium openair-300K --format json":
+        "d771a56a21b9a4ac1d7f32fdbe1d0e2c9e4d99fc84606dddfb8a672e8a116531",
+    "report --preset run1 --loss 0 --nbar 0.01":
+        "a78a45c1f5cb98605123babdf1d364aa9b3f934fedebfc76321adfe8691993f5",
+    "report --preset run1 --loss 0.0115 --nbar 1.7e-06":
+        "89fa1b674feef7f22f9739b848dc2c8c0dfe3162bec4a3b1e1564c59b4445ddd",
+    "report --preset run2 --loss 0 --nbar 0.01":
+        "20f42e1fa9d3574cd1f0b931008a99a5c7f1606c7f39b6c8584a387e0e292a2b",
+    "report --preset run2 --loss 0.0115 --nbar 1.7e-06":
+        "41a7f4bb756a27bb99b1cd959b7e0b0dee1a9857f0f0c879289747fb30689067",
+    "sweep --preset run1 --format csv":
+        "046e69e62a074cb967144a864d01193380055aaadfb4d83878ea34d2e4f57116",
+    "sweep --preset run1 --format json":
+        "4841fa6a2e5c46aafc1324304eac79ac67bfc6285f500694e46d0b990f0c58f3",
+    "sweep --preset run2 --format csv":
+        "aaaad0549412157cc9e9785dd01a17783ef0f4c3ec477b5ea4e63591ed27cd8b",
+    "sweep --preset run2 --format json":
+        "3fa51bb97f7c5125a513f6084504e4ad5ed67df4a287dbb1386b679c80149b76",
+    "protocol --preset run1 --seed 7 --nbar 1.7e-06": {
+        "histogram.csv": "a2af33fade258f049c6c287a57aad65558e2a468233dad6149cd486851edb8f4",
+        "key.csv": "a26fe9fd4fbe5f06a8fd92ff8da0ad199cc2b418fd5e2a0f1d632f706ef553d3",
+        "manifest.json": "0630a2c1cfad196e18e2dc78ba966bd1d1958780a65bd4747330cdaf28584068",
+    },
+    "protocol --preset run1 --seed 7 --nbar 1.7e-06 --announce-bases": {
+        "histogram.csv": "af2f58161419e948b9cd2c600d5d0aa012c1d409ae731be08f50269f111b7980",
+        "key.csv": "57e35eefc69d8d2c72a7f9899d1346e4ba00c61faeebad62e64602aa645d01cc",
+        "manifest.json": "21819ad6e0d3e65b8e6caacbf55b0beca068213ad73f31384ed5085be000c791",
+    },
+    "protocol --preset run2 --seed 7 --nbar 1.7e-06": {
+        "histogram.csv": "5c9e0bb69caae576c27a700f0caf47aa3ce30437b278d50da7ed6a0370544f5b",
+        "key.csv": "ff4315f99ca4eb2d92a76bbda44469ed9c6d1dd09bc9f8b7828826f852f419d1",
+        "manifest.json": "027f3890accc071f07e156354ecb39c2d0d7913df1f527a03ea9451f25d25eca",
+    },
+    "protocol --preset run2 --seed 7 --nbar 1.7e-06 --announce-bases": {
+        "histogram.csv": "2e201d8ace481ace4030c14ce5f7d35058ad57c186271ea1b780a2541ca1282c",
+        "key.csv": "02a78ef55ea2d46e146f75c30948651c85913490edfd00809f5017aa5c6766dd",
+        "manifest.json": "47b2127f90e67f521c1edeef8cc8a4fa0665c97ed1d21a3dff495d375f1b4d78",
+    },
 }
 
-
-@pytest.mark.parametrize("preset, medium, fmt", sorted(GOLDEN_LINKBUDGETS))
-def test_linkbudget_bytes_are_pinned(tmp_path, capsys, preset, medium, fmt):
-    out = tmp_path / f"lb.{fmt}"
-    assert run_cli("linkbudget", "--preset", preset, "--medium", medium,
-                   "--format", fmt, "--out", str(out)) == 0
-    capsys.readouterr()
-    got = hashlib.sha256(out.read_bytes()).hexdigest()
-    assert got == GOLDEN_LINKBUDGETS[preset, medium, fmt]
+ECHO_MASK = b"<config>"
+# sha256 of the echoes of ExperimentConfig(preset="run1") and of run2, a
+# line each. With the check that each output holds its own echo, this pins
+# every echo byte.
+PRESET_ECHOES = "95997eeb9b3e2e89cfb510814b7d2b6eb0bf94680330908bf7202936d71aa00b"
 
 
-# sha256 of the report and sweep outputs, re-recorded when g(nu) became one
-# cancellation-free form (only chi and the figures made from it moved, by
-# at most ~1e-15 bits). The paper's point (loss 0.0115, nbar 1.7e-6) and
-# a lossless channel with noise. The run1 sweeps were re-recorded when
-# chi's split-branch gap lost its cancellation near full loss: chi at one
-# grid point and the worst-case chi at three moved by at most 4.4e-16 bits.
-# All eight were re-recorded when the config echo gained `announce_bases`
-# and the resolved occupancy grid: only the echo moved.
-GOLDEN_REPORTS = {
-    ("run1", "0.0115", "1.7e-06"): "6308f6c6d117b1165cdfc422b0e0d237efb9238c59f9fd7b87255981268c6273",
-    ("run1", "0", "0.01"): "362ce8074ae7a4027d0efba78c781261c0c76e3e5e8e89ca340edeab79ea0338",
-    ("run2", "0.0115", "1.7e-06"): "49a03a2c1485253d1e1e6160275b7979a2e1ea6e1bfd355fe56cf9445e20f6aa",
-    ("run2", "0", "0.01"): "fee4a66048d493bc227aacf5b5e2e284d15b0f8b874f5abd4d84ed057222182f",
-}
-GOLDEN_SWEEPS = {
-    ("run1", "csv"): "334e16d38c38466615cb568663f798f25194dec3dbe15520b6c26199667544c2",
-    ("run1", "json"): "8e198a9ec8b73dc33972abbbdb966c90275ec6e50030b98f404d46764e5e7b0e",
-    ("run2", "csv"): "c119efd90e177e3f9c0452f0c2f3c564779adf1605518771901f53d47a8c3e57",
-    ("run2", "json"): "72193f824a3416ec10dca6b9dcd6b079708a914fc6f2687db9dc4f03a594c704",
-}
+def _preset_echoes() -> str:
+    lines = (json.dumps(ExperimentConfig(preset=p).to_dict(), sort_keys=True) + "\n"
+             for p in ("run1", "run2"))
+    return hashlib.sha256("".join(lines).encode()).hexdigest()
 
 
-@pytest.mark.parametrize("preset, loss, nbar", sorted(GOLDEN_REPORTS))
-def test_report_bytes_are_pinned(tmp_path, preset, loss, nbar):
-    out = tmp_path / "report.json"
-    assert run_cli("report", "--preset", preset, "--loss", loss, "--nbar", nbar,
-                   "--out", str(out)) == 0
-    got = hashlib.sha256(out.read_bytes()).hexdigest()
-    assert got == GOLDEN_REPORTS[preset, loss, nbar]
+def _assert_pinned(command: str, out: Path) -> None:
+    """Run `command` into `out` and check each output against its pin."""
+    argv = [*command.split(), "--out", str(out)]
+    assert run_cli(*argv) == 0
+    cfg = cli.resolve_config(cli.build_parser().parse_args(argv))
+    echo = json.dumps(cfg.to_dict(), sort_keys=True).encode()
+    got = {}
+    for path in sorted(out.iterdir()) if out.is_dir() else [out]:
+        data = path.read_bytes()
+        held = data.count(echo)
+        assert held == (path.name != "key.csv"), f"{command}: {path.name} holds its echo {held}x"
+        if path.name != "report.json":
+            got[path.name] = hashlib.sha256(data.replace(echo, ECHO_MASK)).hexdigest()
+    want = GOLDEN_OUTPUTS[command]
+    want = {out.name: want} if isinstance(want, str) else want
+    moved = sorted(name for name in got.keys() | want.keys() if got.get(name) != want.get(name))
+    assert not moved, "\n".join(f"{command}: {name} now hashes to {got.get(name)}" for name in moved)
 
 
-@pytest.mark.parametrize("preset, fmt", sorted(GOLDEN_SWEEPS))
-def test_sweep_bytes_are_pinned(tmp_path, capsys, preset, fmt):
-    out = tmp_path / f"sweep.{fmt}"
-    assert run_cli("sweep", "--preset", preset, "--format", fmt, "--out", str(out)) == 0
-    capsys.readouterr()
-    got = hashlib.sha256(out.read_bytes()).hexdigest()
-    assert got == GOLDEN_SWEEPS[preset, fmt]
+@pytest.mark.parametrize("command", sorted(GOLDEN_OUTPUTS))
+def test_every_output_is_pinned_with_its_config_echo_masked(tmp_path, command):
+    _assert_pinned(command, tmp_path / "out")
+
+
+def test_the_preset_config_echoes_are_pinned():
+    got = _preset_echoes()
+    assert got == PRESET_ECHOES, f"the preset echoes now hash to {got}"
+
+
+def test_a_new_setting_moves_only_the_preset_echo_pin(tmp_path, monkeypatch):
+    to_dict = ExperimentConfig.to_dict
+
+    def with_a_new_key(cfg):
+        data = to_dict(cfg)
+        data["security"]["a_new_setting"] = 0.5
+        return data
+
+    monkeypatch.setattr(ExperimentConfig, "to_dict", with_a_new_key)
+    commands = [
+        "sweep --preset run1 --format csv",
+        "report --preset run2 --loss 0 --nbar 0.01",
+        "linkbudget --preset run2 --medium openair-300K --format json",
+        "protocol --preset run1 --seed 7 --nbar 1.7e-06 --announce-bases",
+    ]
+    for i, command in enumerate(commands):
+        _assert_pinned(command, tmp_path / str(i))
+    assert _preset_echoes() != PRESET_ECHOES
 
 
 def test_report_command_stdout(capsys):
@@ -1998,43 +2054,3 @@ def test_an_e_ec_that_rounds_1_minus_2e_to_1_exits_2_before_writing(tmp_path, ca
     err = capsys.readouterr().err
     assert "e_ec=1e-17 is too small" in err and "correctness_epsilon" not in err
     assert list(outdir.iterdir()) == []
-
-
-# sha256 of key.csv and manifest.json of `protocol --seed 7 --nbar 1.7e-06`
-# at the default N = 16 665, recorded before the draws and the key.csv
-# writer went block-wise. A speed-up must keep these bytes. The manifest
-# hashes were re-recorded when its config echo gained `announce_bases` and
-# the resolved occupancy grid; no key.csv hash moved.
-GOLDEN_TRANSCRIPTS = {
-    ("run1", False): (
-        "a26fe9fd4fbe5f06a8fd92ff8da0ad199cc2b418fd5e2a0f1d632f706ef553d3",
-        "a2fdbe5aa1f4d081ed0b4b9da91296161bc2aaaaa58fea5bca946e9a386be5f2",
-    ),
-    ("run1", True): (
-        "57e35eefc69d8d2c72a7f9899d1346e4ba00c61faeebad62e64602aa645d01cc",
-        "2e02d2e411ef5a8cf424015f60557d71825b27813c475aeceb8be2b0bb84f933",
-    ),
-    ("run2", False): (
-        "ff4315f99ca4eb2d92a76bbda44469ed9c6d1dd09bc9f8b7828826f852f419d1",
-        "8e78dded65ad8db97859459933a8d1c255dc1c3d0c35862db3e9bb00264f4c80",
-    ),
-    ("run2", True): (
-        "02a78ef55ea2d46e146f75c30948651c85913490edfd00809f5017aa5c6766dd",
-        "14b61b062f8c15e85b08e0844b1c8970e7d55762d7c16c26a1ea35de758dd53f",
-    ),
-}
-
-
-@pytest.mark.parametrize("preset, announce", sorted(GOLDEN_TRANSCRIPTS))
-def test_protocol_transcript_bytes_are_pinned(tmp_path, capsys, preset, announce):
-    # report.json is not pinned: its bootstrap sigma goes through BLAS
-    out = tmp_path / "run"
-    argv = ["protocol", "--preset", preset, "--seed", "7", "--nbar", "1.7e-06",
-            "--out", str(out)]
-    assert run_cli(*argv, *(["--announce-bases"] if announce else [])) == 0
-    capsys.readouterr()
-    got = tuple(
-        hashlib.sha256((out / name).read_bytes()).hexdigest()
-        for name in ("key.csv", "manifest.json")
-    )
-    assert got == GOLDEN_TRANSCRIPTS[preset, announce]
