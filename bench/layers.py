@@ -21,8 +21,12 @@ of a 16 665-row record whose floats all take ``repr``'s exponent notation
 bootstrap, the 16 665-row write and the bootstrap each also in a child
 forked through ``cli._in_child`` and joined, the whole ``protocol``
 command at N = 16 665 (``cli.main``), simulate/sift/estimate, one
-Gaussian op (``apply_loss``), the readout moments, ``holevo_dr``, ``composite_key``, one crossing of each
-kind (``noise_tolerance`` and ``max_tolerable_loss``), and the ``sweep``
+Gaussian op (``apply_loss``), the readout moments, ``holevo_dr``, ``composite_key``, one scalar
+key evaluation as the reach crossings make it (``KeyEvaluator.key`` at (eps, n_th eps / 2);
+on a tree without ``security.KeyEvaluator``, ``asymptotic_key`` of
+``ChannelParams.from_environment``), one ``asymptotic_key`` call, one crossing of each
+kind (``noise_tolerance`` and ``max_tolerable_loss``), the whole ``linkbudget``
+command (``cli.main``, the default 14-row table), and the ``sweep``
 CSV write at 41, 401 and 10^4 grid points (``cmd_sweep`` with its sweep
 and crossing computed beforehand), and ``cli.resolve_config`` of
 ``protocol``'s flags and of a ``--config`` file that fills every section
@@ -157,6 +161,16 @@ def in_process_layers(workdir: Path) -> dict:
     record, alpha, beta, estimate = run(PAPER_N)
     state = gaussian.GaussianState(np.zeros(4), 0.25 * np.eye(4))
     readout = chain.readout
+    # one point of the open-air reach crossing, near its root
+    eps, n_th = 1e-4, linkbudget.OPEN_AIR.background_photons
+    if hasattr(security, "KeyEvaluator"):
+        key, half = security.KeyEvaluator(chain).key, 0.5 * n_th
+
+        def key_evaluation():
+            return key(eps, half * eps)
+    else:
+        def key_evaluation():
+            return security.asymptotic_key(chain, ChannelParams.from_environment(eps, n_th))
     layers = {
         "simulate_sift_estimate.16665": lambda: run(PAPER_N),
         "bootstrap_mi_sigma.16665": lambda: stats.bootstrap_mi_sigma(alpha, beta, 200, 3),
@@ -171,11 +185,16 @@ def in_process_layers(workdir: Path) -> dict:
         "gaussian.apply_loss": lambda: gaussian.apply_loss(state, 0.0115, 1.7e-6),
         "readout_moments": lambda: readout.moments(0.0115, 1.7e-6),
         "holevo_dr": lambda: security.holevo_dr(chain, channel),
+        "key_evaluation": key_evaluation,
+        "asymptotic_key": lambda: security.asymptotic_key(chain, channel),
         "composite_key": lambda: security.composite_key(
             chain, estimate=estimate, n_raw=PAPER_N
         ),
         "noise_tolerance": lambda: security.noise_tolerance(chain, 0.0115),
         "max_tolerable_loss": lambda: linkbudget.max_tolerable_loss(chain, 1e-3),
+        "cmd_linkbudget": lambda: cli.main([
+            "linkbudget", "--preset", "run2", "--out", str(workdir / "linkbudget.csv"),
+        ]),
     }
     # alpha * 1e-6 and beta * 1e-8 print in exponent notation, which the
     # key.csv writer leaves to repr

@@ -32,7 +32,7 @@ import functools
 import json
 import os
 import sys
-from dataclasses import asdict, replace
+from dataclasses import replace
 from pathlib import Path
 
 from . import linkbudget as lb
@@ -276,7 +276,7 @@ def cmd_linkbudget(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     if args.out_format == "json":
         payload = {
             "config": cfg.to_dict(),
-            "medium": asdict(medium),
+            "medium": security._fields_dict(medium),
             "max_tolerable_loss": eps_max,
             "distance_limit_m": distance,
             "raw_key_rate_bits_per_s": rate,

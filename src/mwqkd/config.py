@@ -21,11 +21,11 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 from .devices import ChannelParams, DeviceChainParams
 from .linkbudget import MEDIA, _check_bandwidth
-from .security import ec_block, key_settings
+from .security import _fields_dict, ec_block, key_settings
 
 # Calibrated chains of the two reference runs. The lumped back-end noise
 # values reproduce the measured signal-to-noise ratios and key figures of
@@ -168,7 +168,7 @@ class ExperimentConfig:
         for name, (section, key, _) in CONFIG_SCHEMA.items():
             value = getattr(self, name)
             if name == "chain":
-                value = {param: _json_value(item) for param, item in asdict(value).items()}
+                value = {param: _json_value(item) for param, item in _fields_dict(value).items()}
             (data if section is None else data.setdefault(section, {}))[key] = _json_value(value)
         return data
 

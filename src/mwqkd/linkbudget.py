@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .devices import ChannelParams, DeviceChainParams, check_channel
-from .security import asymptotic_key, noise_crossing
+from .security import KeyEvaluator, asymptotic_key, noise_crossing
 
 # Exact SI values (2019 redefinition).
 BOLTZMANN = 1.380649e-23  # J/K
@@ -114,11 +114,11 @@ def max_tolerable_loss(
     if background_photons >= (1.0 - lower) / lower:
         return 0.0
 
-    def key(eps: float) -> float:
-        return asymptotic_key(chain, ChannelParams.from_environment(eps, background_photons))
-
+    # the key along nbar = n_th eps / 2, ChannelParams.from_environment's coupling
+    key, half = KeyEvaluator(chain).key, 0.5 * background_photons
     tol = min(BISECTION_TOL, 0.02 / (1.0 + background_photons))
-    return min(noise_crossing(key, upper, tol, lower=lower, guess=guess), upper)
+    crossing = noise_crossing(lambda eps: key(eps, half * eps), upper, tol, lower=lower, guess=guess)
+    return min(crossing, upper)
 
 
 def loss_to_distance(loss: float, attenuation_db_per_m: float) -> float:

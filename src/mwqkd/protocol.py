@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from .devices import (
     response_and_noise,
 )
 from .errors import InsufficientDataError
-from .security import build_report
+from .security import _fields_dict, build_report
 
 # Minimum matched pairs for the moment estimator; below this the slope and
 # residual-variance errors are not in their asymptotic regime.
@@ -266,8 +266,8 @@ def key_manifest(record: KeyRecord, cfg) -> dict:
         "codebook_variance": cfg.chain.codebook_variance,
         "transmission_seed": cfg.transmission_seed,
         "announce_bases": cfg.announce_bases,
-        "chain": asdict(cfg.chain),
-        "channel": asdict(cfg.channel),
+        "chain": _fields_dict(cfg.chain),
+        "channel": _fields_dict(cfg.channel),
         "csv_columns": list(KEY_CSV_COLUMNS),
         "config": cfg.to_dict(),
     }

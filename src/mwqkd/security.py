@@ -10,7 +10,16 @@ information is bounded conditioned on the sender's classical symbols.
 Each formula is written once and evaluates either one parameter point on
 Python floats (root finders, single reports) or a whole noise grid on
 numpy arrays (:func:`sweep_noise`), with bit-identical results per point.
-Only the array path imports numpy, so scalar callers never load it.
+Only the array path imports numpy, so scalar callers never load it. chi
+alone has two implementations, chosen by input kind: the ops formula
+(:func:`_chi`) on a grid, and :class:`KeyEvaluator`, the same operations
+in straight-line float code, at one point. Each is the faster one on its
+own input: a crossing's key evaluation takes about 2.4 us on the
+evaluator against 5.3 us through the ops formula on floats, while chi
+over a 401-point grid takes 0.77 ms as a loop of the evaluator against
+0.45 ms as one array call.
+``test_sweep_noise_matches_scalar_reports_bitwise`` ties them, bit for
+bit and error for error, over the whole channel domain.
 
 chi has one closed form at every channel loss in [0, 1), loss 0 included:
 the environment's symplectic invariants written in m = loss * v = loss +
@@ -71,17 +80,18 @@ def entropy_of_nu(nu: float) -> float:
 # broadcast arguments as a Python float; sqrt is correctly rounded either
 # way; maximum/minimum keep the builtins' tie rule (the first argument
 # unless the second is strictly larger or smaller). So a grid point gets
-# exactly the bits the float path gives it. `first_failure` gives the
-# values at the first point where `ok` is false, or None.
+# exactly the bits the float path gives it. `chi_of(chain)` is the chain's
+# chi at (loss, nbar): :class:`KeyEvaluator` on floats, :func:`_chi` on a
+# grid. Only the grid's chi uses g(nu) (`entropy`), `where` and
+# `first_failure`, which gives the values at the first point where `ok` is
+# false, or None.
 _FLOAT = SimpleNamespace(
     sqrt=math.sqrt,
     log2=math.log2,
     hypot=math.hypot,
-    entropy=entropy_of_nu,
     maximum=max,
     minimum=min,
-    where=lambda cond, a, b: a if cond else b,
-    first_failure=lambda ok, *values: None if ok else values,
+    chi_of=lambda chain: KeyEvaluator(chain).chi,
 )
 
 
@@ -96,7 +106,7 @@ def _array_ops() -> SimpleNamespace:
         ufunc = np.frompyfunc(fn, nin, 1)
         return lambda *args: ufunc(*args).astype(float)
 
-    return SimpleNamespace(
+    ops = SimpleNamespace(
         sqrt=np.sqrt,
         log2=elementwise(math.log2, 1),
         hypot=elementwise(math.hypot, 2),
@@ -108,6 +118,8 @@ def _array_ops() -> SimpleNamespace:
             np.broadcast_to(value, ok.shape)[~ok][0] for value in values
         ),
     )
+    ops.chi_of = lambda chain: functools.partial(_chi, ops, chain)
+    return ops
 
 
 def _snr(chain: DeviceChainParams, loss: float, nbar):
@@ -150,6 +162,7 @@ def _environment_entropy(ops, eps, nbar, v_q: float, v_p: float):
     non-negative terms. X < 0 puts v between a and b, where the gap is
     written in v = m / eps, x = a - v, y = b - v, its mixed term as a b -
     v^2 - t x y, which keeps its digits as t -> 0; at eps = 0, X = m^2.
+    This is the grid's form; :meth:`KeyEvaluator.chi` is its float form.
     """
     a, b, t = 4.0 * v_q, 4.0 * v_p, 1.0 - eps
     m = eps + 4.0 * nbar
@@ -183,8 +196,8 @@ def _environment_entropy(ops, eps, nbar, v_q: float, v_p: float):
 
 
 def _chi(ops, chain: DeviceChainParams, loss, nbar):
-    """chi at channel loss in [0, 1) and coupled noise nbar, floats or
-    arrays; 0 for an unmodulated chain (equal input variances)."""
+    """chi over a noise grid at channel loss in [0, 1); 0 for an
+    unmodulated chain (equal input variances)."""
     model = chain.readout
     v_p = model.orthogonal_input_variance
     chi = _environment_entropy(
@@ -192,6 +205,83 @@ def _chi(ops, chain: DeviceChainParams, loss, nbar):
     ) - _environment_entropy(ops, loss, nbar, model.channel_input_variance, v_p)
     # the averaged state majorizes the conditional one; guard float dust
     return ops.maximum(chi, 0.0)
+
+
+class KeyEvaluator:
+    """chi and the asymptotic key of one chain at single points (loss,
+    nbar) of the channel domain, on Python floats.
+
+    The straight-line float form of :func:`_chi` and
+    :func:`_environment_entropy`: the same operations in the same order,
+    so each point gets the bits a one-point grid gives it, with the gap's
+    branch taken by an ``if`` and the chain's constants (4 v, their sums,
+    differences and products) computed once, here. The checks and their
+    messages are the grid's. The key's SNR is :func:`snr`'s, from
+    :meth:`~mwqkd.devices.ReadoutModel.moments`. The callers check the
+    channel domain.
+    """
+
+    __slots__ = ("_quadratures", "_b", "_moments", "_codebook_variance", "_floor_sq")
+
+    def __init__(self, chain: DeviceChainParams) -> None:
+        model = chain.readout
+        b = 4.0 * model.orthogonal_input_variance
+        # (a, a + b, a - b, a b) of the modulated, then the conditional input
+        self._quadratures = tuple(
+            (a, a + b, a - b, a * b)
+            for a in (4.0 * chain.modulated_input_variance, 4.0 * model.channel_input_variance)
+        )
+        self._b = b
+        self._moments = model.moments
+        self._codebook_variance = chain.codebook_variance
+        floor = 1.0 - PHYSICALITY_TOL
+        self._floor_sq = floor * floor
+
+    def chi(self, eps: float, nbar: float) -> float:
+        """chi at channel loss eps in [0, 1) and coupled noise nbar >= 0."""
+        b = self._b
+        t = 1.0 - eps
+        m = eps + 4.0 * nbar
+        s = 1.0 if 1.0 > m else m
+        eps_sq, m_sq, t_m, two_t = eps * eps, m * m, t * m, 2.0 * t
+        b_det, b_gap = b * m + t, eps * b - m
+        entropies = []
+        for a, a_plus_b, a_minus_b, ab in self._quadratures:
+            det = (a * m + t) * b_det
+            trace = eps_sq * a * b + m_sq + t_m * a_plus_b + two_t
+            big_x = (eps * a - m) * b_gap
+            if big_x < 0.0:  # so eps > 0
+                v = m / eps
+                x, y = a - v, b - v
+                mixed = ab - v * v - t * x * y
+                gap = eps_sq * (mixed * mixed - 4.0 * t * (v - 1.0) * (v + 1.0) * x * y) / (s * s)
+            else:
+                r = m / s
+                gap = r * r * a_minus_b * a_minus_b + big_x / s * (
+                    (4.0 * t + big_x) / s + 2.0 * r * a_plus_b
+                )
+            nu_plus_sq = 0.5 * (trace + s * math.sqrt(gap))
+            nu_minus_sq = det / nu_plus_sq
+            if not (det < math.inf and nu_plus_sq < math.inf):
+                raise ValueError(
+                    f"noise_photons={float(nbar)!r} at loss={float(eps)!r} overflows chi's invariants"
+                )
+            if not nu_minus_sq >= self._floor_sq:
+                raise PhysicalityError(
+                    f"environment violates the uncertainty bound: nu_minus_sq={nu_minus_sq}"
+                )
+            entropies.append(
+                entropy_of_nu(math.sqrt(nu_plus_sq)) + entropy_of_nu(math.sqrt(nu_minus_sq))
+            )
+        chi = entropies[0] - entropies[1]
+        return 0.0 if 0.0 > chi else chi
+
+    def key(self, loss: float, nbar: float) -> float:
+        """The asymptotic key I_AB - chi at channel loss in [0, 1) and
+        coupled noise nbar >= 0, in bits per symbol."""
+        slope, variance = self._moments(loss, nbar)
+        snr_value = slope * slope * self._codebook_variance / variance
+        return mutual_information(snr_value) - self.chi(loss, nbar)
 
 
 def holevo_dr(chain: DeviceChainParams, channel: ChannelParams) -> float:
@@ -211,14 +301,12 @@ def holevo_dr(chain: DeviceChainParams, channel: ChannelParams) -> float:
     loss -> 0+ limit at fixed nbar, finite, 0 without noise and positive
     with it.
     """
-    return _chi(_FLOAT, chain, channel.loss, channel.noise_photons)
+    return KeyEvaluator(chain).chi(channel.loss, channel.noise_photons)
 
 
 def asymptotic_key(chain: DeviceChainParams, channel: ChannelParams) -> float:
     """Asymptotic secret key in bits per symbol; negative means insecure."""
-    loss, nbar = channel.loss, channel.noise_photons
-    mi = mutual_information(_snr(chain, loss, nbar))
-    return mi - _chi(_FLOAT, chain, loss, nbar)
+    return KeyEvaluator(chain).key(channel.loss, channel.noise_photons)
 
 
 def confidence_w(correctness_epsilon: float) -> float:
@@ -380,6 +468,7 @@ def _composite(
     estimate: ChannelEstimate | None,
     mi,
     chi,
+    chi_at,
     *,
     n_raw: int,
     n_ec: int,
@@ -391,7 +480,8 @@ def _composite(
 ) -> CompositeKeyBound:
     """The composite bound at `point` = (loss, nbar), floats or a noise
     grid, from its I_AB and (without the estimation penalty) its chi, for
-    settings checked by :func:`key_settings`.
+    settings checked by :func:`key_settings`; ``chi_at(loss, nbar)`` is
+    the chain's chi (``ops.chi_of(chain)``).
 
     With the penalty, chi is taken at the worst case of `estimate`, or of
     the estimate the estimation block would give at `point` when
@@ -421,7 +511,7 @@ def _composite(
             loss, loss_sigma = estimate.loss, estimate.loss_sigma
             nbar, noise_sigma = estimate.noise_photons, estimate.noise_sigma
         worst_loss, worst_noise = _clamp(ops, loss + w * loss_sigma, nbar + w * noise_sigma)
-        chi = _chi(ops, chain, worst_loss, worst_noise)
+        chi = chi_at(worst_loss, worst_noise)
     per_symbol = beta_ec * mi - chi - delta_bits
     prefactor = n_ec * p_ec / n_raw
     return CompositeKeyBound(
@@ -541,7 +631,8 @@ def noise_crossing(
 def noise_tolerance(chain: DeviceChainParams, loss: float) -> float:
     """Largest coupled-noise level with a positive asymptotic key, by
     bisection on [0, 1] to 1e-7 photons."""
-    return noise_crossing(lambda nbar: asymptotic_key(chain, ChannelParams(loss, nbar)))
+    check_channel(loss, 0.0)
+    return noise_crossing(functools.partial(KeyEvaluator(chain).key, loss))
 
 
 def _fields_dict(obj) -> dict:
@@ -614,8 +705,9 @@ def _report(ops, chain: DeviceChainParams, loss, nbar, estimate, **settings) -> 
     settings = key_settings(**settings)
     snr_value = _snr(chain, loss, nbar)
     mi = _mutual_information(ops, snr_value)
-    chi = _chi(ops, chain, loss, nbar)
-    finite = _composite(ops, chain, (loss, nbar), estimate, mi, chi, **settings)
+    chi_at = ops.chi_of(chain)
+    chi = chi_at(loss, nbar)
+    finite = _composite(ops, chain, (loss, nbar), estimate, mi, chi, chi_at, **settings)
     provenance = "exact" if estimate is None else "estimated"
     inputs = {
         "chain": _fields_dict(chain),

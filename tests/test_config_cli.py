@@ -1247,8 +1247,9 @@ def test_linkbudget_key_evaluations_are_pinned(monkeypatch, tmp_path, preset, me
     # that evaluates every midpoint made 14 * 22 + 1 = 309, cold
     # bracket-guided crossings 150 to 159; each crossing after the first
     # now starts from the previous row's root. The key's last bits move
-    # the Illinois points, so these counts follow g(nu)'s rounding
-    calls = count_calls(monkeypatch, "asymptotic_key", security, mwqkd.linkbudget)
+    # the Illinois points, so these counts follow g(nu)'s rounding; every
+    # key evaluation is a call of KeyEvaluator.key
+    calls = count_calls(monkeypatch, "key", security.KeyEvaluator)
     assert run_cli("linkbudget", "--preset", preset, "--medium", medium,
                    "--out", str(tmp_path / "lb.csv")) == 0
     assert len(calls) == evals
@@ -1541,7 +1542,6 @@ def test_package_namespace_is_whole():
 
     assert proto.ChannelEstimate is devices.ChannelEstimate
     assert gaussian.entropy_of_nu is security.entropy_of_nu
-    assert security._FLOAT.entropy is gaussian.entropy_of_nu
     assert gaussian.VACUUM_VARIANCE is devices.VACUUM_VARIANCE
     assert gaussian.PHYSICALITY_TOL is security.PHYSICALITY_TOL
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import mwqkd
 from mwqkd import linkbudget as lb
+from mwqkd import security as sec
 from mwqkd.devices import ChannelParams
 
 RUN1 = mwqkd.RUN1_CHAIN
@@ -67,14 +68,22 @@ def test_loss_to_distance_is_never_negative_zero(loss, gamma):
     assert math.copysign(1.0, got) == 1.0
 
 
+def _recorded_evaluations(monkeypatch) -> list:
+    """Replace every scalar key and chi evaluation by a recorder; returns
+    the list of recorded calls."""
+    calls = []
+    for name in ("key", "chi"):
+        monkeypatch.setattr(sec.KeyEvaluator, name, lambda *args: calls.append(args))
+    return calls
+
+
 @pytest.mark.parametrize(
     "background", [999999999999.0, 1e12, 1e30, 1.3e165, 1e200, sys.float_info.max]
 )
 def test_no_loss_is_tolerable_where_the_plob_bound_is_zero(monkeypatch, background):
     # (1 - 1e-12) / 1e-12 = 999999999999.0 photons and up leave no capacity
     # at any loss of the search; from ~1.3e165 chi's invariants would overflow
-    calls = []
-    monkeypatch.setattr(lb, "asymptotic_key", lambda *args: calls.append(args))
+    calls = _recorded_evaluations(monkeypatch)
     for guess in (None, 0.2):
         assert lb.max_tolerable_loss(RUN1, background, guess=guess) == 0.0
     assert calls == []
@@ -129,8 +138,7 @@ def test_occupancy_sweep_monotone():
 def test_background_occupation_must_be_finite_and_non_negative(monkeypatch, background):
     # checked before any key evaluation, and before the sweep scales a
     # root estimate by 1 / (1 + background)
-    calls = []
-    monkeypatch.setattr(lb, "asymptotic_key", lambda *args: calls.append(args))
+    calls = _recorded_evaluations(monkeypatch)
     match = "background_photons must be finite and >= 0"
     with pytest.raises(ValueError, match=match):
         lb.max_tolerable_loss(RUN2, background)

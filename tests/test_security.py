@@ -1,5 +1,6 @@
 """Key-rate bounds: information quantities, finite-size terms, reports."""
 
+import functools
 import json
 import math
 import re
@@ -393,8 +394,8 @@ def test_noise_tolerance_is_pinned_to_the_bit(monkeypatch, chain, loss, want, ev
     # faster core must keep these floats exactly; plain bisection makes 26
     # evaluations (two end points, 24 halvings), the bracket-guided loop
     # skips the midpoints whose sign is implied; all of them go through
-    # the public asymptotic_key
-    calls = count_calls(monkeypatch, "asymptotic_key", sec)
+    # the chain's KeyEvaluator.key
+    calls = count_calls(monkeypatch, "key", sec.KeyEvaluator)
     assert sec.noise_tolerance(chain, loss) == want
     assert len(calls) == evals
 
@@ -412,8 +413,8 @@ def test_noise_tolerance_is_pinned_to_the_bit(monkeypatch, chain, loss, want, ev
 )
 def test_max_tolerable_loss_is_pinned_to_the_bit(monkeypatch, chain, background, want, evals):
     # plain bisection: two end points and 20 halvings; all evaluations go
-    # through the name linkbudget imported
-    calls = count_calls(monkeypatch, "asymptotic_key", sec, lb)
+    # through the chain's KeyEvaluator.key
+    calls = count_calls(monkeypatch, "key", sec.KeyEvaluator)
     assert lb.max_tolerable_loss(chain, background) == want
     assert len(calls) == evals
 
@@ -1002,8 +1003,8 @@ def test_chains_are_refused_only_near_where_chi_overflows_alone():
     with pytest.raises(ValueError, match="chain channel-input variances"):
         replace(RUN1, squeezing_db=775.0, antisqueezing_db=775.0)
     v = devices.level_to_variance(775.0, "antisqueezed")
-    with pytest.raises(ValueError, match="overflows chi's invariants"):
-        sec._environment_entropy(sec._FLOAT, 0.999, 0.0, v, v)
+    with pytest.raises(ValueError, match="overflows chi's invariants"), np.errstate(over="ignore"):
+        sec._environment_entropy(sec._array_ops(), 0.999, np.zeros(1), v, v)
 
 
 def test_build_report_always_books_the_finite_size_block():
@@ -1066,40 +1067,113 @@ def _report_settings(draw):
 
 
 BRANCH_GRID = [0.0, 1e-15, 1e-12, 1e-9, 0.05]
+# the reach table's backgrounds, whose points are (loss, n_th * loss / 2)
+REACH_BACKGROUNDS = [1e-8, 1e-4, 1.0, 2.0, 1250.0, 1e8, 1e12]
 PAPER_SETTINGS = dict(
     n_raw=16665, n_ec=None, beta_ec=1.0, p_ec=1.0, e_ec=sec.DEFAULT_CORRECTNESS_EPSILON,
     include_delta=True, include_estimation_penalty=True,
 )
 
 
+def _reach_points(loss: float, backgrounds) -> list:
+    """The coupled noise of each background at `loss`, as the reach
+    crossings take it (ChannelParams.from_environment)."""
+    return [ChannelParams.from_environment(loss, n_th).noise_photons for n_th in backgrounds]
+
+
+@st.composite
+def _channel_grids(draw):
+    """(loss, noise grid) over the whole channel domain: loss 0, or up to
+    1 - 1e-12; a grid of nbar from 0 to 1e30, or of the reach table's
+    points for n_th from 1e-8 to 1e12."""
+    loss = draw(st.just(0.0) | st.floats(0.0, 0.5) | st.floats(0.5, 1.0 - 1e-12))
+    if draw(st.booleans()):
+        backgrounds = st.floats(-8.0, 12.0).map(lambda k: 10.0**k)
+        return loss, _reach_points(loss, draw(st.lists(backgrounds, max_size=6)))
+    nbars = st.just(0.0) | st.floats(0.0, 0.5) | st.floats(-12.0, 30.0).map(lambda k: 10.0**k)
+    return loss, draw(st.lists(nbars, max_size=6))
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(
-    chain=_chains(),
-    loss=st.floats(1e-3, 0.5),
-    grid=st.lists(st.floats(0.0, 0.5), max_size=6),
-    report_settings=_report_settings(),
-)
+@given(chain=_chains(), channel_grid=_channel_grids(), report_settings=_report_settings())
 # a grid that reaches g(nu) at nu <= 1 (its guard), just above 1 and far
-# above it, and both branches of the eigenvalue gap
-@example(chain=RUN1, loss=0.0115, grid=BRANCH_GRID, report_settings=PAPER_SETTINGS)
-@example(chain=RUN2, loss=0.0115, grid=BRANCH_GRID, report_settings=PAPER_SETTINGS)
-def test_sweep_noise_matches_scalar_reports_bitwise(chain, loss, grid, report_settings):
-    # the per-point scalar reports are the reference; settings errors do not
-    # depend on the point, so an empty grid is probed at nbar = 0
-    probe = grid or [0.0]
-    try:
-        want = [
-            _to_json(sec.build_report(chain, ChannelParams(loss, nbar), **report_settings))
-            for nbar in probe
-        ][: len(grid)]
-    except ValueError as exc:
-        with pytest.raises(type(exc)):
-            sec.sweep_noise(chain, loss, grid, **report_settings)
-        return
+# above it, and both branches of the eigenvalue gap; the reach table's
+# points, also both branches; the ends of the channel domain
+@example(chain=RUN1, channel_grid=(0.0115, BRANCH_GRID), report_settings=PAPER_SETTINGS)
+@example(chain=RUN2, channel_grid=(0.0115, BRANCH_GRID), report_settings=PAPER_SETTINGS)
+@example(chain=RUN1, channel_grid=(0.0115, _reach_points(0.0115, REACH_BACKGROUNDS)),
+         report_settings=PAPER_SETTINGS)
+@example(chain=RUN2, channel_grid=(0.0, [0.0, 1e-12, 1.0, 1e30]), report_settings=PAPER_SETTINGS)
+@example(chain=RUN2, channel_grid=(1.0 - 1e-12, [0.0, 1e-12, 1.0, 1e30]),
+         report_settings=PAPER_SETTINGS)
+def test_sweep_noise_matches_scalar_reports_bitwise(chain, channel_grid, report_settings):
+    # KeyEvaluator gives each scalar report its chi, and asymptotic_key
+    # its SNR too; the ops formula on numpy gives the grid's. The per-point
+    # scalar reports are the reference
+    loss, grid = channel_grid
+    want = []
+    # settings errors do not depend on the point, so an empty grid is
+    # probed at nbar = 0
+    for nbar in grid or [0.0]:
+        channel = ChannelParams(loss, nbar)
+        try:
+            report = sec.build_report(chain, channel, **report_settings)
+        except ValueError as exc:
+            # the point alone raises the same type and message on the grid
+            with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                sec.sweep_noise(chain, loss, [nbar] if grid else [], **report_settings)
+            with pytest.raises(ValueError):
+                sec.sweep_noise(chain, loss, grid, **report_settings)
+            return
+        assert repr(sec.asymptotic_key(chain, channel)) == repr(report.asymptotic_key_bits)
+        want.append(_to_json(report))
     constant, points = sec.sweep_noise(chain, loss, grid, **report_settings).split_grid()
     # JSON text carries every field, inputs included, with repr'd floats
     got = [json.dumps(merge_point(constant, point), indent=2, sort_keys=True) for point in points]
-    assert got == want
+    assert got == want[: len(grid)]
+
+
+def _gap_branches(chain, loss: float, grid) -> set:
+    """Which branches of chi's eigenvalue gap the points (loss, nbar) of
+    `grid` take, the modulated and the conditional environment's: True
+    where X = (eps a - m)(eps b - m) < 0."""
+    b = 4.0 * chain.readout.orthogonal_input_variance
+    inputs = (chain.modulated_input_variance, chain.readout.channel_input_variance)
+    return {
+        (loss * 4.0 * v - m) * (loss * b - m) < 0.0
+        for v in inputs
+        for m in (loss + 4.0 * nbar for nbar in grid)
+    }
+
+
+def test_the_bitwise_examples_reach_both_branches_of_the_gap():
+    for chain in (RUN1, RUN2):
+        assert _gap_branches(chain, 0.0115, BRANCH_GRID) == {False, True}
+    assert _gap_branches(RUN1, 0.0115, _reach_points(0.0115, REACH_BACKGROUNDS)) == {False, True}
+
+
+@pytest.mark.parametrize(
+    "loss, nbar, tol",
+    [(0.0115, 1e160, None), (0.0, 1e160, None), (0.5, 1e200, None),
+     (0.0115, 0.0, -1e-3), (0.0, 0.0, -1e-3)],
+)
+def test_chi_errors_are_the_same_on_both_paths(monkeypatch, loss, nbar, tol):
+    # chi's invariants overflow past nbar ~1e154; a physicality guard
+    # tightened past the uncertainty bound rejects the pure environment
+    if tol is not None:
+        monkeypatch.setattr(sec, "PHYSICALITY_TOL", tol)
+    with pytest.raises(ValueError) as grid_error:
+        sec.sweep_noise(RUN1, loss, [nbar], n_raw=16665)
+    want = f"^{re.escape(str(grid_error.value))}$"
+    channel = ChannelParams(loss, nbar)
+    for scalar in (sec.holevo_dr, sec.asymptotic_key,
+                   functools.partial(sec.build_report, n_raw=16665)):
+        with pytest.raises(type(grid_error.value), match=want):
+            scalar(RUN1, channel)
+    if tol is None:
+        assert str(grid_error.value) == (
+            f"noise_photons={nbar!r} at loss={loss!r} overflows chi's invariants"
+        )
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
