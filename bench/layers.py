@@ -26,9 +26,10 @@ key evaluation as the reach crossings make it (``KeyEvaluator.key`` at (eps, n_t
 on a tree without ``security.KeyEvaluator``, ``asymptotic_key`` of
 ``ChannelParams.from_environment``), one ``asymptotic_key`` call, one crossing of each
 kind (``noise_tolerance`` and ``max_tolerable_loss``), the whole ``linkbudget``
-command (``cli.main``, the default 14-row table), and the ``sweep``
-CSV write at 41, 401 and 10^4 grid points (``cmd_sweep`` with its sweep
-and crossing computed beforehand), and ``cli.resolve_config`` of
+command (``cli.main``, the default 14-row table), the sweep itself
+(``security.sweep_noise`` over the ``sweep`` command's run2 grid of 41 and 401
+points), the ``sweep`` CSV write at 41, 401 and 10^4 grid points (``cmd_sweep``
+with its sweep and crossing computed beforehand), and ``cli.resolve_config`` of
 ``protocol``'s flags and of a ``--config`` file that fills every section
 (``FULL_CONFIG``).
 In fresh processes, each subcommand is timed by wall clock, ``sweep`` at
@@ -218,6 +219,11 @@ def in_process_layers(workdir: Path) -> dict:
         layers[f"read_key_records.{n}"] = lambda path=path: protocol.read_key_records(path)
     for n in SWEEP_POINTS:
         layers[f"sweep_csv.{n}"] = _sweep_csv(n, workdir / f"sweep-{n}.csv")
+    for n in SWEEP_POINTS[:2]:
+        grid = np.linspace(0.0, 0.1, n).tolist()
+        layers[f"sweep_noise.{n}"] = lambda grid=grid: security.sweep_noise(
+            chain, 0.0115, grid, n_raw=PAPER_N
+        )
     parser, full = cli.build_parser(), workdir / "config-full.json"
     full.write_text(json.dumps(FULL_CONFIG))
     flags = parser.parse_args([

@@ -23,7 +23,7 @@ import math
 import sys
 from dataclasses import MISSING, dataclass, field, fields, replace
 
-from .devices import ChannelParams, DeviceChainParams
+from .devices import ChannelParams, DeviceChainParams, check_nonnegative
 from .linkbudget import MEDIA, _check_bandwidth
 from .security import _fields_dict, ec_block, key_settings
 
@@ -85,13 +85,10 @@ def _check_type(name: str, value, json_type: str) -> None:
 
 
 def _photon_counts(name: str, values) -> tuple[float, ...]:
-    """`values` as floats, each checked to be finite and >= 0."""
-    counts = []
-    for value in map(float, values):
-        if not 0.0 <= value < math.inf:
-            raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
-        counts.append(value)
-    return tuple(counts)
+    """`values` as floats, checked by :func:`~mwqkd.devices.check_nonnegative`."""
+    counts = tuple(map(float, values))
+    check_nonnegative(name, counts)
+    return counts
 
 
 def _at(section: str | None, key: str, json_type: str, default=None):
@@ -140,8 +137,6 @@ class ExperimentConfig:
                 raise ValueError("config needs a preset or explicit chain parameters")
             object.__setattr__(self, "chain", CHAIN_PRESETS[self.preset])
         object.__setattr__(self, "channel", ChannelParams(self.channel_loss, self.noise_photons))
-        if self.n_symbols < 4:
-            raise ValueError("n_symbols must be >= 4")
         if not 0 <= self.seed <= MAX_SEED:
             raise ValueError(f"seed must be in [0, 2**128 - 3], got {self.seed}")
         object.__setattr__(self, "transmission_seed", self.seed + 1)

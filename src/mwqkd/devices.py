@@ -13,7 +13,10 @@ from covariance operations and is the oracle tests check it by.
 
 This module holds only that runtime chain; no command's use of it
 imports numpy or :mod:`mwqkd.gaussian`. It also holds the pieces the numpy modules share
-with the numpy-free ones: the vacuum variance and :class:`ChannelEstimate`.
+with the numpy-free ones: the vacuum variance, :class:`ChannelEstimate`,
+and two input domains every layer checks against. :func:`check_channel`
+states the channel's; beside it, :func:`check_nonnegative` states
+"finite and >= 0", the domain of every photon number and standard error.
 Each model rule has one owner here, beside its inverse or its other half:
 the record's moments and the estimate's inverse of them
 (:meth:`ReadoutModel.moments`, :meth:`ReadoutModel.invert`), the matched
@@ -86,15 +89,24 @@ def codebook_variance(squeezing_db: float, antisqueezing_db: float) -> float:
 MAX_LEVEL_DB = 10.0 * math.log10(sys.float_info.max)
 
 
+def check_nonnegative(name: str, value) -> None:
+    """Raise ValueError unless `value`, a float, a sequence of floats or a
+    numpy array, is finite and >= 0 throughout: the domain of every photon
+    number and standard error. The message names the first value outside."""
+    values = value.tolist() if hasattr(value, "tolist") else value
+    for v in values if isinstance(values, (list, tuple)) else (values,):
+        if not 0.0 <= v < math.inf:
+            raise ValueError(f"{name} must be finite and >= 0, got {float(v)!r}")
+
+
 def check_channel(loss: float, nbar) -> None:
     """Raise ValueError unless loss is in [0, 1) and the coupled noise nbar,
-    a float or a numpy array (one noise grid), is finite and >= 0: the
-    channel domain of every path. The message names the value outside."""
+    a float or a numpy array (one noise grid), is finite and >= 0
+    (:func:`check_nonnegative`): the channel domain of every path. The
+    message names the value outside."""
     if not 0.0 <= loss < 1.0:
         raise ValueError(f"loss must be in [0, 1), got {float(loss)!r}")
-    for value in nbar.tolist() if getattr(nbar, "ndim", 0) else (nbar,):
-        if not 0.0 <= value < math.inf:
-            raise ValueError(f"noise_photons must be finite and >= 0, got {float(value)!r}")
+    check_nonnegative("noise_photons", nbar)
 
 
 @dataclass(frozen=True)
@@ -147,8 +159,7 @@ class DeviceChainParams:
         if not 0.0 < self.quantum_efficiency <= 1.0:
             raise ValueError("quantum_efficiency must be in (0, 1]")
         for name in ("measurement_gain_db", "hemt_noise_photons"):
-            if not 0.0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and >= 0")
+            check_nonnegative(name, getattr(self, name))
         if not 0.0 < self.displacement_coupler_transmissivity <= 1.0:
             raise ValueError("displacement_coupler_transmissivity must be in (0, 1]")
         losses = tuple(float(x) for x in self.path_losses)
@@ -157,8 +168,7 @@ class DeviceChainParams:
             raise ValueError("path_losses and path_environment_photons need 4 entries")
         if not all(0.0 <= x < 1.0 for x in losses):
             raise ValueError("path loss must be in [0, 1)")
-        if not all(0.0 <= n < math.inf for n in envs):
-            raise ValueError("path environment photons must be finite and >= 0")
+        check_nonnegative("path_environment_photons", envs)
         object.__setattr__(self, "path_losses", losses)
         object.__setattr__(self, "path_environment_photons", envs)
         # at zero noise chi's invariants stay below 5 k^2 at every loss: a
@@ -266,8 +276,8 @@ class ChannelEstimate:
     clamped: bool = False
 
     def __post_init__(self) -> None:
-        if self.loss_sigma < 0.0 or self.noise_sigma < 0.0:
-            raise ValueError("standard errors must be >= 0")
+        for name in ("loss_sigma", "noise_sigma"):
+            check_nonnegative(name, getattr(self, name))
         for value in (self.loss, self.noise_photons):
             if not math.isfinite(value):
                 raise ValueError("estimates must be finite")

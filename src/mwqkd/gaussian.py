@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .devices import VACUUM_VARIANCE, ChannelParams, DeviceChainParams
+from .devices import VACUUM_VARIANCE, ChannelParams, DeviceChainParams, check_nonnegative
 from .errors import PhysicalityError
 from .security import PHYSICALITY_TOL, entropy_of_nu
 
@@ -122,8 +122,7 @@ def make_thermal(n_photons: float) -> GaussianState:
 
     Both quadrature variances equal (1 + 2n) * 0.25.
     """
-    if not 0.0 <= n_photons < math.inf:
-        raise ValueError("n_photons must be finite and >= 0")
+    check_nonnegative("n_photons", n_photons)
     var = (1.0 + 2.0 * n_photons) * VACUUM_VARIANCE
     return GaussianState(np.zeros(2), var * np.eye(2))
 
@@ -135,8 +134,7 @@ def two_mode_squeezed_thermal(n_thermal: float) -> GaussianState:
     c = sqrt(v^2 - 1) and Z = diag(1, -1). The joint state is pure
     (both symplectic eigenvalues 1) for every finite n_thermal >= 0.
     """
-    if not 0.0 <= n_thermal < math.inf:
-        raise ValueError("n_thermal must be finite and >= 0")
+    check_nonnegative("n_thermal", n_thermal)
     v = 1.0 + 2.0 * n_thermal
     c = math.sqrt(v * v - 1.0)
     cov = VACUUM_VARIANCE * np.array(
@@ -300,8 +298,7 @@ def apply_loss(
     eps = float(loss)
     if not 0.0 <= eps <= 1.0:
         raise ValueError("loss must be in [0, 1]")
-    if not 0.0 <= environment_photons < math.inf:
-        raise ValueError("environment_photons must be finite and >= 0")
+    check_nonnegative("environment_photons", environment_photons)
     if not 0 <= mode < state.modes:
         raise ValueError("mode index out of range")
     t = math.sqrt(1.0 - eps)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .devices import ChannelParams, DeviceChainParams, check_channel
+from .devices import ChannelParams, DeviceChainParams, check_channel, check_nonnegative
 from .security import KeyEvaluator, asymptotic_key, noise_crossing
 
 # Exact SI values (2019 redefinition).
@@ -36,17 +36,12 @@ class MediumSpec:
 
     def __post_init__(self) -> None:
         _check_attenuation(self.attenuation_db_per_m)
-        _check_background(self.background_photons)
+        check_nonnegative("background_photons", self.background_photons)
 
 
 def _check_attenuation(attenuation_db_per_m: float) -> None:
     if not attenuation_db_per_m > 0.0:
         raise ValueError("attenuation_db_per_m must be > 0")
-
-
-def _check_background(background_photons: float) -> None:
-    if not 0.0 <= background_photons < math.inf:
-        raise ValueError("background_photons must be finite and >= 0")
 
 
 def _check_bandwidth(bandwidth_hz: float) -> None:
@@ -107,7 +102,7 @@ def max_tolerable_loss(
     1e4. An accurate solver moves these floats, so it waits for a
     benchmark change that regenerates the benchmark's reference values.
     """
-    _check_background(background_photons)
+    check_nonnegative("background_photons", background_photons)
     lower, upper = 1e-12, 1.0 - 1e-9
     # no key beats the repeaterless (PLOB) capacity, 0 at every loss >= lower
     # once n_th >= (1 - lower) / lower; past n_th ~1e165 chi would overflow
@@ -167,7 +162,7 @@ def sweep_occupancy(
     """
     rows = []
     for n_th in map(float, occupancies):
-        _check_background(n_th)  # before the guess divides by 1 + n_th
+        check_nonnegative("background_photons", n_th)  # before the guess divides by 1 + n_th
         guess = None
         if rows:
             prev_n_th, prev_eps, _ = rows[-1]

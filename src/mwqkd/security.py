@@ -75,12 +75,13 @@ def entropy_of_nu(nu: float) -> float:
 # The operations the formulas below use beyond + - * /, on Python floats
 # (one point: root finders, single reports) and on numpy arrays (a noise
 # grid). Squares are written as products, which numpy and Python both
-# round correctly. The array log2, hypot and g(nu) are `np.frompyfunc`
-# ufuncs of the same `math`-based functions, which get each element of the
-# broadcast arguments as a Python float; sqrt is correctly rounded either
-# way; maximum/minimum keep the builtins' tie rule (the first argument
-# unless the second is strictly larger or smaller). So a grid point gets
-# exactly the bits the float path gives it. `chi_of(chain)` is the chain's
+# round correctly. The array log2, hypot and g(nu) map the same
+# `math`-based functions over the elements of the broadcast arguments,
+# each a Python float, into a float array (`np.fromiter`); sqrt is
+# correctly rounded either way; maximum/minimum keep the builtins' tie
+# rule (the first argument unless the second is strictly larger or
+# smaller). So a grid point gets exactly the bits the float path gives
+# it, and the same error where one raises. `chi_of(chain)` is the chain's
 # chi at (loss, nbar): :class:`KeyEvaluator` on floats, :func:`_chi` on a
 # grid. Only the grid's chi uses g(nu) (`entropy`), `where` and
 # `first_failure`, which gives the values at the first point where `ok` is
@@ -102,15 +103,19 @@ def _array_ops() -> SimpleNamespace:
     never load it."""
     import numpy as np
 
-    def elementwise(fn, nin):
-        ufunc = np.frompyfunc(fn, nin, 1)
-        return lambda *args: ufunc(*args).astype(float)
+    def elementwise(fn):
+        def apply(*args):
+            arrays = np.broadcast_arrays(*args)
+            values = map(fn, *(array.ravel().tolist() for array in arrays))
+            return np.fromiter(values, float, arrays[0].size).reshape(arrays[0].shape)
+
+        return apply
 
     ops = SimpleNamespace(
         sqrt=np.sqrt,
-        log2=elementwise(math.log2, 1),
-        hypot=elementwise(math.hypot, 2),
-        entropy=elementwise(entropy_of_nu, 1),
+        log2=elementwise(math.log2),
+        hypot=elementwise(math.hypot),
+        entropy=elementwise(entropy_of_nu),
         maximum=lambda a, b: np.where(b > a, b, a),
         minimum=lambda a, b: np.where(b < a, b, a),
         where=np.where,
@@ -417,7 +422,7 @@ def key_settings(
     flags switch the finite-size term and the estimation widening.
     """
     if n_raw < 4:
-        raise ValueError("n_raw must be >= 4")
+        raise ValueError(f"n_raw (the symbol count N) must be >= 4, got {n_raw!r}")
     if n_raw > sys.float_info.max:  # Delta and the prefactor take it as a float
         raise ValueError(f"n_raw (the symbol count N) must be <= {sys.float_info.max!r}")
     if not 0.0 < beta_ec <= 1.0:

@@ -942,7 +942,7 @@ def test_bad_config_exits_2(tmp_path, capsys):
     [
         (("report", "--loss", "1.0"), None, "loss must be in [0, 1), got 1.0"),
         (("report", "--loss", "-0.1"), None, "loss must be in [0, 1), got -0.1"),
-        (("report", "--n-symbols", "3"), None, "n_symbols must be >= 4"),
+        (("report", "--n-symbols", "3"), None, "n_raw (the symbol count N) must be >= 4, got 3"),
         (("report", "--n-ec-fraction", "1.0"), None, "n_ec_fraction must be in (0, 1)"),
         (("linkbudget",), {"preset": "run1", "linkbudget": {"medium": "vacuum"}},
          "unknown medium 'vacuum'"),
@@ -1743,7 +1743,7 @@ def test_each_setting_rule_has_one_owner():
     assert _raisers(security, "n_ec_fraction") == {"ec_block"}
     assert _raisers(linkbudget, "bandwidth_hz") == {"_check_bandwidth"}
     assert _raisers(linkbudget, "attenuation_db_per_m") == {"_check_attenuation"}
-    for word in (*names, "n_ec_fraction", "bandwidth_hz"):
+    for word in (*names, "n_ec_fraction", "bandwidth_hz", "n_symbols"):
         assert not _raisers(config, word), word
     # the preset's chain is the config's: the CLI names CHAIN_PRESETS only
     # for --preset's choices
@@ -1763,6 +1763,18 @@ def test_each_setting_rule_has_one_owner():
         assert ExperimentConfig(preset=preset).chain == chain
         args = cli.build_parser().parse_args(["report", "--preset", preset])
         assert cli.resolve_config(args) == ExperimentConfig(preset=preset)
+
+
+def test_finite_and_nonnegative_has_one_raiser():
+    # every photon number and error bar, of the chain, the channel, its
+    # estimate, the background, the config's grids and the oracle's
+    # states, is refused by one function, whose message names the value
+    from mwqkd import config, devices, gaussian, linkbudget
+
+    raisers = {module.__name__: _raisers(module, "finite and >= 0")
+               for module in (devices, linkbudget, config, gaussian, security, proto, stats, cli)}
+    assert raisers.pop("mwqkd.devices") == {"check_nonnegative"}
+    assert not any(raisers.values()), raisers
 
 
 def test_commands_read_only_the_config_and_their_output_flags():
@@ -1797,7 +1809,8 @@ _REFUSALS = {
     "security.predicted_estimate-samples<2": (
         lambda: security.predicted_estimate(mwqkd.RUN1_CHAIN, ChannelParams(0.01), 1),
         "samples must be >= 2"),
-    "security.key_settings-n_raw<4": (lambda: security.key_settings(3), "n_raw must be >= 4"),
+    "security.key_settings-n_raw<4": (
+        lambda: security.key_settings(3), "n_raw (the symbol count N) must be >= 4, got 3"),
     "security.key_settings-n_ec=0": (
         lambda: security.key_settings(100, 0), "n_ec must be in 1..sifted length"),
     "security.key_settings-n_ec>sifted": (
@@ -1812,9 +1825,34 @@ _REFUSALS = {
         "path loss must be in [0, 1)"),
     "devices.ChannelEstimate-sigma<0": (
         lambda: ChannelEstimate(**{**_ESTIMATE, "noise_sigma": -1e-3}),
-        "standard errors must be >= 0"),
+        "noise_sigma must be finite and >= 0, got -0.001"),
+    # a NaN or infinite error bar is refused before any chi is taken of it
+    "devices.ChannelEstimate-loss_sigma=nan": (
+        lambda: ChannelEstimate(**{**_ESTIMATE, "loss_sigma": math.nan}),
+        "loss_sigma must be finite and >= 0, got nan"),
+    "devices.ChannelEstimate-loss_sigma=inf": (
+        lambda: ChannelEstimate(**{**_ESTIMATE, "loss_sigma": math.inf}),
+        "loss_sigma must be finite and >= 0, got inf"),
+    "devices.ChannelEstimate-noise_sigma=nan": (
+        lambda: ChannelEstimate(**{**_ESTIMATE, "noise_sigma": math.nan}),
+        "noise_sigma must be finite and >= 0, got nan"),
+    "devices.ChannelEstimate-noise_sigma=inf": (
+        lambda: ChannelEstimate(**{**_ESTIMATE, "noise_sigma": math.inf}),
+        "noise_sigma must be finite and >= 0, got inf"),
+    "devices.hemt_noise_photons<0": (
+        lambda: replace(mwqkd.RUN1_CHAIN, hemt_noise_photons=-1),
+        "hemt_noise_photons must be finite and >= 0, got -1.0"),
+    "devices.path_environment_photons<0": (
+        lambda: replace(mwqkd.RUN1_CHAIN, path_environment_photons=(0.0, 0.0, -0.5, 0.0)),
+        "path_environment_photons must be finite and >= 0, got -0.5"),
     "devices.ChannelEstimate-nan": (
         lambda: ChannelEstimate(**{**_ESTIMATE, "loss": math.nan}), "estimates must be finite"),
+    "linkbudget.max_tolerable_loss-background<0": (
+        lambda: mwqkd.max_tolerable_loss(mwqkd.RUN1_CHAIN, -2.0),
+        "background_photons must be finite and >= 0, got -2.0"),
+    "linkbudget.MediumSpec-background=nan": (
+        lambda: mwqkd.MediumSpec(1e-3, math.nan, "bad"),
+        "background_photons must be finite and >= 0, got nan"),
     "linkbudget.MediumSpec-attenuation=0": (
         lambda: mwqkd.MediumSpec(0.0, 1.0, "lossless"), "attenuation_db_per_m must be > 0"),
     "linkbudget.loss_to_distance-attenuation=0": (

@@ -246,11 +246,14 @@ _OUT_OF_RANGE = "mode index out of range"
 # photon number is refused before numpy turns it into inf - inf.
 _ORACLE_REFUSALS = {
     "make_vacuum-0": (lambda: g.make_vacuum(0), "modes must be >= 1"),
-    "make_thermal-inf": (lambda: g.make_thermal(math.inf), "n_photons must be finite and >= 0"),
+    "make_thermal-inf": (
+        lambda: g.make_thermal(math.inf), "n_photons must be finite and >= 0, got inf"),
     "two_mode_squeezed_thermal-negative": (
-        lambda: g.two_mode_squeezed_thermal(-1.0), "n_thermal must be finite and >= 0"),
+        lambda: g.two_mode_squeezed_thermal(-1.0),
+        "n_thermal must be finite and >= 0, got -1.0"),
     "two_mode_squeezed_thermal-inf": (
-        lambda: g.two_mode_squeezed_thermal(math.inf), "n_thermal must be finite and >= 0"),
+        lambda: g.two_mode_squeezed_thermal(math.inf),
+        "n_thermal must be finite and >= 0, got inf"),
     "tensor-empty": (lambda: g.tensor(), "tensor needs at least one state"),
     "partial_trace-empty": (
         lambda: g.partial_trace(_PAIR, ()), "keep must list at least one mode"),
@@ -269,10 +272,11 @@ _ORACLE_REFUSALS = {
         "added_noise must be a symmetric 2x2 matrix"),
     "apply_loss-1.5": (lambda: g.apply_loss(_VACUUM, 1.5), "loss must be in [0, 1]"),
     "apply_loss-negative": (
-        lambda: g.apply_loss(_VACUUM, 0.5, -1.0), "environment_photons must be finite and >= 0"),
+        lambda: g.apply_loss(_VACUUM, 0.5, -1.0),
+        "environment_photons must be finite and >= 0, got -1.0"),
     "apply_loss-inf": (
         lambda: g.apply_loss(_VACUUM, 0.5, environment_photons=math.inf),
-        "environment_photons must be finite and >= 0"),
+        "environment_photons must be finite and >= 0, got inf"),
     "apply_loss-mode": (lambda: g.apply_loss(_VACUUM, 0.5, mode=1), _OUT_OF_RANGE),
     "displace-inf": (lambda: g.displace(_VACUUM, math.inf), "amplitude must be finite"),
     "displace-x": (lambda: g.displace(_VACUUM, 1.0, "x"), _ANY_QUADRATURE),
